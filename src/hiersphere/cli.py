@@ -22,7 +22,6 @@ import numpy as np
 from .data import (
     Dataset,
     GeneratorConfig,
-    Sample,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -45,6 +44,7 @@ from .losses import AdaCosState
 from .rng import STREAM_SAMPLING, make_rng
 from .trainer import (
     TrainConfig,
+    finish_two_stage,
     train_baseline,
     train_two_stage,
 )
@@ -163,38 +163,39 @@ def _write_manifest(
 
 
 def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
-    hidden = tuple(int(h) for h in str(cfg["hidden_dims"]).split(",") if h.strip())
     mode = cfg["mode"]
-    return TrainConfig(
-        stage1_epochs=cfg["epochs"],
-        stage2_epochs=cfg["stage2_epochs"] if mode == "two-stage" else 0,
-        batch_size=cfg["batch_size"],
-        t=cfg["t"],
-        loss_kind="adacos" if mode == "two-stage" else mode,
-        triplet_margin=cfg["triplet_margin"],
-        optimizer=OptimizerConfig(learning_rate=cfg["learning_rate"]),
-        stage2_learning_rate=cfg["stage2_learning_rate"],
-        seed=cfg["seed"],
-        shuffle=cfg["shuffle"],
-        encoder=EncoderConfig(
-            input_dim=input_dim,
-            hidden_dims=hidden,
-            output_dim=cfg["embed_dim"],
-            activation=cfg["activation"],
-        ),
-        same_class_neutral_pair_positive=cfg["neutral_pairs_positive"],
-    )
+    # a config file can hold values of any JSON type: a non-integer width or
+    # a quoted number fails here as a data error, not a traceback
+    try:
+        hidden = tuple(int(h) for h in str(cfg["hidden_dims"]).split(",") if h.strip())
+        return TrainConfig(
+            stage1_epochs=cfg["epochs"],
+            stage2_epochs=cfg["stage2_epochs"] if mode == "two-stage" else 0,
+            batch_size=cfg["batch_size"],
+            t=cfg["t"],
+            loss_kind="adacos" if mode == "two-stage" else mode,
+            triplet_margin=cfg["triplet_margin"],
+            optimizer=OptimizerConfig(learning_rate=cfg["learning_rate"]),
+            stage2_learning_rate=cfg["stage2_learning_rate"],
+            seed=cfg["seed"],
+            shuffle=cfg["shuffle"],
+            encoder=EncoderConfig(
+                input_dim=input_dim,
+                hidden_dims=hidden,
+                output_dim=cfg["embed_dim"],
+                activation=cfg["activation"],
+            ),
+            same_class_neutral_pair_positive=cfg["neutral_pairs_positive"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"invalid training config: {exc}") from exc
 
 
 def _save_model(path: str, params, state: AdaCosState | None, report) -> None:
-    extra = {"train_report": report.to_dict(include_wall_time=False)}
+    extra = {"train_report": report.to_dict()}
     if state is not None:
         extra["adacos"] = {"scale": state.scale, "weights": state.weights.tolist()}
     save_checkpoint(path, params, extra=extra)
-
-
-def _load_labeled(path: str, mnli: bool = False, split_tag: str = "train") -> Dataset:
-    return load_jsonl(path, mnli_label_map=mnli, split_tag=split_tag)
 
 
 # ---------------------------------------------------------------- commands
@@ -297,7 +298,7 @@ def _merged_config(ns, defaults: dict) -> dict:
 def _cmd_train(ns) -> int:
     started = time.time()
     cfg = _merged_config(ns, TRAIN_DEFAULTS)
-    dataset = _load_labeled(ns.data, mnli=cfg["mnli_label_map"])
+    dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
     train_cfg = _train_config_from_ns(cfg, dataset.input_dim)
 
     mode = cfg["mode"]
@@ -310,7 +311,7 @@ def _cmd_train(ns) -> int:
     _save_model(out, params, state, report)
     root, _ = os.path.splitext(out)
     report_path = root + ".report.json"
-    _write_json_atomic(report_path, report.to_dict(include_wall_time=False))
+    _write_json_atomic(report_path, report.to_dict())
 
     for epoch, loss in enumerate(report.stage1_epoch_losses, start=1):
         print(f"stage1 epoch {epoch}: loss {loss}")
@@ -345,7 +346,7 @@ def _load_model(path: str):
 def _cmd_embed(ns) -> int:
     started = time.time()
     params, _ = _load_model(ns.model)
-    dataset = _load_labeled(ns.data, mnli=ns.mnli_label_map)
+    dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
     emb = embed_all(params, dataset, num_threads=ns.threads)
     out = _resolve_out(ns.out)
     with open(out, "w", encoding="utf-8") as fh:
@@ -368,8 +369,8 @@ def _cmd_embed(ns) -> int:
 def _cmd_eval(ns) -> int:
     started = time.time()
     params, _ = _load_model(ns.model)
-    train_set = _load_labeled(ns.train, mnli=ns.mnli_label_map)
-    test_set = _load_labeled(ns.test, mnli=ns.mnli_label_map, split_tag="test")
+    train_set = load_jsonl(ns.train, mnli_label_map=ns.mnli_label_map)
+    test_set = load_jsonl(ns.test, mnli_label_map=ns.mnli_label_map, split_tag="test")
     centroids = compute_centroids(params, train_set)
     report = mae_report(
         params,
@@ -397,8 +398,10 @@ def _cmd_eval(ns) -> int:
 
 def _cmd_viz(ns) -> int:
     started = time.time()
+    if ns.max_points < 0:
+        raise InvalidConfigError(f"--max-points must be >= 0, got {ns.max_points}")
     params, _ = _load_model(ns.model)
-    dataset = _load_labeled(ns.data, mnli=ns.mnli_label_map)
+    dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
 
     indices = np.arange(len(dataset))
     if ns.max_points and len(dataset) > ns.max_points:
@@ -464,14 +467,21 @@ def _cmd_bench(ns) -> int:
         if key in cfg:
             base[key] = cfg[key]
 
+    def run_config(mode: str) -> TrainConfig:
+        return _train_config_from_ns({**base, "mode": mode}, train_set.input_dim)
+
+    # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
+    # setting), so it is trained once and stage 2 continues from its result
+    stage1 = train_baseline(train_set, run_config("adacos"))
     outputs = [train_path, test_path]
     reports = []
     for mode in ("two-stage", "adacos", "triplet", "softmax"):
-        run_cfg = _train_config_from_ns({**base, "mode": mode}, train_set.input_dim)
         if mode == "two-stage":
-            params, state, train_rep = train_two_stage(train_set, run_cfg)
+            params, state, train_rep = finish_two_stage(train_set, *stage1, run_config(mode))
+        elif mode == "adacos":
+            params, state, train_rep = stage1
         else:
-            params, state, train_rep = train_baseline(train_set, run_cfg)
+            params, state, train_rep = train_baseline(train_set, run_config(mode))
         model_path = os.path.join(out_dir, f"model_{mode}.json")
         _save_model(model_path, params, state, train_rep)
         outputs.append(model_path)
@@ -518,6 +528,20 @@ def _add_mnli_flag(p) -> None:
     )
 
 
+def _add_training_flags(p) -> None:
+    """The training flags train and bench share."""
+    p.add_argument("--t", type=float, help="null band half-width")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--stage2-epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--stage2-learning-rate", type=float)
+    p.add_argument("--hidden-dims", help="comma-separated, e.g. 128,64")
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--activation", choices=("tanh", "relu"))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hiersphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -540,36 +564,26 @@ def build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="JSON removal report path")
     p.set_defaults(func=_cmd_dedup)
 
-    p = sub.add_parser("train", help="train a model (two-stage or a baseline)")
+    # SUPPRESS keeps unset flags out of the namespace so the config file can
+    # fill them; precedence is flags > config > defaults
+    p = sub.add_parser(
+        "train",
+        help="train a model (two-stage or a baseline)",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
-    # SUPPRESS keeps unset flags out of the namespace so the config file can
-    # fill them; precedence is flags > config > defaults
-    p.add_argument("--mode", choices=TRAIN_MODES, default=argparse.SUPPRESS)
-    p.add_argument("--t", type=float, default=argparse.SUPPRESS, help="null band half-width")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--stage2-epochs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--stage2-learning-rate", type=float, default=argparse.SUPPRESS)
-    p.add_argument(
-        "--hidden-dims", default=argparse.SUPPRESS, help="comma-separated, e.g. 128,64"
-    )
-    p.add_argument("--embed-dim", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--activation", choices=("tanh", "relu"), default=argparse.SUPPRESS)
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=argparse.SUPPRESS)
-    p.add_argument("--triplet-margin", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--mode", choices=TRAIN_MODES)
+    _add_training_flags(p)
+    p.add_argument("--no-shuffle", dest="shuffle", action="store_false")
+    p.add_argument("--triplet-margin", type=float)
     p.add_argument(
         "--neutral-pairs-positive",
         action="store_true",
-        default=argparse.SUPPRESS,
         help="treat same-class neutral pairs as positive pairs",
     )
-    p.add_argument(
-        "--mnli-label-map", action="store_true", default=argparse.SUPPRESS
-    )
+    _add_mnli_flag(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("embed", help="embed a dataset with a trained model")
@@ -602,26 +616,21 @@ def build_parser() -> _Parser:
     _add_mnli_flag(p)
     p.set_defaults(func=_cmd_viz)
 
-    p = sub.add_parser("bench", help="compare all training modes on one synthetic set")
+    p = sub.add_parser(
+        "bench",
+        help="compare all training modes on one synthetic set",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p.add_argument("--classes", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--per-subclass", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--stage2-epochs", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--stage2-learning-rate", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--hidden-dims", default=argparse.SUPPRESS)
-    p.add_argument("--embed-dim", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--activation", choices=("tanh", "relu"), default=argparse.SUPPRESS)
-    p.add_argument("--triplet-margin", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--per-subclass", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--sigma", type=float)
+    _add_training_flags(p)
+    p.add_argument("--triplet-margin", type=float)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_bench)
 
     return parser

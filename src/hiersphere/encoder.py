@@ -8,7 +8,7 @@ whole chain stays exactly differentiable and gradient-checkable.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,17 +191,8 @@ def encoder_backward_step(
     out.step_count += 1
     t = out.step_count
     for i, (dw, db) in enumerate(grads):
-        for grad, theta, m, v in (
-            (dw, out.weights[i], out.m_weights[i], out.v_weights[i]),
-            (db, out.biases[i], out.m_biases[i], out.v_biases[i]),
-        ):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * grad
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * grad * grad
-            m_hat = m / (1.0 - opt.beta1**t)
-            v_hat = v / (1.0 - opt.beta2**t)
-            theta -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        adam_step_array(out.weights[i], dw, out.m_weights[i], out.v_weights[i], t, opt)
+        adam_step_array(out.biases[i], db, out.m_biases[i], out.v_biases[i], t, opt)
     return out
 
 
@@ -213,7 +204,7 @@ def adam_step_array(
     t: int,
     opt: OptimizerConfig,
 ) -> None:
-    """In-place Adam update for a standalone parameter array (e.g. class anchors)."""
+    """In-place bias-corrected Adam update of one parameter array and its moments."""
     m *= opt.beta1
     m += (1.0 - opt.beta1) * grad
     v *= opt.beta2
@@ -301,7 +292,3 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return params_from_dict(doc), doc
-
-
-def with_seed(config: EncoderConfig, seed: int) -> EncoderConfig:
-    return replace(config, seed=seed)

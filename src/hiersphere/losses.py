@@ -209,6 +209,12 @@ def angular_margin_loss(
     return LossOutput(value=value, grad_embeddings=dcos @ w, grad_weights=dcos.T @ emb)
 
 
+def init_unit_anchors(num_subclasses: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """num_subclasses x dim anchor matrix of standard-normal rows scaled to unit length."""
+    raw = rng.standard_normal((num_subclasses, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 def adacos_init_scale(num_subclasses: int) -> float:
     """Fixed initial logit scale sqrt(2) * ln(C - 1)."""
     if num_subclasses < 2:
@@ -244,13 +250,8 @@ class AdaCosState:
                 stacklevel=2,
             )
             scale = SCALE_FLOOR
-        raw = rng.standard_normal((num_subclasses, dim))
-        weights = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        weights = init_unit_anchors(num_subclasses, dim, rng)
         return cls(weights=weights, scale=scale, dynamic=dynamic)
-
-    def renormalize_weights(self) -> None:
-        norms = np.linalg.norm(self.weights, axis=1, keepdims=True)
-        self.weights /= norms
 
 
 def adacos_update_scale(

@@ -4,12 +4,12 @@ Stage 1 fits the encoder plus a sub-class anchor matrix under the adaptive
 cosine classification loss; stage 2 fine-tunes the encoder alone with the
 thresholded pairwise cosine loss. Baselines run one stage with triplet,
 plain scaled-softmax, cosface, arcface, or adacos objectives so the
-two-stage result has something to beat.
+two-stage result has something to beat. All of them run one epoch/batch
+loop, `_fit`, and differ only in the objective it is given.
 """
 
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .encoder import (
     init_params,
 )
 from .errors import (
-    BatchTooSmallError,
     DatasetTooSmallError,
     InvalidClassCountError,
     InvalidConfigError,
@@ -36,6 +35,7 @@ from .losses import (
     LossOutput,
     adacos_loss,
     angular_margin_loss,
+    init_unit_anchors,
     pairwise_cosine_loss,
 )
 from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, make_rng
@@ -87,32 +87,13 @@ class TrainConfig:
         return replace(self.optimizer, learning_rate=lr)
 
     def to_dict(self) -> dict:
-        return {
-            "stage1_epochs": self.stage1_epochs,
-            "stage2_epochs": self.stage2_epochs,
-            "batch_size": self.batch_size,
-            "t": self.t,
-            "loss_kind": self.loss_kind,
-            "triplet_margin": self.triplet_margin,
-            "optimizer": {
-                "learning_rate": self.optimizer.learning_rate,
-                "beta1": self.optimizer.beta1,
-                "beta2": self.optimizer.beta2,
-                "epsilon": self.optimizer.epsilon,
-            },
-            "stage2_learning_rate": self.stage2_learning_rate,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-            "encoder": None
-            if self.encoder is None
-            else {
-                "input_dim": self.encoder.input_dim,
-                "hidden_dims": list(self.encoder.hidden_dims),
-                "output_dim": self.encoder.output_dim,
-                "activation": self.encoder.activation,
-            },
-            "same_class_neutral_pair_positive": self.same_class_neutral_pair_positive,
-        }
+        doc = asdict(self)
+        if self.encoder is not None:
+            # the train seed is the single seed source, so the encoder's copy
+            # is not echoed
+            del doc["encoder"]["seed"]
+            doc["encoder"]["hidden_dims"] = list(self.encoder.hidden_dims)
+        return doc
 
 
 @dataclass
@@ -120,26 +101,14 @@ class TrainReport:
     stage1_epoch_losses: list[float] = field(default_factory=list)
     stage2_epoch_losses: list[float] = field(default_factory=list)
     scale_trajectory: list[float] = field(default_factory=list)
-    wall_time_seconds: float = 0.0
     config: dict = field(default_factory=dict)
     steps: int = 0
     skipped_batches: int = 0
     model_tag: str = ""
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        """Wall time is off by default so reports stay run-to-run identical."""
-        doc = {
-            "model_tag": self.model_tag,
-            "stage1_epoch_losses": self.stage1_epoch_losses,
-            "stage2_epoch_losses": self.stage2_epoch_losses,
-            "scale_trajectory": self.scale_trajectory,
-            "steps": self.steps,
-            "skipped_batches": self.skipped_batches,
-            "config": self.config,
-        }
-        if include_wall_time:
-            doc["wall_time_seconds"] = self.wall_time_seconds
-        return doc
+    def to_dict(self) -> dict:
+        """No wall-clock field, so reports stay run-to-run identical."""
+        return asdict(self)
 
 
 def make_batches(
@@ -191,17 +160,24 @@ def _require_trainable(dataset: Dataset) -> None:
         raise InvalidClassCountError("need at least one class")
 
 
-class _AnchorAdam:
-    """Adam buffers for a standalone anchor matrix (class weights)."""
+class _Anchors:
+    """Unit-row class anchors with their own Adam moments.
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+    The weights are updated in place, so an AdaCosState built on the same
+    array sees every step.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray, opt: OptimizerConfig) -> None:
+    def step(self, grad: np.ndarray, opt: OptimizerConfig) -> None:
+        """One Adam step, then every row re-normalized to unit length."""
         self.t += 1
-        adam_step_array(theta, grad, self.m, self.v, self.t, opt)
+        adam_step_array(self.weights, grad, self.m, self.v, self.t, opt)
+        self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)
 
 
 def triplet_batch_loss(
@@ -252,6 +228,68 @@ def triplet_batch_loss(
     return LossOutput(value=value, grad_embeddings=grad), num_triplets
 
 
+def _fit(
+    dataset: Dataset,
+    config: TrainConfig,
+    params: EncoderParams,
+    objective,
+    report: TrainReport,
+    *,
+    stage2: bool = False,
+    anchors: _Anchors | None = None,
+    adacos: AdaCosState | None = None,
+) -> EncoderParams:
+    """The one epoch/batch loop; returns the trained params and fills report.
+
+    objective(embeddings, labels) gives the batch's LossOutput. A batch whose
+    objective raises NoValidTripletsError is skipped and counted. Stage 2
+    takes its own epoch count, optimizer, shuffle streams and loss curve,
+    and merges a trailing singleton batch into the one before it. anchors
+    take an Adam step from the loss's grad_weights; the scale of an adacos
+    state is recorded after every epoch.
+    """
+    x = dataset.feature_matrix()
+    labels = dataset.labels()
+    if stage2:
+        epochs, opt = config.stage2_epochs, config.stage2_optimizer()
+        epoch_losses, epoch_offset = report.stage2_epoch_losses, STAGE2_SHUFFLE_OFFSET
+    else:
+        epochs, opt = config.stage1_epochs, config.optimizer
+        epoch_losses, epoch_offset = report.stage1_epoch_losses, 0
+
+    for epoch in range(epochs):
+        batches = make_batches(
+            dataset,
+            config.batch_size,
+            config.seed,
+            config.shuffle,
+            epoch=epoch_offset + epoch,
+            merge_trailing_singleton=stage2,
+        )
+        batch_losses = []
+        for idx in batches:
+            bx = x[idx]
+            emb = encoder_forward_batch(params, bx)
+            try:
+                out = objective(emb, [labels[i] for i in idx])
+            except NoValidTripletsError:
+                # stacklevel points at the caller of the public trainer
+                warnings.warn("batch without any valid triplet skipped", stacklevel=3)
+                report.skipped_batches += 1
+                continue
+            params = encoder_backward_step(params, bx, out.grad_embeddings, opt)
+            if anchors is not None:
+                anchors.step(out.grad_weights, opt)
+            batch_losses.append(out.value)
+            report.steps += 1
+        # an epoch where every batch was skipped has no mean loss; None keeps
+        # the serialized report valid JSON
+        epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else None)
+        if adacos is not None:
+            report.scale_trajectory.append(adacos.scale)
+    return params
+
+
 def train_stage1(dataset: Dataset, config: TrainConfig):
     """Encoder + adaptive-cosine anchors on the 3K flattened sub-classes.
 
@@ -259,42 +297,27 @@ def train_stage1(dataset: Dataset, config: TrainConfig):
     Returns (EncoderParams, AdaCosState, TrainReport).
     """
     _require_trainable(dataset)
-    num_subclasses = 3 * dataset.num_classes
-    if num_subclasses < 2:
-        raise InvalidClassCountError("need at least 2 sub-classes")
-
     enc_cfg = _resolve_encoder_config(dataset, config)
-    params = init_params(enc_cfg)
     state = AdaCosState.initialize(
-        num_subclasses,
+        3 * dataset.num_classes,
         enc_cfg.output_dim,
         make_rng(config.seed, STREAM_CLASSIFIER_INIT),
         dynamic=True,
     )
-
-    x = dataset.feature_matrix()
-    labels = dataset.labels()
-    anchor_opt = _AnchorAdam(state.weights.shape)
     report = TrainReport(config=config.to_dict(), model_tag="adacos")
 
-    start = time.perf_counter()
-    for epoch in range(config.stage1_epochs):
-        batches = make_batches(
-            dataset, config.batch_size, config.seed, config.shuffle, epoch=epoch
-        )
-        batch_losses = []
-        for idx in batches:
-            bx = x[idx]
-            emb = encoder_forward_batch(params, bx)
-            out = adacos_loss(state, emb, [labels[i] for i in idx])
-            params = encoder_backward_step(params, bx, out.grad_embeddings, config.optimizer)
-            anchor_opt.step(state.weights, out.grad_weights, config.optimizer)
-            state.renormalize_weights()
-            batch_losses.append(out.value)
-            report.steps += 1
-        report.stage1_epoch_losses.append(float(np.mean(batch_losses)))
-        report.scale_trajectory.append(state.scale)
-    report.wall_time_seconds = time.perf_counter() - start
+    def objective(emb, labels):
+        return adacos_loss(state, emb, labels)
+
+    params = _fit(
+        dataset,
+        config,
+        init_params(enc_cfg),
+        objective,
+        report,
+        anchors=_Anchors(state.weights),
+        adacos=state,
+    )
     return params, state, report
 
 
@@ -305,54 +328,46 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
     give the from-scratch ablation). Returns (EncoderParams, TrainReport).
     """
     _require_trainable(dataset)
-    x = dataset.feature_matrix()
-    labels = dataset.labels()
-    opt = config.stage2_optimizer()
-    params = params.copy()
     report = TrainReport(config=config.to_dict(), model_tag="two-stage")
 
-    start = time.perf_counter()
-    for epoch in range(config.stage2_epochs):
-        batches = make_batches(
-            dataset,
-            config.batch_size,
-            config.seed,
-            config.shuffle,
-            epoch=STAGE2_SHUFFLE_OFFSET + epoch,
-            merge_trailing_singleton=True,
+    def objective(emb, labels):
+        return pairwise_cosine_loss(
+            emb,
+            labels,
+            t=config.t,
+            same_class_neutral_pair_positive=config.same_class_neutral_pair_positive,
         )
-        batch_losses = []
-        for idx in batches:
-            if idx.size < 2:
-                raise BatchTooSmallError("pair loss needs at least 2 samples per batch")
-            bx = x[idx]
-            emb = encoder_forward_batch(params, bx)
-            out = pairwise_cosine_loss(
-                emb,
-                [labels[i] for i in idx],
-                t=config.t,
-                same_class_neutral_pair_positive=config.same_class_neutral_pair_positive,
-            )
-            params = encoder_backward_step(params, bx, out.grad_embeddings, opt)
-            batch_losses.append(out.value)
-            report.steps += 1
-        report.stage2_epoch_losses.append(float(np.mean(batch_losses)))
-    report.wall_time_seconds = time.perf_counter() - start
+
+    params = _fit(dataset, config, params.copy(), objective, report, stage2=True)
     return params, report
 
 
 def train_two_stage(dataset: Dataset, config: TrainConfig):
     """Stage 1 then stage 2; the merged report carries both loss curves."""
-    params, state, r1 = train_stage1(dataset, config)
+    return finish_two_stage(dataset, *train_stage1(dataset, config), config)
+
+
+def finish_two_stage(
+    dataset: Dataset,
+    params: EncoderParams,
+    state: AdaCosState,
+    stage1_report: TrainReport,
+    config: TrainConfig,
+):
+    """Stage 2 from a stage-1 result, with the report train_two_stage gives.
+
+    Stage 1 reads no stage-2 field of the config, so the adacos baseline's
+    result serves as well as train_stage1's. Returns (EncoderParams,
+    AdaCosState, TrainReport).
+    """
     params, r2 = train_stage2(dataset, params, config)
     report = TrainReport(
-        stage1_epoch_losses=r1.stage1_epoch_losses,
+        stage1_epoch_losses=stage1_report.stage1_epoch_losses,
         stage2_epoch_losses=r2.stage2_epoch_losses,
-        scale_trajectory=r1.scale_trajectory,
-        wall_time_seconds=r1.wall_time_seconds + r2.wall_time_seconds,
+        scale_trajectory=stage1_report.scale_trajectory,
         config=config.to_dict(),
-        steps=r1.steps + r2.steps,
-        skipped_batches=r1.skipped_batches + r2.skipped_batches,
+        steps=stage1_report.steps + r2.steps,
+        skipped_batches=stage1_report.skipped_batches + r2.skipped_batches,
         model_tag="two-stage",
     )
     return params, state, report
@@ -365,59 +380,32 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
     present only for the adacos kind, where this is definitionally stage 1.
     """
     if config.loss_kind == "adacos":
-        params, state, report = train_stage1(dataset, config)
-        return params, state, report
+        return train_stage1(dataset, config)
 
     _require_trainable(dataset)
     enc_cfg = _resolve_encoder_config(dataset, config)
-    params = init_params(enc_cfg)
-    x = dataset.feature_matrix()
-    labels = dataset.labels()
     report = TrainReport(config=config.to_dict(), model_tag=config.loss_kind)
+    anchors = None
+    if config.loss_kind == "triplet":
 
-    num_subclasses = 3 * dataset.num_classes
-    weights = None
-    anchor_opt = None
-    if config.loss_kind in ("softmax", "cosface", "arcface"):
-        raw = make_rng(config.seed, STREAM_CLASSIFIER_INIT).standard_normal(
-            (num_subclasses, enc_cfg.output_dim)
+        def objective(emb, labels):
+            return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
+
+    else:
+        anchors = _Anchors(
+            init_unit_anchors(
+                3 * dataset.num_classes,
+                enc_cfg.output_dim,
+                make_rng(config.seed, STREAM_CLASSIFIER_INIT),
+            )
         )
-        weights = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        anchor_opt = _AnchorAdam(weights.shape)
         margin = DEFAULT_MARGINS[config.loss_kind]
 
-    start = time.perf_counter()
-    for epoch in range(config.stage1_epochs):
-        batches = make_batches(
-            dataset, config.batch_size, config.seed, config.shuffle, epoch=epoch
-        )
-        batch_losses = []
-        for idx in batches:
-            bx = x[idx]
-            batch_labels = [labels[i] for i in idx]
-            emb = encoder_forward_batch(params, bx)
-            if config.loss_kind == "triplet":
-                try:
-                    out, _ = triplet_batch_loss(emb, batch_labels, config.triplet_margin)
-                except NoValidTripletsError:
-                    warnings.warn("batch without any valid triplet skipped", stacklevel=2)
-                    report.skipped_batches += 1
-                    continue
-            else:
-                targets = np.asarray([lb.subclass_index for lb in batch_labels])
-                out = angular_margin_loss(
-                    emb, weights, targets, config.loss_kind, MARGIN_SCALE, margin
-                )
-            params = encoder_backward_step(params, bx, out.grad_embeddings, config.optimizer)
-            if out.grad_weights is not None:
-                anchor_opt.step(weights, out.grad_weights, config.optimizer)
-                weights /= np.linalg.norm(weights, axis=1, keepdims=True)
-            batch_losses.append(out.value)
-            report.steps += 1
-        # an epoch where every batch was skipped has no mean loss; None keeps
-        # the serialized report valid JSON
-        report.stage1_epoch_losses.append(
-            float(np.mean(batch_losses)) if batch_losses else None
-        )
-    report.wall_time_seconds = time.perf_counter() - start
+        def objective(emb, labels):
+            targets = np.asarray([lb.subclass_index for lb in labels])
+            return angular_margin_loss(
+                emb, anchors.weights, targets, config.loss_kind, MARGIN_SCALE, margin
+            )
+
+    params = _fit(dataset, config, init_params(enc_cfg), objective, report, anchors=anchors)
     return params, None, report

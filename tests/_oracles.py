@@ -2,14 +2,33 @@
 
 Everything here is written loop-by-loop from the definitions, deliberately
 not sharing code with the package, so agreement is evidence rather than
-tautology.
+tautology. The reference trainer is the one exception: it calls the
+package's public per-step functions and writes out only the loops around
+them, so it pins how the trainers compose those steps.
 """
 
 import math
 
 import numpy as np
 
-from hiersphere import HierLabel, Polarity
+from hiersphere import (
+    AdaCosState,
+    EncoderConfig,
+    HierLabel,
+    NoValidTripletsError,
+    Polarity,
+    adacos_init_scale,
+    adacos_loss,
+    angular_margin_loss,
+    encoder_forward_batch,
+    init_params,
+    make_batches,
+    make_rng,
+    pairwise_cosine_loss,
+    triplet_batch_loss,
+)
+from hiersphere.encoder import adam_step_array, encoder_backward_step
+from hiersphere.rng import STREAM_CLASSIFIER_INIT
 
 
 def ref_pair_target(a: HierLabel, b: HierLabel, neutral_pair_positive: bool = False) -> float:
@@ -95,3 +114,88 @@ def random_labels(rng, n, num_classes=3):
         HierLabel(int(rng.integers(0, num_classes)), pols[int(rng.integers(0, 3))])
         for _ in range(n)
     ]
+
+
+REF_MARGINS = {"softmax": 0.0, "cosface": 0.35, "arcface": 0.5}
+REF_MARGIN_SCALE = 30.0
+REF_STAGE2_EPOCH_OFFSET = 1_000_000
+
+
+def ref_train(dataset, config, mode):
+    """Any training mode as plain epoch and batch loops.
+
+    mode is a CLI mode: two-stage or a baseline. config.encoder gives the
+    architecture; config.seed seeds everything. Returns a dict of params,
+    anchors (None for triplet), stage-1 and stage-2 epoch losses, scale
+    trajectory, steps and skipped batches.
+    """
+    x = dataset.feature_matrix()
+    labels = dataset.labels()
+    enc = config.encoder
+    params = init_params(
+        EncoderConfig(enc.input_dim, enc.hidden_dims, enc.output_dim, enc.activation, config.seed)
+    )
+    k = 3 * dataset.num_classes
+    anchors = state = None
+    if mode != "triplet":
+        raw = make_rng(config.seed, STREAM_CLASSIFIER_INIT).standard_normal((k, enc.output_dim))
+        anchors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        m, v = np.zeros_like(anchors), np.zeros_like(anchors)
+    if mode in ("two-stage", "adacos"):
+        state = AdaCosState(weights=anchors, scale=adacos_init_scale(k), dynamic=True)
+
+    out = {"stage1": [], "stage2": [], "scales": [], "steps": 0, "skipped": 0}
+    for epoch in range(config.stage1_epochs):
+        values = []
+        for idx in make_batches(len(x), config.batch_size, config.seed, config.shuffle, epoch=epoch):
+            emb = encoder_forward_batch(params, x[idx])
+            batch_labels = [labels[i] for i in idx]
+            if state is not None:
+                loss = adacos_loss(state, emb, batch_labels)
+            elif mode == "triplet":
+                try:
+                    loss, _ = triplet_batch_loss(emb, batch_labels, config.triplet_margin)
+                except NoValidTripletsError:
+                    out["skipped"] += 1
+                    continue
+            else:
+                targets = [lb.subclass_index for lb in batch_labels]
+                loss = angular_margin_loss(
+                    emb, anchors, targets, mode, REF_MARGIN_SCALE, REF_MARGINS[mode]
+                )
+            params = encoder_backward_step(params, x[idx], loss.grad_embeddings, config.optimizer)
+            out["steps"] += 1
+            # anchors step with every encoder step, so they share its count
+            if anchors is not None:
+                adam_step_array(anchors, loss.grad_weights, m, v, out["steps"], config.optimizer)
+                anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+            values.append(loss.value)
+        out["stage1"].append(float(np.mean(values)) if values else None)
+        if state is not None:
+            out["scales"].append(state.scale)
+
+    if mode == "two-stage":
+        for epoch in range(config.stage2_epochs):
+            batches = make_batches(
+                len(x), config.batch_size, config.seed, config.shuffle,
+                epoch=REF_STAGE2_EPOCH_OFFSET + epoch,
+            )
+            if len(batches) > 1 and batches[-1].size == 1:
+                tail = batches.pop()
+                batches[-1] = np.concatenate([batches[-1], tail])
+            values = []
+            for idx in batches:
+                emb = encoder_forward_batch(params, x[idx])
+                loss = pairwise_cosine_loss(
+                    emb, [labels[i] for i in idx], config.t,
+                    config.same_class_neutral_pair_positive,
+                )
+                params = encoder_backward_step(
+                    params, x[idx], loss.grad_embeddings, config.stage2_optimizer()
+                )
+                out["steps"] += 1
+                values.append(loss.value)
+            out["stage2"].append(float(np.mean(values)))
+    out["params"] = params
+    out["anchors"] = anchors
+    return out

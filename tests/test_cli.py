@@ -192,16 +192,29 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
     assert len(report["stage1_epoch_losses"]) == 2
 
 
-def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys):
+@pytest.mark.parametrize(
+    "file_cfg, flags, expected",
+    [
+        ({"epochz": 1}, [], "epochz"),
+        ({}, ["--hidden-dims", "12,a"], "invalid training config"),
+        ({"hidden_dims": "12,a"}, [], "invalid training config"),
+        ({"epochs": "3"}, [], "invalid training config"),
+    ],
+    ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string"],
+)
+def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_cfg, flags, expected):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump({"epochz": 1}, fh)
+        json.dump(file_cfg, fh)
     out = str(tmp_path / "m.json")
     code = run_command(
-        ["train", "--data", corpus["train"], "--out", out, "--config", cfg_path]
+        ["train", "--data", corpus["train"], "--out", out, "--config", cfg_path, *flags]
     )
     assert code == 2
-    assert "epochz" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert expected in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
 
 
 def test_train_no_shuffle_recorded(tmp_path, corpus):
@@ -287,6 +300,38 @@ def test_viz_max_points_subsamples(tmp_path, corpus, trained):
     assert code == 0
     with open(svg_path, "r", encoding="utf-8") as fh:
         assert fh.read().count('class="marker"') == 10
+
+
+def test_viz_negative_max_points_is_data_error(tmp_path, corpus, trained, capsys):
+    code = run_command(
+        ["viz", "--model", trained["model"], "--data", corpus["test"],
+         "--out", str(tmp_path / "p.svg"), "--max-points", "-5"]
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert "--max-points" in lines[0]
+
+
+# -------------------------------------------------------------------- bench
+
+
+@pytest.mark.filterwarnings("ignore:batch without any valid triplet")
+def test_bench_adacos_model_equals_train_adacos(tmp_path):
+    flags = TINY_TRAIN_FLAGS + ["--stage2-learning-rate", "0.001"]
+    bench_dir = tmp_path / "bench"
+    code = run_command(
+        ["bench", "--out-dir", str(bench_dir), "--classes", "2", "--dim", "6",
+         "--per-subclass", "4", *flags]
+    )
+    assert code == 0
+    out = str(tmp_path / "adacos.json")
+    code = run_command(
+        ["train", "--data", str(bench_dir / "train.jsonl"), "--out", out,
+         "--mode", "adacos", *flags]
+    )
+    assert code == 0
+    assert _sha256(out) == _sha256(str(bench_dir / "model_adacos.json"))
 
 
 # -------------------------------------------------------------------- dedup

@@ -26,10 +26,11 @@ from hiersphere import (
     train_two_stage,
     triplet_batch_loss,
 )
+from hiersphere import trainer
 from hiersphere.rng import make_rng
 from hiersphere.trainer import LOSS_KINDS
 
-from _oracles import random_labels, ref_triplet_mean
+from _oracles import random_labels, ref_train, ref_triplet_mean
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -376,6 +377,61 @@ def test_baseline_deterministic():
     pb, _, rb = train_baseline(data, cfg)
     assert params_equal(pa, pb)
     assert ra.to_dict() == rb.to_dict()
+
+
+# ------------------------------------------------------- loop reference
+
+
+@pytest.mark.filterwarnings("ignore:batch without any valid triplet")
+@pytest.mark.parametrize(
+    "mode", ["two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"]
+)
+@pytest.mark.parametrize(
+    "num_classes, per_subclass, batch_size",
+    # 27 samples at batch 13 leave a singleton that stage 2 must merge;
+    # batches of 3 often hold no triplet and are skipped
+    [(3, 3, 13), (4, 2, 3)],
+    ids=["singleton-merge", "triplet-skips"],
+)
+def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subclass, batch_size):
+    data = tiny_dataset(num_classes=num_classes, per_subclass_count=per_subclass)
+    cfg = small_train_config(
+        batch_size=batch_size,
+        seed=4,
+        loss_kind="adacos" if mode == "two-stage" else mode,
+        stage2_learning_rate=1e-3,
+    )
+    # the margin baselines return no anchors; record the array the loss sees
+    seen_anchors = []
+    margin_loss = trainer.angular_margin_loss
+
+    def recording_margin_loss(emb, weights, *args):
+        seen_anchors.append(weights)
+        return margin_loss(emb, weights, *args)
+
+    monkeypatch.setattr(trainer, "angular_margin_loss", recording_margin_loss)
+    if mode == "two-stage":
+        params, state, report = train_two_stage(data, cfg)
+    else:
+        params, state, report = train_baseline(data, cfg)
+    ref = ref_train(data, cfg, mode)
+
+    assert params.step_count == ref["params"].step_count
+    for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+        for got, want in zip(getattr(params, name), getattr(ref["params"], name)):
+            np.testing.assert_array_equal(got, want)
+    if mode == "triplet":
+        assert ref["anchors"] is None
+    else:
+        anchors = state.weights if state is not None else seen_anchors[-1]
+        np.testing.assert_array_equal(anchors, ref["anchors"])
+    assert report.stage1_epoch_losses == ref["stage1"]
+    assert report.stage2_epoch_losses == ref["stage2"]
+    assert report.scale_trajectory == ref["scales"]
+    assert report.steps == ref["steps"]
+    assert report.skipped_batches == ref["skipped"]
+    if mode == "triplet" and batch_size == 3:
+        assert 0 < report.skipped_batches and 0 < report.steps
 
 
 # --------------------------------------------------------- batch triplets
