@@ -276,6 +276,19 @@ def _cmd_dedup(ns) -> int:
     return EXIT_OK
 
 
+def _check_json_type(key: str, value, default) -> None:
+    """Config-file values of integer and boolean settings must be JSON
+    integers and booleans (bool is an int subclass, so each excludes the other)."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        return
+    if not ok:
+        raise InvalidConfigError(f"invalid training config: {key} must be {kind}, got {value!r}")
+
+
 def _merged_config(ns, defaults: dict) -> dict:
     """flags > config file > defaults (flag parsers use SUPPRESS defaults)."""
     merged = dict(defaults)
@@ -288,6 +301,8 @@ def _merged_config(ns, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_json_type(key, value, defaults[key])
         merged.update(file_cfg)
     for key in defaults:
         if hasattr(ns, key):

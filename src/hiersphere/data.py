@@ -28,6 +28,14 @@ from .rng import (
     make_rng,
 )
 
+
+def _reject_non_finite(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+# NaN and Infinity are not JSON numbers, but the stock decoder accepts them
+_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+
 MNLI_LABEL_MAP = {
     "entailment": "positive",
     "contradiction": "negative",
@@ -151,9 +159,12 @@ def load_jsonl(
     """Parse one sample per line: {"id", "class", "polarity", "vector"[, "scores"]}.
 
     Class names map to ids in first-appearance order. All vectors must share
-    one dimension; errors carry the 1-based offending line number.
+    one dimension, vector and scores must hold numbers (the NaN and Infinity
+    tokens are rejected) and ids must be unique; errors carry the 1-based
+    offending line number.
     """
     class_ids: dict[str, int] = {}
+    id_lines: dict[str, int] = {}
     samples: list[Sample] = []
     dim = expected_dim
 
@@ -162,9 +173,11 @@ def load_jsonl(
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # from _reject_non_finite
+                raise ParseError(lineno, str(exc)) from None
             if not isinstance(rec, dict):
                 raise ParseError(lineno, "record must be a JSON object")
             try:
@@ -174,6 +187,9 @@ def load_jsonl(
                 vector = rec["vector"]
             except KeyError as exc:
                 raise ParseError(lineno, f"missing field {exc.args[0]!r}") from None
+            if rid in id_lines:
+                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+            id_lines[rid] = lineno
 
             if mnli_label_map and pol_str in MNLI_LABEL_MAP:
                 pol_str = MNLI_LABEL_MAP[pol_str]
@@ -182,7 +198,10 @@ def load_jsonl(
             except ValueError:
                 raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
 
-            feats = np.asarray(vector, dtype=np.float64)
+            try:
+                feats = np.asarray(vector, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(lineno, "vector must hold numbers") from None
             if feats.ndim != 1:
                 raise ParseError(lineno, "vector must be a flat array")
             if dim is None:
@@ -195,7 +214,10 @@ def load_jsonl(
             if cls not in class_ids:
                 class_ids[cls] = len(class_ids)
             scores = rec.get("scores")
-            soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+            try:
+                soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(lineno, "scores must hold numbers") from None
             samples.append(
                 Sample(
                     id=rid,

@@ -8,6 +8,7 @@ whole chain stays exactly differentiable and gradient-checkable.
 
 import json
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,14 @@ class EncoderParams:
     v_weights: list[np.ndarray] = field(default_factory=list)
     m_biases: list[np.ndarray] = field(default_factory=list)
     v_biases: list[np.ndarray] = field(default_factory=list)
+    # what the last encoder_forward_batch on these params leaves for
+    # encoder_param_grads: (weakref to its input, pre-norm output, hidden
+    # activations, norms); a copy starts without one
+    _forward: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a weakref cannot be pickled, and a cached pass is not state
+        return {**self.__dict__, "_forward": None}
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
@@ -133,7 +142,11 @@ def encoder_forward_batch(params: EncoderParams, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected batch of width {params.config.input_dim}, got shape {arr.shape}"
         )
-    return _forward_cached(params, arr)[0]
+    unit, acts, pre_norm, norms = _forward_cached(params, arr)
+    # the input is only referenced weakly, so a batch view held here cannot
+    # keep the matrix it slices alive
+    params._forward = (weakref.ref(arr), pre_norm, acts[1:], norms)
+    return unit
 
 
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -152,11 +165,20 @@ def encoder_param_grads(
     """Backpropagate upstream embedding gradients to (dW, db) per layer.
 
     The normalization Jacobian is applied exactly: for u = v/||v|| the
-    incoming gradient g becomes (g - (u.g) u)/||v||.
+    incoming gradient g becomes (g - (u.g) u)/||v||. The forward pass that
+    encoder_forward_batch last ran on these params is reused when it ran on
+    this very input array; otherwise it is recomputed. A cached pass is used
+    at most once, and parameters or inputs changed in place between the two
+    calls go unnoticed.
     """
     x = np.asarray(batch_inputs, dtype=np.float64)
     g_u = np.asarray(grad_embeddings, dtype=np.float64)
-    unit, acts, _, norms = _forward_cached(params, x)
+    cached, params._forward = params._forward, None
+    if cached is not None and cached[0]() is x:
+        _, pre_norm, hidden, norms = cached
+        unit, acts = pre_norm / norms, [x, *hidden]
+    else:
+        unit, acts, _, norms = _forward_cached(params, x)
     if g_u.shape != unit.shape:
         raise DimensionMismatchError("grad_embeddings shape must match forward output")
 
@@ -181,19 +203,49 @@ def encoder_backward_step(
     grad_embeddings: np.ndarray,
     opt: OptimizerConfig,
 ) -> EncoderParams:
-    """One bias-corrected Adam step from upstream embedding gradients."""
-    grads = encoder_param_grads(params, batch_inputs, grad_embeddings)
-    for dw, db in grads:
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NonFiniteError("non-finite parameter gradient; step aborted")
+    """One bias-corrected Adam step from upstream embedding gradients.
 
-    out = params.copy()
-    out.step_count += 1
-    t = out.step_count
-    for i, (dw, db) in enumerate(grads):
-        adam_step_array(out.weights[i], dw, out.m_weights[i], out.v_weights[i], t, opt)
-        adam_step_array(out.biases[i], db, out.m_biases[i], out.v_biases[i], t, opt)
-    return out
+    Parameters and moments are gathered into one fresh 3 x P buffer and
+    updated by a single Adam call; the returned params' arrays are views of
+    its rows, and the input params are left untouched.
+    """
+    grads = encoder_param_grads(params, batch_inputs, grad_embeddings)
+    grad = np.concatenate([part.ravel() for layer in grads for part in layer])
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("non-finite parameter gradient; step aborted")
+
+    groups = [
+        [a for pair in zip(ws, bs) for a in pair]
+        for ws, bs in (
+            (params.weights, params.biases),
+            (params.m_weights, params.m_biases),
+            (params.v_weights, params.v_biases),
+        )
+    ]
+    buf = np.empty((3, grad.size))
+    for row, arrays in zip(buf, groups):
+        np.concatenate([a.ravel() for a in arrays], out=row)
+    t = params.step_count + 1
+    adam_step_array(buf[0], grad, buf[1], buf[2], t, opt)
+
+    def unflatten(row):
+        parts, pos = [], 0
+        for a in groups[0]:
+            parts.append(row[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+        return parts[0::2], parts[1::2]
+
+    (weights, biases), (m_weights, m_biases), (v_weights, v_biases) = map(unflatten, buf)
+    return EncoderParams(
+        config=params.config,
+        weights=weights,
+        biases=biases,
+        step_count=t,
+        m_weights=m_weights,
+        v_weights=v_weights,
+        m_biases=m_biases,
+        v_biases=v_biases,
+    )
 
 
 def adam_step_array(
@@ -204,14 +256,30 @@ def adam_step_array(
     t: int,
     opt: OptimizerConfig,
 ) -> None:
-    """In-place bias-corrected Adam update of one parameter array and its moments."""
+    """In-place bias-corrected Adam update of one parameter array and its moments.
+
+    theta, grad, m and v share one shape. The textbook form
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    is evaluated in that operation order through two scratch arrays, so the
+    result is bitwise equal to it.
+    """
+    a = np.multiply(grad, 1.0 - opt.beta1)
     m *= opt.beta1
-    m += (1.0 - opt.beta1) * grad
+    m += a
+    np.multiply(grad, 1.0 - opt.beta2, out=a)
+    a *= grad
     v *= opt.beta2
-    v += (1.0 - opt.beta2) * grad * grad
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    theta -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    v += a
+    np.divide(m, 1.0 - opt.beta1**t, out=a)
+    a *= opt.learning_rate
+    b = np.divide(v, 1.0 - opt.beta2**t)
+    np.sqrt(b, out=b)
+    b += opt.epsilon
+    a /= b
+    theta -= a
 
 
 def params_to_dict(params: EncoderParams) -> dict:

@@ -6,6 +6,9 @@ class_id * 3 + polarity ordinal, the label unit for sub-class classification.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -58,3 +61,10 @@ class HierLabel:
         if index < 0:
             raise DataError(f"subclass index must be non-negative, got {index}")
         return cls(class_id=index // 3, polarity=Polarity.from_ordinal(index % 3))
+
+
+def subclass_ids(labels: "Sequence[HierLabel] | np.ndarray") -> np.ndarray:
+    """Int sub-class ids of a batch; an int array of them passes through."""
+    if isinstance(labels, np.ndarray):
+        return labels.astype(np.int64, copy=False)
+    return np.fromiter((lb.subclass_index for lb in labels), dtype=np.int64, count=len(labels))

@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
 )
-from .labels import HierLabel, Polarity
+from .labels import HierLabel, Polarity, subclass_ids
 
 EXP_ARG_MAX = 80.0  # overflow protection inside the adaptive-scale statistic
 SCALE_FLOOR = 1.0  # degenerate two-class fixed scale is floored here
@@ -293,22 +294,22 @@ def adacos_update_scale(
 def adacos_loss(
     state: AdaCosState,
     embeddings: np.ndarray,
-    labels: Sequence[HierLabel],
+    labels: Sequence[HierLabel] | np.ndarray,
 ) -> LossOutput:
     """Sub-class classification loss over scaled embedding/anchor cosines.
 
     With a dynamic state the adaptive scale is refreshed from this batch's
     cosines before the loss is evaluated; the scale is treated as a constant
-    during backprop.
+    during backprop. labels are HierLabels or their int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
         raise DimensionMismatchError("embeddings must be 2-D and match anchor width")
-    targets = np.asarray([lb.subclass_index for lb in labels], dtype=np.int64)
-    if targets.shape[0] != emb.shape[0]:
+    targets = subclass_ids(labels)
+    if targets.shape != (emb.shape[0],):
         raise DimensionMismatchError("one label per embedding required")
-    if np.any(targets >= state.num_subclasses):
-        raise IndexOutOfRangeError("label sub-class index exceeds anchor count")
+    if np.any((targets < 0) | (targets >= state.num_subclasses)):
+        raise IndexOutOfRangeError("label sub-class index outside the anchor range")
 
     cos = emb @ state.weights.T
     if state.dynamic:
@@ -345,34 +346,35 @@ def pair_target(
 
 
 def pair_target_matrix(
-    labels: Sequence[HierLabel],
+    labels: Sequence[HierLabel] | np.ndarray,
     same_class_neutral_pair_positive: bool = False,
 ) -> np.ndarray:
-    """B x B matrix of pair targets (diagonal zero)."""
-    class_ids = np.asarray([lb.class_id for lb in labels], dtype=np.int64)
-    neutral = np.asarray([lb.polarity is Polarity.NEUTRAL for lb in labels], dtype=bool)
-    ordinals = np.asarray([lb.polarity.ordinal for lb in labels], dtype=np.int64)
-
+    """B x B matrix of pair targets (diagonal zero), from HierLabels or sub-class ids."""
+    sub = subclass_ids(labels)
+    class_ids = sub // 3
+    # polarity as -1/0/+1: within one class the target is their product
+    sign = sub % 3 - Polarity.NEUTRAL.ordinal
     same_class = class_ids[:, None] == class_ids[None, :]
-    same_pol = ordinals[:, None] == ordinals[None, :]
-    either_neutral = neutral[:, None] | neutral[None, :]
-    both_neutral = neutral[:, None] & neutral[None, :]
-
-    positive = same_class & same_pol & ~either_neutral
+    targets = np.outer(sign, sign) * same_class
     if same_class_neutral_pair_positive:
-        positive |= same_class & both_neutral
-    negative = same_class & ~same_pol & ~either_neutral
+        neutral = sign == 0
+        targets[same_class & neutral[:, None] & neutral[None, :]] = 1
+    np.fill_diagonal(targets, 0)
+    return targets.astype(np.float64)
 
-    targets = np.zeros((len(labels), len(labels)), dtype=np.float64)
-    targets[positive] = 1.0
-    targets[negative] = -1.0
-    np.fill_diagonal(targets, 0.0)
-    return targets
+
+@lru_cache(maxsize=16)
+def _upper_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(b, k=1), built once per batch size and read-only."""
+    iu = np.triu_indices(b, k=1)
+    for part in iu:
+        part.flags.writeable = False
+    return iu
 
 
 def pairwise_cosine_loss(
     embeddings: np.ndarray,
-    labels: Sequence[HierLabel],
+    labels: Sequence[HierLabel] | np.ndarray,
     t: float = 0.3,
     same_class_neutral_pair_positive: bool = False,
 ) -> LossOutput:
@@ -382,7 +384,8 @@ def pairwise_cosine_loss(
     except that target-0 pairs with |cos| < t are null: zero loss and zero
     gradient. The total is divided by the number of comparisons B(B-1)/2,
     nulled pairs included. t = 1 saturates the band: every target-0 pair is
-    null and only polar pairs contribute.
+    null and only polar pairs contribute. labels are HierLabels or their
+    int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:
@@ -390,7 +393,8 @@ def pairwise_cosine_loss(
     b = emb.shape[0]
     if b < 2:
         raise BatchTooSmallError(f"need at least 2 samples, got {b}")
-    if len(labels) != b:
+    sub = subclass_ids(labels)
+    if sub.shape != (b,):
         raise DimensionMismatchError("one label per embedding required")
     if not 0.0 <= t <= 1.0:
         raise InvalidConfigError(f"threshold t must lie in [0, 1], got {t}")
@@ -398,7 +402,7 @@ def pairwise_cosine_loss(
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     unit = emb / norms
     cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    targets = pair_target_matrix(labels, same_class_neutral_pair_positive)
+    targets = pair_target_matrix(sub, same_class_neutral_pair_positive)
 
     null = (targets == 0.0) & (np.abs(cos) < t)
     active = ~null
@@ -406,8 +410,7 @@ def pairwise_cosine_loss(
 
     residual = np.where(active, cos - targets, 0.0)
     num_pairs = b * (b - 1) // 2
-    iu = np.triu_indices(b, k=1)
-    value = float(np.sum(residual[iu] ** 2) / num_pairs)
+    value = float(np.sum(residual[_upper_pairs(b)] ** 2) / num_pairs)
 
     # dL/dcos_ij, symmetric; each unordered pair counted once in the value
     dcos = 2.0 * residual / num_pairs

@@ -29,7 +29,7 @@ from .errors import (
     InvalidConfigError,
     NoValidTripletsError,
 )
-from .labels import HierLabel
+from .labels import HierLabel, subclass_ids
 from .losses import (
     AdaCosState,
     LossOutput,
@@ -182,18 +182,19 @@ class _Anchors:
 
 def triplet_batch_loss(
     embeddings: np.ndarray,
-    labels: list[HierLabel],
+    labels: list[HierLabel] | np.ndarray,
     margin: float,
 ) -> tuple[LossOutput, int]:
     """Mean hinge over every valid in-batch triplet, with its gradient.
 
     Valid: anchor and positive distinct samples of one sub-class, negative
-    from any other sub-class. Returns the triplet count; raises
-    NoValidTriplets when no sub-class has two members.
+    from any other sub-class. labels are HierLabels or their int sub-class
+    ids. Returns the triplet count; raises NoValidTriplets when no sub-class
+    has two members.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     b = emb.shape[0]
-    sub = np.asarray([lb.subclass_index for lb in labels], dtype=np.int64)
+    sub = subclass_ids(labels)
     same = sub[:, None] == sub[None, :]
     eye = np.eye(b, dtype=bool)
 
@@ -241,15 +242,16 @@ def _fit(
 ) -> EncoderParams:
     """The one epoch/batch loop; returns the trained params and fills report.
 
-    objective(embeddings, labels) gives the batch's LossOutput. A batch whose
-    objective raises NoValidTripletsError is skipped and counted. Stage 2
-    takes its own epoch count, optimizer, shuffle streams and loss curve,
-    and merges a trailing singleton batch into the one before it. anchors
-    take an Adam step from the loss's grad_weights; the scale of an adacos
-    state is recorded after every epoch.
+    objective(embeddings, subclass_ids) gives the batch's LossOutput, with
+    the int sub-class ids built once per run. A batch whose objective raises
+    NoValidTripletsError is skipped and counted. Stage 2 takes its own epoch
+    count, optimizer, shuffle streams and loss curve, and merges a trailing
+    singleton batch into the one before it. anchors take an Adam step from
+    the loss's grad_weights; the scale of an adacos state is recorded after
+    every epoch.
     """
     x = dataset.feature_matrix()
-    labels = dataset.labels()
+    sub = subclass_ids(dataset.labels())
     if stage2:
         epochs, opt = config.stage2_epochs, config.stage2_optimizer()
         epoch_losses, epoch_offset = report.stage2_epoch_losses, STAGE2_SHUFFLE_OFFSET
@@ -271,7 +273,7 @@ def _fit(
             bx = x[idx]
             emb = encoder_forward_batch(params, bx)
             try:
-                out = objective(emb, [labels[i] for i in idx])
+                out = objective(emb, sub[idx])
             except NoValidTripletsError:
                 # stacklevel points at the caller of the public trainer
                 warnings.warn("batch without any valid triplet skipped", stacklevel=3)
@@ -402,9 +404,8 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
         margin = DEFAULT_MARGINS[config.loss_kind]
 
         def objective(emb, labels):
-            targets = np.asarray([lb.subclass_index for lb in labels])
             return angular_margin_loss(
-                emb, anchors.weights, targets, config.loss_kind, MARGIN_SCALE, margin
+                emb, anchors.weights, labels, config.loss_kind, MARGIN_SCALE, margin
             )
 
     params = _fit(dataset, config, init_params(enc_cfg), objective, report, anchors=anchors)

@@ -4,7 +4,8 @@ Everything here is written loop-by-loop from the definitions, deliberately
 not sharing code with the package, so agreement is evidence rather than
 tautology. The reference trainer is the one exception: it calls the
 package's public per-step functions and writes out only the loops around
-them, so it pins how the trainers compose those steps.
+them, so it pins how the trainers compose those steps. The reference
+encoder step pins those per-step functions in turn.
 """
 
 import math
@@ -27,7 +28,7 @@ from hiersphere import (
     pairwise_cosine_loss,
     triplet_batch_loss,
 )
-from hiersphere.encoder import adam_step_array, encoder_backward_step
+from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
 
 
@@ -106,6 +107,61 @@ def ref_tfidf_vectors(texts) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return mat / norms
+
+
+def ref_backward_step(params, x, grad_embeddings, opt):
+    """One encoder Adam step as its own forward, per-layer backward and per-array Adam.
+
+    Returns new EncoderParams and leaves params untouched. Operation order
+    follows the textbook Adam form, so the result is bitwise comparable.
+    """
+    tanh = params.config.activation == "tanh"
+    acts = [np.asarray(x, dtype=np.float64)]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = acts[-1] @ w.T + b
+        acts.append(np.tanh(z) if tanh else np.maximum(z, 0.0))
+    pre = acts[-1] @ params.weights[-1].T + params.biases[-1]
+    norms = np.linalg.norm(pre, axis=1, keepdims=True)
+    unit = pre / norms
+
+    g_u = np.asarray(grad_embeddings, dtype=np.float64)
+    g = (g_u - (unit * g_u).sum(axis=1, keepdims=True) * unit) / norms
+    grads = [None] * len(params.weights)
+    for i in reversed(range(len(params.weights))):
+        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        if i > 0:
+            g = g @ params.weights[i]
+            g = g * (1.0 - acts[i] * acts[i]) if tanh else g * (acts[i] > 0.0)
+
+    t = params.step_count + 1
+
+    def adam(theta, grad, m, v):
+        m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+        v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+        m_hat = m / (1.0 - opt.beta1**t)
+        v_hat = v / (1.0 - opt.beta2**t)
+        return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon), m, v
+
+    new = {key: [] for key in ("w", "mw", "vw", "b", "mb", "vb")}
+    for i, (dw, db) in enumerate(grads):
+        for key, theta, grad, m, v in (
+            ("w", params.weights[i], dw, params.m_weights[i], params.v_weights[i]),
+            ("b", params.biases[i], db, params.m_biases[i], params.v_biases[i]),
+        ):
+            theta, m, v = adam(theta, grad, m, v)
+            new[key].append(theta)
+            new["m" + key].append(m)
+            new["v" + key].append(v)
+    return EncoderParams(
+        config=params.config,
+        weights=new["w"],
+        biases=new["b"],
+        step_count=t,
+        m_weights=new["mw"],
+        v_weights=new["vw"],
+        m_biases=new["mb"],
+        v_biases=new["vb"],
+    )
 
 
 def random_labels(rng, n, num_classes=3):

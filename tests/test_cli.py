@@ -199,8 +199,18 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({}, ["--hidden-dims", "12,a"], "invalid training config"),
         ({"hidden_dims": "12,a"}, [], "invalid training config"),
         ({"epochs": "3"}, [], "invalid training config"),
+        ({"epochs": 3.5}, [], "epochs must be an integer"),
+        ({"stage2_epochs": 2.0}, [], "stage2_epochs must be an integer"),
+        ({"batch_size": True}, [], "batch_size must be an integer"),
+        ({"seed": None}, [], "seed must be an integer"),
+        ({"embed_dim": [8]}, [], "embed_dim must be an integer"),
+        ({"shuffle": 0}, [], "shuffle must be true or false"),
+        ({"neutral_pairs_positive": "yes"}, [], "neutral_pairs_positive must be true or false"),
+        ({"mnli_label_map": 1}, [], "mnli_label_map must be true or false"),
     ],
-    ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string"],
+    ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string",
+         "epochs-float", "stage2-epochs-float", "batch-size-bool", "seed-null",
+         "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int"],
 )
 def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_cfg, flags, expected):
     cfg_path = str(tmp_path / "cfg.json")
@@ -394,6 +404,37 @@ def test_unmapped_polarity_is_data_error(tmp_path, trained, capsys):
     code = run_command(["embed", "--model", trained["model"], "--data", data, "--out", out])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [('[1,0,0,0,0,"a"]', "vector must hold numbers"),
+     ("[1,0,0,0,0,NaN]", "non-finite number NaN")],
+    ids=["non-numeric", "nan"],
+)
+def test_bad_vector_is_data_error_with_line(tmp_path, capsys, vector, message):
+    data = str(tmp_path / "bad.jsonl")
+    with open(data, "w", encoding="utf-8") as fh:
+        for i in range(3):
+            fh.write(f'{{"id":"x{i}","class":"c","polarity":"positive","vector":[1,0,0,0,0,{i}]}}\n')
+        fh.write(f'{{"id":"x3","class":"c","polarity":"negative","vector":{vector}}}\n')
+    code = run_command(["train", "--data", data, "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: line 4:")
+    assert message in lines[0]
+
+
+def test_duplicate_id_is_data_error(tmp_path, capsys):
+    data = str(tmp_path / "dup.jsonl")
+    with open(data, "w", encoding="utf-8") as fh:
+        for i, pol in enumerate(("positive", "negative", "positive")):
+            fh.write(json.dumps({"id": "x" if i != 1 else "y", "class": "c", "polarity": pol,
+                                 "vector": [1, 0, i]}) + "\n")
+    code = run_command(["train", "--data", data, "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3: duplicate id 'x' (first on line 1)" in err
 
 
 def test_mnli_label_map_flag_accepts_nli_labels(tmp_path, trained):

@@ -218,6 +218,44 @@ def test_load_unknown_polarity_has_line_number(tmp_path):
     assert exc.value.line_number == 1
 
 
+@pytest.mark.parametrize(
+    "bad_field, message",
+    [
+        ('"vector":[1.0,"a"]', "vector must hold numbers"),
+        ('"vector":[1.0,{}]', "vector must hold numbers"),
+        ('"vector":[1.0,2.0],"scores":["x",0.1]', "scores must hold numbers"),
+        ('"vector":[1.0,NaN]', "non-finite number NaN"),
+        ('"vector":[Infinity,2.0]', "non-finite number Infinity"),
+        ('"vector":[1.0,2.0],"scores":[-Infinity,0.1]', "non-finite number -Infinity"),
+    ],
+    ids=["vector-string", "vector-object", "scores-string", "nan", "infinity", "scores-minus-inf"],
+)
+def test_load_rejects_non_numeric_and_non_finite_values(tmp_path, bad_field, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id":"a","class":"x","polarity":"positive","vector":[1.0,2.0]}\n'
+        '{"id":"b","class":"x","polarity":"negative",' + bad_field + "}\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(str(path))
+    assert exc.value.line_number == 2
+    assert message in str(exc.value)
+
+
+def test_load_rejects_duplicate_id_naming_both_lines(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id":"a","class":"x","polarity":"positive","vector":[1.0]}\n'
+        '{"id":"b","class":"x","polarity":"negative","vector":[2.0]}\n'
+        "\n"
+        '{"id":"a","class":"x","polarity":"neutral","vector":[3.0]}\n'
+    )
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(str(path))
+    assert exc.value.line_number == 4
+    assert "duplicate id 'a'" in str(exc.value) and "line 1" in str(exc.value)
+
+
 def test_load_mnli_label_map(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(

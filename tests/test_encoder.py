@@ -1,9 +1,13 @@
 """Encoder forward/backward, Adam, and checkpoint round-trips."""
 
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersphere import (
     AdaCosState,
@@ -15,6 +19,7 @@ from hiersphere import (
     OptimizerConfig,
     ZeroNormError,
     adacos_loss,
+    embed_all,
     encoder_forward,
     encoder_forward_batch,
     generate_synthetic,
@@ -22,6 +27,7 @@ from hiersphere import (
     load_checkpoint,
     save_checkpoint,
 )
+from hiersphere import encoder
 from hiersphere.encoder import (
     adam_step_array,
     encoder_backward_step,
@@ -31,6 +37,8 @@ from hiersphere.encoder import (
 )
 from hiersphere.rng import STREAM_CLASSIFIER_INIT, make_rng
 from hiersphere.vecmath import grad_check
+
+from _oracles import ref_backward_step
 
 
 def _identity_encoder(dim):
@@ -255,6 +263,171 @@ def test_adam_single_step_hand_formula():
     v_hat = (1 - opt.beta2) * 0.25 / (1 - opt.beta2)
     expected = 1.0 - 0.01 * m_hat / (math.sqrt(v_hat) + opt.epsilon)
     assert abs(theta[0] - expected) < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            *(
+                st.lists(st.floats(min_value=lo, max_value=1e3), min_size=n, max_size=n)
+                for lo in (-1e3, -1e3, -1e3, 0.0)
+            )
+        )
+    ),
+    st.integers(min_value=1, max_value=100_000),
+    st.sampled_from([1e-3, 1e-2, 0.5]),
+    st.sampled_from([0.5, 0.9, 0.99]),
+    st.sampled_from([0.9, 0.999]),
+)
+def test_adam_step_array_bitwise_equals_textbook_form(arrays, t, lr, beta1, beta2):
+    theta, grad, m, v = (np.array(a, dtype=np.float64) for a in arrays)
+    opt = OptimizerConfig(learning_rate=lr, beta1=beta1, beta2=beta2)
+    m_want = opt.beta1 * m + (1.0 - opt.beta1) * grad
+    v_want = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+    m_hat = m_want / (1.0 - opt.beta1**t)
+    v_hat = v_want / (1.0 - opt.beta2**t)
+    theta_want = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    adam_step_array(theta, grad, m, v, t, opt)
+    assert theta.tobytes() == theta_want.tobytes()
+    assert m.tobytes() == m_want.tobytes()
+    assert v.tobytes() == v_want.tobytes()
+
+
+def _assert_params_bitwise(got, want):
+    assert got.step_count == want.step_count
+    for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "activation, hidden_dims",
+    [("tanh", (7,)), ("relu", (7,)), ("tanh", ()), ("tanh", (6, 5)), ("relu", (6, 5))],
+)
+def test_backward_step_matches_reference_over_chained_steps(activation, hidden_dims):
+    cfg = EncoderConfig(input_dim=4, hidden_dims=hidden_dims, output_dim=3,
+                        activation=activation, seed=11)
+    opt = OptimizerConfig(learning_rate=1e-2)
+    rng = make_rng(8, 47)
+    params = want = init_params(cfg)
+    for step in range(20):
+        x = rng.normal(size=(5, 4))
+        g = rng.normal(size=(5, 3))
+        # the trainer's order (forward, then step on the same array) reuses
+        # the forward pass; a step without one recomputes it
+        if step % 2 == 0:
+            encoder_forward_batch(params, x)
+        params = encoder_backward_step(params, x, g, opt)
+        want = ref_backward_step(want, x, g, opt)
+        _assert_params_bitwise(params, want)
+
+
+# ----------------------------------------------------------- forward cache
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    original = encoder._forward_cached
+
+    def counted(params, x):
+        calls.append(x)
+        return original(params, x)
+
+    monkeypatch.setattr(encoder, "_forward_cached", counted)
+    return calls
+
+
+def _cache_fixture():
+    params = init_params(EncoderConfig(input_dim=4, hidden_dims=(5,), output_dim=3, seed=12))
+    rng = make_rng(9, 48)
+    return params, rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+
+
+def _grads_equal(a, b):
+    for (dw_a, db_a), (dw_b, db_b) in zip(a, b, strict=True):
+        np.testing.assert_array_equal(dw_a, dw_b)
+        np.testing.assert_array_equal(db_a, db_b)
+
+
+def test_param_grads_reuse_the_forward_on_the_same_input_once(monkeypatch):
+    params, x, g = _cache_fixture()
+    fresh = encoder_param_grads(params.copy(), x, g)
+    calls = _counting_forward(monkeypatch)
+    encoder_forward_batch(params, x)
+    _grads_equal(encoder_param_grads(params, x, g), fresh)
+    assert len(calls) == 1
+    # the cached pass is consumed: a second call recomputes
+    _grads_equal(encoder_param_grads(params, x, g), fresh)
+    assert len(calls) == 2
+
+
+def test_param_grads_recompute_for_another_input_or_params(monkeypatch):
+    params, x, g = _cache_fixture()
+    other_x = x + 1.0
+    fresh = encoder_param_grads(params.copy(), other_x, g)
+    fresh_same = encoder_param_grads(params.copy(), x, g)
+    calls = _counting_forward(monkeypatch)
+
+    encoder_forward_batch(params, x)
+    _grads_equal(encoder_param_grads(params, other_x, g), fresh)
+    assert len(calls) == 2 and calls[-1] is other_x
+
+    # an equal but distinct array is another input
+    encoder_forward_batch(params, x)
+    _grads_equal(encoder_param_grads(params, x.copy(), g), fresh_same)
+    assert len(calls) == 4
+
+    other = params.copy()
+    encoder_forward_batch(params, x)
+    _grads_equal(encoder_param_grads(other, x, g), fresh_same)
+    assert len(calls) == 6
+
+
+def test_forward_cache_does_not_keep_its_input_alive():
+    params, x, _ = _cache_fixture()
+    base = np.vstack([x, x])
+    base_ref = weakref.ref(base)
+    view = base[:6]
+    encoder_forward_batch(params, view)
+    ref = params._forward[0]
+    assert ref() is view
+    del base, view
+    assert ref() is None and base_ref() is None
+
+
+def test_params_pickle_after_a_forward_pass():
+    params, x, g = _cache_fixture()
+    encoder_forward_batch(params, x)
+    restored = pickle.loads(pickle.dumps(params))
+    assert restored._forward is None and params._forward is not None
+    _assert_params_bitwise(restored, params)
+
+
+def test_step_updates_a_list_entry_rebound_after_copy():
+    params, x, g = _cache_fixture()
+    opt = OptimizerConfig(learning_rate=1e-2)
+    stepped = encoder_backward_step(params, x, g, opt)
+    rebound = stepped.copy()
+    rebound.weights[0] = rebound.weights[0] * 0.5
+    rebound.m_biases[1] = np.full_like(rebound.m_biases[1], 0.25)
+    encoder_forward_batch(rebound, x)
+    got = encoder_backward_step(rebound, x, g, opt)
+    _assert_params_bitwise(got, ref_backward_step(rebound, x, g, opt))
+    # the stepped params' own buffer is untouched by the rebinding
+    _assert_params_bitwise(stepped, ref_backward_step(params, x, g, opt))
+
+
+def test_embed_all_with_two_threads_unchanged_by_the_cache():
+    params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=1))
+    data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=6, per_subclass_count=20, seed=2))
+    x = data.feature_matrix()
+    want = np.vstack([encoder_forward_batch(params.copy(), x[i : i + 7]) for i in range(0, len(x), 7)])
+    encoder_forward_batch(params, x)
+    for _ in range(3):
+        np.testing.assert_array_equal(embed_all(params, data, num_threads=2, batch_size=7), want)
+    g = make_rng(3, 49).normal(size=(len(x), 4))
+    _grads_equal(encoder_param_grads(params, x, g), encoder_param_grads(params.copy(), x, g))
 
 
 def test_training_steps_deterministic():

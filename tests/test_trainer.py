@@ -26,7 +26,7 @@ from hiersphere import (
     train_two_stage,
     triplet_batch_loss,
 )
-from hiersphere import trainer
+from hiersphere import encoder, trainer
 from hiersphere.rng import make_rng
 from hiersphere.trainer import LOSS_KINDS
 
@@ -432,6 +432,27 @@ def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subcl
     assert report.skipped_batches == ref["skipped"]
     if mode == "triplet" and batch_size == 3:
         assert 0 < report.skipped_batches and 0 < report.steps
+
+
+@pytest.mark.parametrize("mode", ["two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"])
+def test_one_forward_pass_per_training_step(monkeypatch, mode):
+    forward_passes = []
+    original = encoder._forward_cached
+
+    def counted(params, x):
+        forward_passes.append(len(x))
+        return original(params, x)
+
+    monkeypatch.setattr(encoder, "_forward_cached", counted)
+    data = tiny_dataset(per_subclass_count=6)
+    cfg = small_train_config(batch_size=12, loss_kind="adacos" if mode == "two-stage" else mode)
+    if mode == "two-stage":
+        report = train_two_stage(data, cfg)[2]
+    else:
+        report = train_baseline(data, cfg)[2]
+    assert report.skipped_batches == 0
+    assert report.steps > 0
+    assert len(forward_passes) == report.steps
 
 
 # --------------------------------------------------------- batch triplets
