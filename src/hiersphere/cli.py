@@ -385,7 +385,12 @@ def _cmd_eval(ns) -> int:
     started = time.time()
     params, _ = _load_model(ns.model)
     train_set = load_jsonl(ns.train, mnli_label_map=ns.mnli_label_map)
-    test_set = load_jsonl(ns.test, mnli_label_map=ns.mnli_label_map, split_tag="test")
+    test_set = load_jsonl(
+        ns.test,
+        mnli_label_map=ns.mnli_label_map,
+        split_tag="test",
+        class_names=train_set.class_names,
+    )
     centroids = compute_centroids(params, train_set)
     report = mae_report(
         params,

@@ -155,15 +155,19 @@ def load_jsonl(
     expected_dim: int | None = None,
     mnli_label_map: bool = False,
     split_tag: str = "train",
+    class_names: list[str] | None = None,
 ) -> Dataset:
     """Parse one sample per line: {"id", "class", "polarity", "vector"[, "scores"]}.
 
-    Class names map to ids in first-appearance order. All vectors must share
-    one dimension, vector and scores must hold numbers (the NaN and Infinity
-    tokens are rejected) and ids must be unique; errors carry the 1-based
+    Class names map to ids in first-appearance order, or, given class_names,
+    to their index in that vocabulary, and a class outside it is an error.
+    All vectors must share one dimension, vector and scores must hold finite
+    numbers (the NaN and Infinity tokens, null and overflowing literals such
+    as 1e999 are rejected) and ids must be unique; errors carry the 1-based
     offending line number.
     """
-    class_ids: dict[str, int] = {}
+    vocabulary_fixed = class_names is not None
+    class_ids = {name: i for i, name in enumerate(class_names or ())}
     id_lines: dict[str, int] = {}
     samples: list[Sample] = []
     dim = expected_dim
@@ -204,6 +208,8 @@ def load_jsonl(
                 raise ParseError(lineno, "vector must hold numbers") from None
             if feats.ndim != 1:
                 raise ParseError(lineno, "vector must be a flat array")
+            if not np.isfinite(feats).all():
+                raise ParseError(lineno, "vector must hold finite numbers")
             if dim is None:
                 dim = feats.shape[0]
             elif feats.shape[0] != dim:
@@ -212,12 +218,16 @@ def load_jsonl(
                 )
 
             if cls not in class_ids:
+                if vocabulary_fixed:
+                    raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
                 class_ids[cls] = len(class_ids)
             scores = rec.get("scores")
             try:
                 soft = None if scores is None else np.asarray(scores, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ParseError(lineno, "scores must hold numbers") from None
+            if soft is not None and not np.isfinite(soft).all():
+                raise ParseError(lineno, "scores must hold finite numbers")
             samples.append(
                 Sample(
                     id=rid,

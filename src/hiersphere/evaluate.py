@@ -15,13 +15,12 @@ import numpy as np
 from .data import Dataset
 from .encoder import EncoderParams, encoder_forward_batch
 from .errors import (
-    IndexOutOfRangeError,
     InvalidConfigError,
     MissingSubclassError,
     NoTestLabelsError,
 )
 from .labels import Polarity
-from .vecmath import cosine_sim, unit_normalize
+from .vecmath import unit_normalize
 
 EMBED_BATCH = 256
 
@@ -107,22 +106,6 @@ def compute_centroids(params: EncoderParams, dataset: Dataset) -> SubclassCentro
 
     mu = {key: unit_normalize(s / counts[key]) for key, s in sums.items()}
     return SubclassCentroids(mu=mu, counts=counts, num_classes=dataset.num_classes)
-
-
-def class_score(
-    e: np.ndarray,
-    centroids: SubclassCentroids,
-    class_id: int,
-    signed: bool = True,
-) -> float:
-    """Polarity score of one embedding against one class, in [-1, 1]."""
-    if not 0 <= class_id < centroids.num_classes:
-        raise IndexOutOfRangeError(f"class_id {class_id} outside [0, {centroids.num_classes})")
-    cos_pos = cosine_sim(e, centroids.require(class_id, Polarity.POSITIVE))
-    cos_neg = cosine_sim(e, centroids.require(class_id, Polarity.NEGATIVE))
-    if signed:
-        return (cos_pos - cos_neg) / 2.0
-    return (cos_pos + cos_neg) / 2.0
 
 
 def _centroid_matrices(centroids: SubclassCentroids) -> tuple[np.ndarray, np.ndarray]:

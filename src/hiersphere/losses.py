@@ -10,7 +10,6 @@ against central finite differences in the test suite.
 import math
 import warnings
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import lru_cache
 from typing import Sequence
 
@@ -38,12 +37,6 @@ class LossOutput:
     value: float
     grad_embeddings: np.ndarray
     grad_weights: np.ndarray | None = None
-
-
-class PairTarget(IntEnum):
-    SAME = 1
-    OPPOSITE = -1
-    UNRELATED = 0
 
 
 def _as_batch(logits: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
@@ -127,37 +120,6 @@ def triplet_loss(
         grads[0] -= unit_n
         grads[2] = unit_n
     return LossOutput(value=value, grad_embeddings=grads)
-
-
-def margin_logit_transform(
-    cosines: Sequence[float] | np.ndarray,
-    target: int,
-    kind: str,
-    scale: float,
-    margin: float,
-) -> np.ndarray:
-    """Scaled logits with an additive angular margin on the target entry.
-
-    cosface subtracts the margin from the target cosine; arcface adds it to
-    the target angle. With margin 0 both reduce to plain scaled cosines.
-    """
-    cos = np.asarray(cosines, dtype=np.float64)
-    if cos.ndim != 1:
-        raise DimensionMismatchError("cosines must be 1-D")
-    if not 0 <= target < cos.size:
-        raise IndexOutOfRangeError(f"target {target} outside [0, {cos.size})")
-    if kind not in ("cosface", "arcface"):
-        raise InvalidConfigError(f"kind must be cosface or arcface, got {kind!r}")
-    if scale <= 0 or margin < 0:
-        raise InvalidConfigError("scale must be positive and margin non-negative")
-
-    out = scale * cos
-    if kind == "cosface":
-        out[target] = scale * (cos[target] - margin)
-    else:
-        theta = math.acos(float(np.clip(cos[target], -1.0, 1.0)))
-        out[target] = scale * math.cos(theta + margin)
-    return out
 
 
 def _margin_cos_derivative(cos_target: np.ndarray, kind: str, margin: float) -> np.ndarray:
@@ -324,27 +286,6 @@ def adacos_loss(
     )
 
 
-def pair_target(
-    a: HierLabel,
-    b: HierLabel,
-    same_class_neutral_pair_positive: bool = False,
-) -> PairTarget:
-    """Supervision target for a sentence pair.
-
-    Different classes give 0; a neutral member gives 0; same polarity gives
-    +1, opposite polarities -1. A same-class neutral-neutral pair is 0 by
-    default; the switch flips that overlap case to +1.
-    """
-    if a.class_id != b.class_id:
-        return PairTarget.UNRELATED
-    both_neutral = a.polarity is Polarity.NEUTRAL and b.polarity is Polarity.NEUTRAL
-    if both_neutral:
-        return PairTarget.SAME if same_class_neutral_pair_positive else PairTarget.UNRELATED
-    if a.polarity is Polarity.NEUTRAL or b.polarity is Polarity.NEUTRAL:
-        return PairTarget.UNRELATED
-    return PairTarget.SAME if a.polarity is b.polarity else PairTarget.OPPOSITE
-
-
 def pair_target_matrix(
     labels: Sequence[HierLabel] | np.ndarray,
     same_class_neutral_pair_positive: bool = False,
@@ -380,12 +321,12 @@ def pairwise_cosine_loss(
 ) -> LossOutput:
     """Squared cosine-residual loss over all unordered in-batch pairs.
 
-    Each pair (i < j) contributes (cos_ij - y_ij)^2 with y from pair_target,
-    except that target-0 pairs with |cos| < t are null: zero loss and zero
-    gradient. The total is divided by the number of comparisons B(B-1)/2,
-    nulled pairs included. t = 1 saturates the band: every target-0 pair is
-    null and only polar pairs contribute. labels are HierLabels or their
-    int sub-class ids.
+    Each pair (i < j) contributes (cos_ij - y_ij)^2 with y from
+    pair_target_matrix, except that target-0 pairs with |cos| < t are null:
+    zero loss and zero gradient. The total is divided by the number of
+    comparisons B(B-1)/2, nulled pairs included. t = 1 saturates the band:
+    every target-0 pair is null and only polar pairs contribute. labels are
+    HierLabels or their int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:

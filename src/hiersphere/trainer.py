@@ -207,15 +207,15 @@ def triplet_batch_loss(
     hinge = dist[:, :, None] - dist[:, None, :] + margin
     if not valid.any():
         raise NoValidTripletsError("no sub-class in this batch has two members")
-    num_triplets = int(valid.sum())
+    num_triplets = int(np.count_nonzero(valid))
 
     active = valid & (hinge > 0.0)
     value = float(hinge[active].sum() / num_triplets)
 
     # dL/d dist as a matrix: +1/T at (a,p), -1/T at (a,n) per active triplet
     w = np.zeros((b, b))
-    pos_counts = active.sum(axis=2)
-    neg_counts = active.sum(axis=1)
+    pos_counts = np.count_nonzero(active, axis=2)
+    neg_counts = np.count_nonzero(active, axis=1)
     w += pos_counts / num_triplets
     w -= neg_counts / num_triplets
 

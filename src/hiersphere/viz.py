@@ -1,12 +1,17 @@
 """2-D projection of embedding sets and SVG scatter rendering.
 
-Projection is classical (Torgerson) multidimensional scaling: square the
-distances, double-center, take the top two eigenpairs. Deterministic by
-construction; eigenvector sign is fixed so the largest-magnitude entry is
+Projection is classical (Torgerson) multidimensional scaling. For a
+distance matrix: square the distances, double-center, take the top two
+eigenpairs of that N x N matrix. For point coordinates the double-centered
+Gram matrix is Xc Xc^T of the centered points, so the same coordinates are
+the projections onto the top two eigenvectors of the d x d scatter Xc^T Xc,
+and no N x N matrix is built. Deterministic by construction; each
+coordinate column's sign is fixed so its largest-magnitude entry is
 positive. The scatter encodes class as marker shape and polarity as color.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
@@ -40,20 +45,96 @@ class Mds2D:
     stress: float
 
 
-def _euclidean_matrix(x: np.ndarray) -> np.ndarray:
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(np.maximum(d2, 0.0))
+STRESS_BLOCK = 128  # rows of the pairwise-distance matrices held at once
+
+
+def _largest_entry_positive(vec: np.ndarray) -> np.ndarray:
+    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
+
+
+def _distance_rows(x: np.ndarray, sq: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances from rows start:stop of x to every row, diagonal exactly zero.
+
+    sq holds the squared row norms of x.
+    """
+    d2 = x[start:stop] @ x.T
+    d2 *= -2.0
+    d2 += sq[start:stop, None]
+    d2 += sq
+    rows = np.arange(stop - start)
+    d2[rows, rows + start] = 0.0
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
+def _mds_from_distances(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top two eigenpairs of the double-centered squared distances (n x n)."""
+    n = dist.shape[0]
+    d2 = dist * dist
+    row = d2.mean(axis=1, keepdims=True)
+    col = d2.mean(axis=0, keepdims=True)
+    gram = -0.5 * (d2 - row - col + d2.mean())
+    gram = (gram + gram.T) / 2.0
+
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    coords = np.empty((n, 2))
+    top = np.empty(2)
+    for k, i in enumerate((n - 1, n - 2)):
+        top[k] = eigvals[i]
+        coords[:, k] = _largest_entry_positive(eigvecs[:, i]) * np.sqrt(max(eigvals[i], 0.0))
+    coords -= coords.mean(axis=0)
+    return coords, top
+
+
+def _mds_from_points(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top two principal axes of centered points, from the d x d scatter matrix.
+
+    The double-centered Gram matrix of Euclidean points is xc @ xc.T, whose
+    nonzero eigenvalues are those of xc.T @ xc; an eigenvector v of the
+    scatter gives the coordinate column xc @ v. Axes beyond d, and axes with
+    a non-positive eigenvalue, are zero columns.
+    """
+    eigvals, eigvecs = np.linalg.eigh(xc.T @ xc)
+    coords = np.zeros((xc.shape[0], 2))
+    top = np.zeros(2)
+    for k in range(min(2, xc.shape[1])):
+        i = xc.shape[1] - 1 - k
+        top[k] = eigvals[i]
+        if eigvals[i] > 0.0:
+            coords[:, k] = _largest_entry_positive(xc @ eigvecs[:, i])
+    return coords, top
+
+
+def _stress(coords: np.ndarray, input_rows) -> float:
+    """sqrt(sum (d_hat - d)^2 / sum d^2) over all pairs, STRESS_BLOCK rows at a time.
+
+    input_rows(start, stop) returns the input distances of those rows to
+    every point. Each unordered pair is counted twice, which leaves the ratio
+    unchanged.
+    """
+    n = coords.shape[0]
+    sq = (coords * coords).sum(axis=1)
+    residual = total = 0.0
+    for start in range(0, n, STRESS_BLOCK):
+        stop = min(start + STRESS_BLOCK, n)
+        d_in = input_rows(start, stop)
+        total += float(np.vdot(d_in, d_in))
+        d_hat = _distance_rows(coords, sq, start, stop)
+        d_hat -= d_in
+        residual += float(np.vdot(d_hat, d_hat))
+        del d_in, d_hat  # free both blocks before the next pair is built
+    return math.sqrt(residual / total)
 
 
 def classical_mds(points, input_kind: str = "auto") -> Mds2D:
     """Project N points (or an N x N distance matrix) to the plane.
 
     Auto mode treats a square matrix with a zero diagonal as distances and
-    anything else as point coordinates (Euclidean metric). Stress is the
-    normalized residual sqrt(sum (d_hat - d)^2 / sum d^2) over unordered
-    pairs.
+    anything else as point coordinates (Euclidean metric). Point input never
+    builds an N x N matrix: the projection takes O(N d^2 + d^3) time and a
+    d x d scatter, the stress O(N^2 d) time and STRESS_BLOCK x N memory.
+    Stress is the normalized residual sqrt(sum (d_hat - d)^2 / sum d^2) over
+    unordered pairs.
     """
     if input_kind not in ("auto", "points", "distances"):
         raise InvalidConfigError("input_kind must be auto, points, or distances")
@@ -81,33 +162,17 @@ def classical_mds(points, input_kind: str = "auto") -> Mds2D:
             raise InvalidConfigError("distances must be non-negative")
         dist = np.maximum((arr + arr.T) / 2.0, 0.0)
         np.fill_diagonal(dist, 0.0)
+        if np.all(dist == 0.0):
+            raise DegenerateDistancesError("all pairwise distances are zero")
+        coords, top = _mds_from_distances(dist)
+        stress = _stress(coords, lambda start, stop: dist[start:stop])
     else:
-        dist = _euclidean_matrix(arr)
-
-    if np.all(dist == 0.0):
-        raise DegenerateDistancesError("all pairwise distances are zero")
-
-    d2 = dist * dist
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    gram = -0.5 * (d2 - row - col + d2.mean())
-    gram = (gram + gram.T) / 2.0
-
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    coords = np.empty((n, 2))
-    top = np.empty(2)
-    for k, i in enumerate((n - 1, n - 2)):
-        vec = eigvecs[:, i]
-        if vec[int(np.argmax(np.abs(vec)))] < 0.0:
-            vec = -vec
-        top[k] = eigvals[i]
-        coords[:, k] = vec * np.sqrt(max(eigvals[i], 0.0))
-    coords -= coords.mean(axis=0)
-
-    iu = np.triu_indices(n, k=1)
-    d_hat = _euclidean_matrix(coords)[iu]
-    d_in = dist[iu]
-    stress = float(np.sqrt(((d_hat - d_in) ** 2).sum() / (d_in**2).sum()))
+        if np.all(arr == arr[0]):
+            raise DegenerateDistancesError("all points coincide")
+        xc = arr - arr.mean(axis=0)
+        coords, top = _mds_from_points(xc)
+        sq = (xc * xc).sum(axis=1)
+        stress = _stress(coords, lambda start, stop: _distance_rows(xc, sq, start, stop))
     return Mds2D(coords=coords, eigenvalues=top, stress=stress)
 
 

@@ -6,21 +6,32 @@ tautology. The reference trainer is the one exception: it calls the
 package's public per-step functions and writes out only the loops around
 them, so it pins how the trainers compose those steps. The reference
 encoder step pins those per-step functions in turn.
+
+pair_target, margin_logit_transform and class_score are per-sample forms
+of what the package computes a batch at a time. ref_classical_mds
+double-centres the full N x N squared-distance matrix, the textbook route
+that the package takes only for distance input.
 """
 
 import math
+from enum import IntEnum
 
 import numpy as np
 
 from hiersphere import (
     AdaCosState,
+    DimensionMismatchError,
     EncoderConfig,
     HierLabel,
+    IndexOutOfRangeError,
+    InvalidConfigError,
     NoValidTripletsError,
     Polarity,
+    SubclassCentroids,
     adacos_init_scale,
     adacos_loss,
     angular_margin_loss,
+    cosine_sim,
     encoder_forward_batch,
     init_params,
     make_batches,
@@ -42,6 +53,124 @@ def ref_pair_target(a: HierLabel, b: HierLabel, neutral_pair_positive: bool = Fa
     if an or bn:
         return 0.0
     return 1.0 if a.polarity is b.polarity else -1.0
+
+
+class PairTarget(IntEnum):
+    SAME = 1
+    OPPOSITE = -1
+    UNRELATED = 0
+
+
+def pair_target(
+    a: HierLabel,
+    b: HierLabel,
+    same_class_neutral_pair_positive: bool = False,
+) -> PairTarget:
+    """Supervision target for a sentence pair.
+
+    Different classes give 0; a neutral member gives 0; same polarity gives
+    +1, opposite polarities -1. A same-class neutral-neutral pair is 0 by
+    default; the switch flips that overlap case to +1.
+    """
+    if a.class_id != b.class_id:
+        return PairTarget.UNRELATED
+    both_neutral = a.polarity is Polarity.NEUTRAL and b.polarity is Polarity.NEUTRAL
+    if both_neutral:
+        return PairTarget.SAME if same_class_neutral_pair_positive else PairTarget.UNRELATED
+    if a.polarity is Polarity.NEUTRAL or b.polarity is Polarity.NEUTRAL:
+        return PairTarget.UNRELATED
+    return PairTarget.SAME if a.polarity is b.polarity else PairTarget.OPPOSITE
+
+
+def margin_logit_transform(
+    cosines,
+    target: int,
+    kind: str,
+    scale: float,
+    margin: float,
+) -> np.ndarray:
+    """Scaled logits with an additive angular margin on the target entry.
+
+    cosface subtracts the margin from the target cosine; arcface adds it to
+    the target angle. With margin 0 both reduce to plain scaled cosines.
+    """
+    cos = np.asarray(cosines, dtype=np.float64)
+    if cos.ndim != 1:
+        raise DimensionMismatchError("cosines must be 1-D")
+    if not 0 <= target < cos.size:
+        raise IndexOutOfRangeError(f"target {target} outside [0, {cos.size})")
+    if kind not in ("cosface", "arcface"):
+        raise InvalidConfigError(f"kind must be cosface or arcface, got {kind!r}")
+    if scale <= 0 or margin < 0:
+        raise InvalidConfigError("scale must be positive and margin non-negative")
+
+    out = scale * cos
+    if kind == "cosface":
+        out[target] = scale * (cos[target] - margin)
+    else:
+        theta = math.acos(float(np.clip(cos[target], -1.0, 1.0)))
+        out[target] = scale * math.cos(theta + margin)
+    return out
+
+
+def class_score(
+    e: np.ndarray,
+    centroids: SubclassCentroids,
+    class_id: int,
+    signed: bool = True,
+) -> float:
+    """Polarity score of one embedding against one class, in [-1, 1]."""
+    if not 0 <= class_id < centroids.num_classes:
+        raise IndexOutOfRangeError(f"class_id {class_id} outside [0, {centroids.num_classes})")
+    cos_pos = cosine_sim(e, centroids.require(class_id, Polarity.POSITIVE))
+    cos_neg = cosine_sim(e, centroids.require(class_id, Polarity.NEGATIVE))
+    if signed:
+        return (cos_pos - cos_neg) / 2.0
+    return (cos_pos + cos_neg) / 2.0
+
+
+def _ref_euclidean_matrix(x: np.ndarray) -> np.ndarray:
+    sq = (x * x).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def ref_classical_mds(arr, input_kind: str):
+    """(coords, top two eigenvalues, stress) of classical MDS through the N x N Gram matrix.
+
+    input_kind is "points" or "distances"; the input is taken as valid.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    n = arr.shape[0]
+    if input_kind == "distances":
+        dist = np.maximum((arr + arr.T) / 2.0, 0.0)
+        np.fill_diagonal(dist, 0.0)
+    else:
+        dist = _ref_euclidean_matrix(arr)
+
+    d2 = dist * dist
+    row = d2.mean(axis=1, keepdims=True)
+    col = d2.mean(axis=0, keepdims=True)
+    gram = -0.5 * (d2 - row - col + d2.mean())
+    gram = (gram + gram.T) / 2.0
+
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    coords = np.empty((n, 2))
+    top = np.empty(2)
+    for k, i in enumerate((n - 1, n - 2)):
+        vec = eigvecs[:, i]
+        if vec[int(np.argmax(np.abs(vec)))] < 0.0:
+            vec = -vec
+        top[k] = eigvals[i]
+        coords[:, k] = vec * np.sqrt(max(eigvals[i], 0.0))
+    coords -= coords.mean(axis=0)
+
+    iu = np.triu_indices(n, k=1)
+    d_hat = _ref_euclidean_matrix(coords)[iu]
+    d_in = dist[iu]
+    stress = float(np.sqrt(((d_hat - d_in) ** 2).sum() / (d_in**2).sum()))
+    return coords, top, stress
 
 
 def ref_cosine(u, v) -> float:

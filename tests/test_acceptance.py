@@ -38,7 +38,6 @@ from hiersphere import (
     init_params,
     load_checkpoint,
     load_jsonl,
-    pair_target,
     pairwise_cosine_loss,
     save_jsonl,
     softmax_ce_loss,
@@ -48,7 +47,7 @@ from hiersphere import (
 from hiersphere.cli import run_command
 from hiersphere.encoder import encoder_param_grads
 
-from _oracles import random_labels, ref_pairwise_loss, ref_tfidf_vectors
+from _oracles import pair_target, random_labels, ref_pairwise_loss, ref_tfidf_vectors
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 

@@ -11,9 +11,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hiersphere import compute_centroids, encoder_forward_batch, load_checkpoint, load_jsonl
 from hiersphere.cli import OUT_DIR_ENV, run_command
 from hiersphere.data import GeneratorConfig, generate_synthetic, save_jsonl
+
+from _oracles import class_score
 
 
 def _sha256(path):
@@ -283,6 +288,67 @@ def test_eval_unsigned_flag_changes_scores(tmp_path, corpus, trained):
     assert _read_json(signed)["average_mae"] != _read_json(unsigned)["average_mae"]
 
 
+def _expected_mae_by_name(model, train_path, test_lines):
+    """Per-class MAE keyed by class name, from per-sample scores and raw records."""
+    params, _ = load_checkpoint(model)
+    train = load_jsonl(train_path)
+    centroids = compute_centroids(params, train)
+    recs = [json.loads(ln) for ln in test_lines]
+    emb = encoder_forward_batch(params, np.array([r["vector"] for r in recs]))
+    sign = {"positive": 1.0, "neutral": 0.0, "negative": -1.0}
+    expected = {}
+    for c, name in enumerate(train.class_names):
+        truth = [sign[r["polarity"]] if r["class"] == name else 0.0 for r in recs]
+        expected[name] = float(np.mean(
+            [abs(class_score(e, centroids, c) - t) for e, t in zip(emb, truth)]
+        ))
+    return expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), drop_class=st.sampled_from([None, "class_0", "class_1"]))
+@example(data=None, drop_class=None)  # the test file reversed
+def test_eval_maps_test_classes_by_train_name(tmp_path_factory, corpus, trained, data, drop_class):
+    lines = _read_lines(corpus["test"])
+    if data is None:
+        lines = lines[::-1]
+    else:
+        lines = data.draw(st.permutations(lines))
+    lines = [ln for ln in lines if json.loads(ln)["class"] != drop_class]
+    root = tmp_path_factory.mktemp("eval_order")
+    test_path = str(root / "test.jsonl")
+    with open(test_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    report_path = str(root / "mae.json")
+    code = run_command(
+        ["eval", "--model", trained["model"], "--train", corpus["train"],
+         "--test", test_path, "--report", report_path]
+    )
+    assert code == 0
+    report = _read_json(report_path)
+    assert report["class_names"] == ["class_0", "class_1"]
+    expected = _expected_mae_by_name(trained["model"], corpus["train"], lines)
+    for name, mae in zip(report["class_names"], report["per_class_mae"]):
+        assert mae == pytest.approx(expected[name], abs=1e-12)
+
+
+def test_eval_unknown_test_class_is_data_error_with_line(tmp_path, corpus, trained, capsys):
+    lines = _read_lines(corpus["test"])
+    rec = json.loads(lines[2])
+    rec["class"] = "class_9"
+    lines[2] = json.dumps(rec)
+    test_path = str(tmp_path / "test.jsonl")
+    with open(test_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = run_command(
+        ["eval", "--model", trained["model"], "--train", corpus["train"], "--test", test_path,
+         "--report", str(tmp_path / "mae.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: line 3: class 'class_9'")
+
+
 # ---------------------------------------------------------------------- viz
 
 
@@ -409,8 +475,10 @@ def test_unmapped_polarity_is_data_error(tmp_path, trained, capsys):
 @pytest.mark.parametrize(
     "vector, message",
     [('[1,0,0,0,0,"a"]', "vector must hold numbers"),
-     ("[1,0,0,0,0,NaN]", "non-finite number NaN")],
-    ids=["non-numeric", "nan"],
+     ("[1,0,0,0,0,NaN]", "non-finite number NaN"),
+     ("[1,0,0,0,0,null]", "vector must hold finite numbers"),
+     ("[1,0,0,0,0,1e999]", "vector must hold finite numbers")],
+    ids=["non-numeric", "nan", "null", "overflow"],
 )
 def test_bad_vector_is_data_error_with_line(tmp_path, capsys, vector, message):
     data = str(tmp_path / "bad.jsonl")

@@ -227,8 +227,17 @@ def test_load_unknown_polarity_has_line_number(tmp_path):
         ('"vector":[1.0,NaN]', "non-finite number NaN"),
         ('"vector":[Infinity,2.0]', "non-finite number Infinity"),
         ('"vector":[1.0,2.0],"scores":[-Infinity,0.1]', "non-finite number -Infinity"),
+        ('"vector":[1.0,null]', "vector must hold finite numbers"),
+        ('"vector":[1e999,2.0]', "vector must hold finite numbers"),
+        ('"vector":[1.0,-1e999]', "vector must hold finite numbers"),
+        ('"vector":[1.0,2.0],"scores":[null,0.1]', "scores must hold finite numbers"),
+        ('"vector":[1.0,2.0],"scores":[0.1,1e400]', "scores must hold finite numbers"),
     ],
-    ids=["vector-string", "vector-object", "scores-string", "nan", "infinity", "scores-minus-inf"],
+    ids=[
+        "vector-string", "vector-object", "scores-string", "nan", "infinity", "scores-minus-inf",
+        "vector-null", "vector-overflow", "vector-minus-overflow", "scores-null",
+        "scores-overflow",
+    ],
 )
 def test_load_rejects_non_numeric_and_non_finite_values(tmp_path, bad_field, message):
     path = tmp_path / "d.jsonl"
@@ -254,6 +263,31 @@ def test_load_rejects_duplicate_id_naming_both_lines(tmp_path):
         load_jsonl(str(path))
     assert exc.value.line_number == 4
     assert "duplicate id 'a'" in str(exc.value) and "line 1" in str(exc.value)
+
+
+def test_load_with_class_names_maps_by_name(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id":"a","class":"y","polarity":"positive","vector":[1.0]}\n'
+        '{"id":"b","class":"x","polarity":"negative","vector":[2.0]}\n'
+    )
+    data = load_jsonl(str(path), class_names=["x", "y", "z"])
+    assert [s.label.class_id for s in data.samples] == [1, 0]
+    assert data.class_names == ["x", "y", "z"] and data.num_classes == 3
+    # without a vocabulary, first appearance decides
+    assert [s.label.class_id for s in load_jsonl(str(path)).samples] == [0, 1]
+
+
+def test_load_with_class_names_rejects_unknown_class(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id":"a","class":"x","polarity":"positive","vector":[1.0]}\n'
+        '{"id":"b","class":"w","polarity":"negative","vector":[2.0]}\n'
+    )
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(str(path), class_names=["x", "y"])
+    assert exc.value.line_number == 2
+    assert "class 'w'" in str(exc.value)
 
 
 def test_load_mnli_label_map(tmp_path):

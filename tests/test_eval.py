@@ -18,7 +18,6 @@ from hiersphere import (
     Polarity,
     Sample,
     SubclassCentroids,
-    class_score,
     compute_centroids,
     embed_all,
     encoder_forward,
@@ -30,6 +29,8 @@ from hiersphere import (
 )
 from hiersphere.evaluate import true_score_matrix
 from hiersphere.rng import make_rng
+
+from _oracles import class_score
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 

@@ -15,15 +15,12 @@ from hiersphere import (
     IndexOutOfRangeError,
     InvalidClassCountError,
     InvalidConfigError,
-    PairTarget,
     Polarity,
     adacos_init_scale,
     adacos_loss,
     adacos_update_scale,
     angular_margin_loss,
     grad_check,
-    margin_logit_transform,
-    pair_target,
     pair_target_matrix,
     pairwise_cosine_loss,
     softmax_ce_loss,
@@ -31,7 +28,14 @@ from hiersphere import (
 )
 from hiersphere.rng import make_rng
 
-from _oracles import random_labels, ref_pair_target, ref_pairwise_loss
+from _oracles import (
+    PairTarget,
+    margin_logit_transform,
+    pair_target,
+    random_labels,
+    ref_pair_target,
+    ref_pairwise_loss,
+)
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 

@@ -1,10 +1,13 @@
-"""Planar projection via double-centered Gram eigenvectors, and SVG output."""
+"""Planar projection (classical MDS) and SVG output."""
 
 import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiersphere import (
     AsymmetricInputError,
@@ -18,7 +21,14 @@ from hiersphere import (
     emit_svg_scatter,
 )
 from hiersphere.rng import make_rng
-from hiersphere.viz import MARKER_SHAPES, POLARITY_COLORS, marker_shape_for_class
+from hiersphere.viz import (
+    MARKER_SHAPES,
+    POLARITY_COLORS,
+    _distance_rows,
+    marker_shape_for_class,
+)
+
+from _oracles import ref_classical_mds
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -160,6 +170,103 @@ def test_marker_shape_cycle():
     assert marker_shape_for_class(4) == "cross"
     assert marker_shape_for_class(5) == MARKER_SHAPES[0]
     assert marker_shape_for_class(12) == MARKER_SHAPES[2]
+
+
+@st.composite
+def point_sets(draw):
+    """n x d points of rank <= r, built from m distinct rows repeated in a drawn order."""
+    n = draw(st.integers(3, 60))
+    d = draw(st.integers(1, 8))
+    r = draw(st.integers(1, d))
+    m = draw(st.integers(2, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.uniform(-1.0, 1.0, size=(m, r)) @ rng.uniform(-1.0, 1.0, size=(r, d))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return distinct[rows]
+
+
+def assert_columns_match(got, want):
+    for k in range(got.shape[1]):
+        g, w = got[:, k], want[:, k]
+        if abs(w.max() + w.min()) <= 1e-9 and g @ w < 0.0:
+            g = -g  # largest entries of both signs tie, so the sign rule may pick either
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+@example(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))  # equal top eigenvalues
+@example(np.array([[-1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [0.0, 2.0]]))  # sign-rule tie on a line
+def test_points_mds_matches_gram_oracle(pts):
+    if np.all(pts == pts[0]):
+        with pytest.raises(DegenerateDistancesError):
+            classical_mds(pts, input_kind="points")
+        return
+    mds = classical_mds(pts, input_kind="points")
+    coords, eigenvalues, stress = ref_classical_mds(pts, "points")
+    xc = pts - pts.mean(axis=0)
+    lam = np.concatenate([np.linalg.eigvalsh(xc.T @ xc)[::-1], np.zeros(2)])
+    tiny = 1e-6 * lam[0]
+
+    np.testing.assert_allclose(mds.eigenvalues, eigenvalues, rtol=0.0, atol=1e-9 * lam[0])
+    if lam[1] - lam[2] <= tiny < lam[1]:
+        return  # the second axis is not determined, so neither is the plane
+    # Both sides take distances from |a|^2 + |b|^2 - 2 a.b, which leaves up to
+    # ~1e-8 at coincident points, so stress agrees to about that.
+    assert abs(mds.stress - stress) <= 1e-6
+    if lam[1] <= tiny:
+        # A zero eigenvalue gives a zero column here, while the oracle's column
+        # holds the square root of that eigenvalue's rounding noise (~1e-8).
+        assert np.max(np.abs(mds.coords[:, 1])) <= 1e-6
+        assert np.max(np.abs(coords[:, 1])) <= 1e-6
+        if mds.eigenvalues[1] <= 0.0:
+            assert not np.any(mds.coords[:, 1])
+        assert_columns_match(mds.coords[:, :1], coords[:, :1])
+    elif lam[0] - lam[1] <= tiny:
+        # a rotation within the plane is free: compare what it preserves
+        np.testing.assert_allclose(pairwise(mds.coords), pairwise(coords), rtol=0.0, atol=1e-9)
+    else:
+        assert_columns_match(mds.coords, coords)
+
+
+def test_points_mds_memory_is_linear_in_points():
+    pts = make_rng(6, 305).normal(size=(3000, 32))
+    tracemalloc.start()
+    try:
+        classical_mds(pts, input_kind="points")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 3000 x 3000 float64 matrix alone would take 72 MB
+    assert peak < 24e6
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 40])
+def test_distances_mds_coordinates_equal_oracle_bitwise(n):
+    pts = make_rng(7, 306 + n).normal(size=(n, 5))
+    dist = pairwise(pts)
+    np.fill_diagonal(dist, 0.0)
+    mds = classical_mds(dist, input_kind="distances")
+    coords, eigenvalues, stress = ref_classical_mds(dist, "distances")
+    np.testing.assert_array_equal(mds.coords, coords)
+    np.testing.assert_array_equal(mds.eigenvalues, eigenvalues)
+    assert abs(mds.stress - stress) <= 1e-12
+
+
+def test_distance_rows_have_an_exact_zero_diagonal():
+    # at this scale |x|^2 + |x|^2 - 2 x.x rounds above zero on some rows
+    x = make_rng(9, 308).normal(size=(40, 3)) * 1e3
+    sq = (x * x).sum(axis=1)
+    block = _distance_rows(x, sq, 8, 40)
+    np.testing.assert_array_equal(block[np.arange(32), np.arange(8, 40)], 0.0)
+    np.testing.assert_allclose(block, pairwise(x)[8:40], rtol=1e-9, atol=1e-6)
+
+
+def test_stress_spans_several_row_blocks():
+    # more rows than one stress block, against the oracle's all-pairs sum
+    pts = make_rng(8, 307).normal(size=(300, 4))
+    mds = classical_mds(pts, input_kind="points")
+    assert abs(mds.stress - ref_classical_mds(pts, "points")[2]) <= 1e-12
 
 
 # ---------------------------------------------------------------------- svg
