@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from .data import (
-    Dataset,
     GeneratorConfig,
     generate_synthetic,
     load_jsonl,
+    load_texts,
     save_jsonl,
     tfidf_dedup,
 )
@@ -236,13 +236,7 @@ def _cmd_gen_data(ns) -> int:
 
 def _cmd_dedup(ns) -> int:
     started = time.time()
-    texts = []
-    with open(ns.data, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            texts.append((str(rec["id"]), str(rec["text"])))
+    texts = load_texts(ns.data)
     kept_ids, removals = tfidf_dedup(texts, threshold=ns.threshold)
 
     out = _resolve_out(ns.out)
@@ -365,8 +359,8 @@ def _cmd_embed(ns) -> int:
     emb = embed_all(params, dataset, num_threads=ns.threads)
     out = _resolve_out(ns.out)
     with open(out, "w", encoding="utf-8") as fh:
-        for sample, e in zip(dataset.samples, emb):
-            fh.write(json.dumps({"id": sample.id, "embedding": e.tolist()}, separators=(",", ":")))
+        for rid, e in zip(dataset.ids, emb):
+            fh.write(json.dumps({"id": rid, "embedding": e.tolist()}, separators=(",", ":")))
             fh.write("\n")
     print(f"wrote {len(dataset)} embeddings to {out}")
     _write_manifest(
@@ -423,17 +417,10 @@ def _cmd_viz(ns) -> int:
     params, _ = _load_model(ns.model)
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
 
-    indices = np.arange(len(dataset))
+    subset = dataset
     if ns.max_points and len(dataset) > ns.max_points:
         rng = make_rng(ns.seed, STREAM_SAMPLING)
-        indices = np.sort(rng.choice(len(dataset), size=ns.max_points, replace=False))
-    subset = Dataset(
-        samples=[dataset.samples[i] for i in indices],
-        num_classes=dataset.num_classes,
-        input_dim=dataset.input_dim,
-        class_names=dataset.class_names,
-        split_tag=dataset.split_tag,
-    )
+        subset = dataset.take(np.sort(rng.choice(len(dataset), size=ns.max_points, replace=False)))
 
     emb = embed_all(params, subset)
     mds = classical_mds(emb, input_kind="points")
@@ -441,10 +428,10 @@ def _cmd_viz(ns) -> int:
     csv_path = _resolve_out(ns.csv) if ns.csv else None
     emit_svg_scatter(
         mds,
-        subset.labels(),
+        subset.subclass,
         subset.class_names,
         out,
-        ids=[s.id for s in subset.samples],
+        ids=subset.ids,
         csv_path=csv_path,
     )
     outputs = [out] + ([csv_path] if csv_path else [])

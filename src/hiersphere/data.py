@@ -1,5 +1,10 @@
 """Datasets: synthetic hierarchical generation and JSON Lines ingestion.
 
+A Dataset is columnar: features (n x d float64, C-contiguous); subclass, the
+n int64 sub-class ids class_id * 3 + polarity ordinal, which is the one label
+form training and scoring read; the sample ids; and soft_scores, None or per
+row a 1-D array of per-class scores or None. Producers fill these directly.
+
 The synthetic generator builds K unit class directions, each with an
 orthogonal polarity axis; positive/negative sub-class means sit at
 class +/- alpha * axis and neutral at the class direction itself. Gaussian
@@ -20,7 +25,7 @@ from .errors import (
     ParseError,
     UnknownPolarityError,
 )
-from .labels import HierLabel, Polarity
+from .labels import Polarity
 from .rng import (
     STREAM_DATA_GEOMETRY,
     STREAM_DATA_NOISE_TEST,
@@ -44,29 +49,46 @@ MNLI_LABEL_MAP = {
 
 
 @dataclass
-class Sample:
-    id: str
-    features: np.ndarray
-    label: HierLabel
-    soft_scores: np.ndarray | None = None
-
-
-@dataclass
 class Dataset:
-    samples: list[Sample]
-    num_classes: int
-    input_dim: int
+    """n samples as columns, laid out as the module docstring describes."""
+
+    features: np.ndarray
+    subclass: np.ndarray
+    ids: list[str]
     class_names: list[str]
+    soft_scores: list[np.ndarray | None] | None = None
     split_tag: str = "train"
 
+    def __post_init__(self):
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        self.subclass = np.asarray(self.subclass, dtype=np.int64)
+        n = len(self.ids)
+        soft_n = n if self.soft_scores is None else len(self.soft_scores)
+        if self.features.shape[:1] != (n,) or self.subclass.shape != (n,) or soft_n != n:
+            raise DimensionMismatchError("dataset columns must hold one entry per sample")
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_names)
 
-    def labels(self) -> list[HierLabel]:
-        return [s.label for s in self.samples]
+    @property
+    def input_dim(self) -> int:
+        return self.features.shape[1]
+
+    def take(self, indices) -> "Dataset":
+        """The rows at indices, in that order."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return Dataset(
+            features=self.features[idx],
+            subclass=self.subclass[idx],
+            ids=[self.ids[i] for i in idx],
+            class_names=self.class_names,
+            soft_scores=None if self.soft_scores is None else [self.soft_scores[i] for i in idx],
+            split_tag=self.split_tag,
+        )
 
 
 @dataclass(frozen=True)
@@ -109,12 +131,6 @@ def subclass_means(cfg: GeneratorConfig) -> np.ndarray:
     return means
 
 
-def default_class_names(cfg: GeneratorConfig) -> list[str]:
-    if cfg.class_names:
-        return list(cfg.class_names)
-    return [f"class_{c}" for c in range(cfg.num_classes)]
-
-
 def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Dataset:
     """Draw 3 * K * per_subclass_count noisy samples around the sub-class means.
 
@@ -127,27 +143,52 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
     stream = STREAM_DATA_NOISE_TRAIN if split_tag == "train" else STREAM_DATA_NOISE_TEST
     rng = make_rng(cfg.seed, stream)
 
-    samples = []
-    for c in range(cfg.num_classes):
-        for polarity in (Polarity.NEGATIVE, Polarity.NEUTRAL, Polarity.POSITIVE):
-            label = HierLabel(c, polarity)
-            mean = means[label.subclass_index]
-            noise = rng.normal(0.0, cfg.noise_sigma, size=(cfg.per_subclass_count, cfg.input_dim))
-            for k in range(cfg.per_subclass_count):
-                samples.append(
-                    Sample(
-                        id=f"{split_tag}_c{c}_{polarity.value}_{k:04d}",
-                        features=mean + noise[k],
-                        label=label,
-                    )
-                )
+    # one noise draw per sub-class, in sub-class order
+    n, num_sub = cfg.per_subclass_count, 3 * cfg.num_classes
+    subclass = np.repeat(np.arange(num_sub), n)
+    noise = [rng.normal(0.0, cfg.noise_sigma, size=(n, cfg.input_dim)) for _ in range(num_sub)]
+    features = means[subclass] + np.concatenate(noise)
+    ids = [
+        f"{split_tag}_c{sub // 3}_{Polarity.from_ordinal(sub % 3).value}_{k:04d}"
+        for sub in range(num_sub)
+        for k in range(n)
+    ]
     return Dataset(
-        samples=samples,
-        num_classes=cfg.num_classes,
-        input_dim=cfg.input_dim,
-        class_names=default_class_names(cfg),
+        features=features,
+        subclass=subclass,
+        ids=ids,
+        class_names=list(cfg.class_names) or [f"class_{c}" for c in range(cfg.num_classes)],
         split_tag=split_tag,
     )
+
+
+def _records(path: str, fields: tuple[str, ...]):
+    """(line number, id, record) per non-blank line of a JSON Lines file.
+
+    Records must be JSON objects holding fields, the first being an id no
+    earlier line used; errors are ParseErrors naming the line.
+    """
+    id_lines: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = _DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # from _reject_non_finite
+                raise ParseError(lineno, str(exc)) from None
+            if not isinstance(rec, dict):
+                raise ParseError(lineno, "record must be a JSON object")
+            for name in fields:
+                if name not in rec:
+                    raise ParseError(lineno, f"missing field {name!r}")
+            rid = str(rec[fields[0]])
+            if rid in id_lines:
+                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+            id_lines[rid] = lineno
+            yield lineno, rid, rec
 
 
 def load_jsonl(
@@ -168,97 +209,79 @@ def load_jsonl(
     """
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
-    id_lines: dict[str, int] = {}
-    samples: list[Sample] = []
+    rows, subclass, ids, soft_scores = [], [], [], []  # one entry per record
     dim = expected_dim
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # from _reject_non_finite
-                raise ParseError(lineno, str(exc)) from None
-            if not isinstance(rec, dict):
-                raise ParseError(lineno, "record must be a JSON object")
-            try:
-                rid = str(rec["id"])
-                cls = str(rec["class"])
-                pol_str = str(rec["polarity"])
-                vector = rec["vector"]
-            except KeyError as exc:
-                raise ParseError(lineno, f"missing field {exc.args[0]!r}") from None
-            if rid in id_lines:
-                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
-            id_lines[rid] = lineno
+    for lineno, rid, rec in _records(path, ("id", "class", "polarity", "vector")):
+        cls = str(rec["class"])
+        pol_str = str(rec["polarity"])
+        if mnli_label_map and pol_str in MNLI_LABEL_MAP:
+            pol_str = MNLI_LABEL_MAP[pol_str]
+        try:
+            polarity = Polarity(pol_str)
+        except ValueError:
+            raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
 
-            if mnli_label_map and pol_str in MNLI_LABEL_MAP:
-                pol_str = MNLI_LABEL_MAP[pol_str]
-            try:
-                polarity = Polarity(pol_str)
-            except ValueError:
-                raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
-
-            try:
-                feats = np.asarray(vector, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ParseError(lineno, "vector must hold numbers") from None
-            if feats.ndim != 1:
-                raise ParseError(lineno, "vector must be a flat array")
-            if not np.isfinite(feats).all():
-                raise ParseError(lineno, "vector must hold finite numbers")
-            if dim is None:
-                dim = feats.shape[0]
-            elif feats.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
-                )
-
-            if cls not in class_ids:
-                if vocabulary_fixed:
-                    raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
-                class_ids[cls] = len(class_ids)
-            scores = rec.get("scores")
-            try:
-                soft = None if scores is None else np.asarray(scores, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ParseError(lineno, "scores must hold numbers") from None
-            if soft is not None and not np.isfinite(soft).all():
-                raise ParseError(lineno, "scores must hold finite numbers")
-            samples.append(
-                Sample(
-                    id=rid,
-                    features=feats,
-                    label=HierLabel(class_ids[cls], polarity),
-                    soft_scores=soft,
-                )
+        try:
+            feats = np.asarray(rec["vector"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(lineno, "vector must hold numbers") from None
+        if feats.ndim != 1:
+            raise ParseError(lineno, "vector must be a flat array")
+        if not np.isfinite(feats).all():
+            raise ParseError(lineno, "vector must hold finite numbers")
+        if dim is None:
+            dim = feats.shape[0]
+        elif feats.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
             )
 
-    names = list(class_ids.keys())
+        if cls not in class_ids:
+            if vocabulary_fixed:
+                raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
+            class_ids[cls] = len(class_ids)
+        scores = rec.get("scores")
+        try:
+            soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(lineno, "scores must hold numbers") from None
+        if soft is not None and not np.isfinite(soft).all():
+            raise ParseError(lineno, "scores must hold finite numbers")
+        rows.append(feats)
+        subclass.append(3 * class_ids[cls] + polarity.ordinal)
+        ids.append(rid)
+        soft_scores.append(soft)
+
     return Dataset(
-        samples=samples,
-        num_classes=len(names),
-        input_dim=dim if dim is not None else 0,
-        class_names=names,
+        features=np.stack(rows) if rows else np.empty((0, dim or 0)),
+        subclass=np.array(subclass, dtype=np.int64),
+        ids=ids,
+        class_names=list(class_ids),
+        soft_scores=soft_scores,
         split_tag=split_tag,
     )
 
 
+def load_texts(path: str) -> list[tuple[str, str]]:
+    """(id, text) per {"id", "text"} record, read and checked as load_jsonl reads."""
+    return [(rid, str(rec["text"])) for _, rid, rec in _records(path, ("id", "text"))]
+
+
 def save_jsonl(path: str, dataset: Dataset) -> None:
     """Inverse of load_jsonl; floats round-trip exactly via repr."""
+    soft_scores = dataset.soft_scores or [None] * len(dataset)
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
+        rows = zip(dataset.ids, dataset.subclass.tolist(), dataset.features, soft_scores)
+        for rid, sub, feats, soft in rows:
             rec = {
-                "id": s.id,
-                "class": dataset.class_names[s.label.class_id],
-                "polarity": s.label.polarity.value,
-                "vector": s.features.tolist(),
+                "id": rid,
+                "class": dataset.class_names[sub // 3],
+                "polarity": Polarity.from_ordinal(sub % 3).value,
+                "vector": feats.tolist(),
             }
-            if s.soft_scores is not None:
-                rec["scores"] = s.soft_scores.tolist()
+            if soft is not None:
+                rec["scores"] = soft.tolist()
             fh.write(json.dumps(rec, separators=(",", ":")))
             fh.write("\n")
 

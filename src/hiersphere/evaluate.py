@@ -27,17 +27,17 @@ EMBED_BATCH = 256
 
 @dataclass
 class SubclassCentroids:
-    """Unit-normalized mean embedding per observed (class, polarity) group."""
+    """Unit-normalized mean embedding (row k of 3K x d mu) and sample count
+    per sub-class id k; an unobserved sub-class has count 0 and a zero row."""
 
-    mu: dict[tuple[int, Polarity], np.ndarray]
-    counts: dict[tuple[int, Polarity], int]
-    num_classes: int
+    mu: np.ndarray
+    counts: np.ndarray
 
     def require(self, class_id: int, polarity: Polarity) -> np.ndarray:
-        key = (class_id, polarity)
-        if key not in self.mu:
+        sub = 3 * class_id + polarity.ordinal
+        if not 0 <= sub < self.counts.shape[0] or self.counts[sub] == 0:
             raise MissingSubclassError([(class_id, polarity.value)])
-        return self.mu[key]
+        return self.mu[sub]
 
 
 @dataclass
@@ -68,8 +68,7 @@ def embed_all(
     """
     if num_threads < 1:
         raise InvalidConfigError("num_threads must be >= 1")
-    x = dataset.feature_matrix()
-    chunks = [x[i : i + batch_size] for i in range(0, len(x), batch_size)]
+    chunks = [dataset.features[i : i + batch_size] for i in range(0, len(dataset), batch_size)]
     if num_threads == 1 or len(chunks) < 2:
         parts = [encoder_forward_batch(params, c) for c in chunks]
     else:
@@ -85,33 +84,33 @@ def compute_centroids(params: EncoderParams, dataset: Dataset) -> SubclassCentro
     sample; neutral centroids are stored when present but not required.
     """
     emb = embed_all(params, dataset)
-    sums: dict[tuple[int, Polarity], np.ndarray] = {}
-    counts: dict[tuple[int, Polarity], int] = {}
-    for e, sample in zip(emb, dataset.samples):
-        key = (sample.label.class_id, sample.label.polarity)
-        if key not in sums:
-            sums[key] = np.zeros(emb.shape[1])
-            counts[key] = 0
-        sums[key] += e
-        counts[key] += 1
+    num_sub = 3 * dataset.num_classes
+    # unbuffered and in row order, so every sum is accumulated sample by sample
+    sums = np.zeros((num_sub, emb.shape[1]))
+    np.add.at(sums, dataset.subclass, emb)
+    counts = np.bincount(dataset.subclass, minlength=num_sub)
 
     missing = [
         (c, pol.value)
         for c in range(dataset.num_classes)
         for pol in (Polarity.POSITIVE, Polarity.NEGATIVE)
-        if (c, pol) not in sums
+        if counts[3 * c + pol.ordinal] == 0
     ]
     if missing:
         raise MissingSubclassError(missing)
 
-    mu = {key: unit_normalize(s / counts[key]) for key, s in sums.items()}
-    return SubclassCentroids(mu=mu, counts=counts, num_classes=dataset.num_classes)
+    for k in np.flatnonzero(counts):
+        sums[k] = unit_normalize(sums[k] / counts[k])
+    return SubclassCentroids(mu=sums, counts=counts)
 
 
 def _centroid_matrices(centroids: SubclassCentroids) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.stack([centroids.require(c, Polarity.POSITIVE) for c in range(centroids.num_classes)])
-    neg = np.stack([centroids.require(c, Polarity.NEGATIVE) for c in range(centroids.num_classes)])
-    return pos, neg
+    """(positive, negative) centroid rows, K x d each."""
+    pos, neg = Polarity.POSITIVE, Polarity.NEGATIVE
+    for pol in (pos, neg):
+        for c in range(len(centroids.counts) // 3):
+            centroids.require(c, pol)
+    return centroids.mu[pos.ordinal :: 3], centroids.mu[neg.ordinal :: 3]
 
 
 def predict_all(
@@ -140,25 +139,25 @@ def true_score_matrix(dataset: Dataset, mode: str = "auto") -> np.ndarray:
     """
     if mode not in ("auto", "hard", "soft"):
         raise InvalidConfigError(f"mode must be auto, hard, or soft, got {mode!r}")
-    if not dataset.samples:
+    n, k = len(dataset), dataset.num_classes
+    if n == 0:
         raise NoTestLabelsError("test dataset is empty")
 
+    soft_scores = dataset.soft_scores or [None] * n
     if mode == "auto":
-        mode = "soft" if all(s.soft_scores is not None for s in dataset.samples) else "hard"
+        mode = "soft" if all(s is not None for s in soft_scores) else "hard"
 
-    k = dataset.num_classes
-    truth = np.zeros((len(dataset), k))
+    truth = np.zeros((n, k))
     if mode == "hard":
-        for i, s in enumerate(dataset.samples):
-            truth[i, s.label.class_id] = s.label.polarity.numeric()
+        truth[np.arange(n), dataset.subclass // 3] = dataset.subclass % 3 - Polarity.NEUTRAL.ordinal
         return truth
 
-    for i, s in enumerate(dataset.samples):
-        if s.soft_scores is None:
-            raise NoTestLabelsError(f"sample {s.id} has no soft scores in soft mode")
-        if s.soft_scores.shape != (k,):
-            raise NoTestLabelsError(f"sample {s.id} soft scores must have length {k}")
-        truth[i] = s.soft_scores
+    for i, (rid, soft) in enumerate(zip(dataset.ids, soft_scores)):
+        if soft is None:
+            raise NoTestLabelsError(f"sample {rid} has no soft scores in soft mode")
+        if soft.shape != (k,):
+            raise NoTestLabelsError(f"sample {rid} soft scores must have length {k}")
+        truth[i] = soft
     return truth
 
 

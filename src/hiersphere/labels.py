@@ -6,9 +6,6 @@ class_id * 3 + polarity ordinal, the label unit for sub-class classification.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from .errors import DataError
 
@@ -20,7 +17,7 @@ class Polarity(Enum):
 
     def numeric(self) -> float:
         """-1.0, 0.0, or +1.0."""
-        return _NUMERIC[self]
+        return float(self.ordinal - 1)
 
     @property
     def ordinal(self) -> int:
@@ -38,7 +35,6 @@ class Polarity(Enum):
         return _BY_ORDINAL[o]
 
 
-_NUMERIC = {Polarity.NEGATIVE: -1.0, Polarity.NEUTRAL: 0.0, Polarity.POSITIVE: 1.0}
 _ORDINAL = {Polarity.NEGATIVE: 0, Polarity.NEUTRAL: 1, Polarity.POSITIVE: 2}
 _BY_ORDINAL = {0: Polarity.NEGATIVE, 1: Polarity.NEUTRAL, 2: Polarity.POSITIVE}
 
@@ -62,9 +58,3 @@ class HierLabel:
             raise DataError(f"subclass index must be non-negative, got {index}")
         return cls(class_id=index // 3, polarity=Polarity.from_ordinal(index % 3))
 
-
-def subclass_ids(labels: "Sequence[HierLabel] | np.ndarray") -> np.ndarray:
-    """Int sub-class ids of a batch; an int array of them passes through."""
-    if isinstance(labels, np.ndarray):
-        return labels.astype(np.int64, copy=False)
-    return np.fromiter((lb.subclass_index for lb in labels), dtype=np.int64, count=len(labels))

@@ -23,7 +23,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
 )
-from .labels import HierLabel, Polarity, subclass_ids
+from .labels import Polarity
 
 EXP_ARG_MAX = 80.0  # overflow protection inside the adaptive-scale statistic
 SCALE_FLOOR = 1.0  # degenerate two-class fixed scale is floored here
@@ -256,18 +256,18 @@ def adacos_update_scale(
 def adacos_loss(
     state: AdaCosState,
     embeddings: np.ndarray,
-    labels: Sequence[HierLabel] | np.ndarray,
+    labels: np.ndarray,
 ) -> LossOutput:
     """Sub-class classification loss over scaled embedding/anchor cosines.
 
     With a dynamic state the adaptive scale is refreshed from this batch's
     cosines before the loss is evaluated; the scale is treated as a constant
-    during backprop. labels are HierLabels or their int sub-class ids.
+    during backprop. labels are the batch's int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
         raise DimensionMismatchError("embeddings must be 2-D and match anchor width")
-    targets = subclass_ids(labels)
+    targets = np.asarray(labels, dtype=np.int64)
     if targets.shape != (emb.shape[0],):
         raise DimensionMismatchError("one label per embedding required")
     if np.any((targets < 0) | (targets >= state.num_subclasses)):
@@ -287,11 +287,11 @@ def adacos_loss(
 
 
 def pair_target_matrix(
-    labels: Sequence[HierLabel] | np.ndarray,
+    labels: np.ndarray,
     same_class_neutral_pair_positive: bool = False,
 ) -> np.ndarray:
-    """B x B matrix of pair targets (diagonal zero), from HierLabels or sub-class ids."""
-    sub = subclass_ids(labels)
+    """B x B matrix of pair targets (diagonal zero) from int sub-class ids."""
+    sub = np.asarray(labels, dtype=np.int64)
     class_ids = sub // 3
     # polarity as -1/0/+1: within one class the target is their product
     sign = sub % 3 - Polarity.NEUTRAL.ordinal
@@ -315,7 +315,7 @@ def _upper_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pairwise_cosine_loss(
     embeddings: np.ndarray,
-    labels: Sequence[HierLabel] | np.ndarray,
+    labels: np.ndarray,
     t: float = 0.3,
     same_class_neutral_pair_positive: bool = False,
 ) -> LossOutput:
@@ -326,7 +326,7 @@ def pairwise_cosine_loss(
     zero loss and zero gradient. The total is divided by the number of
     comparisons B(B-1)/2, nulled pairs included. t = 1 saturates the band:
     every target-0 pair is null and only polar pairs contribute. labels are
-    HierLabels or their int sub-class ids.
+    the batch's int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:
@@ -334,7 +334,7 @@ def pairwise_cosine_loss(
     b = emb.shape[0]
     if b < 2:
         raise BatchTooSmallError(f"need at least 2 samples, got {b}")
-    sub = subclass_ids(labels)
+    sub = np.asarray(labels, dtype=np.int64)
     if sub.shape != (b,):
         raise DimensionMismatchError("one label per embedding required")
     if not 0.0 <= t <= 1.0:

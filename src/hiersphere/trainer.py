@@ -29,7 +29,6 @@ from .errors import (
     InvalidConfigError,
     NoValidTripletsError,
 )
-from .labels import HierLabel, subclass_ids
 from .losses import (
     AdaCosState,
     LossOutput,
@@ -182,19 +181,19 @@ class _Anchors:
 
 def triplet_batch_loss(
     embeddings: np.ndarray,
-    labels: list[HierLabel] | np.ndarray,
+    labels: np.ndarray,
     margin: float,
 ) -> tuple[LossOutput, int]:
     """Mean hinge over every valid in-batch triplet, with its gradient.
 
     Valid: anchor and positive distinct samples of one sub-class, negative
-    from any other sub-class. labels are HierLabels or their int sub-class
-    ids. Returns the triplet count; raises NoValidTriplets when no sub-class
-    has two members.
+    from any other sub-class. labels are the batch's int sub-class ids.
+    Returns the triplet count; raises NoValidTriplets when no sub-class has
+    two members.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     b = emb.shape[0]
-    sub = subclass_ids(labels)
+    sub = np.asarray(labels, dtype=np.int64)
     same = sub[:, None] == sub[None, :]
     eye = np.eye(b, dtype=bool)
 
@@ -242,16 +241,14 @@ def _fit(
 ) -> EncoderParams:
     """The one epoch/batch loop; returns the trained params and fills report.
 
-    objective(embeddings, subclass_ids) gives the batch's LossOutput, with
-    the int sub-class ids built once per run. A batch whose objective raises
-    NoValidTripletsError is skipped and counted. Stage 2 takes its own epoch
-    count, optimizer, shuffle streams and loss curve, and merges a trailing
-    singleton batch into the one before it. anchors take an Adam step from
-    the loss's grad_weights; the scale of an adacos state is recorded after
-    every epoch.
+    objective(embeddings, subclass) gives the batch's LossOutput. A
+    batch whose objective raises NoValidTripletsError is skipped and counted.
+    Stage 2 takes its own epoch count, optimizer, shuffle streams and loss
+    curve, and merges a trailing singleton batch into the one before it.
+    anchors take an Adam step from the loss's grad_weights; the scale of an
+    adacos state is recorded after every epoch.
     """
-    x = dataset.feature_matrix()
-    sub = subclass_ids(dataset.labels())
+    x, sub = dataset.features, dataset.subclass
     if stage2:
         epochs, opt = config.stage2_epochs, config.stage2_optimizer()
         epoch_losses, epoch_offset = report.stage2_epoch_losses, STAGE2_SHUFFLE_OFFSET

@@ -24,7 +24,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
 )
-from .labels import HierLabel, Polarity
+from .labels import Polarity
 
 POLARITY_COLORS = {
     Polarity.POSITIVE: "#000000",
@@ -218,7 +218,7 @@ def marker_shape_for_class(class_id: int) -> str:
 
 def emit_svg_scatter(
     mds: Mds2D,
-    labels: list[HierLabel],
+    labels: np.ndarray,
     class_names: list[str],
     out_path: str,
     ids: list[str] | None = None,
@@ -226,14 +226,16 @@ def emit_svg_scatter(
 ) -> None:
     """Write an SVG 1.1 scatter of the projected points.
 
-    One marker element per point (class = shape, polarity = color), plus a
-    legend column. Optionally also writes a CSV of (id, x, y, class,
-    polarity).
+    labels holds each point's int sub-class id. One marker element per point
+    (class = shape, polarity = color), plus a legend column. Optionally also
+    writes a CSV of (id, x, y, class, polarity).
     """
     coords = np.asarray(mds.coords, dtype=np.float64)
-    if coords.shape[0] != len(labels):
+    class_ids, ordinals = np.divmod(np.asarray(labels, dtype=np.int64), 3)
+    points = list(zip(class_ids.tolist(), map(Polarity.from_ordinal, ordinals.tolist())))
+    if coords.shape[0] != len(points):
         raise DimensionMismatchError("one label per projected point required")
-    if ids is not None and len(ids) != len(labels):
+    if ids is not None and len(ids) != len(points):
         raise DimensionMismatchError("one id per projected point required")
 
     lo = coords.min(axis=0)
@@ -262,10 +264,10 @@ def emit_svg_scatter(
     )
 
     points_group = ET.SubElement(root, "g", id="points")
-    for i, label in enumerate(labels):
+    for i, (class_id, polarity) in enumerate(points):
         cx, cy = to_px(coords[i])
-        shape = marker_shape_for_class(label.class_id)
-        color = POLARITY_COLORS[label.polarity]
+        shape = marker_shape_for_class(class_id)
+        color = POLARITY_COLORS[polarity]
         points_group.append(_marker_element(shape, cx, cy, color, "marker"))
 
     legend = ET.SubElement(root, "g", id="legend")
@@ -298,13 +300,13 @@ def emit_svg_scatter(
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "x", "y", "class", "polarity"])
-            for i, label in enumerate(labels):
+            for i, (class_id, polarity) in enumerate(points):
                 writer.writerow(
                     [
                         ids[i] if ids is not None else str(i),
                         repr(float(coords[i, 0])),
                         repr(float(coords[i, 1])),
-                        class_names[label.class_id],
-                        label.polarity.value,
+                        class_names[class_id],
+                        polarity.value,
                     ]
                 )

@@ -10,9 +10,15 @@ encoder step pins those per-step functions in turn.
 pair_target, margin_logit_transform and class_score are per-sample forms
 of what the package computes a batch at a time. ref_classical_mds
 double-centres the full N x N squared-distance matrix, the textbook route
-that the package takes only for distance input.
+that the package takes only for distance input. ref_load_jsonl is the
+row-at-a-time loader the columnar one replaced.
+
+ids_of, dataset_of and centroids_of build the package's columnar inputs
+(int sub-class ids, a Dataset, SubclassCentroids) from HierLabel-style
+descriptions, so tests can state their cases per sample.
 """
 
+import json
 import math
 from enum import IntEnum
 
@@ -20,14 +26,17 @@ import numpy as np
 
 from hiersphere import (
     AdaCosState,
+    Dataset,
     DimensionMismatchError,
     EncoderConfig,
     HierLabel,
     IndexOutOfRangeError,
     InvalidConfigError,
     NoValidTripletsError,
+    ParseError,
     Polarity,
     SubclassCentroids,
+    UnknownPolarityError,
     adacos_init_scale,
     adacos_loss,
     angular_margin_loss,
@@ -41,6 +50,34 @@ from hiersphere import (
 )
 from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
+
+
+def ids_of(labels) -> np.ndarray:
+    """Int sub-class ids of a sequence of HierLabels."""
+    return np.array([lb.subclass_index for lb in labels], dtype=np.int64)
+
+
+def dataset_of(rows, num_classes, dim, names=None, split_tag="test") -> Dataset:
+    """Dataset of (vector, class_id, polarity, soft scores or None) rows, ids s0, s1, ..."""
+    return Dataset(
+        features=np.array([r[0] for r in rows], dtype=float).reshape(len(rows), dim),
+        subclass=ids_of(HierLabel(cid, pol) for _, cid, pol, _ in rows),
+        ids=[f"s{i}" for i in range(len(rows))],
+        class_names=names or [f"class_{c}" for c in range(num_classes)],
+        soft_scores=[None if r[3] is None else np.asarray(r[3], dtype=float) for r in rows],
+        split_tag=split_tag,
+    )
+
+
+def centroids_of(mu: dict, num_classes: int) -> SubclassCentroids:
+    """SubclassCentroids holding the given {(class_id, polarity): vector} rows, count 1 each."""
+    dim = len(next(iter(mu.values())))
+    matrix = np.zeros((3 * num_classes, dim))
+    counts = np.zeros(3 * num_classes, dtype=np.int64)
+    for (cid, pol), vec in mu.items():
+        k = HierLabel(cid, pol).subclass_index
+        matrix[k], counts[k] = vec, 1
+    return SubclassCentroids(mu=matrix, counts=counts)
 
 
 def ref_pair_target(a: HierLabel, b: HierLabel, neutral_pair_positive: bool = False) -> float:
@@ -120,8 +157,9 @@ def class_score(
     signed: bool = True,
 ) -> float:
     """Polarity score of one embedding against one class, in [-1, 1]."""
-    if not 0 <= class_id < centroids.num_classes:
-        raise IndexOutOfRangeError(f"class_id {class_id} outside [0, {centroids.num_classes})")
+    num_classes = len(centroids.counts) // 3
+    if not 0 <= class_id < num_classes:
+        raise IndexOutOfRangeError(f"class_id {class_id} outside [0, {num_classes})")
     cos_pos = cosine_sim(e, centroids.require(class_id, Polarity.POSITIVE))
     cos_neg = cosine_sim(e, centroids.require(class_id, Polarity.NEGATIVE))
     if signed:
@@ -314,8 +352,7 @@ def ref_train(dataset, config, mode):
     anchors (None for triplet), stage-1 and stage-2 epoch losses, scale
     trajectory, steps and skipped batches.
     """
-    x = dataset.feature_matrix()
-    labels = dataset.labels()
+    x, sub = dataset.features, dataset.subclass
     enc = config.encoder
     params = init_params(
         EncoderConfig(enc.input_dim, enc.hidden_dims, enc.output_dim, enc.activation, config.seed)
@@ -334,19 +371,17 @@ def ref_train(dataset, config, mode):
         values = []
         for idx in make_batches(len(x), config.batch_size, config.seed, config.shuffle, epoch=epoch):
             emb = encoder_forward_batch(params, x[idx])
-            batch_labels = [labels[i] for i in idx]
             if state is not None:
-                loss = adacos_loss(state, emb, batch_labels)
+                loss = adacos_loss(state, emb, sub[idx])
             elif mode == "triplet":
                 try:
-                    loss, _ = triplet_batch_loss(emb, batch_labels, config.triplet_margin)
+                    loss, _ = triplet_batch_loss(emb, sub[idx], config.triplet_margin)
                 except NoValidTripletsError:
                     out["skipped"] += 1
                     continue
             else:
-                targets = [lb.subclass_index for lb in batch_labels]
                 loss = angular_margin_loss(
-                    emb, anchors, targets, mode, REF_MARGIN_SCALE, REF_MARGINS[mode]
+                    emb, anchors, sub[idx], mode, REF_MARGIN_SCALE, REF_MARGINS[mode]
                 )
             params = encoder_backward_step(params, x[idx], loss.grad_embeddings, config.optimizer)
             out["steps"] += 1
@@ -372,7 +407,7 @@ def ref_train(dataset, config, mode):
             for idx in batches:
                 emb = encoder_forward_batch(params, x[idx])
                 loss = pairwise_cosine_loss(
-                    emb, [labels[i] for i in idx], config.t,
+                    emb, sub[idx], config.t,
                     config.same_class_neutral_pair_positive,
                 )
                 params = encoder_backward_step(
@@ -384,3 +419,89 @@ def ref_train(dataset, config, mode):
     out["params"] = params
     out["anchors"] = anchors
     return out
+
+
+def _ref_reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+_REF_DECODER = json.JSONDecoder(parse_constant=_ref_reject_constant)
+_REF_MNLI = {"entailment": "positive", "contradiction": "negative", "neutral": "neutral"}
+
+
+def ref_load_jsonl(path, mnli_label_map=False, class_names=None) -> dict:
+    """The loader as it was before the columnar Dataset, one row at a time.
+
+    Returns {"features", "subclass", "ids", "class_names"}; raises what the
+    package's load_jsonl raises, at the same line.
+    """
+    vocabulary_fixed = class_names is not None
+    class_ids = {name: i for i, name in enumerate(class_names or ())}
+    id_lines = {}
+    rows, subclass, ids = [], [], []
+    dim = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = _REF_DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if not isinstance(rec, dict):
+                raise ParseError(lineno, "record must be a JSON object")
+            try:
+                rid = str(rec["id"])
+                cls = str(rec["class"])
+                pol_str = str(rec["polarity"])
+                vector = rec["vector"]
+            except KeyError as exc:
+                raise ParseError(lineno, f"missing field {exc.args[0]!r}") from None
+            if rid in id_lines:
+                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+            id_lines[rid] = lineno
+
+            if mnli_label_map and pol_str in _REF_MNLI:
+                pol_str = _REF_MNLI[pol_str]
+            try:
+                polarity = Polarity(pol_str)
+            except ValueError:
+                raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
+
+            try:
+                feats = np.asarray(vector, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(lineno, "vector must hold numbers") from None
+            if feats.ndim != 1:
+                raise ParseError(lineno, "vector must be a flat array")
+            if not np.isfinite(feats).all():
+                raise ParseError(lineno, "vector must hold finite numbers")
+            if dim is None:
+                dim = feats.shape[0]
+            elif feats.shape[0] != dim:
+                raise DimensionMismatchError(
+                    f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
+                )
+
+            if cls not in class_ids:
+                if vocabulary_fixed:
+                    raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
+                class_ids[cls] = len(class_ids)
+            scores = rec.get("scores")
+            try:
+                soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(lineno, "scores must hold numbers") from None
+            if soft is not None and not np.isfinite(soft).all():
+                raise ParseError(lineno, "scores must hold finite numbers")
+            rows.append(feats)
+            subclass.append(HierLabel(class_ids[cls], polarity).subclass_index)
+            ids.append(rid)
+    return {
+        "features": np.stack(rows) if rows else np.empty((0, dim or 0)),
+        "subclass": np.array(subclass, dtype=np.int64),
+        "ids": ids,
+        "class_names": list(class_ids),
+    }

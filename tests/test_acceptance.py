@@ -47,7 +47,7 @@ from hiersphere import (
 from hiersphere.cli import run_command
 from hiersphere.encoder import encoder_param_grads
 
-from _oracles import pair_target, random_labels, ref_pairwise_loss, ref_tfidf_vectors
+from _oracles import ids_of, pair_target, random_labels, ref_pairwise_loss, ref_tfidf_vectors
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -185,9 +185,9 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         w = _unit_rows(rng, c, d)
         scale = adacos_init_scale(c)
         state = AdaCosState(weights=w.copy(), scale=scale, dynamic=False)
-        out = adacos_loss(state, emb, labels)
+        out = adacos_loss(state, emb, ids_of(labels))
 
-        def f(flat, n=n, c=c, d=d, lbs=labels, s=scale):
+        def f(flat, n=n, c=c, d=d, lbs=ids_of(labels), s=scale):
             e = flat[: n * d].reshape(n, d)
             ww = flat[n * d :].reshape(c, d)
             return adacos_loss(
@@ -222,9 +222,9 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
                         safe = False
             if safe:
                 break
-        out = pairwise_cosine_loss(emb, labels, t=t)
+        out = pairwise_cosine_loss(emb, ids_of(labels), t=t)
         check(
-            lambda flat, b=b, d=d, lbs=labels, tt=t: pairwise_cosine_loss(
+            lambda flat, b=b, d=d, lbs=ids_of(labels), tt=t: pairwise_cosine_loss(
                 flat.reshape(b, d), lbs, t=tt
             ).value,
             emb.ravel(),
@@ -299,7 +299,7 @@ def test_criterion_2c_pair_denominator(capsys):
     # exactly 1, so the value exposes the 4*3/2 denominator
     emb = np.eye(4)
     labels = [HierLabel(0, POS), HierLabel(0, POS), HierLabel(1, POS), HierLabel(2, POS)]
-    value = pairwise_cosine_loss(emb, labels, t=0.3).value
+    value = pairwise_cosine_loss(emb, ids_of(labels), t=0.3).value
     ok = value == 1.0 / 6.0
     _emit(capsys, "2c", f"batch of 4 divides by 6 exactly (value {value!r})", ok)
 
@@ -311,9 +311,9 @@ def test_criterion_3_null_band_semantics(capsys):
     c = 0.2
     emb = np.array([[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]])
     labels = [HierLabel(0, POS), HierLabel(1, POS)]  # cross-class, target 0
-    inside = pairwise_cosine_loss(emb, labels, t=0.3)
+    inside = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     zero_ok = inside.value == 0.0 and not np.any(inside.grad_embeddings)
-    outside = pairwise_cosine_loss(emb, labels, t=0.1)
+    outside = pairwise_cosine_loss(emb, ids_of(labels), t=0.1)
     value_ok = abs(outside.value - 0.04) <= 1e-12
     _emit(
         capsys,
@@ -364,18 +364,18 @@ def test_criterion_5_stage2_geometry(bench_outputs, capsys):
     centroids = compute_centroids(params, train_set)
 
     polar = [
-        cosine_sim(centroids.mu[(c, POS)], centroids.mu[(c, NEG)])
+        cosine_sim(centroids.require(c, POS), centroids.require(c, NEG))
         for c in range(train_set.num_classes)
     ]
     opposition_ok = max(polar) <= -0.5
 
     emb = embed_all(params, test_set)
     mags = []
-    for e, sample in zip(emb, test_set.samples):
-        if sample.label.polarity is NEU:
-            cid = sample.label.class_id
-            mags.append(abs(cosine_sim(e, centroids.mu[(cid, POS)])))
-            mags.append(abs(cosine_sim(e, centroids.mu[(cid, NEG)])))
+    for e, label in zip(emb, map(HierLabel.from_subclass_index, test_set.subclass.tolist())):
+        if label.polarity is NEU:
+            cid = label.class_id
+            mags.append(abs(cosine_sim(e, centroids.require(cid, POS))))
+            mags.append(abs(cosine_sim(e, centroids.require(cid, NEG))))
     neutral_mean = float(np.mean(mags))
     neutral_ok = neutral_mean <= 0.45
 
@@ -400,7 +400,7 @@ def test_criterion_6_oracles(capsys):
         emb = rng.normal(size=(b, d))
         labels = random_labels(rng, b, num_classes=4)
         t = float(rng.choice([0.1, 0.3, 0.5, 1.0]))
-        got = pairwise_cosine_loss(emb, labels, t=t).value
+        got = pairwise_cosine_loss(emb, ids_of(labels), t=t).value
         max_diff = max(max_diff, abs(got - ref_pairwise_loss(emb, labels, t)))
     pairs_ok = max_diff <= 1e-12
 
@@ -408,8 +408,7 @@ def test_criterion_6_oracles(capsys):
         num_classes=3, input_dim=8, per_subclass_count=6, noise_sigma=1e-9, seed=11
     )
     dataset = generate_synthetic(cfg, split_tag="train")
-    features = dataset.feature_matrix()
-    sub = np.array([s.label.subclass_index for s in dataset.samples])
+    features, sub = dataset.features, dataset.subclass
     centroids = np.vstack(
         [features[sub == k].mean(axis=0) for k in range(3 * cfg.num_classes)]
     )

@@ -435,6 +435,38 @@ def test_dedup_round_trip(tmp_path, capsys):
     assert "kept 2 of 3" in capsys.readouterr().out
 
 
+def test_dedup_duplicate_id_is_data_error(tmp_path, capsys):
+    data = tmp_path / "texts.jsonl"
+    data.write_text('{"id":"a","text":"hello world"}\n' * 2)
+    out = tmp_path / "kept.jsonl"
+    code = run_command(["dedup", "--data", str(data), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: line 2: duplicate id 'a' (first on line 1)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("[1,2]", "record must be a JSON object"),
+     ('{"id":"c","text":', "invalid JSON"),
+     ('{"id":"c"}', "missing field 'text'"),
+     ('{"text":"more words"}', "missing field 'id'"),
+     ('{"id":"a","text":"red"}', "duplicate id 'a' (first on line 1)")],
+    ids=["non-object", "bad-json", "missing-text", "missing-id", "duplicate-id"],
+)
+def test_dedup_bad_record_is_data_error_with_line(tmp_path, capsys, bad_line, message):
+    data = tmp_path / "texts.jsonl"
+    data.write_text('{"id":"a","text":"hello world"}\n\n{"id":"b","text":"other"}\n' + bad_line + "\n")
+    out = tmp_path / "kept.jsonl"
+    code = run_command(["dedup", "--data", str(data), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: line 4:")
+    assert message in lines[0]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 

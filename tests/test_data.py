@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersphere import (
     Dataset,
@@ -15,7 +19,6 @@ from hiersphere import (
     InvalidConfigError,
     ParseError,
     Polarity,
-    Sample,
     UnknownPolarityError,
     generate_synthetic,
     load_jsonl,
@@ -25,7 +28,7 @@ from hiersphere import (
 )
 from hiersphere.data import _tfidf_matrix
 
-from _oracles import ref_tfidf_vectors
+from _oracles import dataset_of, ids_of, ref_load_jsonl, ref_tfidf_vectors
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -73,32 +76,32 @@ def test_sample_counts_and_ids():
     assert len(data) == 3 * cfg.num_classes * cfg.per_subclass_count
     assert data.num_classes == cfg.num_classes
     assert data.input_dim == cfg.input_dim
-    ids = [s.id for s in data.samples]
+    ids = data.ids
     assert len(set(ids)) == len(ids)
     assert all(i.startswith("train_") for i in ids)
     per = {}
-    for s in data.samples:
-        per[s.label.subclass_index] = per.get(s.label.subclass_index, 0) + 1
+    for sub in data.subclass.tolist():
+        per[sub] = per.get(sub, 0) + 1
     assert set(per.values()) == {cfg.per_subclass_count}
 
 
 def test_generation_deterministic():
     a = generate_synthetic(small_cfg())
     b = generate_synthetic(small_cfg())
-    np.testing.assert_array_equal(a.feature_matrix(), b.feature_matrix())
-    assert [s.id for s in a.samples] == [s.id for s in b.samples]
+    np.testing.assert_array_equal(a.features, b.features)
+    assert a.ids == b.ids
 
 
 def test_splits_share_geometry_not_noise():
     cfg = small_cfg()
     train = generate_synthetic(cfg, "train")
     test = generate_synthetic(cfg, "test")
-    assert not np.array_equal(train.feature_matrix(), test.feature_matrix())
+    assert not np.array_equal(train.features, test.features)
     # identical means recoverable from either split as sigma -> 0
     tight = small_cfg(noise_sigma=1e-12)
     np.testing.assert_allclose(
-        generate_synthetic(tight, "train").feature_matrix(),
-        generate_synthetic(tight, "test").feature_matrix(),
+        generate_synthetic(tight, "train").features,
+        generate_synthetic(tight, "test").features,
         atol=1e-9,
     )
 
@@ -107,8 +110,8 @@ def test_tiny_sigma_recovers_means_exactly():
     cfg = small_cfg(noise_sigma=1e-9)
     means = subclass_means(cfg)
     data = generate_synthetic(cfg)
-    for s in data.samples:
-        np.testing.assert_allclose(s.features, means[s.label.subclass_index], atol=1e-6)
+    for feats, sub in zip(data.features, data.subclass):
+        np.testing.assert_allclose(feats, means[sub], atol=1e-6)
 
 
 def test_empirical_means_converge():
@@ -119,7 +122,7 @@ def test_empirical_means_converge():
     data = generate_synthetic(cfg)
     bound = 4.0 * cfg.noise_sigma / math.sqrt(cfg.per_subclass_count)
     for idx in range(6):
-        feats = np.stack([s.features for s in data.samples if s.label.subclass_index == idx])
+        feats = data.features[data.subclass == idx]
         assert np.max(np.abs(feats.mean(axis=0) - means[idx])) < bound
 
 
@@ -141,8 +144,8 @@ def test_jsonl_round_trip_bitwise(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_jsonl(str(p1), data)
     loaded = load_jsonl(str(p1))
-    np.testing.assert_array_equal(loaded.feature_matrix(), data.feature_matrix())
-    assert loaded.labels() == data.labels()
+    np.testing.assert_array_equal(loaded.features, data.features)
+    np.testing.assert_array_equal(loaded.subclass, data.subclass)
     assert loaded.class_names == data.class_names
     save_jsonl(str(p2), loaded)
     assert p1.read_bytes() == p2.read_bytes()
@@ -159,9 +162,9 @@ def test_load_example_records(tmp_path):
     assert data.class_names == ["openness", "rigor"]  # first-appearance order
     assert data.num_classes == 2
     assert data.input_dim == 2
-    assert data.samples[0].label == HierLabel(0, POS)
-    assert data.samples[1].label == HierLabel(1, NEU)
-    assert data.samples[2].label == HierLabel(0, NEG)
+    np.testing.assert_array_equal(
+        data.subclass, ids_of([HierLabel(0, POS), HierLabel(1, NEU), HierLabel(0, NEG)])
+    )
 
 
 def test_load_skips_blank_lines(tmp_path):
@@ -272,10 +275,10 @@ def test_load_with_class_names_maps_by_name(tmp_path):
         '{"id":"b","class":"x","polarity":"negative","vector":[2.0]}\n'
     )
     data = load_jsonl(str(path), class_names=["x", "y", "z"])
-    assert [s.label.class_id for s in data.samples] == [1, 0]
+    assert (data.subclass // 3).tolist() == [1, 0]
     assert data.class_names == ["x", "y", "z"] and data.num_classes == 3
     # without a vocabulary, first appearance decides
-    assert [s.label.class_id for s in load_jsonl(str(path)).samples] == [0, 1]
+    assert (load_jsonl(str(path)).subclass // 3).tolist() == [0, 1]
 
 
 def test_load_with_class_names_rejects_unknown_class(tmp_path):
@@ -298,7 +301,7 @@ def test_load_mnli_label_map(tmp_path):
         '{"id":"c","class":"x","polarity":"neutral","vector":[3.0]}\n'
     )
     data = load_jsonl(str(path), mnli_label_map=True)
-    assert [s.label.polarity for s in data.samples] == [POS, NEG, NEU]
+    assert [Polarity.from_ordinal(o) for o in (data.subclass % 3).tolist()] == [POS, NEG, NEU]
 
 
 def test_load_parses_soft_scores(tmp_path):
@@ -307,18 +310,146 @@ def test_load_parses_soft_scores(tmp_path):
         '{"id":"a","class":"x","polarity":"positive","vector":[1.0],"scores":[0.9,0.1]}\n'
     )
     data = load_jsonl(str(path))
-    np.testing.assert_array_equal(data.samples[0].soft_scores, [0.9, 0.1])
+    np.testing.assert_array_equal(data.soft_scores[0], [0.9, 0.1])
 
 
 def test_save_jsonl_round_trips_soft_scores(tmp_path):
-    sample = Sample(id="s", features=np.array([1.5]), label=HierLabel(0, POS),
-                    soft_scores=np.array([0.25, -1.0]))
-    data = Dataset(samples=[sample], num_classes=1, input_dim=1, class_names=["x"])
+    data = dataset_of([([1.5], 0, POS, [0.25, -1.0])], 1, 1, names=["x"])
     path = tmp_path / "d.jsonl"
     save_jsonl(str(path), data)
     rec = json.loads(path.read_text())
     assert rec["scores"] == [0.25, -1.0]
 
+
+# ---------------------------------------------------------- columnar layout
+
+
+def test_dataset_columns_and_derived_sizes():
+    data = generate_synthetic(small_cfg())
+    assert data.features.shape == (30, 6) and data.features.flags.c_contiguous
+    assert data.features.dtype == np.float64 and data.subclass.dtype == np.int64
+    assert data.subclass.tolist() == [k for k in range(6) for _ in range(5)]
+    assert data.num_classes == len(data.class_names) == 2
+    assert data.input_dim == 6
+
+
+def test_dataset_take_selects_rows_in_order():
+    data = dataset_of(
+        [([1.0, 2.0], 0, POS, [0.5]), ([3.0, 4.0], 0, NEG, None), ([5.0, 6.0], 1, NEU, [0.1])],
+        2, 2, names=["x", "y"],
+    )
+    part = data.take([2, 0])
+    np.testing.assert_array_equal(part.features, [[5.0, 6.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(part.subclass, ids_of([HierLabel(1, NEU), HierLabel(0, POS)]))
+    assert part.ids == ["s2", "s0"]
+    assert [s.tolist() for s in part.soft_scores] == [[0.1], [0.5]]
+    assert part.class_names == ["x", "y"] and part.split_tag == data.split_tag
+    assert len(part) == 2 and len(data.take([])) == 0
+
+
+def test_dataset_rejects_columns_of_unequal_length():
+    with pytest.raises(DimensionMismatchError):
+        Dataset(features=np.zeros((2, 3)), subclass=[0, 1], ids=["a"], class_names=["x"])
+    with pytest.raises(DimensionMismatchError):
+        Dataset(features=np.zeros((2, 3)), subclass=[0], ids=["a", "b"], class_names=["x"])
+    with pytest.raises(DimensionMismatchError):
+        Dataset(features=np.zeros((1, 3)), subclass=[0], ids=["a"], class_names=["x"],
+                soft_scores=[None, None])
+
+
+# at most one malformed line per document, so every kind is reached
+BAD_KINDS = (
+    None, None, "bad-json", "non-object", "missing-field", "bad-polarity", "non-numeric",
+    "nan-token", "null", "overflow", "ragged", "duplicate-id", "bad-scores", "nested-vector",
+    "unknown-class",
+)
+FUZZ_CLASSES = ("a", "b", "c")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def jsonl_documents(draw):
+    """(file text, mnli_label_map, class_names) with zero or one malformed record."""
+    mnli = draw(st.booleans())
+    class_names = draw(st.one_of(st.none(), st.permutations(FUZZ_CLASSES)))
+    classes = list(class_names or FUZZ_CLASSES)
+    polarities = ["positive", "negative", "neutral"]
+    if mnli:
+        polarities += ["entailment", "contradiction"]
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    bad_line, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(BAD_KINDS))
+    lines = []
+    for i in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("  ")
+        fields = {
+            "id": json.dumps(f"r{i}"),
+            "class": json.dumps(draw(st.sampled_from(classes))),
+            "polarity": json.dumps(draw(st.sampled_from(polarities))),
+            "vector": json.dumps(draw(st.lists(finite, min_size=width, max_size=width))),
+        }
+        if draw(st.booleans()):
+            fields["scores"] = json.dumps(draw(st.lists(finite, min_size=1, max_size=3)))
+        if i == bad_line and kind is not None:
+            line = _malform(draw, kind, fields, i, width)
+            if line is not None:
+                lines.append(line)
+                continue
+        lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    return "\n".join(lines) + "\n", mnli, None if class_names is None else list(class_names)
+
+
+def _malform(draw, kind, fields, i, width):
+    """Damage fields in place, or return a whole replacement line."""
+    if kind == "bad-json":
+        return '{"id": "r%d",' % i
+    if kind == "non-object":
+        return fields["vector"]
+    if kind == "missing-field":
+        del fields[draw(st.sampled_from(("id", "class", "polarity", "vector")))]
+    elif kind == "bad-polarity":
+        fields["polarity"] = draw(st.sampled_from(('"sideways"', '"entailment"', "7")))
+    elif kind == "non-numeric":
+        fields["vector"] = '[1.0, "x"]'
+    elif kind in ("nan-token", "null", "overflow"):
+        token = {"nan-token": "NaN", "null": "null", "overflow": "-1e999"}[kind]
+        target = "scores" if "scores" in fields and draw(st.booleans()) else "vector"
+        fields[target] = "[" + ", ".join(["0.5"] * (width - 1) + [token]) + "]"
+    elif kind == "ragged":
+        fields["vector"] = json.dumps([0.25] * (width + 1))
+    elif kind == "duplicate-id" and i > 0:
+        fields["id"] = json.dumps(f"r{draw(st.integers(0, i - 1))}")
+    elif kind == "bad-scores":
+        fields["scores"] = '["high"]'
+    elif kind == "nested-vector":
+        fields["vector"] = json.dumps([[0.5] * width])
+    elif kind == "unknown-class":
+        fields["class"] = '"d"'
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(jsonl_documents())
+def test_load_jsonl_matches_row_at_a_time_reference(document):
+    text, mnli, class_names = document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            want = ref_load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
+        except Exception as exc:  # the loader must raise the same error
+            with pytest.raises(type(exc)) as got:
+                load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        data = load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
+    np.testing.assert_array_equal(data.features, want["features"])
+    assert data.features.shape == want["features"].shape
+    np.testing.assert_array_equal(data.subclass, want["subclass"])
+    assert data.ids == want["ids"]
+    assert data.class_names == want["class_names"]
 
 # -------------------------------------------------------------------- dedup
 

@@ -421,7 +421,7 @@ def test_step_updates_a_list_entry_rebound_after_copy():
 def test_embed_all_with_two_threads_unchanged_by_the_cache():
     params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=1))
     data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=6, per_subclass_count=20, seed=2))
-    x = data.feature_matrix()
+    x = data.features
     want = np.vstack([encoder_forward_batch(params.copy(), x[i : i + 7]) for i in range(0, len(x), 7)])
     encoder_forward_batch(params, x)
     for _ in range(3):
@@ -459,8 +459,7 @@ def test_loss_non_increasing_over_fifty_steps():
     params = init_params(EncoderConfig(input_dim=8, hidden_dims=(16,), output_dim=8, seed=seed))
     state = AdaCosState.initialize(6, 8, make_rng(seed, STREAM_CLASSIFIER_INIT))
     opt = OptimizerConfig(learning_rate=1e-3)
-    x = data.feature_matrix()
-    labels = data.labels()
+    x, labels = data.features, data.subclass
 
     losses = []
     for _ in range(50):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hiersphere import (
-    Dataset,
     EncoderConfig,
     GeneratorConfig,
     HierLabel,
@@ -16,8 +15,6 @@ from hiersphere import (
     MissingSubclassError,
     NoTestLabelsError,
     Polarity,
-    Sample,
-    SubclassCentroids,
     compute_centroids,
     embed_all,
     encoder_forward,
@@ -26,11 +23,12 @@ from hiersphere import (
     init_params,
     mae_report,
     predict_all,
+    unit_normalize,
 )
 from hiersphere.evaluate import true_score_matrix
 from hiersphere.rng import make_rng
 
-from _oracles import class_score
+from _oracles import centroids_of, class_score, dataset_of
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -41,23 +39,8 @@ def identity_encoder(dim):
     return params
 
 
-def build_dataset(rows, num_classes, dim, names=None):
-    samples = [
-        Sample(
-            id=f"s{i}",
-            features=np.asarray(vec, dtype=float),
-            label=HierLabel(cid, pol),
-            soft_scores=None if soft is None else np.asarray(soft, dtype=float),
-        )
-        for i, (vec, cid, pol, soft) in enumerate(rows)
-    ]
-    return Dataset(
-        samples=samples,
-        num_classes=num_classes,
-        input_dim=dim,
-        class_names=names or [f"class_{c}" for c in range(num_classes)],
-        split_tag="test",
-    )
+def sub(class_id, polarity):
+    return HierLabel(class_id, polarity).subclass_index
 
 
 def axis(dim, i, sign=1.0):
@@ -74,7 +57,7 @@ def two_class_axis_dataset(dim=4):
         rows.append((v + u, c, POS, None))
         rows.append((v - u, c, NEG, None))
         rows.append((v, c, NEU, None))
-    return build_dataset(rows, num_classes=2, dim=dim)
+    return dataset_of(rows, num_classes=2, dim=dim)
 
 
 # ---------------------------------------------------------------- embed_all
@@ -82,12 +65,12 @@ def two_class_axis_dataset(dim=4):
 
 def test_embed_all_matches_single_forward():
     params = identity_encoder(3)
-    data = build_dataset(
+    data = dataset_of(
         [([1.0, 2.0, 2.0], 0, POS, None), ([3.0, 0.0, 4.0], 0, NEG, None)], 1, 3
     )
     emb = embed_all(params, data)
-    for i, s in enumerate(data.samples):
-        np.testing.assert_allclose(emb[i], encoder_forward(params, s.features), atol=1e-15)
+    for i, feats in enumerate(data.features):
+        np.testing.assert_allclose(emb[i], encoder_forward(params, feats), atol=1e-15)
 
 
 def test_embed_all_threads_and_chunks_change_nothing():
@@ -102,7 +85,7 @@ def test_embed_all_threads_and_chunks_change_nothing():
 
 def test_embed_all_rejects_bad_thread_count():
     params = identity_encoder(2)
-    data = build_dataset([([1.0, 0.0], 0, POS, None)], 1, 2)
+    data = dataset_of([([1.0, 0.0], 0, POS, None)], 1, 2)
     with pytest.raises(InvalidConfigError):
         embed_all(params, data, num_threads=0)
 
@@ -111,7 +94,7 @@ def test_embed_all_rejects_bad_thread_count():
 
 
 def test_centroid_of_two_orthogonal_unit_vectors():
-    data = build_dataset(
+    data = dataset_of(
         [
             ([1.0, 0.0], 0, POS, None),
             ([0.0, 1.0], 0, POS, None),
@@ -122,31 +105,47 @@ def test_centroid_of_two_orthogonal_unit_vectors():
     )
     cents = compute_centroids(identity_encoder(2), data)
     np.testing.assert_allclose(
-        cents.mu[(0, POS)], [0.7071067811865475, 0.7071067811865475], atol=1e-12
+        cents.mu[sub(0, POS)], [0.7071067811865475, 0.7071067811865475], atol=1e-12
     )
-    assert cents.counts[(0, POS)] == 2
-    assert cents.counts[(0, NEG)] == 1
+    assert cents.counts[sub(0, POS)] == 2
+    assert cents.counts[sub(0, NEG)] == 1
 
 
 def test_singleton_centroid_is_the_embedding():
-    data = build_dataset(
+    data = dataset_of(
         [([3.0, 4.0], 0, POS, None), ([-3.0, -4.0], 0, NEG, None)], 1, 2
     )
     cents = compute_centroids(identity_encoder(2), data)
-    np.testing.assert_allclose(cents.mu[(0, POS)], [0.6, 0.8], atol=1e-12)
+    np.testing.assert_allclose(cents.mu[sub(0, POS)], [0.6, 0.8], atol=1e-12)
+
+
+def test_centroids_accumulate_sample_by_sample_bitwise():
+    # eval.json and bench_report.json bytes depend on the summation order,
+    # so the sums must run in row order, one embedding at a time
+    data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=6, per_subclass_count=40, seed=9))
+    data = data.take(make_rng(9, 211).permutation(len(data)))
+    params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=9))
+    emb = embed_all(params, data)
+    cents = compute_centroids(params, data)
+    for k in range(6):
+        total = np.zeros(4)
+        for e in emb[data.subclass == k]:
+            total += e
+        np.testing.assert_array_equal(cents.mu[k], unit_normalize(total / 40))
+    np.testing.assert_array_equal(cents.counts, [40] * 6)
 
 
 def test_centroids_are_unit_norm():
     data = generate_synthetic(GeneratorConfig(num_classes=3, input_dim=8, per_subclass_count=5, seed=4))
     params = init_params(EncoderConfig(input_dim=8, hidden_dims=(6,), output_dim=5, seed=4))
     cents = compute_centroids(params, data)
-    for mu in cents.mu.values():
+    for mu in cents.mu[cents.counts > 0]:
         assert abs(np.linalg.norm(mu) - 1.0) < 1e-12
-    assert len(cents.mu) == 9  # neutral centroids stored too
+    assert np.count_nonzero(cents.counts) == 9  # neutral centroids stored too
 
 
 def test_missing_polar_subclass_raises():
-    data = build_dataset(
+    data = dataset_of(
         [([1.0, 0.0], 0, POS, None), ([0.0, 1.0], 0, NEU, None)], 1, 2
     )
     with pytest.raises(MissingSubclassError) as exc:
@@ -155,11 +154,11 @@ def test_missing_polar_subclass_raises():
 
 
 def test_neutral_subclass_not_required():
-    data = build_dataset(
+    data = dataset_of(
         [([1.0, 0.0], 0, POS, None), ([-1.0, 0.0], 0, NEG, None)], 1, 2
     )
     cents = compute_centroids(identity_encoder(2), data)
-    assert (0, NEU) not in cents.mu
+    assert cents.counts[sub(0, NEU)] == 0
     with pytest.raises(MissingSubclassError):
         cents.require(0, NEU)
 
@@ -168,12 +167,11 @@ def test_neutral_subclass_not_required():
 
 
 def _toy_centroids():
-    return SubclassCentroids(
-        mu={
+    return centroids_of(
+        {
             (0, POS): np.array([1.0, 0.0]),
             (0, NEG): np.array([-1.0, 0.0]),
         },
-        counts={(0, POS): 1, (0, NEG): 1},
         num_classes=1,
     )
 
@@ -186,9 +184,8 @@ def test_class_score_perfect_cases():
 
 
 def test_class_score_signed_vs_unsigned():
-    cents = SubclassCentroids(
-        mu={(0, POS): np.array([1.0, 0.0]), (0, NEG): np.array([0.0, 1.0])},
-        counts={(0, POS): 1, (0, NEG): 1},
+    cents = centroids_of(
+        {(0, POS): np.array([1.0, 0.0]), (0, NEG): np.array([0.0, 1.0])},
         num_classes=1,
     )
     e = [1.0, 0.0]
@@ -203,12 +200,8 @@ def test_class_score_signed_vs_unsigned():
 def test_class_score_antisymmetric_under_centroid_swap():
     rng = make_rng(0, 210)
     mu_p, mu_n = rng.normal(size=(2, 5))
-    cents = SubclassCentroids(
-        mu={(0, POS): mu_p, (0, NEG): mu_n}, counts={}, num_classes=1
-    )
-    swapped = SubclassCentroids(
-        mu={(0, POS): mu_n, (0, NEG): mu_p}, counts={}, num_classes=1
-    )
+    cents = centroids_of({(0, POS): mu_p, (0, NEG): mu_n}, num_classes=1)
+    swapped = centroids_of({(0, POS): mu_n, (0, NEG): mu_p}, num_classes=1)
     e = rng.normal(size=5)
     assert abs(class_score(e, cents, 0) + class_score(e, swapped, 0)) < 1e-12
 
@@ -245,13 +238,13 @@ def test_predict_all_ideal_geometry():
     params = identity_encoder(4)
     cents = compute_centroids(params, data)
     scores = predict_all(params, cents, data)
-    for i, s in enumerate(data.samples):
-        own = s.label.class_id
-        if s.label.polarity is NEU:
+    for i, label in enumerate(map(HierLabel.from_subclass_index, data.subclass.tolist())):
+        own = label.class_id
+        if label.polarity is NEU:
             np.testing.assert_allclose(scores[i], 0.0, atol=1e-12)
         else:
             assert int(np.argmax(np.abs(scores[i]))) == own
-            expected = 0.5 * s.label.polarity.numeric()
+            expected = 0.5 * label.polarity.numeric()
             assert abs(scores[i, own] - expected) < 1e-12
 
 
@@ -259,7 +252,7 @@ def test_predict_all_ideal_geometry():
 
 
 def test_true_scores_hard_mode():
-    data = build_dataset(
+    data = dataset_of(
         [
             ([1.0, 0.0], 0, POS, None),
             ([1.0, 0.0], 1, NEG, None),
@@ -273,7 +266,7 @@ def test_true_scores_hard_mode():
 
 
 def test_true_scores_soft_mode_and_auto():
-    data = build_dataset(
+    data = dataset_of(
         [([1.0, 0.0], 0, POS, [0.7, -0.2]), ([1.0, 0.0], 1, NEG, [0.0, -0.9])],
         2,
         2,
@@ -287,7 +280,7 @@ def test_true_scores_soft_mode_and_auto():
 
 
 def test_true_scores_auto_falls_back_to_hard():
-    data = build_dataset(
+    data = dataset_of(
         [([1.0, 0.0], 0, POS, [0.7, -0.2]), ([1.0, 0.0], 1, NEG, None)], 2, 2
     )
     np.testing.assert_array_equal(
@@ -296,25 +289,25 @@ def test_true_scores_auto_falls_back_to_hard():
 
 
 def test_true_scores_soft_mode_requires_scores():
-    data = build_dataset([([1.0, 0.0], 0, POS, None)], 1, 2)
+    data = dataset_of([([1.0, 0.0], 0, POS, None)], 1, 2)
     with pytest.raises(NoTestLabelsError):
         true_score_matrix(data, mode="soft")
 
 
 def test_true_scores_soft_length_checked():
-    data = build_dataset([([1.0, 0.0], 0, POS, [0.5])], 2, 2)
+    data = dataset_of([([1.0, 0.0], 0, POS, [0.5])], 2, 2)
     with pytest.raises(NoTestLabelsError):
         true_score_matrix(data, mode="soft")
 
 
 def test_true_scores_empty_dataset():
-    data = build_dataset([], 1, 2)
+    data = dataset_of([], 1, 2)
     with pytest.raises(NoTestLabelsError):
         true_score_matrix(data)
 
 
 def test_true_scores_bad_mode():
-    data = build_dataset([([1.0, 0.0], 0, POS, None)], 1, 2)
+    data = dataset_of([([1.0, 0.0], 0, POS, None)], 1, 2)
     with pytest.raises(InvalidConfigError):
         true_score_matrix(data, mode="fuzzy")
 
@@ -329,7 +322,7 @@ def test_mae_zero_for_perfect_geometry():
         rows.append((axis(6, 2 * c), c, POS, None))
         rows.append((axis(6, 2 * c, -1.0), c, NEG, None))
         rows.append((axis(6, 4 + c), c, NEU, None))
-    data = build_dataset(rows, 2, 6)
+    data = dataset_of(rows, 2, 6)
     params = identity_encoder(6)
     cents = compute_centroids(params, data)
     report = mae_report(params, cents, data, model_tag="toy")
@@ -341,10 +334,10 @@ def test_mae_zero_for_perfect_geometry():
 def test_mae_constant_zero_predictor_on_uniform_labels():
     # centroids orthogonal to every test sample give the all-zero predictor;
     # uniform hard labels then cost |0 - (+-1)| on two thirds of the samples
-    train = build_dataset(
+    train = dataset_of(
         [(axis(4, 2), 0, POS, None), (axis(4, 3), 0, NEG, None)], 1, 4
     )
-    test = build_dataset(
+    test = dataset_of(
         [
             (axis(4, 0), 0, POS, None),
             (axis(4, 1), 0, NEG, None),
@@ -373,13 +366,7 @@ def test_mae_invariant_to_sample_order():
     params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=7))
     cents = compute_centroids(params, data)
     base = mae_report(params, cents, data)
-    shuffled = Dataset(
-        samples=list(reversed(data.samples)),
-        num_classes=data.num_classes,
-        input_dim=data.input_dim,
-        class_names=data.class_names,
-        split_tag=data.split_tag,
-    )
+    shuffled = data.take(np.arange(len(data))[::-1])
     other = mae_report(params, cents, shuffled)
     np.testing.assert_allclose(base.per_class_mae, other.per_class_mae, atol=1e-15)
 
@@ -388,7 +375,7 @@ def test_mae_soft_mode_matches_manual():
     train = two_class_axis_dataset()
     params = identity_encoder(4)
     cents = compute_centroids(params, train)
-    test = build_dataset(
+    test = dataset_of(
         [
             ([1.0, 1.0, 0.0, 0.0], 0, POS, [0.4, 0.0]),
             ([0.0, 0.0, 1.0, -1.0], 1, NEG, [0.1, -0.6]),

@@ -30,6 +30,7 @@ from hiersphere.rng import make_rng
 
 from _oracles import (
     PairTarget,
+    ids_of,
     margin_logit_transform,
     pair_target,
     random_labels,
@@ -357,7 +358,7 @@ def test_adacos_loss_static_hand_value():
     # orthogonal anchors, embedding on the target anchor, fixed scale 10:
     # loss = ln(1 + 2 e^-10)
     state = AdaCosState(weights=np.eye(3), scale=10.0, dynamic=False)
-    out = adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), [HierLabel(0, NEG)])
+    out = adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(0, NEG)]))
     assert abs(out.value - 9.079573746725622e-05) < 1e-16
 
 
@@ -365,7 +366,7 @@ def test_adacos_loss_identical_anchors_uniform():
     w = np.tile(unit_rows(make_rng(0, 81), 1, 4), (3, 1))
     state = AdaCosState(weights=w, scale=7.0, dynamic=False)
     emb = unit_rows(make_rng(1, 81), 2, 4)
-    out = adacos_loss(state, emb, [HierLabel(0, NEG), HierLabel(0, NEU)])
+    out = adacos_loss(state, emb, ids_of([HierLabel(0, NEG), HierLabel(0, NEU)]))
     assert abs(out.value - math.log(3.0)) < 1e-12
 
 
@@ -381,7 +382,7 @@ def test_adacos_loss_dynamic_updates_scale_before_loss():
     expected_value = softmax_ce_loss(expected_scale * (emb @ w.T), targets).value
 
     state = AdaCosState(weights=w.copy(), scale=3.0, dynamic=True)
-    out = adacos_loss(state, emb, labels)
+    out = adacos_loss(state, emb, ids_of(labels))
     assert abs(state.scale - expected_scale) < 1e-12
     assert abs(out.value - expected_value) < 1e-12
 
@@ -392,14 +393,14 @@ def test_adacos_loss_gradients_match_fd():
     emb = unit_rows(rng, 3, 4)
     labels = [HierLabel(0, POS), HierLabel(1, NEU), HierLabel(0, NEG)]
     state = AdaCosState(weights=w, scale=5.0, dynamic=False)
-    out = adacos_loss(state, emb, labels)
+    out = adacos_loss(state, emb, ids_of(labels))
 
     def f_emb(flat):
-        return adacos_loss(state, flat.reshape(emb.shape), labels).value
+        return adacos_loss(state, flat.reshape(emb.shape), ids_of(labels)).value
 
     def f_w(flat):
         st2 = AdaCosState(weights=flat.reshape(w.shape), scale=5.0, dynamic=False)
-        return adacos_loss(st2, emb, labels).value
+        return adacos_loss(st2, emb, ids_of(labels)).value
 
     assert grad_check(f_emb, emb.ravel(), out.grad_embeddings.ravel()).max_rel_error < 1e-4
     assert grad_check(f_w, w.ravel(), out.grad_weights.ravel()).max_rel_error < 1e-4
@@ -408,7 +409,7 @@ def test_adacos_loss_gradients_match_fd():
 def test_adacos_loss_rejects_out_of_range_subclass():
     state = AdaCosState(weights=np.eye(3), scale=5.0, dynamic=False)
     with pytest.raises(IndexOutOfRangeError):
-        adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), [HierLabel(1, NEG)])
+        adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(1, NEG)]))
 
 
 # -------------------------------------------------------- pair targets
@@ -445,7 +446,7 @@ def test_pair_target_symmetric_and_matches_reference(a, b, switch):
 
 @given(st.lists(label_strategy, min_size=2, max_size=6), st.booleans())
 def test_pair_target_matrix_matches_scalar(labels, switch):
-    mat = pair_target_matrix(labels, switch)
+    mat = pair_target_matrix(ids_of(labels), switch)
     assert np.all(np.diag(mat) == 0.0)
     for i in range(len(labels)):
         for j in range(len(labels)):
@@ -464,7 +465,7 @@ def _two_vec_batch(c):
 def test_pairwise_null_band_zeroes_loss_and_grad():
     emb = _two_vec_batch(0.2)
     labels = [HierLabel(0, POS), HierLabel(1, POS)]  # cross-class: target 0
-    out = pairwise_cosine_loss(emb, labels, t=0.3)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     assert out.value == 0.0
     assert np.all(out.grad_embeddings == 0.0)
 
@@ -472,7 +473,7 @@ def test_pairwise_null_band_zeroes_loss_and_grad():
 def test_pairwise_outside_band_pays_squared_cosine():
     emb = _two_vec_batch(0.2)
     labels = [HierLabel(0, POS), HierLabel(1, POS)]
-    out = pairwise_cosine_loss(emb, labels, t=0.1)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.1)
     assert abs(out.value - 0.04) < 1e-12
 
 
@@ -480,21 +481,21 @@ def test_pairwise_band_boundary_is_active():
     # |cos| == t is not inside the open band
     emb = _two_vec_batch(0.3)
     labels = [HierLabel(0, POS), HierLabel(1, POS)]
-    out = pairwise_cosine_loss(emb, labels, t=0.3)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     assert out.value > 0.0
 
 
 def test_pairwise_positive_pair_residual():
     emb = _two_vec_batch(0.5)
     labels = [HierLabel(0, POS), HierLabel(0, POS)]
-    out = pairwise_cosine_loss(emb, labels, t=0.3)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     assert abs(out.value - 0.25) < 1e-12
 
 
 def test_pairwise_opposite_pair_at_minimum():
     emb = np.array([[1.0, 0.0], [-1.0, 0.0]])
     labels = [HierLabel(0, POS), HierLabel(0, NEG)]
-    out = pairwise_cosine_loss(emb, labels, t=0.3)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     assert abs(out.value) < 1e-12
 
 
@@ -511,7 +512,7 @@ def test_pairwise_denominator_counts_all_pairs():
         ]
     )
     labels = [HierLabel(0, POS), HierLabel(0, POS), HierLabel(1, POS), HierLabel(1, NEG)]
-    out = pairwise_cosine_loss(emb, labels, t=0.3)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
     assert out.value == (1.0 + 0.0) / 6.0
 
 
@@ -519,8 +520,8 @@ def test_pairwise_scale_invariance():
     rng = make_rng(5, 90)
     emb = rng.normal(size=(5, 4))
     labels = random_labels(rng, 5)
-    a = pairwise_cosine_loss(emb, labels, t=0.3).value
-    b = pairwise_cosine_loss(emb * 7.5, labels, t=0.3).value
+    a = pairwise_cosine_loss(emb, ids_of(labels), t=0.3).value
+    b = pairwise_cosine_loss(emb * 7.5, ids_of(labels), t=0.3).value
     assert abs(a - b) < 1e-12
 
 
@@ -529,8 +530,8 @@ def test_pairwise_batch_permutation_invariant():
     emb = rng.normal(size=(6, 4))
     labels = random_labels(rng, 6)
     perm = rng.permutation(6)
-    a = pairwise_cosine_loss(emb, labels, t=0.3).value
-    b = pairwise_cosine_loss(emb[perm], [labels[i] for i in perm], t=0.3).value
+    a = pairwise_cosine_loss(emb, ids_of(labels), t=0.3).value
+    b = pairwise_cosine_loss(emb[perm], ids_of([labels[i] for i in perm]), t=0.3).value
     assert abs(a - b) < 1e-12
 
 
@@ -541,7 +542,7 @@ def test_pairwise_matches_bruteforce(seed, t, switch):
     b = int(rng.integers(2, 9))
     emb = rng.normal(size=(b, 5)) * rng.uniform(0.5, 2.0)
     labels = random_labels(rng, b)
-    out = pairwise_cosine_loss(emb, labels, t=t, same_class_neutral_pair_positive=switch)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=t, same_class_neutral_pair_positive=switch)
     ref = ref_pairwise_loss(emb, labels, t, switch)
     assert abs(out.value - ref) <= 1e-12
 
@@ -558,10 +559,10 @@ def test_pairwise_gradient_matches_fd():
         iu = np.triu_indices(b, 1)
         if np.any(np.abs(np.abs(cos[iu]) - 0.3) < 1e-3):
             continue  # too close to the band edge for finite differences
-        out = pairwise_cosine_loss(emb, labels, t=0.3)
+        out = pairwise_cosine_loss(emb, ids_of(labels), t=0.3)
 
         def f(flat, labels=labels):
-            return pairwise_cosine_loss(flat.reshape(b, 4), labels, t=0.3).value
+            return pairwise_cosine_loss(flat.reshape(b, 4), ids_of(labels), t=0.3).value
 
         rep = grad_check(f, emb.ravel(), out.grad_embeddings.ravel())
         assert rep.max_rel_error < 1e-4
@@ -575,24 +576,24 @@ def test_pairwise_t_one_keeps_only_polar_pairs():
     rng = make_rng(9, 95)
     emb = rng.normal(size=(6, 4))
     labels = random_labels(rng, 6)
-    out = pairwise_cosine_loss(emb, labels, t=1.0)
+    out = pairwise_cosine_loss(emb, ids_of(labels), t=1.0)
     assert abs(out.value - ref_pairwise_loss(emb, labels, 1.0)) < 1e-12
 
 
 def test_pairwise_rejects_singleton_batch():
     with pytest.raises(BatchTooSmallError):
-        pairwise_cosine_loss(np.ones((1, 3)), [HierLabel(0, POS)])
+        pairwise_cosine_loss(np.ones((1, 3)), ids_of([HierLabel(0, POS)]))
 
 
 def test_pairwise_rejects_bad_threshold():
     emb = np.eye(2)
     labels = [HierLabel(0, POS), HierLabel(0, NEG)]
     with pytest.raises(InvalidConfigError):
-        pairwise_cosine_loss(emb, labels, t=1.5)
+        pairwise_cosine_loss(emb, ids_of(labels), t=1.5)
     with pytest.raises(InvalidConfigError):
-        pairwise_cosine_loss(emb, labels, t=-0.1)
+        pairwise_cosine_loss(emb, ids_of(labels), t=-0.1)
 
 
 def test_pairwise_label_count_mismatch():
     with pytest.raises(DimensionMismatchError):
-        pairwise_cosine_loss(np.eye(3), [HierLabel(0, POS)])
+        pairwise_cosine_loss(np.eye(3), ids_of([HierLabel(0, POS)]))

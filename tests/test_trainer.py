@@ -30,7 +30,7 @@ from hiersphere import encoder, trainer
 from hiersphere.rng import make_rng
 from hiersphere.trainer import LOSS_KINDS
 
-from _oracles import random_labels, ref_train, ref_triplet_mean
+from _oracles import ids_of, random_labels, ref_train, ref_triplet_mean
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -227,8 +227,7 @@ def test_stage1_rejects_encoder_width_mismatch():
 
 
 def test_stage1_dataset_too_small():
-    data = tiny_dataset()
-    data.samples = data.samples[:1]
+    data = tiny_dataset().take([0])
     with pytest.raises(DatasetTooSmallError):
         train_stage1(data, small_train_config())
 
@@ -465,7 +464,7 @@ def test_triplet_batch_loss_matches_bruteforce():
         emb = rng.normal(size=(b, 4))
         labels = random_labels(rng, b, num_classes=2)
         try:
-            out, count = triplet_batch_loss(emb, labels, margin=1.0)
+            out, count = triplet_batch_loss(emb, ids_of(labels), margin=1.0)
         except NoValidTripletsError:
             ref_val, ref_count = ref_triplet_mean(emb, labels, 1.0)
             assert ref_count == 0
@@ -496,10 +495,10 @@ def test_triplet_batch_loss_gradient_matches_fd():
                         hinges.append(dist[a, p] - dist[a, n] + 1.0)
         if not hinges or np.min(np.abs(hinges)) < 1e-3:
             continue
-        out, _ = triplet_batch_loss(emb, labels, margin=1.0)
+        out, _ = triplet_batch_loss(emb, ids_of(labels), margin=1.0)
 
         def f(flat, labels=labels):
-            return triplet_batch_loss(flat.reshape(5, 3), labels, 1.0)[0].value
+            return triplet_batch_loss(flat.reshape(5, 3), ids_of(labels), 1.0)[0].value
 
         rep = grad_check(f, emb.ravel(), out.grad_embeddings.ravel())
         assert rep.max_rel_error < 1e-4
@@ -513,4 +512,4 @@ def test_triplet_batch_loss_raises_without_pairs():
     emb = np.eye(3)
     labels = [HierLabel(0, NEG), HierLabel(0, NEU), HierLabel(0, POS)]
     with pytest.raises(NoValidTripletsError):
-        triplet_batch_loss(emb, labels, margin=1.0)
+        triplet_batch_loss(emb, ids_of(labels), margin=1.0)

@@ -28,7 +28,7 @@ from hiersphere.viz import (
     marker_shape_for_class,
 )
 
-from _oracles import ref_classical_mds
+from _oracles import ids_of, ref_classical_mds
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -289,7 +289,7 @@ def markers_of(root, css_class):
 def test_svg_marker_and_legend_counts(tmp_path):
     mds, labels, names = scatter_fixture()
     out = tmp_path / "plot.svg"
-    emit_svg_scatter(mds, labels, names, str(out))
+    emit_svg_scatter(mds, ids_of(labels), names, str(out))
     root = ET.parse(str(out)).getroot()
     assert root.tag.endswith("svg")
     assert len(markers_of(root, "marker")) == len(labels)
@@ -303,7 +303,7 @@ def test_svg_marker_and_legend_counts(tmp_path):
 def test_svg_declaration_and_dimensions(tmp_path):
     mds, labels, names = scatter_fixture()
     out = tmp_path / "plot.svg"
-    emit_svg_scatter(mds, labels, names, str(out))
+    emit_svg_scatter(mds, ids_of(labels), names, str(out))
     head = out.read_bytes()[:60]
     assert head.startswith(b"<?xml")
     root = ET.parse(str(out)).getroot()
@@ -314,7 +314,7 @@ def test_svg_declaration_and_dimensions(tmp_path):
 def test_svg_polarity_colors(tmp_path):
     mds, labels, names = scatter_fixture()
     out = tmp_path / "plot.svg"
-    emit_svg_scatter(mds, labels, names, str(out))
+    emit_svg_scatter(mds, ids_of(labels), names, str(out))
     root = ET.parse(str(out)).getroot()
     markers = markers_of(root, "marker")
     # document order matches label order
@@ -328,7 +328,7 @@ def test_svg_all_neutral_is_gray(tmp_path):
     labels = [HierLabel(0, NEU)] * 5
     mds = classical_mds(rng.normal(size=(5, 3)))
     out = tmp_path / "plot.svg"
-    emit_svg_scatter(mds, labels, ["only"], str(out))
+    emit_svg_scatter(mds, ids_of(labels), ["only"], str(out))
     root = ET.parse(str(out)).getroot()
     for el in markers_of(root, "marker"):
         assert el.get("fill") == "#808080"
@@ -339,7 +339,7 @@ def test_svg_shapes_follow_class(tmp_path):
     labels = [HierLabel(0, POS), HierLabel(1, POS), HierLabel(4, POS)]
     mds = classical_mds(rng.normal(size=(3, 3)))
     out = tmp_path / "plot.svg"
-    emit_svg_scatter(mds, labels, ["a", "b", "c", "d", "e"], str(out))
+    emit_svg_scatter(mds, ids_of(labels), ["a", "b", "c", "d", "e"], str(out))
     root = ET.parse(str(out)).getroot()
     tags = [el.tag.split("}")[-1] for el in markers_of(root, "marker")]
     assert tags == ["circle", "rect", "path"]
@@ -351,9 +351,9 @@ def test_svg_shapes_follow_class(tmp_path):
 def test_svg_label_count_mismatch(tmp_path):
     mds, labels, names = scatter_fixture()
     with pytest.raises(DimensionMismatchError):
-        emit_svg_scatter(mds, labels[:-1], names, str(tmp_path / "x.svg"))
+        emit_svg_scatter(mds, ids_of(labels)[:-1], names, str(tmp_path / "x.svg"))
     with pytest.raises(DimensionMismatchError):
-        emit_svg_scatter(mds, labels, names, str(tmp_path / "x.svg"), ids=["one"])
+        emit_svg_scatter(mds, ids_of(labels), names, str(tmp_path / "x.svg"), ids=["one"])
 
 
 def test_csv_round_trips_coordinates(tmp_path):
@@ -361,7 +361,7 @@ def test_csv_round_trips_coordinates(tmp_path):
     out = tmp_path / "plot.svg"
     csv_path = tmp_path / "plot.csv"
     ids = [f"id{i}" for i in range(len(labels))]
-    emit_svg_scatter(mds, labels, names, str(out), ids=ids, csv_path=str(csv_path))
+    emit_svg_scatter(mds, ids_of(labels), names, str(out), ids=ids, csv_path=str(csv_path))
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "x", "y", "class", "polarity"]
@@ -377,7 +377,7 @@ def test_csv_round_trips_coordinates(tmp_path):
 def test_csv_default_ids_are_indices(tmp_path):
     mds, labels, names = scatter_fixture()
     csv_path = tmp_path / "plot.csv"
-    emit_svg_scatter(mds, labels, names, str(tmp_path / "p.svg"), csv_path=str(csv_path))
+    emit_svg_scatter(mds, ids_of(labels), names, str(tmp_path / "p.svg"), csv_path=str(csv_path))
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][0] == "0"
@@ -386,6 +386,6 @@ def test_csv_default_ids_are_indices(tmp_path):
 def test_svg_deterministic_bytes(tmp_path):
     mds, labels, names = scatter_fixture()
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_svg_scatter(mds, labels, names, str(p1))
-    emit_svg_scatter(mds, labels, names, str(p2))
+    emit_svg_scatter(mds, ids_of(labels), names, str(p1))
+    emit_svg_scatter(mds, ids_of(labels), names, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
