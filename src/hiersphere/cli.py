@@ -339,22 +339,11 @@ def _cmd_train(ns) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str):
-    params, doc = load_checkpoint(path)
-    state = None
-    if "adacos" in doc:
-        sec = doc["adacos"]
-        state = AdaCosState(
-            weights=np.asarray(sec["weights"], dtype=np.float64),
-            scale=float(sec["scale"]),
-            dynamic=False,
-        )
-    return params, state
-
-
 def _cmd_embed(ns) -> int:
     started = time.time()
-    params, _ = _load_model(ns.model)
+    # embed, eval and viz drop the parsed document at once: a model's JSON
+    # lists outweigh its arrays many times over
+    params = load_checkpoint(ns.model)[0]
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
     emb = embed_all(params, dataset, num_threads=ns.threads)
     out = _resolve_out(ns.out)
@@ -377,7 +366,7 @@ def _cmd_embed(ns) -> int:
 
 def _cmd_eval(ns) -> int:
     started = time.time()
-    params, _ = _load_model(ns.model)
+    params = load_checkpoint(ns.model)[0]
     train_set = load_jsonl(ns.train, mnli_label_map=ns.mnli_label_map)
     test_set = load_jsonl(
         ns.test,
@@ -414,7 +403,7 @@ def _cmd_viz(ns) -> int:
     started = time.time()
     if ns.max_points < 0:
         raise InvalidConfigError(f"--max-points must be >= 0, got {ns.max_points}")
-    params, _ = _load_model(ns.model)
+    params = load_checkpoint(ns.model)[0]
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
 
     subset = dataset

@@ -4,12 +4,18 @@ A deliberately small, fully deterministic stand-in for a pretrained sentence
 encoder: affine layers with tanh or relu, a final affine projection, then
 normalization onto the unit hypersphere. No dropout or layer norm, so the
 whole chain stays exactly differentiable and gradient-checkable.
+
+All parameters and both Adam moments live in one (3, P) buffer per encoder;
+the per-layer weights and biases are views of it, and a training step
+updates it in place with a single Adam call.
 """
 
 import json
+import math
 import os
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -35,8 +41,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise InvalidConfigError(f"all dimensions must be >= 1, got {dims}")
+        if any(not isinstance(d, Integral) or d < 1 for d in dims):
+            raise InvalidConfigError(f"all dimensions must be integers >= 1, got {dims}")
         if self.activation not in ("tanh", "relu"):
             raise InvalidConfigError(f"activation must be tanh or relu, got {self.activation!r}")
 
@@ -45,6 +51,15 @@ class EncoderConfig:
         """(fan_in, fan_out) per affine layer; empty hidden_dims means one layer."""
         widths = [self.input_dim, *self.hidden_dims, self.output_dim]
         return list(zip(widths[:-1], widths[1:]))
+
+    @property
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Parameter array shapes in buffer order: per layer, weight then bias."""
+        return [s for fan_in, fan_out in self.layer_dims for s in ((fan_out, fan_in), (fan_out,))]
+
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(s) for s in self.param_shapes)
 
 
 @dataclass(frozen=True)
@@ -65,55 +80,60 @@ class OptimizerConfig:
 
 @dataclass
 class EncoderParams:
-    """Per-layer weights/biases plus Adam moment buffers."""
+    """Encoder parameters and Adam moments in one (3, P) float64 buffer.
+
+    state[0] holds the parameters, state[1] the first and state[2] the second
+    moments, each laid out layer by layer as the weight (fan_out x fan_in,
+    row-major) then the bias. weights, biases and the four moment tuples are
+    views of those rows built once here, so an in-place update of state moves
+    them all; a tuple entry cannot be rebound away from the buffer.
+    """
 
     config: EncoderConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    state: np.ndarray
     step_count: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    m_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    m_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    v_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    v_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     # what the last encoder_forward_batch on these params leaves for
     # encoder_param_grads: (weakref to its input, pre-norm output, hidden
     # activations, norms); a copy starts without one
     _forward: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __getstate__(self):
-        # a weakref cannot be pickled, and a cached pass is not state
-        return {**self.__dict__, "_forward": None}
+    def __post_init__(self):
+        shapes = self.config.param_shapes
+        sizes = [math.prod(s) for s in shapes]
+        if np.shape(self.state) != (3, sum(sizes)):
+            raise InvalidConfigError(f"state shape {np.shape(self.state)} is not (3, {sum(sizes)})")
+        self.state = np.ascontiguousarray(self.state, dtype=np.float64)
+        splits = np.cumsum(sizes)[:-1]
+        rows = [
+            tuple(part.reshape(s) for part, s in zip(np.split(row, splits), shapes))
+            for row in self.state
+        ]
+        self.weights, self.m_weights, self.v_weights = (r[0::2] for r in rows)
+        self.biases, self.m_biases, self.v_biases = (r[1::2] for r in rows)
+
+    def __reduce__(self):
+        # rebuilding from the buffer keeps the views aliased and drops the
+        # forward cache, whose weakref cannot be pickled
+        return EncoderParams, (self.config, self.state, self.step_count)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            step_count=self.step_count,
-            m_weights=[m.copy() for m in self.m_weights],
-            v_weights=[v.copy() for v in self.v_weights],
-            m_biases=[m.copy() for m in self.m_biases],
-            v_biases=[v.copy() for v in self.v_biases],
-        )
+        return EncoderParams(self.config, self.state.copy(), self.step_count)
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:
     """Glorot-uniform weights, zero biases, zero moments, all from the seed."""
     rng = make_rng(config.seed, STREAM_ENCODER_INIT)
-    weights, biases = [], []
-    for fan_in, fan_out in config.layer_dims:
+    params = EncoderParams(config, np.zeros((3, config.param_count)))
+    for w, (fan_in, fan_out) in zip(params.weights, config.layer_dims):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EncoderParams(
-        config=config,
-        weights=weights,
-        biases=biases,
-        m_weights=[np.zeros_like(w) for w in weights],
-        v_weights=[np.zeros_like(w) for w in weights],
-        m_biases=[np.zeros_like(b) for b in biases],
-        v_biases=[np.zeros_like(b) for b in biases],
-    )
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -169,7 +189,8 @@ def encoder_param_grads(
     encoder_forward_batch last ran on these params is reused when it ran on
     this very input array; otherwise it is recomputed. A cached pass is used
     at most once, and parameters or inputs changed in place between the two
-    calls go unnoticed.
+    calls go unnoticed. encoder_backward_step consumes the cache here, before
+    it updates the parameters in place, so a step never reuses a stale pass.
     """
     x = np.asarray(batch_inputs, dtype=np.float64)
     g_u = np.asarray(grad_embeddings, dtype=np.float64)
@@ -202,50 +223,20 @@ def encoder_backward_step(
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
     opt: OptimizerConfig,
-) -> EncoderParams:
-    """One bias-corrected Adam step from upstream embedding gradients.
+) -> None:
+    """One bias-corrected Adam step from upstream embedding gradients, in place.
 
-    Parameters and moments are gathered into one fresh 3 x P buffer and
-    updated by a single Adam call; the returned params' arrays are views of
-    its rows, and the input params are left untouched.
+    A non-finite gradient raises before anything is written. Otherwise
+    step_count advances and one Adam call updates the three rows of
+    params.state, which every weight, bias and moment view sees.
     """
     grads = encoder_param_grads(params, batch_inputs, grad_embeddings)
     grad = np.concatenate([part.ravel() for layer in grads for part in layer])
     if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite parameter gradient; step aborted")
-
-    groups = [
-        [a for pair in zip(ws, bs) for a in pair]
-        for ws, bs in (
-            (params.weights, params.biases),
-            (params.m_weights, params.m_biases),
-            (params.v_weights, params.v_biases),
-        )
-    ]
-    buf = np.empty((3, grad.size))
-    for row, arrays in zip(buf, groups):
-        np.concatenate([a.ravel() for a in arrays], out=row)
-    t = params.step_count + 1
-    adam_step_array(buf[0], grad, buf[1], buf[2], t, opt)
-
-    def unflatten(row):
-        parts, pos = [], 0
-        for a in groups[0]:
-            parts.append(row[pos : pos + a.size].reshape(a.shape))
-            pos += a.size
-        return parts[0::2], parts[1::2]
-
-    (weights, biases), (m_weights, m_biases), (v_weights, v_biases) = map(unflatten, buf)
-    return EncoderParams(
-        config=params.config,
-        weights=weights,
-        biases=biases,
-        step_count=t,
-        m_weights=m_weights,
-        v_weights=v_weights,
-        m_biases=m_biases,
-        v_biases=v_biases,
-    )
+    params.step_count += 1
+    theta, m, v = params.state
+    adam_step_array(theta, grad, m, v, params.step_count, opt)
 
 
 def adam_step_array(
@@ -282,64 +273,78 @@ def adam_step_array(
     theta -= a
 
 
+# the checkpoint (section, weight key, bias key) of state rows 0, 1 and 2
+_CHECKPOINT_ROWS = (
+    ("layers", "weight", "bias"),
+    ("optimizer_state", "weight_m", "bias_m"),
+    ("optimizer_state", "weight_v", "bias_v"),
+)
+
+
+def _row_views(params: EncoderParams):
+    return [(params.weights, params.biases), (params.m_weights, params.m_biases),
+            (params.v_weights, params.v_biases)]
+
+
 def params_to_dict(params: EncoderParams) -> dict:
-    return {
+    n_layers = len(params.weights)
+    doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": {
-            "input_dim": params.config.input_dim,
-            "hidden_dims": list(params.config.hidden_dims),
-            "output_dim": params.config.output_dim,
-            "activation": params.config.activation,
-            "seed": params.config.seed,
-        },
+        "config": {**asdict(params.config), "hidden_dims": list(params.config.hidden_dims)},
         "step_count": params.step_count,
-        "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(params.weights, params.biases)
-        ],
-        "optimizer_state": [
-            {
-                "weight_m": mw.tolist(),
-                "weight_v": vw.tolist(),
-                "bias_m": mb.tolist(),
-                "bias_v": vb.tolist(),
-            }
-            for mw, vw, mb, vb in zip(
-                params.m_weights, params.v_weights, params.m_biases, params.v_biases
-            )
-        ],
+        "layers": [{} for _ in range(n_layers)],
+        "optimizer_state": [{} for _ in range(n_layers)],
     }
+    for (section, w_key, b_key), (ws, bs) in zip(_CHECKPOINT_ROWS, _row_views(params)):
+        for entry, w, b in zip(doc[section], ws, bs):
+            entry[w_key], entry[b_key] = w.tolist(), b.tolist()
+    return doc
 
 
 def params_from_dict(doc: dict) -> EncoderParams:
+    """Params from a checkpoint document, checked against its config's layout.
+
+    Every weight, bias and moment array must have its layer's shape and hold
+    finite numbers; the error names the first array that does not.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidConfigError("checkpoint must hold a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise InvalidConfigError(f"unsupported checkpoint format_version {version!r}")
     cfg = doc["config"]
-    config = EncoderConfig(
-        input_dim=cfg["input_dim"],
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        output_dim=cfg["output_dim"],
-        activation=cfg["activation"],
-        seed=cfg["seed"],
-    )
-    weights = [np.asarray(layer["weight"], dtype=np.float64) for layer in doc["layers"]]
-    biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]]
-    opt_state = doc["optimizer_state"]
-    params = EncoderParams(
-        config=config,
-        weights=weights,
-        biases=biases,
-        step_count=doc["step_count"],
-        m_weights=[np.asarray(s["weight_m"], dtype=np.float64) for s in opt_state],
-        v_weights=[np.asarray(s["weight_v"], dtype=np.float64) for s in opt_state],
-        m_biases=[np.asarray(s["bias_m"], dtype=np.float64) for s in opt_state],
-        v_biases=[np.asarray(s["bias_v"], dtype=np.float64) for s in opt_state],
-    )
-    expected = config.layer_dims
-    actual = [(w.shape[1], w.shape[0]) for w in params.weights]
-    if actual != expected:
-        raise InvalidConfigError(f"layer shapes {actual} do not match config {expected}")
+    try:
+        values = {f.name: cfg[f.name] for f in fields(EncoderConfig)}
+        values["hidden_dims"] = tuple(values["hidden_dims"])
+        config = EncoderConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"invalid checkpoint config: {exc}") from exc
+    step_count = doc["step_count"]
+    if not isinstance(step_count, int) or step_count < 0:
+        raise InvalidConfigError(f"step_count must be an integer >= 0, got {step_count!r}")
+
+    params = EncoderParams(config, np.empty((3, config.param_count)), step_count)
+    names = []
+    for (section, *keys), (ws, bs) in zip(_CHECKPOINT_ROWS, _row_views(params)):
+        entries = doc[section]
+        if not isinstance(entries, list) or len(entries) != len(ws):
+            raise InvalidConfigError(f"{section} must list {len(ws)} layers")
+        for i, entry in enumerate(entries):
+            for key, view in zip(keys, (ws[i], bs[i])):
+                names.append(f"{section}[{i}].{key}")
+                try:
+                    arr = np.asarray(entry[key], dtype=np.float64)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise InvalidConfigError(f"{names[-1]} is not numeric: {exc}") from exc
+                if arr.shape != view.shape:
+                    raise InvalidConfigError(f"{names[-1]} has shape {arr.shape}, not {view.shape}")
+                view[...] = arr
+    # one finiteness pass over the whole buffer; the first bad entry names its array
+    bad = np.flatnonzero(~np.isfinite(params.state))
+    if bad.size:
+        ends = np.cumsum([math.prod(s) for s in config.param_shapes] * 3)
+        name = names[np.searchsorted(ends, bad[0], side="right")]
+        raise InvalidConfigError(f"{name} holds a non-finite value")
     return params
 
 

@@ -238,8 +238,8 @@ def _fit(
     stage2: bool = False,
     anchors: _Anchors | None = None,
     adacos: AdaCosState | None = None,
-) -> EncoderParams:
-    """The one epoch/batch loop; returns the trained params and fills report.
+) -> None:
+    """The one epoch/batch loop; steps params in place and fills report.
 
     objective(embeddings, subclass) gives the batch's LossOutput. A
     batch whose objective raises NoValidTripletsError is skipped and counted.
@@ -276,7 +276,7 @@ def _fit(
                 warnings.warn("batch without any valid triplet skipped", stacklevel=3)
                 report.skipped_batches += 1
                 continue
-            params = encoder_backward_step(params, bx, out.grad_embeddings, opt)
+            encoder_backward_step(params, bx, out.grad_embeddings, opt)
             if anchors is not None:
                 anchors.step(out.grad_weights, opt)
             batch_losses.append(out.value)
@@ -286,7 +286,6 @@ def _fit(
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else None)
         if adacos is not None:
             report.scale_trajectory.append(adacos.scale)
-    return params
 
 
 def train_stage1(dataset: Dataset, config: TrainConfig):
@@ -308,15 +307,8 @@ def train_stage1(dataset: Dataset, config: TrainConfig):
     def objective(emb, labels):
         return adacos_loss(state, emb, labels)
 
-    params = _fit(
-        dataset,
-        config,
-        init_params(enc_cfg),
-        objective,
-        report,
-        anchors=_Anchors(state.weights),
-        adacos=state,
-    )
+    params = init_params(enc_cfg)
+    _fit(dataset, config, params, objective, report, anchors=_Anchors(state.weights), adacos=state)
     return params, state, report
 
 
@@ -324,7 +316,8 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
     """Pairwise cosine fine-tuning of the encoder only.
 
     Normally follows stage 1, but accepts any starting parameters (fresh ones
-    give the from-scratch ablation). Returns (EncoderParams, TrainReport).
+    give the from-scratch ablation). It trains a copy, so the given params
+    stay as they were. Returns (EncoderParams, TrainReport).
     """
     _require_trainable(dataset)
     report = TrainReport(config=config.to_dict(), model_tag="two-stage")
@@ -337,7 +330,8 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
             same_class_neutral_pair_positive=config.same_class_neutral_pair_positive,
         )
 
-    params = _fit(dataset, config, params.copy(), objective, report, stage2=True)
+    params = params.copy()
+    _fit(dataset, config, params, objective, report, stage2=True)
     return params, report
 
 
@@ -405,5 +399,6 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
                 emb, anchors.weights, labels, config.loss_kind, MARGIN_SCALE, margin
             )
 
-    params = _fit(dataset, config, init_params(enc_cfg), objective, report, anchors=anchors)
+    params = init_params(enc_cfg)
+    _fit(dataset, config, params, objective, report, anchors=anchors)
     return params, None, report

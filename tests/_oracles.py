@@ -279,8 +279,9 @@ def ref_tfidf_vectors(texts) -> np.ndarray:
 def ref_backward_step(params, x, grad_embeddings, opt):
     """One encoder Adam step as its own forward, per-layer backward and per-array Adam.
 
-    Returns new EncoderParams and leaves params untouched. Operation order
-    follows the textbook Adam form, so the result is bitwise comparable.
+    Returns new EncoderParams built from a fresh stacked buffer and leaves
+    params untouched. Operation order follows the textbook Adam form, so the
+    result is bitwise comparable.
     """
     tanh = params.config.activation == "tanh"
     acts = [np.asarray(x, dtype=np.float64)]
@@ -319,16 +320,11 @@ def ref_backward_step(params, x, grad_embeddings, opt):
             new[key].append(theta)
             new["m" + key].append(m)
             new["v" + key].append(v)
-    return EncoderParams(
-        config=params.config,
-        weights=new["w"],
-        biases=new["b"],
-        step_count=t,
-        m_weights=new["mw"],
-        v_weights=new["vw"],
-        m_biases=new["mb"],
-        v_biases=new["vb"],
-    )
+    rows = [
+        np.concatenate([a.ravel() for pair in zip(new[w], new[b]) for a in pair])
+        for w, b in (("w", "b"), ("mw", "mb"), ("vw", "vb"))
+    ]
+    return EncoderParams(params.config, np.stack(rows), t)
 
 
 def random_labels(rng, n, num_classes=3):
@@ -383,7 +379,7 @@ def ref_train(dataset, config, mode):
                 loss = angular_margin_loss(
                     emb, anchors, sub[idx], mode, REF_MARGIN_SCALE, REF_MARGINS[mode]
                 )
-            params = encoder_backward_step(params, x[idx], loss.grad_embeddings, config.optimizer)
+            encoder_backward_step(params, x[idx], loss.grad_embeddings, config.optimizer)
             out["steps"] += 1
             # anchors step with every encoder step, so they share its count
             if anchors is not None:
@@ -410,7 +406,7 @@ def ref_train(dataset, config, mode):
                     emb, sub[idx], config.t,
                     config.same_class_neutral_pair_positive,
                 )
-                params = encoder_backward_step(
+                encoder_backward_step(
                     params, x[idx], loss.grad_embeddings, config.stage2_optimizer()
                 )
                 out["steps"] += 1

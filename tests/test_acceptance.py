@@ -89,11 +89,10 @@ def _flat_encoder_params(params):
 def _set_encoder_params(params, flat):
     out = params.copy()
     i = 0
-    for li in range(len(out.weights)):
-        w, b = out.weights[li], out.biases[li]
-        out.weights[li] = flat[i : i + w.size].reshape(w.shape)
+    for w, b in zip(out.weights, out.biases):
+        w[...] = flat[i : i + w.size].reshape(w.shape)
         i += w.size
-        out.biases[li] = flat[i : i + b.size].copy()
+        b[...] = flat[i : i + b.size]
         i += b.size
     return out
 

@@ -504,6 +504,69 @@ def test_unmapped_polarity_is_data_error(tmp_path, trained, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _bias_short(doc):
+    doc["layers"][0]["bias"].pop()
+
+
+def _moment_one_by_one(doc):
+    doc["optimizer_state"][0]["weight_m"] = [[0.0]]
+
+
+def _bias_nested(doc):
+    doc["layers"][1]["bias"] = [doc["layers"][1]["bias"]]
+
+
+def _weight_null(doc):
+    doc["layers"][0]["weight"][2][1] = None
+
+
+def _weight_string(doc):
+    doc["layers"][1]["weight"][0][0] = "x"
+
+
+def _hidden_dims_int(doc):
+    doc["config"]["hidden_dims"] = 5
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_bias_short, "layers[0].bias"),
+     (_moment_one_by_one, "optimizer_state[0].weight_m"),
+     (_bias_nested, "layers[1].bias"),
+     (_weight_null, "layers[0].weight"),
+     (_weight_string, "layers[1].weight"),
+     (_hidden_dims_int, "checkpoint config")],
+    ids=["bias-short", "moment-1x1", "bias-nested", "weight-null", "weight-string",
+         "hidden-dims-int"],
+)
+def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
+    doc = _read_json(trained["model"])
+    corrupt(doc)
+    model = str(tmp_path / "bad.json")
+    with open(model, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "emb.jsonl")
+    code = run_command(["embed", "--model", model, "--data", corpus["test"], "--out", out])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert message in lines[0]
+    assert not os.path.exists(out)
+
+
+def test_embed_reads_only_the_encoder_from_a_checkpoint(tmp_path, corpus, trained):
+    # the adacos section is training output that no command reads back
+    doc = _read_json(trained["model"])
+    doc["adacos"] = {"scale": "x", "weights": [[None]]}
+    model = str(tmp_path / "m.json")
+    with open(model, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    outs = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    for path, out in zip((trained["model"], model), outs):
+        assert run_command(["embed", "--model", path, "--data", corpus["test"], "--out", out]) == 0
+    assert _sha256(outs[0]) == _sha256(outs[1])
+
+
 @pytest.mark.parametrize(
     "vector, message",
     [('[1,0,0,0,0,"a"]', "vector must hold numbers"),

@@ -2,7 +2,9 @@
 
 import math
 import pickle
+import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hiersphere import (
     AdaCosState,
     DimensionMismatchError,
     EncoderConfig,
+    EncoderParams,
     GeneratorConfig,
     InvalidConfigError,
     NonFiniteError,
@@ -43,8 +46,8 @@ from _oracles import ref_backward_step
 
 def _identity_encoder(dim):
     params = init_params(EncoderConfig(input_dim=dim, hidden_dims=(), output_dim=dim))
-    params.weights[0] = np.eye(dim)
-    params.biases[0] = np.zeros(dim)
+    params.weights[0][...] = np.eye(dim)
+    params.biases[0][...] = 0.0
     return params
 
 
@@ -126,10 +129,10 @@ def test_outputs_unit_norm():
 def test_forward_matches_manual_two_layer():
     cfg = EncoderConfig(input_dim=2, hidden_dims=(2,), output_dim=2, seed=0)
     params = init_params(cfg)
-    params.weights[0] = np.array([[1.0, -0.5], [0.25, 2.0]])
-    params.biases[0] = np.array([0.1, -0.2])
-    params.weights[1] = np.array([[0.5, 1.0], [-1.0, 0.75]])
-    params.biases[1] = np.array([0.0, 0.3])
+    params.weights[0][...] = [[1.0, -0.5], [0.25, 2.0]]
+    params.biases[0][...] = [0.1, -0.2]
+    params.weights[1][...] = [[0.5, 1.0], [-1.0, 0.75]]
+    params.biases[1][...] = [0.0, 0.3]
     x = np.array([0.4, -1.2])
     h = np.tanh(params.weights[0] @ x + params.biases[0])
     pre = params.weights[1] @ h + params.biases[1]
@@ -139,8 +142,8 @@ def test_forward_matches_manual_two_layer():
 def test_relu_activation_forward():
     cfg = EncoderConfig(input_dim=2, hidden_dims=(2,), output_dim=2, activation="relu", seed=0)
     params = init_params(cfg)
-    params.weights[0] = np.eye(2)
-    params.weights[1] = np.eye(2)
+    params.weights[0][...] = np.eye(2)
+    params.weights[1][...] = np.eye(2)
     # negative coordinate is clipped before the output layer
     out = encoder_forward(params, [3.0, -4.0])
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
@@ -154,7 +157,7 @@ def test_forward_wrong_width_raises():
 
 def test_forward_zero_output_raises():
     params = _identity_encoder(2)
-    params.weights[0] = np.zeros((2, 2))
+    params.weights[0][...] = 0.0
     with pytest.raises(ZeroNormError):
         encoder_forward(params, [1.0, 2.0])
 
@@ -182,10 +185,10 @@ def _flatten_params(params):
 def _with_flat(params, flat):
     out = params.copy()
     pos = 0
-    for i, (w, b) in enumerate(zip(out.weights, out.biases)):
-        out.weights[i] = flat[pos : pos + w.size].reshape(w.shape)
+    for w, b in zip(out.weights, out.biases):
+        w[...] = flat[pos : pos + w.size].reshape(w.shape)
         pos += w.size
-        out.biases[i] = flat[pos : pos + b.size].reshape(b.shape)
+        b[...] = flat[pos : pos + b.size]
         pos += b.size
     return out
 
@@ -228,22 +231,23 @@ def test_deep_chain_gradient_matches_fd():
 def test_zero_gradient_step_keeps_parameters():
     cfg = EncoderConfig(input_dim=3, hidden_dims=(3,), output_dim=2, seed=1)
     params = init_params(cfg)
+    before = params.copy()
     x = make_rng(5, 45).normal(size=(4, 3))
-    out = encoder_backward_step(params, x, np.zeros((4, 2)), OptimizerConfig())
-    assert out.step_count == 1
-    for w0, w1 in zip(params.weights, out.weights):
+    assert encoder_backward_step(params, x, np.zeros((4, 2)), OptimizerConfig()) is None
+    assert params.step_count == 1
+    for w0, w1 in zip(before.weights, params.weights):
         np.testing.assert_array_equal(w0, w1)
 
 
-def test_backward_step_does_not_mutate_input_params():
-    cfg = EncoderConfig(input_dim=3, hidden_dims=(3,), output_dim=2, seed=1)
-    params = init_params(cfg)
-    before = [w.copy() for w in params.weights]
-    x = make_rng(6, 45).normal(size=(4, 3))
-    encoder_backward_step(params, x, np.ones((4, 2)), OptimizerConfig())
-    for w0, w1 in zip(before, params.weights):
-        np.testing.assert_array_equal(w0, w1)
-    assert params.step_count == 0
+def test_backward_step_updates_params_in_place():
+    params, x, g = _cache_fixture()
+    state, before = params.state, params.copy()
+    encoder_backward_step(params, x, g, OptimizerConfig(learning_rate=1e-2))
+    assert params.state is state and params.step_count == 1
+    _assert_views_alias_state(params)
+    for w0, w1 in zip(before.weights, params.weights):
+        assert not np.array_equal(w0, w1)
+    _assert_params_bitwise(params, ref_backward_step(before, x, g, OptimizerConfig(learning_rate=1e-2)))
 
 
 def test_nonfinite_gradient_rejected():
@@ -251,6 +255,77 @@ def test_nonfinite_gradient_rejected():
     g = np.array([[np.nan, 0.0]])
     with pytest.raises(NonFiniteError):
         encoder_backward_step(params, np.array([[1.0, 2.0]]), g, OptimizerConfig())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad):
+    params, x, g = _cache_fixture()
+    opt = OptimizerConfig(learning_rate=1e-2)
+    for _ in range(3):
+        encoder_backward_step(params, x, g, opt)
+    state, before = params.state.tobytes(), params.step_count
+    g = g.copy()
+    g[2, 1] = bad
+    encoder_forward_batch(params, x)
+    with pytest.raises(NonFiniteError):
+        encoder_backward_step(params, x, g, opt)
+    assert params.state.tobytes() == state
+    assert params.step_count == before == 3
+
+
+def _assert_views_alias_state(params):
+    assert params.state.shape == (3, params.config.param_count)
+    for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+        views = getattr(params, name)
+        assert isinstance(views, tuple) and len(views) == len(params.config.layer_dims)
+        for view in views:
+            assert np.shares_memory(view, params.state), name
+
+
+def _trained_relu_params():
+    cfg = EncoderConfig(input_dim=4, hidden_dims=(6, 5), output_dim=3, activation="relu", seed=12)
+    params = init_params(cfg)
+    rng = make_rng(10, 50)
+    for _ in range(4):
+        encoder_backward_step(params, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)),
+                              OptimizerConfig(learning_rate=1e-2))
+    return params
+
+
+def _loaded(params, tmp_path):
+    path = str(tmp_path / "m.json")
+    save_checkpoint(path, params)
+    return load_checkpoint(path)[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p, _: p, lambda p, _: p.copy(), _loaded, lambda p, _: pickle.loads(pickle.dumps(p))],
+    ids=["init_params", "copy", "load_checkpoint", "pickle"],
+)
+def test_every_view_shares_memory_with_state(make, tmp_path):
+    for base in (init_params(EncoderConfig(input_dim=5, hidden_dims=(7,), output_dim=3)),
+                 _trained_relu_params()):
+        params = make(base, tmp_path)
+        _assert_views_alias_state(params)
+        _assert_params_bitwise(params, base)
+
+
+def test_views_cannot_be_rebound():
+    params = _identity_encoder(3)
+    with pytest.raises(TypeError):
+        params.weights[0] = np.eye(3)
+    with pytest.raises(TypeError):
+        params.m_biases[0] = np.zeros(3)
+
+
+@pytest.mark.parametrize("shape", [(3, 13), (2, 12), (12,), (3, 4, 3)])
+def test_state_of_the_wrong_shape_is_rejected(shape):
+    cfg = EncoderConfig(input_dim=2, hidden_dims=(2,), output_dim=2)
+    assert cfg.param_count == 12
+    with pytest.raises(InvalidConfigError):
+        EncoderParams(cfg, np.zeros(shape))
 
 
 def test_adam_single_step_hand_formula():
@@ -310,7 +385,7 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
                         activation=activation, seed=11)
     opt = OptimizerConfig(learning_rate=1e-2)
     rng = make_rng(8, 47)
-    params = want = init_params(cfg)
+    params, want = init_params(cfg), init_params(cfg)
     for step in range(20):
         x = rng.normal(size=(5, 4))
         g = rng.normal(size=(5, 3))
@@ -318,7 +393,7 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
         # the forward pass; a step without one recomputes it
         if step % 2 == 0:
             encoder_forward_batch(params, x)
-        params = encoder_backward_step(params, x, g, opt)
+        encoder_backward_step(params, x, g, opt)
         want = ref_backward_step(want, x, g, opt)
         _assert_params_bitwise(params, want)
 
@@ -402,20 +477,14 @@ def test_params_pickle_after_a_forward_pass():
     restored = pickle.loads(pickle.dumps(params))
     assert restored._forward is None and params._forward is not None
     _assert_params_bitwise(restored, params)
-
-
-def test_step_updates_a_list_entry_rebound_after_copy():
-    params, x, g = _cache_fixture()
-    opt = OptimizerConfig(learning_rate=1e-2)
-    stepped = encoder_backward_step(params, x, g, opt)
-    rebound = stepped.copy()
-    rebound.weights[0] = rebound.weights[0] * 0.5
-    rebound.m_biases[1] = np.full_like(rebound.m_biases[1], 0.25)
-    encoder_forward_batch(rebound, x)
-    got = encoder_backward_step(rebound, x, g, opt)
-    _assert_params_bitwise(got, ref_backward_step(rebound, x, g, opt))
-    # the stepped params' own buffer is untouched by the rebinding
-    _assert_params_bitwise(stepped, ref_backward_step(params, x, g, opt))
+    _assert_views_alias_state(restored)
+    # a step through the unpickled params moves the weights it exposes
+    want = ref_backward_step(restored, x, g, OptimizerConfig(learning_rate=1e-2))
+    weights = restored.weights[0]
+    encoder_backward_step(restored, x, g, OptimizerConfig(learning_rate=1e-2))
+    assert not np.array_equal(weights, params.weights[0])
+    np.testing.assert_array_equal(weights, want.weights[0])
+    _assert_params_bitwise(restored, want)
 
 
 def test_embed_all_with_two_threads_unchanged_by_the_cache():
@@ -440,7 +509,7 @@ def test_training_steps_deterministic():
     def run():
         params = init_params(cfg)
         for _ in range(20):
-            params = encoder_backward_step(params, x, g, opt)
+            encoder_backward_step(params, x, g, opt)
         return params
 
     a, b = run(), run()
@@ -466,7 +535,7 @@ def test_loss_non_increasing_over_fifty_steps():
         emb = encoder_forward_batch(params, x)
         out = adacos_loss(state, emb, labels)
         losses.append(out.value)
-        params = encoder_backward_step(params, x, out.grad_embeddings, opt)
+        encoder_backward_step(params, x, out.grad_embeddings, opt)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
     assert losses[-1] < losses[0]
@@ -480,7 +549,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     params = init_params(cfg)
     x = make_rng(8, 47).normal(size=(4, 4))
     g = make_rng(9, 47).normal(size=(4, 2))
-    params = encoder_backward_step(params, x, g, OptimizerConfig())
+    encoder_backward_step(params, x, g, OptimizerConfig())
 
     path = tmp_path / "model.json"
     save_checkpoint(str(path), params)
@@ -495,12 +564,16 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_resave_byte_identical(tmp_path):
-    params = _identity_encoder(3)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_checkpoint(str(p1), params)
-    loaded, _ = load_checkpoint(str(p1))
-    save_checkpoint(str(p2), loaded)
-    assert p1.read_bytes() == p2.read_bytes()
+    trained = _trained_relu_params()
+    assert trained.step_count == 4
+    assert all(np.any(m != 0.0) for m in trained.m_weights + trained.v_biases)
+    for params in (_identity_encoder(3), trained):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(str(p1), params)
+        loaded, _ = load_checkpoint(str(p1))
+        save_checkpoint(str(p2), loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.state.tobytes() == params.state.tobytes()
 
 
 def test_checkpoint_extra_sections_survive(tmp_path):
@@ -525,3 +598,40 @@ def test_checkpoint_rejects_shape_mismatch():
     doc["layers"][0]["weight"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     with pytest.raises(InvalidConfigError):
         params_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(lambda d: d["layers"].pop(), "layers must list 3 layers"),
+     (lambda d: d["optimizer_state"].append({}), "optimizer_state must list 3 layers"),
+     (lambda d: d["layers"].__setitem__(1, [1.0]), "layers[1].weight is not numeric"),
+     (lambda d: d["optimizer_state"][2].pop("bias_v"), "optimizer_state[2].bias_v is not numeric"),
+     (lambda d: d["optimizer_state"][1]["bias_v"].__setitem__(0, 1e999), "optimizer_state[1].bias_v"),
+     (lambda d: d["config"].__setitem__("output_dim", 3.0), "dimensions must be integers"),
+     (lambda d: d["config"].__setitem__("hidden_dims", "65"), "dimensions must be integers"),
+     (lambda d: d.__setitem__("step_count", -1), "step_count"),
+     (lambda d: d.__setitem__("step_count", "4"), "step_count")],
+    ids=["layer-missing", "extra-moment", "layer-not-object", "moment-missing", "overflow",
+         "float-dim", "string-dims", "negative-steps", "string-steps"],
+)
+def test_checkpoint_rejects_malformed_document(corrupt, message):
+    doc = params_to_dict(_trained_relu_params())
+    corrupt(doc)
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        params_from_dict(doc)
+    with pytest.raises(InvalidConfigError):
+        params_from_dict([doc])
+
+
+def test_checkpoint_config_mirrors_encoder_config():
+    params = _trained_relu_params()
+    doc = params_to_dict(params)
+    assert doc["config"] == {f.name: getattr(params.config, f.name) for f in fields(EncoderConfig)
+                             } | {"hidden_dims": [6, 5]}
+    assert params_from_dict(doc).config == params.config
+    for key in doc["config"]:
+        broken = params_to_dict(params)
+        del broken["config"][key]
+        # the CLI reports a KeyError as a data error
+        with pytest.raises(KeyError):
+            params_from_dict(broken)

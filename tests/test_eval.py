@@ -35,7 +35,7 @@ POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
 def identity_encoder(dim):
     params = init_params(EncoderConfig(input_dim=dim, hidden_dims=(), output_dim=dim))
-    params.weights[0] = np.eye(dim)
+    params.weights[0][...] = np.eye(dim)
     return params
 
 

@@ -8,6 +8,7 @@ and check that the row counters of embed, eval and viz count rows.
 
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
@@ -58,6 +59,14 @@ def test_bench_calls_every_trainer_hook_through_its_module(tmp_path):
     assert calls["trainer.train_stage2"] == 1
     assert calls["trainer.train_baseline"] == 3
     assert tracer.counts["encoder.forward_passes"] > 0
+    # every training step goes through the hooked encoder_backward_step;
+    # the adacos model is two-stage's stage 1, so its steps are counted once
+    steps = 0
+    for mode in ("two-stage", "triplet", "softmax"):
+        with open(tmp_path / f"model_{mode}.json", encoding="utf-8") as fh:
+            steps += json.load(fh)["train_report"]["steps"]
+    assert steps > 0
+    assert calls["encoder.encoder_backward_step"] == steps
 
 
 def _traced(argv):
