@@ -12,8 +12,16 @@ noise produces the samples. Geometry depends only on the seed, so train and
 test splits drawn from the same config share sub-class structure.
 """
 
+import functools
+import io
 import json
+import math
+import mmap
+import os
+import pickle
 import re
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyCorpusError,
+    HiersphereError,
     InvalidConfigError,
     ParseError,
     UnknownPolarityError,
@@ -162,57 +171,155 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
     )
 
 
-def _records(path: str, fields: tuple[str, ...]):
-    """(line number, id, record) per non-blank line of a JSON Lines file.
+# Shortest byte range worth a forked child. On a 2-core VM a file parsed in
+# two ranges broke even with one range at about 0.5 MiB and took 47 against
+# 76 ms at 2 MiB; with the second core busy, two ranges still lost at 2 MiB.
+MIN_RANGE_BYTES = 1 << 20
+# bytes read at a time when counting lines: 256 KiB counted a 64 MB file in 24
+# against 30 ms at 1 MiB, with a quarter of the transient memory
+_COUNT_BLOCK = 1 << 18
+# a forked child gets copy-on-write pages of a matrix, as from malloc
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _range_count(size: int) -> int:
+    """How many byte ranges to parse a file of size bytes in at once."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    # a child forked beside other threads could wait forever on a lock one held
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // MIN_RANGE_BYTES))
+
+
+def _byte_ranges(fh, size: int, count: int) -> list[tuple[int, int]]:
+    """At most count (start, end) ranges covering bytes [0, size), each cut
+    just after a newline so that every range starts a line."""
+    cuts = [0]
+    for k in range(1, count):
+        fh.seek(max(size * k // count, cuts[-1]))
+        fh.readline()
+        if cuts[-1] < fh.tell() < size:
+            cuts.append(fh.tell())
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _line_count(fh, start: int, end: int) -> int:
+    r"""Lines in bytes [start, end) of fh, split as text mode splits them (at
+    \n, \r\n and a lone \r), counting one more for each \r\n that straddles
+    two read blocks."""
+    fh.seek(start)
+    lines, last = 0, ord("\n")
+    while start < end:
+        block = fh.read(min(_COUNT_BLOCK, end - start))
+        if not block:
+            break
+        start += len(block)
+        lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        if b"\r" in block:
+            lines += block.count(b"\r") - block.count(b"\r\n")
+        last = block[-1]
+    return lines + (last not in b"\r\n")
+
+
+def _lines(fh, length: float = math.inf):
+    """(line number, text) per line of the next length bytes of the binary
+    file fh, which must end where a line ends.
+
+    Lines split and number as text mode splits them; a line that is not
+    UTF-8 is a ParseError naming it.
+    """
+    pos, lineno = 0, 0
+    for raw in fh:
+        for text in raw.splitlines():
+            lineno += 1
+            try:
+                line = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
+            yield lineno, line
+        pos += len(raw)
+        if pos >= length:
+            return
+
+
+def _records(lines, fields: tuple[str, ...]):
+    """(line number, id, record) per non-blank (line number, text) of a JSON
+    Lines file.
 
     Records must be JSON objects holding fields, the first being an id no
     earlier line used; errors are ParseErrors naming the line.
     """
     id_lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # from _reject_non_finite
-                raise ParseError(lineno, str(exc)) from None
-            if not isinstance(rec, dict):
-                raise ParseError(lineno, "record must be a JSON object")
-            for name in fields:
-                if name not in rec:
-                    raise ParseError(lineno, f"missing field {name!r}")
-            rid = str(rec[fields[0]])
-            if rid in id_lines:
-                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
-            id_lines[rid] = lineno
-            yield lineno, rid, rec
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            rec = _DECODER.decode(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # from _reject_non_finite
+            raise ParseError(lineno, str(exc)) from None
+        if not isinstance(rec, dict):
+            raise ParseError(lineno, "record must be a JSON object")
+        for name in fields:
+            if name not in rec:
+                raise ParseError(lineno, f"missing field {name!r}")
+        rid = str(rec[fields[0]])
+        if rid in id_lines:
+            raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+        id_lines[rid] = lineno
+        yield lineno, rid, rec
 
 
-def load_jsonl(
-    path: str,
-    expected_dim: int | None = None,
-    mnli_label_map: bool = False,
-    split_tag: str = "train",
-    class_names: list[str] | None = None,
-) -> Dataset:
-    """Parse one sample per line: {"id", "class", "polarity", "vector"[, "scores"]}.
+def _matrix(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised rows x cols float64 matrix in an anonymous mapping of
+    its own.
 
-    Class names map to ids in first-appearance order, or, given class_names,
-    to their index in that vocabulary, and a class outside it is an error.
-    All vectors must share one dimension, vector and scores must hold finite
-    numbers (the NaN and Infinity tokens, null and overflowing literals such
-    as 1e999 are rejected) and ids must be unique; errors carry the 1-based
-    offending line number.
+    Its pages return to the OS when the last view of it goes, whatever else
+    lies on the heap. A matrix from malloc this large may land on the heap
+    once glibc's mmap threshold has risen, and could then be returned only if
+    nothing live lay above it, so the process's peak memory would hang on the
+    exact sizes of unrelated small allocations.
     """
+    if rows * cols == 0:
+        return np.empty((rows, cols))
+    buf = mmap.mmap(-1, rows * cols * 8, **_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(rows, cols)
+
+
+@dataclass
+class _Block:
+    """The records of one byte range: rows [0, len(ids)) of features (None
+    when the range holds no record), and per record its id, sub-class id
+    over class_names and soft scores."""
+
+    features: np.ndarray | None
+    ids: list[str]
+    subclass: list[int]
+    class_names: list[str]
+    soft_scores: list[np.ndarray | None]
+
+
+def _parse_range(
+    fh,
+    start: int,
+    end: int,
+    capacity: int,
+    expected_dim: int | None,
+    mnli_label_map: bool,
+    class_names: list[str] | None,
+) -> _Block:
+    """Records in bytes [start, end) of the binary file fh, rows written into
+    one capacity x d matrix; line numbers count from the range's first line."""
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
-    rows, subclass, ids, soft_scores = [], [], [], []  # one entry per record
+    features, subclass, ids, soft_scores = None, [], [], []
     dim = expected_dim
 
-    for lineno, rid, rec in _records(path, ("id", "class", "polarity", "vector")):
+    fh.seek(start)
+    fields = ("id", "class", "polarity", "vector")
+    for lineno, rid, rec in _records(_lines(fh, end - start), fields):
         cls = str(rec["class"])
         pol_str = str(rec["polarity"])
         if mnli_label_map and pol_str in MNLI_LABEL_MAP:
@@ -248,24 +355,169 @@ def load_jsonl(
             raise ParseError(lineno, "scores must hold numbers") from None
         if soft is not None and not np.isfinite(soft).all():
             raise ParseError(lineno, "scores must hold finite numbers")
-        rows.append(feats)
+        if features is None:
+            features = _matrix(capacity, dim)
+        features[len(ids)] = feats
         subclass.append(3 * class_ids[cls] + polarity.ordinal)
         ids.append(rid)
         soft_scores.append(soft)
+    return _Block(features, ids, subclass, list(class_ids), soft_scores)
 
+
+def _send_range(path: str, parse, start: int, end: int, capacity: int, fd: int) -> None:
+    """In a forked child: parse one range of path and write it to the pipe fd
+    as an 8-byte header length, the pickled header and the raw rows; never
+    returns.
+
+    The child only parses and writes. It exits without unwinding into the
+    parent's stack, flushing inherited buffers or printing a traceback; a
+    failure shows as a short write.
+    """
+    status = 1
+    try:
+        with open(path, "rb") as fh:
+            block = parse(fh, start, end, capacity)
+        n = len(block.ids)
+        dim = None if block.features is None else block.features.shape[1]
+        header = pickle.dumps(
+            (n, dim, block.ids, block.class_names, block.subclass, block.soft_scores)
+        )
+        with open(fd, "wb") as out:
+            out.write(len(header).to_bytes(8, "little"))
+            out.write(header)
+            if n:
+                out.write(memoryview(block.features[:n]).cast("B"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_header(pipe):
+    """The header a child wrote, or None if it wrote short."""
+    length = pipe.read(8)
+    if len(length) < 8:
+        return None
+    size = int.from_bytes(length, "little")
+    header = pipe.read(size)
+    return pickle.loads(header) if len(header) == size else None
+
+
+def _parse_ranges(path: str, fh, parse, ranges, capacities) -> _Block | None:
+    """Parse ranges[0] of the file fh opened at path here and every other
+    range in a forked child, with all rows landing in one matrix sized for
+    every line.
+
+    None when a range fails, a child dies or writes short, a range's vectors
+    differ in width from the first range's, or an id repeats across ranges;
+    the caller then parses the whole file in one range, which raises the
+    error a reader going line by line meets first.
+    """
+    children = []  # (pid, pipe from the child)
+    try:
+        for (start, end), capacity in zip(ranges[1:], capacities[1:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller parses serially
+                os.close(read_fd)
+                os.close(write_fd)
+                return None
+            if pid == 0:
+                os.close(read_fd)
+                _send_range(path, parse, start, end, capacity, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+
+        try:
+            block = parse(fh, *ranges[0], sum(capacities))
+        except HiersphereError:
+            return None
+        if block.features is None:
+            return None
+        features, ids, soft_scores = block.features, block.ids, block.soft_scores
+        class_ids = {name: i for i, name in enumerate(block.class_names)}
+        subclass = [np.asarray(block.subclass, dtype=np.int64)]
+        for _, pipe in children:
+            header = _receive_header(pipe)
+            if header is None:
+                return None
+            n, dim, range_ids, range_names, range_subclass, range_soft = header
+            if n and dim != features.shape[1]:
+                return None
+            rows = memoryview(features[len(ids) : len(ids) + n]).cast("B")
+            if pipe.readinto(rows) != n * features.shape[1] * features.itemsize:
+                return None
+            # range-local class ids to ids in first-appearance order over the file
+            local = np.asarray(range_subclass, dtype=np.int64)
+            to_global = np.array(
+                [class_ids.setdefault(name, len(class_ids)) for name in range_names],
+                dtype=np.int64,
+            )
+            subclass.append(3 * to_global[local // 3] + local % 3)
+            ids += range_ids
+            soft_scores += range_soft
+        if len(set(ids)) != len(ids):
+            return None
+        return _Block(features, ids, np.concatenate(subclass), list(class_ids), soft_scores)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def load_jsonl(
+    path: str,
+    expected_dim: int | None = None,
+    mnli_label_map: bool = False,
+    split_tag: str = "train",
+    class_names: list[str] | None = None,
+) -> Dataset:
+    """Parse one sample per line: {"id", "class", "polarity", "vector"[, "scores"]}.
+
+    Class names map to ids in first-appearance order, or, given class_names,
+    to their index in that vocabulary, and a class outside it is an error.
+    All vectors must share one dimension, vector and scores must hold finite
+    numbers (the NaN and Infinity tokens, null and overflowing literals such
+    as 1e999 are rejected), lines must be UTF-8 and ids must be unique;
+    errors carry the 1-based offending line number.
+
+    A file of at least 2 * MIN_RANGE_BYTES is cut at line starts into up to
+    one range per usable CPU; this process parses the first while forked
+    children parse the rest. The result, and any error, is that of parsing
+    the file line by line.
+    """
+    parse = functools.partial(
+        _parse_range,
+        expected_dim=expected_dim,
+        mnli_label_map=mnli_label_map,
+        class_names=class_names,
+    )
+    with open(path, "rb") as raw:
+        # a pipe can be read only once, and only here: hold its bytes
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        size = fh.seek(0, io.SEEK_END)
+        ranges = _byte_ranges(fh, size, _range_count(size) if fh is raw else 1)
+        capacities = [_line_count(fh, start, end) for start, end in ranges]
+        block = _parse_ranges(path, fh, parse, ranges, capacities) if len(ranges) > 1 else None
+        if block is None:
+            block = parse(fh, 0, size, sum(capacities))
+
+    n = len(block.ids)
     return Dataset(
-        features=np.stack(rows) if rows else np.empty((0, dim or 0)),
-        subclass=np.array(subclass, dtype=np.int64),
-        ids=ids,
-        class_names=list(class_ids),
-        soft_scores=soft_scores,
+        features=np.empty((0, expected_dim or 0)) if block.features is None else block.features[:n],
+        subclass=np.asarray(block.subclass, dtype=np.int64),
+        ids=block.ids,
+        class_names=block.class_names,
+        soft_scores=block.soft_scores,
         split_tag=split_tag,
     )
 
 
 def load_texts(path: str) -> list[tuple[str, str]]:
     """(id, text) per {"id", "text"} record, read and checked as load_jsonl reads."""
-    return [(rid, str(rec["text"])) for _, rid, rec in _records(path, ("id", "text"))]
+    with open(path, "rb") as fh:
+        return [(rid, str(rec["text"])) for _, rid, rec in _records(_lines(fh), ("id", "text"))]
 
 
 def save_jsonl(path: str, dataset: Dataset) -> None:

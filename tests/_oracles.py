@@ -428,13 +428,13 @@ _REF_MNLI = {"entailment": "positive", "contradiction": "negative", "neutral": "
 def ref_load_jsonl(path, mnli_label_map=False, class_names=None) -> dict:
     """The loader as it was before the columnar Dataset, one row at a time.
 
-    Returns {"features", "subclass", "ids", "class_names"}; raises what the
-    package's load_jsonl raises, at the same line.
+    Returns {"features", "subclass", "ids", "class_names", "soft_scores"};
+    raises what the package's load_jsonl raises, at the same line.
     """
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
     id_lines = {}
-    rows, subclass, ids = [], [], []
+    rows, subclass, ids, soft_scores = [], [], [], []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -495,9 +495,11 @@ def ref_load_jsonl(path, mnli_label_map=False, class_names=None) -> dict:
             rows.append(feats)
             subclass.append(HierLabel(class_ids[cls], polarity).subclass_index)
             ids.append(rid)
+            soft_scores.append(soft)
     return {
         "features": np.stack(rows) if rows else np.empty((0, dim or 0)),
         "subclass": np.array(subclass, dtype=np.int64),
         "ids": ids,
         "class_names": list(class_ids),
+        "soft_scores": soft_scores,
     }

@@ -467,6 +467,17 @@ def test_dedup_bad_record_is_data_error_with_line(tmp_path, capsys, bad_line, me
     assert not out.exists()
 
 
+def test_dedup_non_utf8_line_is_data_error(tmp_path, capsys):
+    data = tmp_path / "texts.jsonl"
+    data.write_bytes(b'{"id":"a","text":"hello"}\n{"id":"b","text":"hello \xff"}\n')
+    out = tmp_path / "kept.jsonl"
+    code = run_command(["dedup", "--data", str(data), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: line 2: invalid UTF-8 (invalid start byte)"]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -586,6 +597,20 @@ def test_bad_vector_is_data_error_with_line(tmp_path, capsys, vector, message):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: line 4:")
     assert message in lines[0]
+
+
+def test_embed_non_utf8_line_is_data_error(tmp_path, corpus, trained, capsys):
+    data = tmp_path / "bad.jsonl"
+    with open(corpus["test"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"id":"', b'"id":"\xff', 1)
+    data.write_bytes(b"".join(lines))
+    out = tmp_path / "emb.jsonl"
+    code = run_command(["embed", "--model", trained["model"], "--data", str(data), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: line 3: invalid UTF-8 (invalid start byte)"]
+    assert not out.exists()
 
 
 def test_duplicate_id_is_data_error(tmp_path, capsys):

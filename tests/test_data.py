@@ -1,13 +1,19 @@
 """Synthetic generator, JSONL ingestion, and tf-idf near-duplicate removal."""
 
+import contextlib
 import json
 import math
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
@@ -26,11 +32,38 @@ from hiersphere import (
     subclass_means,
     tfidf_dedup,
 )
+from hiersphere import data as data_module
 from hiersphere.data import _tfidf_matrix
 
 from _oracles import dataset_of, ids_of, ref_load_jsonl, ref_tfidf_vectors
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def cut_into(ranges):
+    """Let load_jsonl cut a file into up to ranges byte ranges, whatever its
+    size and the machine's CPU count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "MIN_RANGE_BYTES", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
+        yield
 
 
 def small_cfg(**kw):
@@ -369,7 +402,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def jsonl_documents(draw):
-    """(file text, mnli_label_map, class_names) with zero or one malformed record."""
+    """(file bytes, mnli_label_map, class_names) with zero or one malformed
+    record, LF, CRLF or lone CR line ends, the odd lone CR between two fields
+    (text mode reads it as a line break) and maybe no line end after the
+    last line."""
     mnli = draw(st.booleans())
     class_names = draw(st.one_of(st.none(), st.permutations(FUZZ_CLASSES)))
     classes = list(class_names or FUZZ_CLASSES)
@@ -382,7 +418,7 @@ def jsonl_documents(draw):
     lines = []
     for i in range(n):
         if draw(st.integers(0, 9)) == 0:
-            lines.append("  ")
+            lines.append(draw(st.sampled_from(("", "  ", "\t"))))
         fields = {
             "id": json.dumps(f"r{i}"),
             "class": json.dumps(draw(st.sampled_from(classes))),
@@ -396,8 +432,20 @@ def jsonl_documents(draw):
             if line is not None:
                 lines.append(line)
                 continue
-        lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
-    return "\n".join(lines) + "\n", mnli, None if class_names is None else list(class_names)
+        sep = ",\r " if draw(st.integers(0, 19)) == 0 else ", "
+        lines.append("{" + sep.join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    ends = [draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.encode("utf-8"), mnli, None if class_names is None else list(class_names)
+
+
+def _document(*records, class_names=None):
+    """A jsonl_documents() value of valid LF-ended (id, class, width) records."""
+    lines = [json.dumps({"id": rid, "class": cls, "polarity": "positive", "vector": [0.5] * width})
+             for rid, cls, width in records]
+    return ("\n".join(lines) + "\n").encode("utf-8"), False, class_names
 
 
 def _malform(draw, kind, fields, i, width):
@@ -429,27 +477,175 @@ def _malform(draw, kind, fields, i, width):
     return None
 
 
+# records of about one length, so that two ranges cut them after the third
+# and three ranges after the third and the fifth
+@example(_document(("r0", "a", 2), ("r1", "a", 2), ("r2", "a", 2), ("r0", "a", 2)), 2)
+@example(_document(("r0", "a", 2), ("r1", "a", 2), ("r2", "a", 2), ("r3", "a", 3)), 2)
+@example(_document(("r0", "a", 2), ("r1", "b", 2), ("r2", "c", 2), ("r3", "a", 2),
+                   ("r4", "b", 2), ("r1", "a", 2)), 3)
+@example(_document(("r0", "a", 2), ("r1", "a", 2), ("r2", "c", 2), ("r3", "b", 2),
+                   ("r4", "b", 2), ("r5", "a", 2)), 3)
+@example(_document(("r0", "a", 2), ("r1", "a", 2), ("r2", "c", 2), ("r3", "b", 2),
+                   ("r4", "b", 2), ("r5", "a", 2), class_names=["b", "c", "a"]), 3)
 @settings(max_examples=300, deadline=None)
-@given(jsonl_documents())
-def test_load_jsonl_matches_row_at_a_time_reference(document):
+@given(jsonl_documents(), st.integers(1, 3))
+def test_load_jsonl_matches_row_at_a_time_reference(document, ranges):
     text, mnli, class_names = document
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             fh.write(text)
         try:
             want = ref_load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
         except Exception as exc:  # the loader must raise the same error
-            with pytest.raises(type(exc)) as got:
+            with cut_into(ranges), pytest.raises(type(exc)) as got:
                 load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
             assert type(got.value) is type(exc) and str(got.value) == str(exc)
             return
-        data = load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
+        with cut_into(ranges):
+            data = load_jsonl(path, mnli_label_map=mnli, class_names=class_names)
     np.testing.assert_array_equal(data.features, want["features"])
     assert data.features.shape == want["features"].shape
     np.testing.assert_array_equal(data.subclass, want["subclass"])
     assert data.ids == want["ids"]
     assert data.class_names == want["class_names"]
+    assert len(data.soft_scores) == len(want["soft_scores"])
+    for soft, want_soft in zip(data.soft_scores, want["soft_scores"]):
+        assert (soft is None) == (want_soft is None)
+        if soft is not None:
+            np.testing.assert_array_equal(soft, want_soft)
+
+
+def _sample_file(path, n, dim=128, bad_line=None, seed=0):
+    """n records of dim random floats over two classes; line bad_line, if
+    given, holds a vector one element short."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, row in enumerate(rng.standard_normal((n, dim))):
+            vector = row[:-1] if i + 1 == bad_line else row
+            fh.write(json.dumps({"id": f"r{i}", "class": f"c{i % 2}", "polarity": "positive",
+                                 "vector": vector.tolist()}) + "\n")
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+def test_load_rejects_invalid_utf8_naming_the_line(tmp_path, ranges):
+    path = tmp_path / "d.jsonl"
+    _sample_file(path, 40, dim=4)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[30] = lines[30].replace(b'"c0"', b'"c\xff"')
+    path.write_bytes(b"".join(lines))
+    with cut_into(ranges), pytest.raises(ParseError, match=r"^line 31: invalid UTF-8 \(invalid start byte\)$"):
+        load_jsonl(str(path))
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_load_jsonl_holds_each_row_once(tmp_path, ranges):
+    path = str(tmp_path / "d.jsonl")
+    _sample_file(path, 4000)
+    with cut_into(ranges):
+        tracemalloc.start()
+        try:
+            data = load_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert data.features.shape == (4000, 128)
+    # the matrix is an anonymous mapping of its own, which tracemalloc does not
+    # see: counted in, each row is held once plus less than half a matrix more
+    assert peak + data.features.nbytes < 1.5 * data.features.nbytes
+
+
+def test_load_jsonl_reads_a_pipe(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _sample_file(path, 60, dim=4)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+    try:
+        with deadline(60), cut_into(2):
+            data = load_jsonl(str(fifo))
+        assert writer.wait(timeout=60) == 0
+    finally:  # a writer still blocked on opening the FIFO must not outlive the test
+        writer.kill()
+        writer.wait()
+    want = ref_load_jsonl(str(path))
+    np.testing.assert_array_equal(data.features, want["features"])
+    assert data.ids == want["ids"]
+
+
+def _short_sender(keep):
+    """A child's side of the range pipe that writes only the first keep(n) of
+    the n bytes it owes, then exits."""
+
+    def send(path, parse, start, end, capacity, fd):
+        try:
+            with open(path, "rb") as fh:
+                block = parse(fh, start, end, capacity)
+            n = len(block.ids)
+            header = pickle.dumps((n, block.features.shape[1], block.ids, block.class_names,
+                                   block.subclass, block.soft_scores))
+            payload = len(header).to_bytes(8, "little") + header + block.features[:n].tobytes()
+            os.write(fd, payload[: keep(len(payload))])
+        finally:
+            os._exit(0)
+
+    return send
+
+
+# how many of the n bytes it owes a child writes
+CHILD_WRITES = {
+    "whole": lambda n: n,
+    "nothing": lambda n: 0,
+    "inside-length": lambda n: 5,
+    "inside-header": lambda n: 20,
+    "rows-short": lambda n: n - 8,
+}
+
+
+@pytest.mark.parametrize("bad_line", [None, 250], ids=["valid", "ragged-in-child-range"])
+@pytest.mark.parametrize("written", CHILD_WRITES)
+def test_failed_child_gives_the_serial_result_and_is_reaped(tmp_path, monkeypatch, written, bad_line):
+    path = str(tmp_path / "d.jsonl")
+    _sample_file(path, 300, dim=8, bad_line=bad_line)
+    try:
+        want = ref_load_jsonl(path)
+    except DimensionMismatchError as exc:
+        want = exc
+    pids, parent_parses = [], []
+    real_fork, real_parse = os.fork, data_module._parse_range
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def parse(*args, **kwargs):
+        parent_parses.append(args[1:3])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(data_module, "_parse_range", parse)
+    monkeypatch.setattr(data_module, "_send_range", _short_sender(CHILD_WRITES[written]))
+
+    with deadline(60), cut_into(2):
+        if isinstance(want, Exception):
+            with pytest.raises(DimensionMismatchError) as got:
+                load_jsonl(path)
+            assert str(got.value) == str(want)
+        else:
+            got = load_jsonl(path)
+            np.testing.assert_array_equal(got.features, want["features"])
+            assert got.ids == want["ids"] and got.class_names == want["class_names"]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    # the parent parsed its own range, then the whole file unless the child delivered
+    delivered = written == "whole" and bad_line is None
+    assert parent_parses[1:] == ([] if delivered else [(0, os.path.getsize(path))])
+
 
 # -------------------------------------------------------------------- dedup
 
