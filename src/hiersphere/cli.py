@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .losses import AdaCosState
 from .rng import STREAM_SAMPLING, make_rng
 from .trainer import (
     TrainConfig,
-    finish_two_stage,
     train_baseline,
     train_two_stage,
 )
@@ -77,28 +77,37 @@ TRAIN_DEFAULTS = {
     "mnli_label_map": False,
 }
 
-# bench deviates from the train-command defaults for stage 2: at the
-# one-tenth fine-tuning rate with 20 epochs the pair loss underfits (most
-# in-batch pairs fall in the null band, so per-step signal is weak) and the
-# two-stage model does not separate from the baselines
 BENCH_DEFAULTS = {
     "classes": 5,
     "dim": 64,
     "per_subclass": 200,
     "alpha": 1.0,
     "sigma": 0.3,
+    # bench trains every mode, so it takes no mode, shuffle or label switch
+    **{
+        key: value
+        for key, value in TRAIN_DEFAULTS.items()
+        if key not in ("mode", "shuffle", "neutral_pairs_positive", "mnli_label_map")
+    },
     "seed": 42,
-    "t": 0.3,
-    "epochs": 20,
+    # bench deviates from the train-command defaults for stage 2: at the
+    # one-tenth fine-tuning rate with 20 epochs the pair loss underfits (most
+    # in-batch pairs fall in the null band, so per-step signal is weak) and
+    # the two-stage model does not separate from the baselines
     "stage2_epochs": 60,
-    "batch_size": 32,
-    "learning_rate": 1e-3,
     "stage2_learning_rate": 1e-3,
-    "hidden_dims": "128",
-    "embed_dim": 32,
-    "activation": "tanh",
-    "triplet_margin": 1.0,
     "threads": 1,
+}
+
+# the flags of train and bench are generated from their defaults tables, in
+# table order (an overriding key keeps its first place); these add what a
+# default cannot say
+SETTING_CHOICES = {"mode": TRAIN_MODES, "activation": ("tanh", "relu")}
+SETTING_HELP = {
+    "t": "null band half-width",
+    "hidden_dims": "comma-separated, e.g. 128,64",
+    "neutral_pairs_positive": "treat same-class neutral pairs as positive pairs",
+    "mnli_label_map": "map entailment/contradiction/neutral labels to polarities",
 }
 
 
@@ -113,9 +122,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
@@ -139,27 +146,31 @@ def _write_json_atomic(path: str, doc) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(
-    command: str,
-    primary_out: str,
-    config: dict,
-    inputs: list[str],
-    outputs: list[str],
-    seed,
-    started: float,
-) -> None:
-    root, _ = os.path.splitext(primary_out)
-    manifest_path = root + ".manifest.json"
+@dataclass
+class _Run:
+    """What one command ran on and wrote, for its manifest. The manifest is
+    stem + ".manifest.json", the stem by default the first output's path
+    without its extension."""
+
+    config: dict
+    inputs: list[str]
+    outputs: list[str]
+    seed: int | None = None
+    stem: str | None = None
+
+
+def _write_manifest(command: str, run: _Run, started: float) -> None:
+    stem = run.stem or os.path.splitext(run.outputs[0])[0]
     doc = {
         "command": command,
-        "config": config,
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
-        "seed": seed,
-        "checksums": {os.path.basename(p): _sha256(p) for p in sorted(outputs)},
+        "config": run.config,
+        "inputs": sorted(run.inputs),
+        "outputs": sorted(run.outputs),
+        "seed": run.seed,
+        "checksums": {os.path.basename(p): _sha256(p) for p in sorted(run.outputs)},
         "wall_time_seconds": time.time() - started,
     }
-    _write_json_atomic(manifest_path, doc)
+    _write_json_atomic(stem + ".manifest.json", doc)
 
 
 def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
@@ -198,44 +209,30 @@ def _save_model(path: str, params, state: AdaCosState | None, report) -> None:
     save_checkpoint(path, params, extra=extra)
 
 
+def _generator_config(cfg: dict) -> GeneratorConfig:
+    return GeneratorConfig(
+        num_classes=cfg["classes"],
+        input_dim=cfg["dim"],
+        per_subclass_count=cfg["per_subclass"],
+        polarity_offset=cfg["alpha"],
+        noise_sigma=cfg["sigma"],
+        seed=cfg["seed"],
+    )
+
+
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_gen_data(ns) -> int:
-    started = time.time()
-    cfg = GeneratorConfig(
-        num_classes=ns.classes,
-        input_dim=ns.dim,
-        per_subclass_count=ns.per_subclass,
-        polarity_offset=ns.alpha,
-        noise_sigma=ns.sigma,
-        seed=ns.seed,
-    )
-    dataset = generate_synthetic(cfg, split_tag=ns.split)
+def _cmd_gen_data(ns) -> _Run:
+    dataset = generate_synthetic(_generator_config(vars(ns)), split_tag=ns.split)
     out = _resolve_out(ns.out)
     save_jsonl(out, dataset)
     print(f"wrote {len(dataset)} samples to {out}")
-    _write_manifest(
-        "gen-data",
-        out,
-        {
-            "classes": ns.classes,
-            "dim": ns.dim,
-            "per_subclass": ns.per_subclass,
-            "alpha": ns.alpha,
-            "sigma": ns.sigma,
-            "split": ns.split,
-        },
-        inputs=[],
-        outputs=[out],
-        seed=ns.seed,
-        started=started,
-    )
-    return EXIT_OK
+    keys = ("classes", "dim", "per_subclass", "alpha", "sigma", "split")
+    return _Run({key: getattr(ns, key) for key in keys}, inputs=[], outputs=[out], seed=ns.seed)
 
 
-def _cmd_dedup(ns) -> int:
-    started = time.time()
+def _cmd_dedup(ns) -> _Run:
     texts = load_texts(ns.data)
     kept_ids, removals = tfidf_dedup(texts, threshold=ns.threshold)
 
@@ -258,29 +255,34 @@ def _cmd_dedup(ns) -> int:
         )
         outputs.append(report_path)
     print(f"kept {len(kept_ids)} of {len(texts)} texts ({len(removals)} removed)")
-    _write_manifest(
-        "dedup",
-        out,
-        {"threshold": ns.threshold},
-        inputs=[ns.data],
-        outputs=outputs,
-        seed=None,
-        started=started,
-    )
-    return EXIT_OK
+    return _Run({"threshold": ns.threshold}, inputs=[ns.data], outputs=outputs)
 
 
-def _check_json_type(key: str, value, default) -> None:
-    """Config-file values of integer and boolean settings must be JSON
-    integers and booleans (bool is an int subclass, so each excludes the other)."""
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+def _setting_type(key: str, default) -> type:
+    """The type of a setting, as its flag parses it: its default's, except
+    that stage2_learning_rate, whose train default None means a tenth of the
+    stage-1 rate, is a float."""
+    return float if key == "stage2_learning_rate" else type(default)
+
+
+def _check_json_type(key: str, value, kind: type) -> None:
+    """Config-file values of boolean, integer and float settings must be JSON
+    booleans, integers and finite numbers (bool is an int subclass, so it is
+    neither of the others); stage2_learning_rate may also be null."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        ok, what = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, what = number and isinstance(value, int), "an integer"
+    elif kind is float:
+        # NaN, the infinities and integers past the float range all fail
+        ok, what = number and abs(value) <= sys.float_info.max, "a finite number"
+        if key == "stage2_learning_rate":
+            ok, what = ok or value is None, what + " or null"
     else:
         return
     if not ok:
-        raise InvalidConfigError(f"invalid training config: {key} must be {kind}, got {value!r}")
+        raise InvalidConfigError(f"invalid training config: {key} must be {what}, got {value!r}")
 
 
 def _merged_config(ns, defaults: dict) -> dict:
@@ -296,7 +298,7 @@ def _merged_config(ns, defaults: dict) -> dict:
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            _check_json_type(key, value, defaults[key])
+            _check_json_type(key, value, _setting_type(key, defaults[key]))
         merged.update(file_cfg)
     for key in defaults:
         if hasattr(ns, key):
@@ -304,22 +306,19 @@ def _merged_config(ns, defaults: dict) -> dict:
     return merged
 
 
-def _cmd_train(ns) -> int:
-    started = time.time()
+def _cmd_train(ns) -> _Run:
     cfg = _merged_config(ns, TRAIN_DEFAULTS)
     dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
     train_cfg = _train_config_from_ns(cfg, dataset.input_dim)
 
-    mode = cfg["mode"]
-    if mode == "two-stage":
+    if cfg["mode"] == "two-stage":
         params, state, report = train_two_stage(dataset, train_cfg)
     else:
         params, state, report = train_baseline(dataset, train_cfg)
 
     out = _resolve_out(ns.out)
     _save_model(out, params, state, report)
-    root, _ = os.path.splitext(out)
-    report_path = root + ".report.json"
+    report_path = os.path.splitext(out)[0] + ".report.json"
     _write_json_atomic(report_path, report.to_dict())
 
     for epoch, loss in enumerate(report.stage1_epoch_losses, start=1):
@@ -327,20 +326,10 @@ def _cmd_train(ns) -> int:
     for epoch, loss in enumerate(report.stage2_epoch_losses, start=1):
         print(f"stage2 epoch {epoch}: loss {loss}")
     print(f"saved model to {out}")
-    _write_manifest(
-        "train",
-        out,
-        {**cfg, "mode": mode},
-        inputs=[ns.data],
-        outputs=[out, report_path],
-        seed=cfg["seed"],
-        started=started,
-    )
-    return EXIT_OK
+    return _Run(cfg, inputs=[ns.data], outputs=[out, report_path], seed=cfg["seed"])
 
 
-def _cmd_embed(ns) -> int:
-    started = time.time()
+def _cmd_embed(ns) -> _Run:
     # embed, eval and viz drop the parsed document at once: a model's JSON
     # lists outweigh its arrays many times over
     params = load_checkpoint(ns.model)[0]
@@ -352,20 +341,10 @@ def _cmd_embed(ns) -> int:
             fh.write(json.dumps({"id": rid, "embedding": e.tolist()}, separators=(",", ":")))
             fh.write("\n")
     print(f"wrote {len(dataset)} embeddings to {out}")
-    _write_manifest(
-        "embed",
-        out,
-        {"threads": ns.threads},
-        inputs=[ns.model, ns.data],
-        outputs=[out],
-        seed=None,
-        started=started,
-    )
-    return EXIT_OK
+    return _Run({"threads": ns.threads}, inputs=[ns.model, ns.data], outputs=[out])
 
 
-def _cmd_eval(ns) -> int:
-    started = time.time()
+def _cmd_eval(ns) -> _Run:
     params = load_checkpoint(ns.model)[0]
     train_set = load_jsonl(ns.train, mnli_label_map=ns.mnli_label_map)
     test_set = load_jsonl(
@@ -387,20 +366,14 @@ def _cmd_eval(ns) -> int:
     report_path = _resolve_out(ns.report)
     _write_json_atomic(report_path, report.to_dict())
     print(format_mae_table([report]))
-    _write_manifest(
-        "eval",
-        report_path,
+    return _Run(
         {"label_mode": ns.label_mode, "unsigned": ns.unsigned, "threads": ns.threads},
         inputs=[ns.model, ns.train, ns.test],
         outputs=[report_path],
-        seed=None,
-        started=started,
     )
-    return EXIT_OK
 
 
-def _cmd_viz(ns) -> int:
-    started = time.time()
+def _cmd_viz(ns) -> _Run:
     if ns.max_points < 0:
         raise InvalidConfigError(f"--max-points must be >= 0, got {ns.max_points}")
     params = load_checkpoint(ns.model)[0]
@@ -425,32 +398,15 @@ def _cmd_viz(ns) -> int:
     )
     outputs = [out] + ([csv_path] if csv_path else [])
     print(f"projected {len(subset)} points (stress {mds.stress:.4f}) to {out}")
-    _write_manifest(
-        "viz",
-        out,
-        {"max_points": ns.max_points},
-        inputs=[ns.model, ns.data],
-        outputs=outputs,
-        seed=ns.seed,
-        started=started,
-    )
-    return EXIT_OK
+    return _Run({"max_points": ns.max_points}, [ns.model, ns.data], outputs, seed=ns.seed)
 
 
-def _cmd_bench(ns) -> int:
-    started = time.time()
+def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
     out_dir = _resolve_out(ns.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    gen = GeneratorConfig(
-        num_classes=cfg["classes"],
-        input_dim=cfg["dim"],
-        per_subclass_count=cfg["per_subclass"],
-        polarity_offset=cfg["alpha"],
-        noise_sigma=cfg["sigma"],
-        seed=cfg["seed"],
-    )
+    gen = _generator_config(cfg)
     train_set = generate_synthetic(gen, split_tag="train")
     test_set = generate_synthetic(gen, split_tag="test")
     train_path = os.path.join(out_dir, "train.jsonl")
@@ -458,13 +414,8 @@ def _cmd_bench(ns) -> int:
     save_jsonl(train_path, train_set)
     save_jsonl(test_path, test_set)
 
-    base = dict(TRAIN_DEFAULTS)
-    for key in base:
-        if key in cfg:
-            base[key] = cfg[key]
-
     def run_config(mode: str) -> TrainConfig:
-        return _train_config_from_ns({**base, "mode": mode}, train_set.input_dim)
+        return _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode}, train_set.input_dim)
 
     # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
     # setting), so it is trained once and stage 2 continues from its result
@@ -473,7 +424,7 @@ def _cmd_bench(ns) -> int:
     reports = []
     for mode in ("two-stage", "adacos", "triplet", "softmax"):
         if mode == "two-stage":
-            params, state, train_rep = finish_two_stage(train_set, *stage1, run_config(mode))
+            params, state, train_rep = train_two_stage(train_set, run_config(mode), stage1=stage1)
         elif mode == "adacos":
             params, state, train_rep = stage1
         else:
@@ -483,9 +434,7 @@ def _cmd_bench(ns) -> int:
         outputs.append(model_path)
 
         centroids = compute_centroids(params, train_set)
-        rep = mae_report(
-            params, centroids, test_set, model_tag=mode, num_threads=cfg["threads"]
-        )
+        rep = mae_report(params, centroids, test_set, model_tag=mode, num_threads=cfg["threads"])
         reports.append(rep)
         print(f"{mode}: average MAE {rep.average_mae:.4f}")
 
@@ -494,48 +443,37 @@ def _cmd_bench(ns) -> int:
     report_path = os.path.join(out_dir, "bench_report.json")
     _write_json_atomic(
         report_path,
-        {
-            "models": [r.to_dict() for r in reports],
-            "table": table,
-            "config": {k: cfg[k] for k in BENCH_DEFAULTS},
-        },
+        {"models": [r.to_dict() for r in reports], "table": table, "config": cfg},
     )
     outputs.append(report_path)
-    _write_manifest(
-        "bench",
-        os.path.join(out_dir, "bench.json"),
-        {k: cfg[k] for k in BENCH_DEFAULTS},
-        inputs=[],
-        outputs=outputs,
-        seed=cfg["seed"],
-        started=started,
-    )
-    return EXIT_OK
+    return _Run(cfg, [], outputs, seed=cfg["seed"], stem=os.path.join(out_dir, "bench"))
 
 
 # ----------------------------------------------------------------- parser
 
 
 def _add_mnli_flag(p) -> None:
-    p.add_argument(
-        "--mnli-label-map",
-        action="store_true",
-        help="map entailment/contradiction/neutral labels to polarities",
-    )
+    p.add_argument("--mnli-label-map", action="store_true", help=SETTING_HELP["mnli_label_map"])
 
 
-def _add_training_flags(p) -> None:
-    """The training flags train and bench share."""
-    p.add_argument("--t", type=float, help="null band half-width")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--stage2-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--stage2-learning-rate", type=float)
-    p.add_argument("--hidden-dims", help="comma-separated, e.g. 128,64")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--activation", choices=("tanh", "relu"))
+def _add_setting_flags(p, defaults: dict) -> None:
+    """--config, then one flag per setting of a defaults table: --kebab-name
+    typed as the setting, --no-name for a switch that is on by default, a
+    bare --name for one that is off."""
+    p.add_argument("--config", default=None, help="JSON file of flag defaults")
+    for key, default in defaults.items():
+        name, help_text = key.replace("_", "-"), SETTING_HELP.get(key)
+        if default is True:
+            p.add_argument(f"--no-{name}", dest=key, action="store_false", help=help_text)
+        elif default is False:
+            p.add_argument(f"--{name}", action="store_true", help=help_text)
+        else:
+            p.add_argument(
+                f"--{name}",
+                type=_setting_type(key, default),
+                choices=SETTING_CHOICES.get(key),
+                help=help_text,
+            )
 
 
 def build_parser() -> _Parser:
@@ -563,23 +501,11 @@ def build_parser() -> _Parser:
     # SUPPRESS keeps unset flags out of the namespace so the config file can
     # fill them; precedence is flags > config > defaults
     p = sub.add_parser(
-        "train",
-        help="train a model (two-stage or a baseline)",
-        argument_default=argparse.SUPPRESS,
+        "train", help="train a model (two-stage or a baseline)", argument_default=argparse.SUPPRESS
     )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p.add_argument("--mode", choices=TRAIN_MODES)
-    _add_training_flags(p)
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_false")
-    p.add_argument("--triplet-margin", type=float)
-    p.add_argument(
-        "--neutral-pairs-positive",
-        action="store_true",
-        help="treat same-class neutral pairs as positive pairs",
-    )
-    _add_mnli_flag(p)
+    _add_setting_flags(p, TRAIN_DEFAULTS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("embed", help="embed a dataset with a trained model")
@@ -618,15 +544,7 @@ def build_parser() -> _Parser:
         argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--per-subclass", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--sigma", type=float)
-    _add_training_flags(p)
-    p.add_argument("--triplet-margin", type=float)
-    p.add_argument("--threads", type=int)
+    _add_setting_flags(p, BENCH_DEFAULTS)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -643,11 +561,10 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:  # --help exits 0 inside argparse
         return int(exc.code or 0)
 
+    started = time.time()
     try:
-        return ns.func(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _write_manifest(ns.command, ns.func(ns), started)
+        return EXIT_OK
     except (DataError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -442,11 +442,11 @@ def _parse_ranges(path: str, fh, parse, ranges, capacities) -> _Block | None:
             if header is None:
                 return None
             n, dim, range_ids, range_names, range_subclass, range_soft = header
-            if n and dim != features.shape[1]:
-                return None
-            rows = memoryview(features[len(ids) : len(ids) + n]).cast("B")
-            if pipe.readinto(rows) != n * features.shape[1] * features.itemsize:
-                return None
+            # a range of blank lines sends no rows: an empty view cannot be cast
+            if n:
+                rows = memoryview(features[len(ids) : len(ids) + n]).cast("B")
+                if dim != features.shape[1] or pipe.readinto(rows) != rows.nbytes:
+                    return None
             # range-local class ids to ids in first-appearance order over the file
             local = np.asarray(range_subclass, dtype=np.int64)
             to_global = np.array(

@@ -335,33 +335,24 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
     return params, report
 
 
-def train_two_stage(dataset: Dataset, config: TrainConfig):
-    """Stage 1 then stage 2; the merged report carries both loss curves."""
-    return finish_two_stage(dataset, *train_stage1(dataset, config), config)
+def train_two_stage(dataset: Dataset, config: TrainConfig, stage1=None):
+    """Stage 1 then stage 2; the merged report carries both loss curves.
 
-
-def finish_two_stage(
-    dataset: Dataset,
-    params: EncoderParams,
-    state: AdaCosState,
-    stage1_report: TrainReport,
-    config: TrainConfig,
-):
-    """Stage 2 from a stage-1 result, with the report train_two_stage gives.
-
-    Stage 1 reads no stage-2 field of the config, so the adacos baseline's
-    result serves as well as train_stage1's. Returns (EncoderParams,
-    AdaCosState, TrainReport).
+    Given a stage-1 result (EncoderParams, AdaCosState, TrainReport), only
+    stage 2 runs, from it. Stage 1 reads no stage-2 field of the config, so
+    the adacos baseline's result serves as well as train_stage1's. Returns
+    (EncoderParams, AdaCosState, TrainReport).
     """
+    if stage1 is None:
+        stage1 = train_stage1(dataset, config)
+    params, state, r1 = stage1
     params, r2 = train_stage2(dataset, params, config)
-    report = TrainReport(
-        stage1_epoch_losses=stage1_report.stage1_epoch_losses,
-        stage2_epoch_losses=r2.stage2_epoch_losses,
-        scale_trajectory=stage1_report.scale_trajectory,
-        config=config.to_dict(),
-        steps=stage1_report.steps + r2.steps,
-        skipped_batches=stage1_report.skipped_batches + r2.skipped_batches,
-        model_tag="two-stage",
+    report = replace(
+        r2,
+        stage1_epoch_losses=r1.stage1_epoch_losses,
+        scale_trajectory=r1.scale_trajectory,
+        steps=r1.steps + r2.steps,
+        skipped_batches=r1.skipped_batches + r2.skipped_batches,
     )
     return params, state, report
 

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import compute_centroids, encoder_forward_batch, load_checkpoint, load_jsonl
-from hiersphere.cli import OUT_DIR_ENV, run_command
+from hiersphere import data as data_module
+from hiersphere.cli import BENCH_DEFAULTS, OUT_DIR_ENV, TRAIN_DEFAULTS, build_parser, run_command
 from hiersphere.data import GeneratorConfig, generate_synthetic, save_jsonl
 
 from _oracles import class_score
@@ -212,10 +213,19 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({"shuffle": 0}, [], "shuffle must be true or false"),
         ({"neutral_pairs_positive": "yes"}, [], "neutral_pairs_positive must be true or false"),
         ({"mnli_label_map": 1}, [], "mnli_label_map must be true or false"),
+        ({"t": True}, [], "t must be a finite number"),
+        ({"t": "0.3"}, [], "t must be a finite number"),
+        ({"learning_rate": None}, [], "learning_rate must be a finite number"),
+        ({"triplet_margin": float("nan")}, [], "triplet_margin must be a finite number"),
+        ({"learning_rate": 10**400}, [], "learning_rate must be a finite number"),
+        ({"stage2_learning_rate": "x"}, [], "stage2_learning_rate must be a finite number or null"),
+        ({"stage2_learning_rate": False}, [], "stage2_learning_rate must be a finite number or null"),
     ],
     ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string",
          "epochs-float", "stage2-epochs-float", "batch-size-bool", "seed-null",
-         "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int"],
+         "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int",
+         "t-bool", "t-string", "learning-rate-null", "triplet-margin-nan",
+         "learning-rate-huge-int", "stage2-learning-rate-string", "stage2-learning-rate-bool"],
 )
 def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_cfg, flags, expected):
     cfg_path = str(tmp_path / "cfg.json")
@@ -232,6 +242,23 @@ def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_c
     assert len(lines) == 1 and lines[0].startswith("data error:")
 
 
+@pytest.mark.parametrize(
+    "file_cfg, expected",
+    [({"alpha": "x"}, "alpha must be a finite number"),
+     ({"sigma": None}, "sigma must be a finite number"),
+     ({"stage2_learning_rate": [1e-3]}, "stage2_learning_rate must be a finite number or null")],
+    ids=["alpha-string", "sigma-null", "stage2-learning-rate-list"],
+)
+def test_bench_bad_float_setting_is_data_error(tmp_path, capsys, file_cfg, expected):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    code = run_command(["bench", "--out-dir", str(tmp_path / "b"), "--config", str(cfg_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert expected in lines[0]
+
+
 def test_train_no_shuffle_recorded(tmp_path, corpus):
     out = str(tmp_path / "m.json")
     code = run_command(
@@ -244,6 +271,20 @@ def test_train_no_shuffle_recorded(tmp_path, corpus):
 
 
 # ------------------------------------------------------------- embed / eval
+
+
+def test_embed_reads_a_range_of_blank_lines(tmp_path, corpus, trained, monkeypatch):
+    # cut into two ranges, the second holds only the trailing blank lines
+    monkeypatch.setattr(data_module, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with open(corpus["test"], "rb") as fh:
+        text = fh.read()
+    data = tmp_path / "blank_tail.jsonl"
+    data.write_bytes(text + b"\n" * (2 * len(text)))
+    out = tmp_path / "emb.jsonl"
+    code = run_command(["embed", "--model", trained["model"], "--data", str(data), "--out", str(out)])
+    assert code == 0
+    assert len(_read_lines(str(out))) == corpus["n"]
 
 
 def test_embed_writes_one_line_per_sample(tmp_path, corpus, trained):
@@ -476,6 +517,98 @@ def test_dedup_non_utf8_line_is_data_error(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["data error: line 2: invalid UTF-8 (invalid start byte)"]
     assert not out.exists()
+
+
+# -------------------------------------------------------------- CLI surface
+
+# every sub-command's option strings, in the order --help lists them
+OPTION_STRINGS = {
+    "gen-data": ["-h", "--help", "--classes", "--dim", "--per-subclass", "--alpha", "--sigma",
+                 "--seed", "--split", "--out"],
+    "dedup": ["-h", "--help", "--data", "--threshold", "--out", "--report"],
+    "train": ["-h", "--help", "--data", "--out", "--config", "--mode", "--t", "--seed",
+              "--epochs", "--stage2-epochs", "--batch-size", "--learning-rate",
+              "--stage2-learning-rate", "--hidden-dims", "--embed-dim", "--activation",
+              "--no-shuffle", "--triplet-margin", "--neutral-pairs-positive", "--mnli-label-map"],
+    "embed": ["-h", "--help", "--model", "--data", "--out", "--threads", "--mnli-label-map"],
+    "eval": ["-h", "--help", "--model", "--train", "--test", "--report", "--tag", "--label-mode",
+             "--unsigned", "--threads", "--mnli-label-map"],
+    "viz": ["-h", "--help", "--model", "--data", "--out", "--csv", "--max-points", "--seed",
+            "--mnli-label-map"],
+    "bench": ["-h", "--help", "--out-dir", "--config", "--classes", "--dim", "--per-subclass",
+              "--alpha", "--sigma", "--t", "--seed", "--epochs", "--stage2-epochs",
+              "--batch-size", "--learning-rate", "--stage2-learning-rate", "--hidden-dims",
+              "--embed-dim", "--activation", "--triplet-margin", "--threads"],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(subparsers.choices) == list(OPTION_STRINGS)
+    for name, parser in subparsers.choices.items():
+        got = [opt for action in parser._actions for opt in action.option_strings]
+        assert got == OPTION_STRINGS[name], name
+
+
+# per setting: its flags and the non-default value they and the config file set
+TRAIN_SETTINGS = {
+    "mode": (["--mode", "adacos"], "adacos"),
+    "t": (["--t", "0.25"], 0.25),
+    "seed": (["--seed", "7"], 7),
+    "epochs": (["--epochs", "1"], 1),
+    "stage2_epochs": (["--stage2-epochs", "3"], 3),
+    "batch_size": (["--batch-size", "6"], 6),
+    "learning_rate": (["--learning-rate", "0.002"], 0.002),
+    "stage2_learning_rate": (["--stage2-learning-rate", "0.0005"], 0.0005),
+    "hidden_dims": (["--hidden-dims", "10"], "10"),
+    "embed_dim": (["--embed-dim", "5"], 5),
+    "activation": (["--activation", "relu"], "relu"),
+    "shuffle": (["--no-shuffle"], False),
+    "triplet_margin": (["--triplet-margin", "0.5"], 0.5),
+    "neutral_pairs_positive": (["--neutral-pairs-positive"], True),
+    "mnli_label_map": (["--mnli-label-map"], True),
+}
+BENCH_SETTINGS = {
+    "classes": (["--classes", "2"], 2),
+    "dim": (["--dim", "6"], 6),
+    "per_subclass": (["--per-subclass", "4"], 4),
+    "alpha": (["--alpha", "0.8"], 0.8),
+    "sigma": (["--sigma", "0.25"], 0.25),
+    **{key: TRAIN_SETTINGS[key] for key in (
+        "t", "seed", "epochs", "stage2_epochs", "learning_rate", "stage2_learning_rate",
+        "hidden_dims", "embed_dim", "activation", "triplet_margin")},
+    "batch_size": (["--batch-size", "8"], 8),
+    "threads": (["--threads", "2"], 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:batch without any valid triplet")
+@pytest.mark.parametrize(
+    "command, defaults, settings",
+    [("train", TRAIN_DEFAULTS, TRAIN_SETTINGS), ("bench", BENCH_DEFAULTS, BENCH_SETTINGS)],
+)
+def test_every_setting_lands_in_the_manifest_by_flag_and_by_file(
+    tmp_path, corpus, command, defaults, settings
+):
+    assert set(settings) == set(defaults)
+    want = {key: value for key, (_, value) in settings.items()}
+    assert all(want[key] != defaults[key] for key in defaults)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(want))
+    flags = [arg for argv, _ in settings.values() for arg in argv]
+    for how, extra in (("flags", flags), ("file", ["--config", str(cfg_path)])):
+        if command == "train":
+            out = tmp_path / how / "m.json"
+            out.parent.mkdir()
+            argv = ["train", "--data", corpus["train"], "--out", str(out)]
+            manifest = out.parent / "m.manifest.json"
+        else:
+            argv = ["bench", "--out-dir", str(tmp_path / how)]
+            manifest = tmp_path / how / "bench.manifest.json"
+        assert run_command(argv + extra) == 0, how
+        assert _read_json(str(manifest))["config"] == want, how
+        if command == "bench":
+            assert _read_json(str(tmp_path / how / "bench_report.json"))["config"] == want
 
 
 # --------------------------------------------------------------- exit codes

@@ -448,6 +448,14 @@ def _document(*records, class_names=None):
     return ("\n".join(lines) + "\n").encode("utf-8"), False, class_names
 
 
+def _blank_middle(document, blanks=200):
+    """document with blanks empty lines after its first line: cut into three
+    ranges, a two-record file then has a middle range without a record."""
+    text, mnli, class_names = document
+    first, rest = text.split(b"\n", 1)
+    return first + b"\n" * (blanks + 1) + rest, mnli, class_names
+
+
 def _malform(draw, kind, fields, i, width):
     """Damage fields in place, or return a whole replacement line."""
     if kind == "bad-json":
@@ -487,6 +495,7 @@ def _malform(draw, kind, fields, i, width):
                    ("r4", "b", 2), ("r5", "a", 2)), 3)
 @example(_document(("r0", "a", 2), ("r1", "a", 2), ("r2", "c", 2), ("r3", "b", 2),
                    ("r4", "b", 2), ("r5", "a", 2), class_names=["b", "c", "a"]), 3)
+@example(_blank_middle(_document(("r0", "a", 2), ("r1", "b", 2))), 3)
 @settings(max_examples=300, deadline=None)
 @given(jsonl_documents(), st.integers(1, 3))
 def test_load_jsonl_matches_row_at_a_time_reference(document, ranges):

@@ -58,15 +58,20 @@ def test_bench_calls_every_trainer_hook_through_its_module(tmp_path):
     assert calls["trainer.train_stage1"] == 1
     assert calls["trainer.train_stage2"] == 1
     assert calls["trainer.train_baseline"] == 3
+    # two-stage runs through the one hooked entry point, from the adacos result
+    assert calls["trainer.train_two_stage"] == 1
     assert tracer.counts["encoder.forward_passes"] > 0
-    # every training step goes through the hooked encoder_backward_step;
-    # the adacos model is two-stage's stage 1, so its steps are counted once
-    steps = 0
-    for mode in ("two-stage", "triplet", "softmax"):
+    steps = {}
+    for mode in ("two-stage", "adacos", "triplet", "softmax"):
         with open(tmp_path / f"model_{mode}.json", encoding="utf-8") as fh:
-            steps += json.load(fh)["train_report"]["steps"]
-    assert steps > 0
-    assert calls["encoder.encoder_backward_step"] == steps
+            steps[mode] = json.load(fh)["train_report"]["steps"]
+    assert all(n > 0 for n in steps.values())
+    # the traced step count is the sum of the models' reports, two-stage's
+    # report counting its stage 1 as well
+    assert tracer.counts["trainer.steps"] == sum(steps.values())
+    # every training step goes through the hooked encoder_backward_step;
+    # the adacos model is two-stage's stage 1, so its steps run once
+    assert calls["encoder.encoder_backward_step"] == sum(steps.values()) - steps["adacos"]
 
 
 def _traced(argv):

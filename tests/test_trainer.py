@@ -1,6 +1,7 @@
 """Batching, the two training stages, and the single-loss baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,21 @@ def test_two_stage_deterministic():
     pb, _, rb = train_two_stage(data, cfg)
     assert params_equal(pa, pb)
     assert ra.to_dict() == rb.to_dict()
+
+
+def test_two_stage_from_the_adacos_baseline_equals_the_full_run():
+    data = tiny_dataset()
+    cfg = small_train_config()
+    p_full, s_full, r_full = train_two_stage(data, cfg)
+    stage1 = train_baseline(data, replace(cfg, loss_kind="adacos", stage2_epochs=0))
+    p1_before = stage1[0].copy()
+    p, s, r = train_two_stage(data, cfg, stage1=stage1)
+    assert params_equal(p, p_full)
+    assert s is stage1[1]
+    np.testing.assert_array_equal(s.weights, s_full.weights)
+    assert r.to_dict() == r_full.to_dict()
+    # stage 2 trains a copy: the given stage-1 model stays as it was
+    assert params_equal(stage1[0], p1_before)
 
 
 # ---------------------------------------------------------------- baselines
