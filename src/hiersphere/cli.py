@@ -403,6 +403,8 @@ def _cmd_viz(ns) -> _Run:
 
 def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
+    if cfg["threads"] < 1:
+        raise InvalidConfigError("num_threads must be >= 1")
     out_dir = _resolve_out(ns.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -7,13 +7,14 @@ whole chain stays exactly differentiable and gradient-checkable.
 
 All parameters and both Adam moments live in one (3, P) buffer per encoder;
 the per-layer weights and biases are views of it, and a training step
-updates it in place with a single Adam call.
+updates it in place with a single Adam call. A forward pass writes nothing
+to the params, so threads share them read-only; the trainer hands each
+forward pass to its step through a `tape` list.
 """
 
 import json
 import math
 import os
-import weakref
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 
@@ -98,10 +99,6 @@ class EncoderParams:
     m_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     v_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     v_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    # what the last encoder_forward_batch on these params leaves for
-    # encoder_param_grads: (weakref to its input, pre-norm output, hidden
-    # activations, norms); a copy starts without one
-    _forward: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shapes = self.config.param_shapes
@@ -118,8 +115,7 @@ class EncoderParams:
         self.biases, self.m_biases, self.v_biases = (r[1::2] for r in rows)
 
     def __reduce__(self):
-        # rebuilding from the buffer keeps the views aliased and drops the
-        # forward cache, whose weakref cannot be pickled
+        # rebuilding from the buffer keeps the views aliased
         return EncoderParams, (self.config, self.state, self.step_count)
 
     def copy(self) -> "EncoderParams":
@@ -141,7 +137,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward_cached(params: EncoderParams, x: np.ndarray):
-    """Returns (unit output, hidden activations incl. input, pre-norm, norms)."""
+    """Returns (unit output, activations incl. input, norms), all backprop needs.
+
+    Nothing is cached; the name is pinned by perfbench's FORWARD_HOOK."""
     acts = [x]
     a = x
     n_layers = len(params.weights)
@@ -152,20 +150,21 @@ def _forward_cached(params: EncoderParams, x: np.ndarray):
     norms = np.linalg.norm(pre_norm, axis=1, keepdims=True)
     if np.any(norms <= NORM_FLOOR):
         raise ZeroNormError("encoder output collapsed to (near-)zero before normalization")
-    return pre_norm / norms, acts, pre_norm, norms
+    return pre_norm / norms, acts, norms
 
 
-def encoder_forward_batch(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings for a B x input_dim batch."""
+def encoder_forward_batch(
+    params: EncoderParams, x: np.ndarray, tape: list | None = None
+) -> np.ndarray:
+    """Unit-norm embeddings for a B x input_dim batch; a given tape gets the pass."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.config.input_dim:
         raise DimensionMismatchError(
             f"expected batch of width {params.config.input_dim}, got shape {arr.shape}"
         )
-    unit, acts, pre_norm, norms = _forward_cached(params, arr)
-    # the input is only referenced weakly, so a batch view held here cannot
-    # keep the matrix it slices alive
-    params._forward = (weakref.ref(arr), pre_norm, acts[1:], norms)
+    unit, acts, norms = _forward_cached(params, arr)
+    if tape is not None:
+        tape[:] = (unit, acts, norms)
     return unit
 
 
@@ -181,25 +180,18 @@ def encoder_param_grads(
     params: EncoderParams,
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
+    tape: list | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backpropagate upstream embedding gradients to (dW, db) per layer.
 
     The normalization Jacobian is applied exactly: for u = v/||v|| the
-    incoming gradient g becomes (g - (u.g) u)/||v||. The forward pass that
-    encoder_forward_batch last ran on these params is reused when it ran on
-    this very input array; otherwise it is recomputed. A cached pass is used
-    at most once, and parameters or inputs changed in place between the two
-    calls go unnoticed. encoder_backward_step consumes the cache here, before
-    it updates the parameters in place, so a step never reuses a stale pass.
+    incoming gradient g becomes (g - (u.g) u)/||v||. A tape filled by
+    encoder_forward_batch supplies the forward pass, which must have run on
+    these params and this input; without one the pass is recomputed.
     """
     x = np.asarray(batch_inputs, dtype=np.float64)
     g_u = np.asarray(grad_embeddings, dtype=np.float64)
-    cached, params._forward = params._forward, None
-    if cached is not None and cached[0]() is x:
-        _, pre_norm, hidden, norms = cached
-        unit, acts = pre_norm / norms, [x, *hidden]
-    else:
-        unit, acts, _, norms = _forward_cached(params, x)
+    unit, acts, norms = _forward_cached(params, x) if tape is None else tape
     if g_u.shape != unit.shape:
         raise DimensionMismatchError("grad_embeddings shape must match forward output")
 
@@ -223,14 +215,15 @@ def encoder_backward_step(
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
     opt: OptimizerConfig,
+    tape: list | None = None,
 ) -> None:
     """One bias-corrected Adam step from upstream embedding gradients, in place.
 
-    A non-finite gradient raises before anything is written. Otherwise
-    step_count advances and one Adam call updates the three rows of
-    params.state, which every weight, bias and moment view sees.
+    A tape goes on to encoder_param_grads. A non-finite gradient raises before
+    anything is written; otherwise step_count advances and one Adam call
+    updates the three rows of params.state, which every view sees.
     """
-    grads = encoder_param_grads(params, batch_inputs, grad_embeddings)
+    grads = encoder_param_grads(params, batch_inputs, grad_embeddings, tape)
     grad = np.concatenate([part.ravel() for layer in grads for part in layer])
     if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite parameter gradient; step aborted")

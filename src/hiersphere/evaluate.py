@@ -62,7 +62,7 @@ def embed_all(
     num_threads: int = 1,
     batch_size: int = EMBED_BATCH,
 ) -> np.ndarray:
-    """Unit embeddings for every sample, in dataset order.
+    """Unit embeddings for every sample in dataset order; (0, output_dim) for none.
 
     Chunks are independent, so extra threads change nothing but wall time.
     """
@@ -74,7 +74,7 @@ def embed_all(
     else:
         with ThreadPoolExecutor(max_workers=num_threads) as pool:
             parts = list(pool.map(lambda c: encoder_forward_batch(params, c), chunks))
-    return np.vstack(parts)
+    return np.vstack(parts) if parts else np.empty((0, params.config.output_dim))
 
 
 def compute_centroids(params: EncoderParams, dataset: Dataset) -> SubclassCentroids:

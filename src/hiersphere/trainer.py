@@ -246,7 +246,8 @@ def _fit(
     Stage 2 takes its own epoch count, optimizer, shuffle streams and loss
     curve, and merges a trailing singleton batch into the one before it.
     anchors take an Adam step from the loss's grad_weights; the scale of an
-    adacos state is recorded after every epoch.
+    adacos state is recorded after every epoch. A step backpropagates through
+    the tape its batch's forward filled, so the network runs once per batch.
     """
     x, sub = dataset.features, dataset.subclass
     if stage2:
@@ -255,6 +256,7 @@ def _fit(
     else:
         epochs, opt = config.stage1_epochs, config.optimizer
         epoch_losses, epoch_offset = report.stage1_epoch_losses, 0
+    tape = []
 
     for epoch in range(epochs):
         batches = make_batches(
@@ -268,7 +270,7 @@ def _fit(
         batch_losses = []
         for idx in batches:
             bx = x[idx]
-            emb = encoder_forward_batch(params, bx)
+            emb = encoder_forward_batch(params, bx, tape=tape)
             try:
                 out = objective(emb, sub[idx])
             except NoValidTripletsError:
@@ -276,7 +278,7 @@ def _fit(
                 warnings.warn("batch without any valid triplet skipped", stacklevel=3)
                 report.skipped_batches += 1
                 continue
-            encoder_backward_step(params, bx, out.grad_embeddings, opt)
+            encoder_backward_step(params, bx, out.grad_embeddings, opt, tape=tape)
             if anchors is not None:
                 anchors.step(out.grad_weights, opt)
             batch_losses.append(out.value)

@@ -259,6 +259,18 @@ def test_bench_bad_float_setting_is_data_error(tmp_path, capsys, file_cfg, expec
     assert expected in lines[0]
 
 
+def test_bench_zero_threads_fails_before_writing_anything(tmp_path, capsys):
+    out = tmp_path / "b"
+    out.mkdir()
+    code = run_command(
+        ["bench", "--out-dir", str(out), "--classes", "2", "--dim", "6", "--per-subclass", "4",
+         "--threads", "0"] + TINY_TRAIN_FLAGS
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: num_threads must be >= 1"]
+    assert os.listdir(out) == []
+
+
 def test_train_no_shuffle_recorded(tmp_path, corpus):
     out = str(tmp_path / "m.json")
     code = run_command(
@@ -428,6 +440,35 @@ def test_viz_negative_max_points_is_data_error(tmp_path, corpus, trained, capsys
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:")
     assert "--max-points" in lines[0]
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["zero-byte", "blank-lines"])
+@pytest.mark.parametrize(
+    "command, expected",
+    [("embed", None), ("eval", "test dataset is empty"), ("viz", "need at least 3 points, got 0")],
+    ids=["embed", "eval", "viz"],
+)
+def test_empty_data_file_is_an_empty_embedding_not_a_traceback(
+    tmp_path, corpus, trained, capsys, content, command, expected
+):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
+    empty.write_text(content)
+    model = ["--model", trained["model"]]
+    argv = {
+        "embed": ["embed", *model, "--data", str(empty), "--out", str(out)],
+        "eval": ["eval", *model, "--train", corpus["train"], "--test", str(empty),
+                 "--report", str(out)],
+        "viz": ["viz", *model, "--data", str(empty), "--out", str(out)],
+    }[command]
+    code = run_command(argv)
+    if expected is None:
+        assert code == 0 and out.read_bytes() == b""
+        return
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert expected in lines[0]
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- bench

@@ -3,7 +3,6 @@
 import math
 import pickle
 import re
-import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +29,6 @@ from hiersphere import (
     load_checkpoint,
     save_checkpoint,
 )
-from hiersphere import encoder
 from hiersphere.encoder import (
     adam_step_array,
     encoder_backward_step,
@@ -240,7 +238,7 @@ def test_zero_gradient_step_keeps_parameters():
 
 
 def test_backward_step_updates_params_in_place():
-    params, x, g = _cache_fixture()
+    params, x, g = _step_fixture()
     state, before = params.state, params.copy()
     encoder_backward_step(params, x, g, OptimizerConfig(learning_rate=1e-2))
     assert params.state is state and params.step_count == 1
@@ -260,16 +258,17 @@ def test_nonfinite_gradient_rejected():
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad):
-    params, x, g = _cache_fixture()
+    params, x, g = _step_fixture()
     opt = OptimizerConfig(learning_rate=1e-2)
     for _ in range(3):
         encoder_backward_step(params, x, g, opt)
     state, before = params.state.tobytes(), params.step_count
     g = g.copy()
     g[2, 1] = bad
-    encoder_forward_batch(params, x)
+    tape = []
+    encoder_forward_batch(params, x, tape=tape)
     with pytest.raises(NonFiniteError):
-        encoder_backward_step(params, x, g, opt)
+        encoder_backward_step(params, x, g, opt, tape=tape)
     assert params.state.tobytes() == state
     assert params.step_count == before == 3
 
@@ -389,93 +388,46 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
     for step in range(20):
         x = rng.normal(size=(5, 4))
         g = rng.normal(size=(5, 3))
-        # the trainer's order (forward, then step on the same array) reuses
-        # the forward pass; a step without one recomputes it
+        # the trainer's order (a forward filling a tape, then a step through
+        # it) and a step without a tape, which recomputes the pass
         if step % 2 == 0:
-            encoder_forward_batch(params, x)
-        encoder_backward_step(params, x, g, opt)
+            tape = []
+            encoder_forward_batch(params, x, tape=tape)
+            encoder_backward_step(params, x, g, opt, tape=tape)
+        else:
+            encoder_backward_step(params, x, g, opt)
         want = ref_backward_step(want, x, g, opt)
         _assert_params_bitwise(params, want)
 
 
-# ----------------------------------------------------------- forward cache
+# ------------------------------------------------------------ forward tape
 
 
-def _counting_forward(monkeypatch):
-    calls = []
-    original = encoder._forward_cached
-
-    def counted(params, x):
-        calls.append(x)
-        return original(params, x)
-
-    monkeypatch.setattr(encoder, "_forward_cached", counted)
-    return calls
-
-
-def _cache_fixture():
+def _step_fixture():
     params = init_params(EncoderConfig(input_dim=4, hidden_dims=(5,), output_dim=3, seed=12))
     rng = make_rng(9, 48)
     return params, rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
 
 
-def _grads_equal(a, b):
-    for (dw_a, db_a), (dw_b, db_b) in zip(a, b, strict=True):
-        np.testing.assert_array_equal(dw_a, dw_b)
-        np.testing.assert_array_equal(db_a, db_b)
-
-
-def test_param_grads_reuse_the_forward_on_the_same_input_once(monkeypatch):
-    params, x, g = _cache_fixture()
-    fresh = encoder_param_grads(params.copy(), x, g)
-    calls = _counting_forward(monkeypatch)
+def test_forward_writes_nothing_to_params():
+    params, x, _ = _step_fixture()
+    data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=4, per_subclass_count=20, seed=2))
+    before, state = dict(vars(params)), params.state.tobytes()
     encoder_forward_batch(params, x)
-    _grads_equal(encoder_param_grads(params, x, g), fresh)
-    assert len(calls) == 1
-    # the cached pass is consumed: a second call recomputes
-    _grads_equal(encoder_param_grads(params, x, g), fresh)
-    assert len(calls) == 2
-
-
-def test_param_grads_recompute_for_another_input_or_params(monkeypatch):
-    params, x, g = _cache_fixture()
-    other_x = x + 1.0
-    fresh = encoder_param_grads(params.copy(), other_x, g)
-    fresh_same = encoder_param_grads(params.copy(), x, g)
-    calls = _counting_forward(monkeypatch)
-
-    encoder_forward_batch(params, x)
-    _grads_equal(encoder_param_grads(params, other_x, g), fresh)
-    assert len(calls) == 2 and calls[-1] is other_x
-
-    # an equal but distinct array is another input
-    encoder_forward_batch(params, x)
-    _grads_equal(encoder_param_grads(params, x.copy(), g), fresh_same)
-    assert len(calls) == 4
-
-    other = params.copy()
-    encoder_forward_batch(params, x)
-    _grads_equal(encoder_param_grads(other, x, g), fresh_same)
-    assert len(calls) == 6
-
-
-def test_forward_cache_does_not_keep_its_input_alive():
-    params, x, _ = _cache_fixture()
-    base = np.vstack([x, x])
-    base_ref = weakref.ref(base)
-    view = base[:6]
-    encoder_forward_batch(params, view)
-    ref = params._forward[0]
-    assert ref() is view
-    del base, view
-    assert ref() is None and base_ref() is None
+    encoder_forward_batch(params, x, tape=[])
+    serial = embed_all(params, data, batch_size=7)
+    for _ in range(3):
+        assert embed_all(params, data, num_threads=2, batch_size=7).tobytes() == serial.tobytes()
+    after = vars(params)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert params.state.tobytes() == state
 
 
 def test_params_pickle_after_a_forward_pass():
-    params, x, g = _cache_fixture()
+    params, x, g = _step_fixture()
     encoder_forward_batch(params, x)
     restored = pickle.loads(pickle.dumps(params))
-    assert restored._forward is None and params._forward is not None
     _assert_params_bitwise(restored, params)
     _assert_views_alias_state(restored)
     # a step through the unpickled params moves the weights it exposes
@@ -485,18 +437,6 @@ def test_params_pickle_after_a_forward_pass():
     assert not np.array_equal(weights, params.weights[0])
     np.testing.assert_array_equal(weights, want.weights[0])
     _assert_params_bitwise(restored, want)
-
-
-def test_embed_all_with_two_threads_unchanged_by_the_cache():
-    params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=1))
-    data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=6, per_subclass_count=20, seed=2))
-    x = data.features
-    want = np.vstack([encoder_forward_batch(params.copy(), x[i : i + 7]) for i in range(0, len(x), 7)])
-    encoder_forward_batch(params, x)
-    for _ in range(3):
-        np.testing.assert_array_equal(embed_all(params, data, num_threads=2, batch_size=7), want)
-    g = make_rng(3, 49).normal(size=(len(x), 4))
-    _grads_equal(encoder_param_grads(params, x, g), encoder_param_grads(params.copy(), x, g))
 
 
 def test_training_steps_deterministic():

@@ -83,6 +83,13 @@ def test_embed_all_threads_and_chunks_change_nothing():
     np.testing.assert_allclose(base, embed_all(params, data, batch_size=256), atol=1e-12)
 
 
+@pytest.mark.parametrize("num_threads", [1, 2])
+def test_embed_all_of_no_rows_is_empty(num_threads):
+    params = init_params(EncoderConfig(input_dim=3, hidden_dims=(4,), output_dim=5, seed=1))
+    emb = embed_all(params, dataset_of([], 1, 3), num_threads=num_threads)
+    assert emb.shape == (0, 5) and emb.dtype == np.float64
+
+
 def test_embed_all_rejects_bad_thread_count():
     params = identity_encoder(2)
     data = dataset_of([([1.0, 0.0], 0, POS, None)], 1, 2)

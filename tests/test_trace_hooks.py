@@ -60,7 +60,10 @@ def test_bench_calls_every_trainer_hook_through_its_module(tmp_path):
     assert calls["trainer.train_baseline"] == 3
     # two-stage runs through the one hooked entry point, from the adacos result
     assert calls["trainer.train_two_stage"] == 1
-    assert tracer.counts["encoder.forward_passes"] > 0
+    # the network runs once per forward call: no step recomputes the pass
+    # its forward handed over
+    assert tracer.counts["encoder.forward_passes"] == calls["encoder.encoder_forward_batch"]
+    assert calls["encoder.encoder_param_grads"] == calls["encoder.encoder_backward_step"]
     steps = {}
     for mode in ("two-stage", "adacos", "triplet", "softmax"):
         with open(tmp_path / f"model_{mode}.json", encoding="utf-8") as fh:
