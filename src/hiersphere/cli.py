@@ -34,7 +34,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import DataError, InvalidConfigError, NumericError
+from .errors import DataError, DatasetTooSmallError, InvalidConfigError, NumericError
 from .evaluate import (
     compute_centroids,
     embed_all,
@@ -347,6 +347,10 @@ def _cmd_embed(ns) -> _Run:
 def _cmd_eval(ns) -> _Run:
     params = load_checkpoint(ns.model)[0]
     train_set = load_jsonl(ns.train, mnli_label_map=ns.mnli_label_map)
+    # the test classes are named by the training set, so an empty one would
+    # surface as an unknown class on the test file's first line
+    if len(train_set) == 0:
+        raise DatasetTooSmallError(f"training set {ns.train} is empty")
     test_set = load_jsonl(
         ns.test,
         mnli_label_map=ns.mnli_label_map,

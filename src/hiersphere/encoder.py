@@ -8,8 +8,12 @@ whole chain stays exactly differentiable and gradient-checkable.
 All parameters and both Adam moments live in one (3, P) buffer per encoder;
 the per-layer weights and biases are views of it, and a training step
 updates it in place with a single Adam call. A forward pass writes nothing
-to the params, so threads share them read-only; the trainer hands each
-forward pass to its step through a `tape` list.
+to the params, so threads share them read-only. The trainer hands each
+forward pass to its step through an EncoderTape, a workspace made once per
+run: the forward writes its activations, norms and unit output into the
+tape's buffers, the step writes the gradient into the tape's one flat array,
+and everything on a tape lives until the next forward on that tape. A call
+without a tape gets arrays of its own.
 """
 
 import json
@@ -102,15 +106,11 @@ class EncoderParams:
 
     def __post_init__(self):
         shapes = self.config.param_shapes
-        sizes = [math.prod(s) for s in shapes]
-        if np.shape(self.state) != (3, sum(sizes)):
-            raise InvalidConfigError(f"state shape {np.shape(self.state)} is not (3, {sum(sizes)})")
+        size = self.config.param_count
+        if np.shape(self.state) != (3, size):
+            raise InvalidConfigError(f"state shape {np.shape(self.state)} is not (3, {size})")
         self.state = np.ascontiguousarray(self.state, dtype=np.float64)
-        splits = np.cumsum(sizes)[:-1]
-        rows = [
-            tuple(part.reshape(s) for part, s in zip(np.split(row, splits), shapes))
-            for row in self.state
-        ]
+        rows = [_layer_views(row, shapes) for row in self.state]
         self.weights, self.m_weights, self.v_weights = (r[0::2] for r in rows)
         self.biases, self.m_biases, self.v_biases = (r[1::2] for r in rows)
 
@@ -132,40 +132,104 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return params
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
+def _layer_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Views of one flat buffer row, one per shape, laid out back to back."""
+    splits = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return tuple(part.reshape(s) for part, s in zip(np.split(flat, splits), shapes))
 
 
-def _forward_cached(params: EncoderParams, x: np.ndarray):
-    """Returns (unit output, activations incl. input, norms), all backprop needs.
+class EncoderTape:
+    """Workspace of one training run: a forward pass and its backward scratch.
 
-    Nothing is cached; the name is pinned by perfbench's FORWARD_HOOK."""
-    acts = [x]
+    A forward sizes the buffers for the params' config and its batch and
+    keeps them while both stay the same; a batch of another size or another
+    config gets new ones, which in training happens only around an epoch's
+    odd-sized last batch. After a forward, acts holds the input and every hidden activation,
+    pre the output before normalization, norms its row norms and unit the
+    embeddings. After a backward, grad holds the parameter gradient in the
+    layout of one EncoderParams.state row, and grads its (dW, db) view per
+    layer. All of it stays valid until the next forward on this tape.
+    """
+
+    def __init__(self):
+        self.config = None
+        self.rows = -1
+        self.grad = None
+
+    def _begin_forward(self, config: EncoderConfig, x: np.ndarray) -> None:
+        b = x.shape[0]
+        if b != self.rows or config != self.config:
+            self.config, self.rows, self.grad = config, b, None
+            self.outs = [np.empty((b, fan_out)) for _, fan_out in config.layer_dims]
+            self.pre = self.outs[-1]
+            # unit also holds the squares under the norms
+            self.unit = np.empty_like(self.pre)
+            self.norms = np.empty((b, 1))
+        self.acts = [x, *self.outs[:-1]]
+
+    def _begin_backward(self) -> None:
+        if self.grad is None:
+            config, b = self.config, self.rows
+            self.grad = np.empty(config.param_count)
+            parts = _layer_views(self.grad, config.param_shapes)
+            self.grads = list(zip(parts[0::2], parts[1::2]))
+            # per layer the gradient at its output, then one row-dot column;
+            # per hidden layer the activation derivative (relu: its mask)
+            self.deltas = [np.empty_like(out) for out in self.outs]
+            self.dots = np.empty((b, 1))
+            mask = bool if config.activation == "relu" else np.float64
+            self.derivs = [np.empty_like(act, dtype=mask) for act in self.outs[:-1]]
+
+
+def _forward_cached(params: EncoderParams, x: np.ndarray, tape: EncoderTape | None = None):
+    """Runs the network on x into tape, a fresh one if none is given; returns the tape.
+
+    Nothing is cached across tapes; the name is pinned by perfbench's
+    FORWARD_HOOK. Each step is the allocating expression it replaces, with the
+    result written in place, so the bits are those of
+
+        a = act(a @ W.T + b) per hidden layer;  pre = a @ W.T + b
+        norms = np.linalg.norm(pre, axis=1, keepdims=True);  unit = pre / norms
+    """
+    if tape is None:
+        tape = EncoderTape()
+    tape._begin_forward(params.config, x)
+    tanh = params.config.activation == "tanh"
     a = x
-    n_layers = len(params.weights)
-    for i in range(n_layers - 1):
-        a = _activate(a @ params.weights[i].T + params.biases[i], params.config.activation)
-        acts.append(a)
-    pre_norm = a @ params.weights[-1].T + params.biases[-1]
-    norms = np.linalg.norm(pre_norm, axis=1, keepdims=True)
-    if np.any(norms <= NORM_FLOOR):
+    for w, bias, z in zip(params.weights, params.biases, tape.outs):
+        np.matmul(a, w.T, out=z)
+        np.add(z, bias, out=z)
+        if z is not tape.pre:
+            if tanh:
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        a = z
+    # np.linalg.norm's own two steps for a real array along one axis
+    np.multiply(a, a, out=tape.unit)
+    np.add.reduce(tape.unit, axis=1, keepdims=True, out=tape.norms)
+    np.sqrt(tape.norms, out=tape.norms)
+    if (tape.norms <= NORM_FLOOR).any():
         raise ZeroNormError("encoder output collapsed to (near-)zero before normalization")
-    return pre_norm / norms, acts, norms
+    np.divide(a, tape.norms, out=tape.unit)
+    return tape
 
 
 def encoder_forward_batch(
-    params: EncoderParams, x: np.ndarray, tape: list | None = None
+    params: EncoderParams, x: np.ndarray, tape: EncoderTape | None = None
 ) -> np.ndarray:
-    """Unit-norm embeddings for a B x input_dim batch; a given tape gets the pass."""
+    """Unit-norm embeddings for a B x input_dim batch.
+
+    Without a tape the result is a new array. With one, the pass is written
+    into the tape and the result is its unit buffer, which lives until the
+    next forward on that tape; copy it to keep it longer.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.config.input_dim:
         raise DimensionMismatchError(
             f"expected batch of width {params.config.input_dim}, got shape {arr.shape}"
         )
-    unit, acts, norms = _forward_cached(params, arr)
-    if tape is not None:
-        tape[:] = (unit, acts, norms)
-    return unit
+    return _forward_cached(params, arr, tape).unit
 
 
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -180,34 +244,52 @@ def encoder_param_grads(
     params: EncoderParams,
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
-    tape: list | None = None,
+    tape: EncoderTape | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backpropagate upstream embedding gradients to (dW, db) per layer.
 
     The normalization Jacobian is applied exactly: for u = v/||v|| the
     incoming gradient g becomes (g - (u.g) u)/||v||. A tape filled by
     encoder_forward_batch supplies the forward pass, which must have run on
-    these params and this input; without one the pass is recomputed.
+    these params and this input, and receives the gradient: the pairs
+    returned are views of tape.grad. Without a tape the pass is recomputed
+    and the gradient is a new array. Each step is the allocating expression
+    it replaces, written in place:
+
+        g = (g_u - (u * g_u).sum(axis=1, keepdims=True) * u) / norms
+        dW, db = g.T @ a, g.sum(axis=0);  g = (g @ W) * act'(a)
     """
     x = np.asarray(batch_inputs, dtype=np.float64)
     g_u = np.asarray(grad_embeddings, dtype=np.float64)
-    unit, acts, norms = _forward_cached(params, x) if tape is None else tape
-    if g_u.shape != unit.shape:
+    if tape is None:
+        tape = _forward_cached(params, x)
+    if g_u.shape != tape.unit.shape:
         raise DimensionMismatchError("grad_embeddings shape must match forward output")
+    tape._begin_backward()
 
-    g = (g_u - (unit * g_u).sum(axis=1, keepdims=True) * unit) / norms
+    g, dots = tape.deltas[-1], tape.dots
+    np.multiply(tape.unit, g_u, out=g)
+    np.add.reduce(g, axis=1, keepdims=True, out=dots)
+    np.multiply(dots, tape.unit, out=g)
+    np.subtract(g_u, g, out=g)
+    np.divide(g, tape.norms, out=g)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.weights)
+    tanh = params.config.activation == "tanh"
     for i in range(len(params.weights) - 1, -1, -1):
-        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        g, a = tape.deltas[i], tape.acts[i]
+        dw, db = tape.grads[i]
+        np.matmul(g.T, a, out=dw)
+        np.add.reduce(g, axis=0, out=db)
         if i > 0:
-            g = g @ params.weights[i]
-            a = acts[i]
-            if params.config.activation == "tanh":
-                g = g * (1.0 - a * a)
+            g_in, deriv = tape.deltas[i - 1], tape.derivs[i - 1]
+            np.matmul(g, params.weights[i], out=g_in)
+            if tanh:
+                np.multiply(a, a, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
             else:
-                g = g * (a > 0.0)
-    return grads
+                np.greater(a, 0.0, out=deriv)
+            np.multiply(g_in, deriv, out=g_in)
+    return tape.grads
 
 
 def encoder_backward_step(
@@ -215,17 +297,22 @@ def encoder_backward_step(
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
     opt: OptimizerConfig,
-    tape: list | None = None,
+    tape: EncoderTape | None = None,
 ) -> None:
     """One bias-corrected Adam step from upstream embedding gradients, in place.
 
-    A tape goes on to encoder_param_grads. A non-finite gradient raises before
-    anything is written; otherwise step_count advances and one Adam call
-    updates the three rows of params.state, which every view sees.
+    A tape goes on to encoder_param_grads, which writes the gradient into it;
+    without one the pass is recomputed on a fresh tape. A non-finite gradient
+    raises before anything is written; otherwise step_count advances and one
+    Adam call updates the three rows of params.state, which every view sees.
     """
-    grads = encoder_param_grads(params, batch_inputs, grad_embeddings, tape)
-    grad = np.concatenate([part.ravel() for layer in grads for part in layer])
-    if not np.isfinite(grad).all():
+    if tape is None:
+        tape = _forward_cached(params, np.asarray(batch_inputs, dtype=np.float64))
+    encoder_param_grads(params, batch_inputs, grad_embeddings, tape)
+    grad = tape.grad
+    # a NaN or an inf makes the sum non-finite; a finite sum settles it, and
+    # a sum that overflowed from finite entries falls through to the full test
+    if not math.isfinite(np.add.reduce(grad)) and not np.isfinite(grad).all():
         raise NonFiniteError("non-finite parameter gradient; step aborted")
     params.step_count += 1
     theta, m, v = params.state

@@ -286,22 +286,43 @@ def adacos_loss(
     )
 
 
+def _same_class_targets(neutral_pair_positive: bool) -> np.ndarray:
+    """Read-only 3 x 3 target of a same-class pair by its two polarity ordinals.
+
+    Polarity as -1/0/+1: the target is the product, except that the switch
+    makes a neutral-neutral pair +1.
+    """
+    sign = np.arange(3) - Polarity.NEUTRAL.ordinal
+    table = np.outer(sign, sign).astype(np.float64)
+    if neutral_pair_positive:
+        table[Polarity.NEUTRAL.ordinal, Polarity.NEUTRAL.ordinal] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+# indexed by same_class_neutral_pair_positive
+_SAME_CLASS_TARGETS = (_same_class_targets(False), _same_class_targets(True))
+
+
 def pair_target_matrix(
     labels: np.ndarray,
     same_class_neutral_pair_positive: bool = False,
 ) -> np.ndarray:
-    """B x B matrix of pair targets (diagonal zero) from int sub-class ids."""
+    """B x B matrix of pair targets (diagonal zero) from int sub-class ids.
+
+    A same-class pair takes its target from a fixed 3 x 3 polarity table,
+    any other pair 0; the result is a new array the caller may change.
+    """
     sub = np.asarray(labels, dtype=np.int64)
-    class_ids = sub // 3
-    # polarity as -1/0/+1: within one class the target is their product
-    sign = sub % 3 - Polarity.NEUTRAL.ordinal
-    same_class = class_ids[:, None] == class_ids[None, :]
-    targets = np.outer(sign, sign) * same_class
-    if same_class_neutral_pair_positive:
-        neutral = sign == 0
-        targets[same_class & neutral[:, None] & neutral[None, :]] = 1
-    np.fill_diagonal(targets, 0)
-    return targets.astype(np.float64)
+    class_ids, polarity = np.divmod(sub, 3)
+    table = _SAME_CLASS_TARGETS[bool(same_class_neutral_pair_positive)]
+    targets = np.where(
+        class_ids[:, None] == class_ids[None, :],
+        table.take(polarity, axis=0).take(polarity, axis=1),
+        0.0,
+    )
+    np.fill_diagonal(targets, 0.0)
+    return targets
 
 
 @lru_cache(maxsize=16)

@@ -17,6 +17,7 @@ from .data import Dataset
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    EncoderTape,
     OptimizerConfig,
     adam_step_array,
     encoder_backward_step,
@@ -34,6 +35,7 @@ from .losses import (
     LossOutput,
     adacos_loss,
     angular_margin_loss,
+    _upper_pairs,
     init_unit_anchors,
     pairwise_cosine_loss,
 )
@@ -195,34 +197,45 @@ def triplet_batch_loss(
     b = emb.shape[0]
     sub = np.asarray(labels, dtype=np.int64)
     same = sub[:, None] == sub[None, :]
-    eye = np.eye(b, dtype=bool)
+    sizes = np.add.reduce(same, axis=1, dtype=np.intp)  # each sample's sub-class size
+    positives = sizes - 1
 
-    diff = emb[:, None, :] - emb[None, :, :]
-    dist = np.sqrt(np.maximum((diff * diff).sum(axis=2), 0.0))
+    # distances of the pairs i < j, mirrored: (e_j - e_i)^2 is (e_i - e_j)^2
+    iu = _upper_pairs(b)
+    diff = emb.take(iu[0], axis=0)
+    diff -= emb.take(iu[1], axis=0)
+    np.multiply(diff, diff, out=diff)
+    pair_dist = np.sqrt(np.add.reduce(diff, axis=1))
+    dist = np.zeros((b, b))
+    dist[iu] = pair_dist
+    dist.T[iu] = pair_dist
 
-    # mask[a, p, n]: hinge strictly positive on a valid triplet
-    valid = (same & ~eye)[:, :, None] & (~same)[None, :, :]
-    # broadcasting: hinge[a, p, n] = d(a,p) - d(a,n) + margin
-    hinge = dist[:, :, None] - dist[:, None, :] + margin
-    if not valid.any():
+    # one row per (anchor, positive) pair, in C order, over every sample as
+    # the negative; the rows of one anchor are adjacent
+    anchor, positive = np.nonzero(same & ~np.eye(b, dtype=bool))
+    num_triplets = int((positives * (b - sizes)).sum())
+    if num_triplets == 0:
         raise NoValidTripletsError("no sub-class in this batch has two members")
-    num_triplets = int(np.count_nonzero(valid))
-
-    active = valid & (hinge > 0.0)
+    # hinge[r, n] = d(a,p) - d(a,n) + margin, a triplet where n is a negative
+    hinge = dist[anchor, positive][:, None] - dist[anchor] + margin
+    active = ~same[anchor] & (hinge > 0.0)
     value = float(hinge[active].sum() / num_triplets)
 
     # dL/d dist as a matrix: +1/T at (a,p), -1/T at (a,n) per active triplet
-    w = np.zeros((b, b))
-    pos_counts = np.count_nonzero(active, axis=2)
-    neg_counts = np.count_nonzero(active, axis=1)
-    w += pos_counts / num_triplets
+    pos_counts = np.zeros((b, b), dtype=np.intp)
+    pos_counts[anchor, positive] = np.add.reduce(active, axis=1, dtype=np.intp)
+    neg_counts = np.zeros((b, b), dtype=np.intp)
+    anchors = positives > 0
+    starts = (np.cumsum(positives) - positives)[anchors]
+    neg_counts[anchors] = np.add.reduceat(active, starts, axis=0, dtype=np.intp)
+    w = pos_counts / num_triplets
     w -= neg_counts / num_triplets
 
     # distance is symmetric in its two rows; fold both orientations, then
     # d dist_ij / d e_i = (e_i - e_j)/dist_ij with zero at coincident points
     s = w + w.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(dist > 0.0, 1.0 / dist, 0.0)
+    inv = np.zeros((b, b))
+    np.divide(1.0, dist, out=inv, where=dist > 0.0)
     coeff = s * inv
     grad = coeff.sum(axis=1, keepdims=True) * emb - coeff @ emb
     return LossOutput(value=value, grad_embeddings=grad), num_triplets
@@ -256,7 +269,7 @@ def _fit(
     else:
         epochs, opt = config.stage1_epochs, config.optimizer
         epoch_losses, epoch_offset = report.stage1_epoch_losses, 0
-    tape = []
+    tape = EncoderTape()
 
     for epoch in range(epochs):
         batches = make_batches(

@@ -7,6 +7,11 @@ package's public per-step functions and writes out only the loops around
 them, so it pins how the trainers compose those steps. The reference
 encoder step pins those per-step functions in turn.
 
+ref_triplet_batch_loss is the other exception: the package's former
+batch triplet loss, frozen as it was, which built every (anchor, positive,
+negative) entry of a B x B x B tensor. The current loss reorders that work
+without changing an operation, so the two must agree bit for bit.
+
 pair_target, margin_logit_transform and class_score are per-sample forms
 of what the package computes a batch at a time. ref_classical_mds
 double-centres the full N x N squared-distance matrix, the textbook route
@@ -250,6 +255,43 @@ def ref_triplet_mean(emb, labels, margin) -> tuple[float, int]:
                 total += max(0.0, dp - dn + margin)
                 count += 1
     return (total / count if count else 0.0), count
+
+
+def ref_triplet_batch_loss(embeddings, labels, margin):
+    """(value, grad_embeddings, triplet count) of the B^3 batch triplet loss.
+
+    Raises NoValidTripletsError when no triplet is valid.
+    """
+    emb = np.asarray(embeddings, dtype=np.float64)
+    b = emb.shape[0]
+    sub = np.asarray(labels, dtype=np.int64)
+    same = sub[:, None] == sub[None, :]
+    eye = np.eye(b, dtype=bool)
+
+    diff = emb[:, None, :] - emb[None, :, :]
+    dist = np.sqrt(np.maximum((diff * diff).sum(axis=2), 0.0))
+
+    valid = (same & ~eye)[:, :, None] & (~same)[None, :, :]
+    hinge = dist[:, :, None] - dist[:, None, :] + margin
+    if not valid.any():
+        raise NoValidTripletsError("no sub-class in this batch has two members")
+    num_triplets = int(np.count_nonzero(valid))
+
+    active = valid & (hinge > 0.0)
+    value = float(hinge[active].sum() / num_triplets)
+
+    w = np.zeros((b, b))
+    pos_counts = np.count_nonzero(active, axis=2)
+    neg_counts = np.count_nonzero(active, axis=1)
+    w += pos_counts / num_triplets
+    w -= neg_counts / num_triplets
+
+    s = w + w.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(dist > 0.0, 1.0 / dist, 0.0)
+    coeff = s * inv
+    grad = coeff.sum(axis=1, keepdims=True) * emb - coeff @ emb
+    return value, grad, num_triplets
 
 
 def ref_tfidf_vectors(texts) -> np.ndarray:

@@ -402,6 +402,24 @@ def test_eval_unknown_test_class_is_data_error_with_line(tmp_path, corpus, train
     assert len(err) == 1 and err[0].startswith("data error: line 3: class 'class_9'")
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["zero-byte", "blank-lines"])
+def test_eval_empty_training_file_is_named_before_the_test_file_is_read(
+    tmp_path, trained, capsys, content
+):
+    empty, report = tmp_path / "train.jsonl", tmp_path / "mae.json"
+    empty.write_text(content)
+    # a test file that cannot be read: reading it would be a different error
+    missing = tmp_path / "no-such-test.jsonl"
+    code = run_command(
+        ["eval", "--model", trained["model"], "--train", str(empty), "--test", str(missing),
+         "--report", str(report)]
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"data error: training set {empty} is empty"]
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------- viz
 
 

@@ -15,6 +15,7 @@ from hiersphere import (
     DimensionMismatchError,
     EncoderConfig,
     EncoderParams,
+    EncoderTape,
     GeneratorConfig,
     InvalidConfigError,
     NonFiniteError,
@@ -29,6 +30,7 @@ from hiersphere import (
     load_checkpoint,
     save_checkpoint,
 )
+from hiersphere import encoder
 from hiersphere.encoder import (
     adam_step_array,
     encoder_backward_step,
@@ -255,22 +257,62 @@ def test_nonfinite_gradient_rejected():
         encoder_backward_step(params, np.array([[1.0, 2.0]]), g, OptimizerConfig())
 
 
+def _write_into_flat_gradient(monkeypatch, values):
+    """Make every backward step find values at the head of its flat gradient."""
+    original = encoder.encoder_param_grads
+
+    def with_values(params, x, g, tape):
+        grads = original(params, x, g, tape)
+        tape.grad[: len(values)] = values
+        return grads
+
+    monkeypatch.setattr(encoder, "encoder_param_grads", with_values)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad):
+@pytest.mark.parametrize(
+    "bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)],
+    ids=["nan", "inf", "-inf", "inf-pair"],
+)
+def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad, monkeypatch):
     params, x, g = _step_fixture()
     opt = OptimizerConfig(learning_rate=1e-2)
     for _ in range(3):
         encoder_backward_step(params, x, g, opt)
     state, before = params.state.tobytes(), params.step_count
+    # the values in the upstream gradient, then straight in the parameter
+    # gradient, where a +inf/-inf pair sums to NaN
     g = g.copy()
-    g[2, 1] = bad
-    tape = []
+    for pos, value in zip((7, 13), bad):
+        g.flat[pos] = value
+    tape = EncoderTape()
     encoder_forward_batch(params, x, tape=tape)
     with pytest.raises(NonFiniteError):
         encoder_backward_step(params, x, g, opt, tape=tape)
+    _write_into_flat_gradient(monkeypatch, bad)
+    with pytest.raises(NonFiniteError):
+        encoder_backward_step(params, x, _step_fixture()[2], opt)
     assert params.state.tobytes() == state
     assert params.step_count == before == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_finite_gradient_whose_sum_overflows_still_steps(monkeypatch):
+    params, x, g = _step_fixture()
+    opt = OptimizerConfig(learning_rate=1e-2)
+    encoder_backward_step(params, x, g, opt)
+    tape = EncoderTape()
+    encoder_forward_batch(params, x, tape=tape)
+    grad = np.concatenate([a.ravel() for pair in encoder_param_grads(params, x, g) for a in pair])
+    grad[:2] = 1e308
+    assert np.isfinite(grad).all() and not np.isfinite(grad.sum())
+    want = params.state.copy()
+    theta, m, v = want
+    adam_step_array(theta, grad, m, v, 2, opt)
+    _write_into_flat_gradient(monkeypatch, (1e308, 1e308))
+    encoder_backward_step(params, x, g, opt, tape=tape)
+    assert params.step_count == 2
+    assert params.state.tobytes() == want.tobytes()
 
 
 def _assert_views_alias_state(params):
@@ -391,13 +433,69 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
         # the trainer's order (a forward filling a tape, then a step through
         # it) and a step without a tape, which recomputes the pass
         if step % 2 == 0:
-            tape = []
+            tape = EncoderTape()
             encoder_forward_batch(params, x, tape=tape)
             encoder_backward_step(params, x, g, opt, tape=tape)
         else:
             encoder_backward_step(params, x, g, opt)
         want = ref_backward_step(want, x, g, opt)
         _assert_params_bitwise(params, want)
+
+
+@pytest.mark.parametrize(
+    "activation, hidden_dims",
+    [("tanh", (7,)), ("relu", (7,)), ("tanh", (6, 5)), ("relu", (6, 5))],
+)
+def test_one_tape_over_changing_batch_sizes_matches_reference(activation, hidden_dims):
+    cfg = EncoderConfig(input_dim=4, hidden_dims=hidden_dims, output_dim=3,
+                        activation=activation, seed=13)
+    opt = OptimizerConfig(learning_rate=1e-2)
+    rng = make_rng(11, 49)
+    params, want = init_params(cfg), init_params(cfg)
+    tape = EncoderTape()
+    # full batches, a short epoch tail, and a stage-2 batch that took in a
+    # trailing singleton; a batch of the previous size reuses the buffers
+    flat = []
+    for b in (6, 6, 4, 6, 7, 7, 6, 2, 5):
+        x = rng.normal(size=(b, 4))
+        g = rng.normal(size=(b, 3))
+        emb = encoder_forward_batch(params, x, tape=tape)
+        assert emb.shape == (b, 3)
+        encoder_backward_step(params, x, g, opt, tape=tape)
+        flat.append(tape.grad)
+        want = ref_backward_step(want, x, g, opt)
+        _assert_params_bitwise(params, want)
+    assert flat[1] is flat[0] and flat[5] is flat[4]
+    assert flat[2] is not flat[1]
+
+
+def test_tape_gradient_equals_the_fresh_gradient_bitwise():
+    # what the finite-difference checks verify without a tape holds for the
+    # views a tape hands out, also for a tape that ran another batch before
+    params, x, g = _step_fixture()
+    tape = EncoderTape()
+    for batch, upstream in ((x[:3], g[:3]), (x, g)):
+        encoder_forward_batch(params, batch, tape=tape)
+        encoder_param_grads(params, batch, upstream, tape)
+    fresh = encoder_param_grads(params, x, g)
+    for (dw, db), (fw, fb) in zip(encoder_param_grads(params, x, g, tape), fresh, strict=True):
+        assert np.shares_memory(dw, tape.grad) and np.shares_memory(db, tape.grad)
+        assert dw.tobytes() == fw.tobytes() and db.tobytes() == fb.tobytes()
+
+
+def test_forward_without_a_tape_returns_an_array_of_its_own():
+    params, x, _ = _step_fixture()
+    first = encoder_forward_batch(params, x)
+    kept = first.copy()
+    encoder_forward_batch(params, x[::-1])
+    encoder_forward_batch(params, x[:2], tape=EncoderTape())
+    assert first.tobytes() == kept.tobytes()
+    # a tape's output is its buffer, rewritten by its next forward
+    tape = EncoderTape()
+    on_tape = encoder_forward_batch(params, x, tape=tape)
+    again = encoder_forward_batch(params, x[::-1], tape=tape)
+    assert np.shares_memory(on_tape, again)
+    assert on_tape.tobytes() == encoder_forward_batch(params, x[::-1]).tobytes()
 
 
 # ------------------------------------------------------------ forward tape
@@ -414,7 +512,7 @@ def test_forward_writes_nothing_to_params():
     data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=4, per_subclass_count=20, seed=2))
     before, state = dict(vars(params)), params.state.tobytes()
     encoder_forward_batch(params, x)
-    encoder_forward_batch(params, x, tape=[])
+    encoder_forward_batch(params, x, tape=EncoderTape())
     serial = embed_all(params, data, batch_size=7)
     for _ in range(3):
         assert embed_all(params, data, num_threads=2, batch_size=7).tobytes() == serial.tobytes()

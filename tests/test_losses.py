@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
@@ -26,6 +26,7 @@ from hiersphere import (
     softmax_ce_loss,
     triplet_loss,
 )
+from hiersphere import losses
 from hiersphere.rng import make_rng
 
 from _oracles import (
@@ -444,14 +445,33 @@ def test_pair_target_symmetric_and_matches_reference(a, b, switch):
     assert float(t_ab) == ref_pair_target(a, b, switch)
 
 
-@given(st.lists(label_strategy, min_size=2, max_size=6), st.booleans())
+@given(st.lists(label_strategy, min_size=0, max_size=8), st.booleans())
+@example([], False)
+@example([], True)
+@example([HierLabel(2, NEU)], False)
+@example([HierLabel(2, NEU)], True)
 def test_pair_target_matrix_matches_scalar(labels, switch):
     mat = pair_target_matrix(ids_of(labels), switch)
+    n = len(labels)
+    assert mat.shape == (n, n) and mat.dtype == np.float64
     assert np.all(np.diag(mat) == 0.0)
-    for i in range(len(labels)):
-        for j in range(len(labels)):
+    for i in range(n):
+        for j in range(n):
             if i != j:
                 assert mat[i, j] == float(pair_target(labels[i], labels[j], switch))
+                assert mat[i, j] == ref_pair_target(labels[i], labels[j], switch)
+
+
+@pytest.mark.parametrize("switch", [False, True])
+def test_pair_target_matrix_result_cannot_change_the_shared_table(switch):
+    ids = ids_of([HierLabel(1, NEU), HierLabel(1, NEU), HierLabel(1, POS), HierLabel(0, NEG)])
+    first = pair_target_matrix(ids, switch)
+    want = first.tobytes()
+    first[...] = 7.0
+    assert pair_target_matrix(ids, switch).tobytes() == want
+    # the polarity table every call reads refuses writes
+    with pytest.raises(ValueError):
+        losses._SAME_CLASS_TARGETS[switch][0, 0] = 7.0
 
 
 # ---------------------------------------------------- pairwise cosine

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersphere import (
     DatasetTooSmallError,
@@ -31,7 +33,7 @@ from hiersphere import encoder, trainer
 from hiersphere.rng import make_rng
 from hiersphere.trainer import LOSS_KINDS
 
-from _oracles import ids_of, random_labels, ref_train, ref_triplet_mean
+from _oracles import ids_of, random_labels, ref_train, ref_triplet_batch_loss, ref_triplet_mean
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -454,9 +456,9 @@ def test_one_forward_pass_per_training_step(monkeypatch, mode):
     forward_passes = []
     original = encoder._forward_cached
 
-    def counted(params, x):
+    def counted(params, x, *tape):
         forward_passes.append(len(x))
-        return original(params, x)
+        return original(params, x, *tape)
 
     monkeypatch.setattr(encoder, "_forward_cached", counted)
     data = tiny_dataset(per_subclass_count=6)
@@ -529,3 +531,36 @@ def test_triplet_batch_loss_raises_without_pairs():
     labels = [HierLabel(0, NEG), HierLabel(0, NEU), HierLabel(0, POS)]
     with pytest.raises(NoValidTripletsError):
         triplet_batch_loss(emb, ids_of(labels), margin=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.integers(min_value=2, max_value=40),
+    width=st.integers(min_value=1, max_value=40),
+    margin=st.sampled_from([0.0, 0.2, 1.0, 2.5]),
+    num_subclasses=st.integers(min_value=1, max_value=40),
+    copies=st.integers(min_value=0, max_value=40),
+    unit_rows=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_triplet_batch_loss_bitwise_equals_the_cubic_oracle(
+    b, width, margin, num_subclasses, copies, unit_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(b, width)) * rng.uniform(0.1, 3.0, size=(b, 1))
+    if unit_rows:
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    # coincident points, within one sub-class or across two
+    emb[rng.integers(0, b, size=copies)] = emb[rng.integers(0, b, size=copies)]
+    # many sub-classes in a small batch leave singletons, or no valid triplet
+    labels = rng.integers(0, num_subclasses, size=b)
+    try:
+        want_value, want_grad, want_count = ref_triplet_batch_loss(emb, labels, margin)
+    except NoValidTripletsError as exc:
+        with pytest.raises(NoValidTripletsError, match=f"^{exc}$"):
+            triplet_batch_loss(emb, labels, margin)
+        return
+    out, count = triplet_batch_loss(emb, labels, margin)
+    assert count == want_count
+    assert out.value.hex() == want_value.hex()
+    assert out.grad_embeddings.tobytes() == want_grad.tobytes()
