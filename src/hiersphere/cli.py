@@ -27,6 +27,7 @@ from .data import (
     load_texts,
     save_jsonl,
     tfidf_dedup,
+    write_jsonl,
 )
 from .encoder import (
     EncoderConfig,
@@ -238,11 +239,8 @@ def _cmd_dedup(ns) -> _Run:
 
     out = _resolve_out(ns.out)
     kept = set(kept_ids)
-    with open(out, "w", encoding="utf-8") as fh:
-        for tid, text in texts:
-            if tid in kept:
-                fh.write(json.dumps({"id": tid, "text": text}, separators=(",", ":")))
-                fh.write("\n")
+    rows = [{"id": tid, "text": text} for tid, text in texts if tid in kept]
+    write_jsonl(out, len(rows), rows.__getitem__)
     outputs = [out]
     if ns.report:
         report_path = _resolve_out(ns.report)
@@ -336,10 +334,8 @@ def _cmd_embed(ns) -> _Run:
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
     emb = embed_all(params, dataset, num_threads=ns.threads)
     out = _resolve_out(ns.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        for rid, e in zip(dataset.ids, emb):
-            fh.write(json.dumps({"id": rid, "embedding": e.tolist()}, separators=(",", ":")))
-            fh.write("\n")
+    ids = dataset.ids
+    write_jsonl(out, len(ids), lambda i: {"id": ids[i], "embedding": emb[i].tolist()})
     print(f"wrote {len(dataset)} embeddings to {out}")
     return _Run({"threads": ns.threads}, inputs=[ns.model, ns.data], outputs=[out])
 

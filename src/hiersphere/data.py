@@ -12,6 +12,7 @@ noise produces the samples. Geometry depends only on the seed, so train and
 test splits drawn from the same config share sub-class structure.
 """
 
+import contextlib
 import functools
 import io
 import json
@@ -182,14 +183,54 @@ _COUNT_BLOCK = 1 << 18
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-def _range_count(size: int) -> int:
-    """How many byte ranges to parse a file of size bytes in at once."""
+def _worker_count(work: int, min_work: int) -> int:
+    """How many processes to share work units between: at most one per
+    usable CPU, each with at least min_work units."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     # a child forked beside other threads could wait forever on a lock one held
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // MIN_RANGE_BYTES))
+    return max(1, min(len(os.sched_getaffinity(0)), work // min_work))
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Run each job(fd) in a forked child that writes to the pipe fd and
+    exits; yield per job the pipe's read end, or None once a fork fails.
+
+    A child exits without unwinding into the parent's stack, flushing
+    inherited buffers or printing a traceback, so its failure shows as a
+    short write. On leaving, every pipe is closed and every child killed
+    and reaped.
+    """
+    children = []  # (pid, pipe from the child)
+    try:
+        for job in jobs:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller does the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    job(write_fd)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        pipes = [pipe for _, pipe in children]
+        yield pipes + [None] * (len(jobs) - len(pipes))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _byte_ranges(fh, size: int, count: int) -> list[tuple[int, int]]:
@@ -215,7 +256,7 @@ def _line_count(fh, start: int, end: int) -> int:
         if not block:
             break
         start += len(block)
-        lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        lines += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
         if b"\r" in block:
             lines += block.count(b"\r") - block.count(b"\r\n")
         last = block[-1]
@@ -301,6 +342,74 @@ class _Block:
     soft_scores: list[np.ndarray | None]
 
 
+# Rows whose vectors convert in one np.asarray and one np.isfinite. From 32
+# to 512 rows a 4,000-row file read at one speed within the noise; fewer
+# rows keep fewer decoded lists alive at once.
+_CHUNK_ROWS = 16
+_POLARITY_ORDINALS = {p.value: p.ordinal for p in Polarity}
+
+
+def _vector(lineno: int, vector, dim: int | None) -> np.ndarray:
+    """One record's vector as a flat array of finite float64 numbers, of
+    width dim if dim is not None."""
+    try:
+        feats = np.asarray(vector, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParseError(lineno, "vector must hold numbers") from None
+    if feats.ndim != 1:
+        raise ParseError(lineno, "vector must be a flat array")
+    if not np.isfinite(feats).all():
+        raise ParseError(lineno, "vector must hold finite numbers")
+    if dim is not None and feats.shape[0] != dim:
+        raise DimensionMismatchError(
+            f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
+        )
+    return feats
+
+
+class _Rows:
+    """The vectors of one range, checked and written a chunk of rows at a
+    time into one capacity x d matrix made when the first row is written."""
+
+    def __init__(self, capacity: int, dim: int | None):
+        self.capacity, self.dim = capacity, dim
+        self.features = None
+        self.written = 0
+        self.pending = []  # (line number, vector) per row read but not written
+
+    def add(self, lineno: int, vector) -> None:
+        self.pending.append((lineno, vector))
+        if len(self.pending) == _CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the pending rows: as one chunk when they convert to finite
+        rows of the expected width, else one row at a time, which raises the
+        error a line-by-line reader meets first."""
+        pending, self.pending = self.pending, []
+        try:
+            chunk = np.asarray([vector for _, vector in pending], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            chunk = None
+        if (
+            chunk is not None
+            and chunk.ndim == 2
+            and self.dim in (None, chunk.shape[1])
+            and np.isfinite(chunk).all()
+        ):
+            self._write(chunk)
+            return
+        for lineno, vector in pending:
+            self._write(_vector(lineno, vector, self.dim)[None])
+
+    def _write(self, rows: np.ndarray) -> None:
+        if self.features is None:
+            self.dim = rows.shape[1]
+            self.features = _matrix(self.capacity, self.dim)
+        self.features[self.written : self.written + len(rows)] = rows
+        self.written += len(rows)
+
+
 def _parse_range(
     fh,
     start: int,
@@ -311,85 +420,76 @@ def _parse_range(
     class_names: list[str] | None,
 ) -> _Block:
     """Records in bytes [start, end) of the binary file fh, rows written into
-    one capacity x d matrix; line numbers count from the range's first line."""
+    one capacity x d matrix; line numbers count from the range's first line.
+
+    Vectors are checked a chunk at a time, every other field as its line is
+    read. Before an error leaves the loop, the rows still pending are checked
+    one at a time, so the error raised is the one a line-by-line reader
+    meets first.
+    """
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
-    features, subclass, ids, soft_scores = None, [], [], []
-    dim = expected_dim
+    ordinals = dict(_POLARITY_ORDINALS)
+    if mnli_label_map:
+        ordinals.update((k, _POLARITY_ORDINALS[v]) for k, v in MNLI_LABEL_MAP.items())
+    rows = _Rows(capacity, expected_dim)
+    subclass, ids, soft_scores = [], [], []
 
     fh.seek(start)
     fields = ("id", "class", "polarity", "vector")
-    for lineno, rid, rec in _records(_lines(fh, end - start), fields):
-        cls = str(rec["class"])
-        pol_str = str(rec["polarity"])
-        if mnli_label_map and pol_str in MNLI_LABEL_MAP:
-            pol_str = MNLI_LABEL_MAP[pol_str]
-        try:
-            polarity = Polarity(pol_str)
-        except ValueError:
-            raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
+    try:
+        for lineno, rid, rec in _records(_lines(fh, end - start), fields):
+            cls = str(rec["class"])
+            pol_str = str(rec["polarity"])
+            ordinal = ordinals.get(pol_str)
+            if ordinal is None:
+                raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}")
+            # a line-by-line reader checks the vector here
+            rows.add(lineno, rec["vector"])
 
-        try:
-            feats = np.asarray(rec["vector"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParseError(lineno, "vector must hold numbers") from None
-        if feats.ndim != 1:
-            raise ParseError(lineno, "vector must be a flat array")
-        if not np.isfinite(feats).all():
-            raise ParseError(lineno, "vector must hold finite numbers")
-        if dim is None:
-            dim = feats.shape[0]
-        elif feats.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
-            )
-
-        if cls not in class_ids:
-            if vocabulary_fixed:
-                raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
-            class_ids[cls] = len(class_ids)
-        scores = rec.get("scores")
-        try:
-            soft = None if scores is None else np.asarray(scores, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParseError(lineno, "scores must hold numbers") from None
-        if soft is not None and not np.isfinite(soft).all():
-            raise ParseError(lineno, "scores must hold finite numbers")
-        if features is None:
-            features = _matrix(capacity, dim)
-        features[len(ids)] = feats
-        subclass.append(3 * class_ids[cls] + polarity.ordinal)
-        ids.append(rid)
-        soft_scores.append(soft)
-    return _Block(features, ids, subclass, list(class_ids), soft_scores)
+            if cls not in class_ids:
+                if vocabulary_fixed:
+                    raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
+                class_ids[cls] = len(class_ids)
+            scores = rec.get("scores")
+            try:
+                soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(lineno, "scores must hold numbers") from None
+            if soft is not None and not np.isfinite(soft).all():
+                raise ParseError(lineno, "scores must hold finite numbers")
+            subclass.append(3 * class_ids[cls] + ordinal)
+            ids.append(rid)
+            soft_scores.append(soft)
+        rows.flush()
+    except Exception:
+        rows.flush()  # an earlier row's vector error comes first
+        raise
+    return _Block(rows.features, ids, subclass, list(class_ids), soft_scores)
 
 
 def _send_range(path: str, parse, start: int, end: int, capacity: int, fd: int) -> None:
     """In a forked child: parse one range of path and write it to the pipe fd
-    as an 8-byte header length, the pickled header and the raw rows; never
-    returns.
+    as an 8-byte header length, the pickled header and the raw rows."""
+    with open(path, "rb") as fh:
+        block = parse(fh, start, end, capacity)
+    n = len(block.ids)
+    dim = None if block.features is None else block.features.shape[1]
+    header = pickle.dumps((n, dim, block.ids, block.class_names, block.subclass, block.soft_scores))
+    with open(fd, "wb") as out:
+        out.write(len(header).to_bytes(8, "little"))
+        out.write(header)
+        if n:
+            out.write(memoryview(block.features[:n]).cast("B"))
 
-    The child only parses and writes. It exits without unwinding into the
-    parent's stack, flushing inherited buffers or printing a traceback; a
-    failure shows as a short write.
-    """
-    status = 1
-    try:
-        with open(path, "rb") as fh:
-            block = parse(fh, start, end, capacity)
-        n = len(block.ids)
-        dim = None if block.features is None else block.features.shape[1]
-        header = pickle.dumps(
-            (n, dim, block.ids, block.class_names, block.subclass, block.soft_scores)
-        )
-        with open(fd, "wb") as out:
-            out.write(len(header).to_bytes(8, "little"))
-            out.write(header)
-            if n:
-                out.write(memoryview(block.features[:n]).cast("B"))
-        status = 0
-    finally:
-        os._exit(status)
+
+def _count_and_send(path: str, parse, start: int, end: int, fd: int) -> None:
+    """In a forked child: write the line count of bytes [start, end) of path
+    to the pipe fd as 8 bytes, then send the range as _send_range does."""
+    with open(path, "rb") as fh:
+        capacity = _line_count(fh, start, end)
+    os.write(fd, capacity.to_bytes(8, "little"))
+    _send_range(path, parse, start, end, capacity, fd)
 
 
 def _receive_header(pipe):
@@ -402,34 +502,29 @@ def _receive_header(pipe):
     return pickle.loads(header) if len(header) == size else None
 
 
-def _parse_ranges(path: str, fh, parse, ranges, capacities) -> _Block | None:
+def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
     """Parse ranges[0] of the file fh opened at path here and every other
     range in a forked child, with all rows landing in one matrix sized for
-    every line.
+    every line: this process counts the lines of its range, each child those
+    of its own.
 
-    None when a range fails, a child dies or writes short, a range's vectors
-    differ in width from the first range's, or an id repeats across ranges;
-    the caller then parses the whole file in one range, which raises the
-    error a reader going line by line meets first.
+    None when a fork or a range fails, a child dies or writes short, a
+    range's vectors differ in width from the first range's, or an id repeats
+    across ranges; the caller then parses the whole file in one range, which
+    raises the error a reader going line by line meets first.
     """
-    children = []  # (pid, pipe from the child)
-    try:
-        for (start, end), capacity in zip(ranges[1:], capacities[1:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the caller parses serially
-                os.close(read_fd)
-                os.close(write_fd)
+    jobs = [functools.partial(_count_and_send, path, parse, *span) for span in ranges[1:]]
+    with _forked(jobs) as pipes:
+        if None in pipes:
+            return None
+        capacity = _line_count(fh, *ranges[0])
+        for pipe in pipes:
+            count = pipe.read(8)
+            if len(count) < 8:
                 return None
-            if pid == 0:
-                os.close(read_fd)
-                _send_range(path, parse, start, end, capacity, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-
+            capacity += int.from_bytes(count, "little")
         try:
-            block = parse(fh, *ranges[0], sum(capacities))
+            block = parse(fh, *ranges[0], capacity)
         except HiersphereError:
             return None
         if block.features is None:
@@ -437,7 +532,7 @@ def _parse_ranges(path: str, fh, parse, ranges, capacities) -> _Block | None:
         features, ids, soft_scores = block.features, block.ids, block.soft_scores
         class_ids = {name: i for i, name in enumerate(block.class_names)}
         subclass = [np.asarray(block.subclass, dtype=np.int64)]
-        for _, pipe in children:
+        for pipe in pipes:
             header = _receive_header(pipe)
             if header is None:
                 return None
@@ -459,11 +554,6 @@ def _parse_ranges(path: str, fh, parse, ranges, capacities) -> _Block | None:
         if len(set(ids)) != len(ids):
             return None
         return _Block(features, ids, np.concatenate(subclass), list(class_ids), soft_scores)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def load_jsonl(
@@ -497,11 +587,11 @@ def load_jsonl(
         # a pipe can be read only once, and only here: hold its bytes
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         size = fh.seek(0, io.SEEK_END)
-        ranges = _byte_ranges(fh, size, _range_count(size) if fh is raw else 1)
-        capacities = [_line_count(fh, start, end) for start, end in ranges]
-        block = _parse_ranges(path, fh, parse, ranges, capacities) if len(ranges) > 1 else None
+        count = _worker_count(size, MIN_RANGE_BYTES) if fh is raw else 1
+        ranges = _byte_ranges(fh, size, count)
+        block = _parse_ranges(path, fh, parse, ranges) if len(ranges) > 1 else None
         if block is None:
-            block = parse(fh, 0, size, sum(capacities))
+            block = parse(fh, 0, size, _line_count(fh, 0, size))
 
     n = len(block.ids)
     return Dataset(
@@ -520,22 +610,96 @@ def load_texts(path: str) -> list[tuple[str, str]]:
         return [(rid, str(rec["text"])) for _, rid, rec in _records(_lines(fh), ("id", "text"))]
 
 
+# Fewest rows worth formatting in a forked child. On a 2-core VM, rows of 32
+# floats written in two ranges broke even with one range at about 256 rows
+# and took 21 against 27 ms at 1,024 rows; text rows of 30 words, ten times
+# cheaper to format, broke even only at about 4,000 rows.
+MIN_FORMAT_ROWS = 512
+# rows formatted at a time, and the most bytes copied at once from a child;
+# small blocks keep the writer's transient memory small
+_FORMAT_ROWS = 64
+_COPY_BLOCK = 1 << 16
+
+
+def _formatted(text, start: int, end: int):
+    """The bytes of rows [start, end), _FORMAT_ROWS rows at a time."""
+    for lo in range(start, end, _FORMAT_ROWS):
+        yield text(lo, min(lo + _FORMAT_ROWS, end))
+
+
+def _send_text(text, start: int, end: int, fd: int) -> None:
+    """In a forked child: format rows [start, end) and write them to the
+    pipe fd as an 8-byte length and the bytes."""
+    blocks = list(_formatted(text, start, end))
+    with open(fd, "wb") as out:
+        out.write(sum(map(len, blocks)).to_bytes(8, "little"))
+        out.writelines(blocks)
+
+
+def _copy_sent(pipe, fh) -> bool:
+    """Copy the bytes a child sent through to fh, at most _COPY_BLOCK at a
+    time; False if it wrote short."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return False
+    remaining = int.from_bytes(head, "little")
+    block = memoryview(bytearray(min(remaining, _COPY_BLOCK)))
+    while remaining:
+        got = pipe.readinto(block[: min(remaining, len(block))])
+        if not got:
+            return False
+        fh.write(block[:got])
+        remaining -= got
+    return True
+
+
+def write_jsonl(path: str, n: int, record) -> None:
+    """Write the JSON objects record(0), ..., record(n - 1) to path, one per
+    line, with compact separators and floats exact via repr.
+
+    With at least 2 * MIN_FORMAT_ROWS rows and a seekable file, the rows are
+    cut into up to one range per usable CPU. Forked children format all but
+    the first, which this process writes before copying their bytes
+    through; a range whose child dies or writes short is formatted here. The
+    bytes are those of one process writing row by row.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+
+    def text(start: int, end: int) -> bytes:
+        return "".join([encode(record(i)) + "\n" for i in range(start, end)]).encode()
+
+    with open(path, "wb") as fh:
+        count = _worker_count(n, MIN_FORMAT_ROWS) if fh.seekable() else 1
+        cuts = [n * k // count for k in range(count + 1)]
+        ranges = list(zip(cuts, cuts[1:]))
+        jobs = [functools.partial(_send_text, text, *span) for span in ranges[1:]]
+        with _forked(jobs) as pipes:
+            fh.writelines(_formatted(text, *ranges[0]))
+            for span, pipe in zip(ranges[1:], pipes):
+                mark = fh.tell()
+                if pipe is None or not _copy_sent(pipe, fh):
+                    fh.seek(mark)
+                    fh.truncate()
+                    fh.writelines(_formatted(text, *span))
+
+
 def save_jsonl(path: str, dataset: Dataset) -> None:
     """Inverse of load_jsonl; floats round-trip exactly via repr."""
+    subclass = dataset.subclass.tolist()
     soft_scores = dataset.soft_scores or [None] * len(dataset)
-    with open(path, "w", encoding="utf-8") as fh:
-        rows = zip(dataset.ids, dataset.subclass.tolist(), dataset.features, soft_scores)
-        for rid, sub, feats, soft in rows:
-            rec = {
-                "id": rid,
-                "class": dataset.class_names[sub // 3],
-                "polarity": Polarity.from_ordinal(sub % 3).value,
-                "vector": feats.tolist(),
-            }
-            if soft is not None:
-                rec["scores"] = soft.tolist()
-            fh.write(json.dumps(rec, separators=(",", ":")))
-            fh.write("\n")
+
+    def record(i: int) -> dict:
+        rec = {
+            "id": dataset.ids[i],
+            "class": dataset.class_names[subclass[i] // 3],
+            "polarity": Polarity.from_ordinal(subclass[i] % 3).value,
+            "vector": dataset.features[i].tolist(),
+        }
+        if soft_scores[i] is not None:
+            rec["scores"] = soft_scores[i].tolist()
+        return rec
+
+    write_jsonl(path, len(dataset), record)
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

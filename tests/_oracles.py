@@ -18,6 +18,11 @@ double-centres the full N x N squared-distance matrix, the textbook route
 that the package takes only for distance input. ref_load_jsonl is the
 row-at-a-time loader the columnar one replaced.
 
+ref_parse_range and ref_write_jsonl are frozen too: the package's range
+parser as it was before it converted vectors a chunk of rows at a time, and
+its JSON Lines writers as they were before forked children formatted rows.
+The package must give the same dataset, error and bytes.
+
 ids_of, dataset_of and centroids_of build the package's columnar inputs
 (int sub-class ids, a Dataset, SubclassCentroids) from HierLabel-style
 descriptions, so tests can state their cases per sample.
@@ -53,6 +58,7 @@ from hiersphere import (
     pairwise_cosine_loss,
     triplet_batch_loss,
 )
+from hiersphere.data import _Block, _lines, _matrix, _records
 from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
 
@@ -545,3 +551,89 @@ def ref_load_jsonl(path, mnli_label_map=False, class_names=None) -> dict:
         "class_names": list(class_ids),
         "soft_scores": soft_scores,
     }
+
+
+def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, class_names):
+    """The package's _parse_range as it was before it converted vectors a
+    chunk of rows at a time, frozen: every check of a row runs as the row is
+    read. Only the line splitting, the record checks and the matrix
+    allocation are the package's own.
+
+    Returns the package's _Block; raises what it raised, at the same line.
+    """
+    vocabulary_fixed = class_names is not None
+    class_ids = {name: i for i, name in enumerate(class_names or ())}
+    features, subclass, ids, soft_scores = None, [], [], []
+    dim = expected_dim
+
+    fh.seek(start)
+    fields = ("id", "class", "polarity", "vector")
+    for lineno, rid, rec in _records(_lines(fh, end - start), fields):
+        cls = str(rec["class"])
+        pol_str = str(rec["polarity"])
+        if mnli_label_map and pol_str in _REF_MNLI:
+            pol_str = _REF_MNLI[pol_str]
+        try:
+            polarity = Polarity(pol_str)
+        except ValueError:
+            raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}") from None
+
+        try:
+            feats = np.asarray(rec["vector"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(lineno, "vector must hold numbers") from None
+        if feats.ndim != 1:
+            raise ParseError(lineno, "vector must be a flat array")
+        if not np.isfinite(feats).all():
+            raise ParseError(lineno, "vector must hold finite numbers")
+        if dim is None:
+            dim = feats.shape[0]
+        elif feats.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"line {lineno}: vector length {feats.shape[0]} != expected {dim}"
+            )
+
+        if cls not in class_ids:
+            if vocabulary_fixed:
+                raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
+            class_ids[cls] = len(class_ids)
+        scores = rec.get("scores")
+        try:
+            soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(lineno, "scores must hold numbers") from None
+        if soft is not None and not np.isfinite(soft).all():
+            raise ParseError(lineno, "scores must hold finite numbers")
+        if features is None:
+            features = _matrix(capacity, dim)
+        features[len(ids)] = feats
+        subclass.append(3 * class_ids[cls] + polarity.ordinal)
+        ids.append(rid)
+        soft_scores.append(soft)
+    return _Block(features, ids, subclass, list(class_ids), soft_scores)
+
+
+def ref_write_jsonl(path, records) -> None:
+    """The package's JSON Lines writers (save_jsonl, embed's and dedup's) as
+    they were before one helper formatted rows for all three, frozen: one
+    json.dumps per record into a text-mode file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, separators=(",", ":")))
+            fh.write("\n")
+
+
+def ref_dataset_records(dataset):
+    """The records save_jsonl wrote for dataset, one per row, in row order."""
+    soft_scores = dataset.soft_scores or [None] * len(dataset)
+    rows = zip(dataset.ids, dataset.subclass.tolist(), dataset.features, soft_scores)
+    for rid, sub, feats, soft in rows:
+        rec = {
+            "id": rid,
+            "class": dataset.class_names[sub // 3],
+            "polarity": Polarity.from_ordinal(sub % 3).value,
+            "vector": feats.tolist(),
+        }
+        if soft is not None:
+            rec["scores"] = soft.tolist()
+        yield rec

@@ -14,12 +14,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hiersphere import compute_centroids, encoder_forward_batch, load_checkpoint, load_jsonl
+from hiersphere import (
+    compute_centroids,
+    embed_all,
+    encoder_forward_batch,
+    load_checkpoint,
+    load_jsonl,
+    tfidf_dedup,
+)
 from hiersphere import data as data_module
 from hiersphere.cli import BENCH_DEFAULTS, OUT_DIR_ENV, TRAIN_DEFAULTS, build_parser, run_command
 from hiersphere.data import GeneratorConfig, generate_synthetic, save_jsonl
 
-from _oracles import class_score
+from _oracles import class_score, ref_write_jsonl
 
 
 def _sha256(path):
@@ -314,6 +321,48 @@ def test_embed_writes_one_line_per_sample(tmp_path, corpus, trained):
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def forked_writes(monkeypatch):
+    """Let write_jsonl fork for every row range, up to three; after the test
+    no child may be left and no file descriptor may have leaked."""
+    monkeypatch.setattr(data_module, "MIN_FORMAT_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    fds = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained, forked_writes):
+    out, want = tmp_path / "emb.jsonl", tmp_path / "want.jsonl"
+    code = run_command(
+        ["embed", "--model", trained["model"], "--data", corpus["test"], "--out", str(out)]
+    )
+    assert code == 0
+    dataset = load_jsonl(corpus["test"])
+    emb = embed_all(load_checkpoint(trained["model"])[0], dataset)
+    ref_write_jsonl(str(want), ({"id": rid, "embedding": e.tolist()} for rid, e in zip(dataset.ids, emb)))
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_embed_into_a_missing_directory_is_a_data_error(
+    tmp_path, corpus, trained, forked_writes, capsys
+):
+    out = tmp_path / "missing" / "emb.jsonl"
+    code = run_command(
+        ["embed", "--model", trained["model"], "--data", corpus["test"], "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and "No such file" in err[0]
+    assert not out.parent.exists()
+
+
 def test_eval_report_fields_and_table(tmp_path, corpus, trained, capsys):
     report_path = str(tmp_path / "mae.json")
     code = run_command(
@@ -533,6 +582,20 @@ def test_dedup_round_trip(tmp_path, capsys):
     assert removals[0]["kept_id"] == "a"
     assert removals[0]["similarity"] >= 0.9
     assert "kept 2 of 3" in capsys.readouterr().out
+
+
+def test_dedup_writes_the_bytes_of_the_serial_writer(tmp_path, forked_writes):
+    data, out, want = tmp_path / "texts.jsonl", tmp_path / "kept.jsonl", tmp_path / "want.jsonl"
+    texts = [(f"t{i}", f"café {i % 7} naïve \"quoted\" \u65e5\u672c {i % 5}") for i in range(40)]
+    with open(data, "w", encoding="utf-8") as fh:
+        for tid, text in texts:
+            fh.write(json.dumps({"id": tid, "text": text}, ensure_ascii=False) + "\n")
+    assert run_command(["dedup", "--data", str(data), "--out", str(out)]) == 0
+    kept_ids = set(tfidf_dedup(texts)[0])
+    kept = [(tid, text) for tid, text in texts if tid in kept_ids]
+    assert 0 < len(kept) < len(texts)
+    ref_write_jsonl(str(want), ({"id": tid, "text": text} for tid, text in kept))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_dedup_duplicate_id_is_data_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from hiersphere import (
     EmptyCorpusError,
     GeneratorConfig,
     HierLabel,
+    HiersphereError,
     InvalidConfigError,
     ParseError,
     Polarity,
@@ -33,9 +35,17 @@ from hiersphere import (
     tfidf_dedup,
 )
 from hiersphere import data as data_module
-from hiersphere.data import _tfidf_matrix
+from hiersphere.data import MIN_FORMAT_ROWS, _tfidf_matrix, write_jsonl
 
-from _oracles import dataset_of, ids_of, ref_load_jsonl, ref_tfidf_vectors
+from _oracles import (
+    dataset_of,
+    ids_of,
+    ref_dataset_records,
+    ref_load_jsonl,
+    ref_parse_range,
+    ref_tfidf_vectors,
+    ref_write_jsonl,
+)
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -64,6 +74,34 @@ def cut_into(ranges):
         mp.setattr(data_module, "MIN_RANGE_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
         yield
+
+
+@contextlib.contextmanager
+def using_cpus(count):
+    """Let the package see count usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        yield
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork makes in the test. After it, no child
+    may be left and no file descriptor may have leaked."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def small_cfg(**kw):
@@ -654,6 +692,254 @@ def test_failed_child_gives_the_serial_result_and_is_reaped(tmp_path, monkeypatc
     # the parent parsed its own range, then the whole file unless the child delivered
     delivered = written == "whole" and bad_line is None
     assert parent_parses[1:] == ([] if delivered else [(0, os.path.getsize(path))])
+
+
+def test_parent_counts_the_lines_of_its_own_range_only(tmp_path, monkeypatch, forks):
+    path = str(tmp_path / "d.jsonl")
+    _sample_file(path, 300, dim=8)
+    counted, real_count = [], data_module._line_count
+
+    def count(fh, start, end):
+        counted.append((start, end))
+        return real_count(fh, start, end)
+
+    monkeypatch.setattr(data_module, "_line_count", count)
+    with deadline(60), cut_into(2):
+        data = load_jsonl(path)
+    np.testing.assert_array_equal(data.features, ref_load_jsonl(path)["features"])
+    # the child counted the second range: this process saw only the first
+    assert len(forks) == 1
+    assert len(counted) == 1 and counted[0][0] == 0 and counted[0][1] < os.path.getsize(path)
+
+
+# ------------------------------------------------------- chunked vector reads
+
+# damage to one field of one row; "numeric" and "bool" vectors convert, and
+# an unknown class is an error only under a fixed vocabulary
+ROW_DAMAGE = {
+    "null": ("vector", "[null, 0.5]"),
+    "overflow": ("vector", "[1e999, 0.5]"),
+    "nan": ("vector", "[NaN, 0.5]"),
+    "ragged": ("vector", "[0.5, 0.5, 0.5]"),
+    "numeric": ("vector", '["0.25", "-1e3"]'),
+    "bool": ("vector", "[true, false]"),
+    "text": ("vector", '["x", 0.5]'),
+    "nested": ("vector", "[[1.0]]"),
+    "polarity": ("polarity", '"sideways"'),
+    "class": ("class", '"unknown"'),
+    "scores": ("scores", '["high"]'),
+    "duplicate-id": ("id", None),
+}
+# the vector of every row of one chunk: not 2-D, or 2-D of another width
+CHUNK_DAMAGE = {"nested": "[[1.0]]", "wide": "[0.5, 0.5, 0.5]"}
+
+
+def _damage(rows, row, kind):
+    name, value = ROW_DAMAGE[kind]
+    if kind == "duplicate-id":  # the id of the row before, or of the next
+        value = json.dumps(f"r{row - 1 if row else 1}")
+    rows[row][name] = value
+
+
+def _chunked_document(chunk, rows, class_names, damage=()):
+    """(file bytes, class_names, chunk rows) of rows, a list of field dicts of
+    JSON text, after (row, kind) damage to single rows; kind may also name a
+    CHUNK_DAMAGE, applied to every row of the chunk holding row."""
+    rows = [dict(row) for row in rows]
+    for row, kind in damage:
+        if kind in ROW_DAMAGE:
+            _damage(rows, row, kind)
+        else:
+            first = row - row % chunk
+            for i in range(first, first + chunk):
+                rows[i]["vector"] = CHUNK_DAMAGE[kind]
+    lines = ["{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}" for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8"), class_names, chunk
+
+
+def _plain_rows(n):
+    return [{"id": json.dumps(f"r{i}"), "class": '"a"', "polarity": '"neutral"',
+             "vector": "[0.5, -0.25]"} for i in range(n)]
+
+
+@st.composite
+def chunked_documents(draw):
+    """A _chunked_document of three chunks and two rows, undamaged or damaged
+    at the first or the last row of a chunk or at the row after it, at both
+    ends of one chunk with two kinds in either order, or in a whole chunk."""
+    chunk = draw(st.integers(2, 4))
+    rows = []
+    for i in range(3 * chunk + 2):
+        row = {
+            "id": json.dumps(f"r{i}"),
+            "class": json.dumps(draw(st.sampled_from(("a", "b")))),
+            "polarity": json.dumps(draw(st.sampled_from(("positive", "neutral", "negative")))),
+            "vector": json.dumps(draw(st.lists(finite, min_size=2, max_size=2))),
+        }
+        if draw(st.booleans()):
+            row["scores"] = json.dumps(draw(st.lists(finite, min_size=1, max_size=2)))
+        rows.append(row)
+    class_names = draw(st.sampled_from((None, ["b", "a"])))
+    k = draw(st.integers(0, 1))
+    first, last, after = k * chunk, k * chunk + chunk - 1, (k + 1) * chunk
+    kinds = sorted(ROW_DAMAGE)
+    case = draw(st.sampled_from(("none", "one", "two", "chunk")))
+    if case == "one":
+        damage = [(draw(st.sampled_from((first, last, after))), draw(st.sampled_from(kinds)))]
+    elif case == "two":
+        pair = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=2, unique=True))
+        damage = list(zip((first, last), pair))
+    elif case == "chunk":
+        damage = [(first, draw(st.sampled_from(sorted(CHUNK_DAMAGE))))]
+    else:
+        damage = []
+    return _chunked_document(chunk, rows, class_names, damage)
+
+
+# two errors of different kinds in one chunk, in both orders
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "nan"), (5, "polarity")]), 1, None)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "polarity"), (5, "nan")]), 2, None)
+@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "ragged"), (5, "class")]), 1, None)
+@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "class"), (5, "ragged")]), 1, None)
+@example(_chunked_document(3, _plain_rows(11), None, [(2, "scores"), (3, "duplicate-id")]), 1, 2)
+# a whole chunk that converts but is not 2-D, or is 2-D of another width
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "nested")]), 1, None)
+@example(_chunked_document(3, _plain_rows(11), None, [(0, "wide")]), 1, 2)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "wide")]), 1, None)
+@settings(max_examples=300, deadline=None)
+@given(chunked_documents(), st.integers(1, 3), st.sampled_from((None, 2)))
+def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected_dim):
+    text, class_names, chunk = document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            with open(path, "rb") as fh:
+                want = ref_parse_range(fh, 0, len(text), text.count(b"\n") + 1,
+                                       expected_dim, False, class_names)
+        except HiersphereError as exc:
+            want = exc
+        with cut_into(ranges), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_CHUNK_ROWS", chunk)
+            try:
+                got = load_jsonl(path, expected_dim=expected_dim, class_names=class_names)
+            except HiersphereError as exc:
+                got = exc
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    n = len(want.ids)
+    assert got.features.shape == (n, 2)
+    assert got.features.tobytes() == want.features[:n].tobytes()
+    assert got.subclass.tolist() == want.subclass
+    assert got.ids == want.ids and got.class_names == want.class_names
+    assert len(got.soft_scores) == n
+    for soft, want_soft in zip(got.soft_scores, want.soft_scores):
+        assert (soft is None) == (want_soft is None)
+        assert soft is None or soft.tobytes() == want_soft.tobytes()
+
+
+# ---------------------------------------------------------- JSON Lines writer
+
+
+def _float_records(n, dim=5, seed=0):
+    """record(i) of n embed-style rows: a non-ASCII id, and floats from
+    subnormal to huge, negative zero included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, size=(n, dim))
+    if n:
+        rows[0, 0] = -0.0
+    ids = [f"r{i}é" for i in range(n)]
+    return lambda i: {"id": ids[i], "embedding": rows[i].tolist()}
+
+
+def _serial_bytes(tmp_path, n, record):
+    want = tmp_path / "want.jsonl"
+    ref_write_jsonl(str(want), (record(i) for i in range(n)))
+    return want.read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n", [0, 1, MIN_FORMAT_ROWS - 1, MIN_FORMAT_ROWS, MIN_FORMAT_ROWS + 1,
+          2 * MIN_FORMAT_ROWS - 1, 2 * MIN_FORMAT_ROWS, 3000],
+)
+def test_write_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus, n):
+    record = _float_records(n)
+    got = tmp_path / "got.jsonl"
+    with deadline(60), using_cpus(cpus):
+        write_jsonl(str(got), n, record)
+    assert got.read_bytes() == _serial_bytes(tmp_path, n, record)
+    assert len(forks) == max(1, min(cpus, n // MIN_FORMAT_ROWS)) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_save_jsonl_bytes_equal_the_serial_writer(tmp_path, monkeypatch, forks, cpus):
+    data = generate_synthetic(small_cfg(per_subclass_count=50))
+    data.soft_scores = [None if i % 3 else np.array([0.5, -1e-310, i]) for i in range(len(data))]
+    monkeypatch.setattr(data_module, "MIN_FORMAT_ROWS", 40)
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    with deadline(60), using_cpus(cpus):
+        save_jsonl(str(got), data)
+    ref_write_jsonl(str(want), ref_dataset_records(data))
+    assert got.read_bytes() == want.read_bytes()
+    assert len(forks) == cpus - 1
+
+
+def test_write_jsonl_beside_another_thread_writes_alone(tmp_path, forks):
+    record, got = _float_records(3000), tmp_path / "got.jsonl"
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with deadline(60), using_cpus(2):
+            write_jsonl(str(got), 3000, record)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
+    assert forks == []
+
+
+# how many of the n bytes it owes a child writes before it exits
+CHILD_SENDS = {
+    "nothing": lambda n: 0,
+    "inside-length": lambda n: 5,
+    "half": lambda n: n // 2,
+    "all-but-one": lambda n: n - 1,
+}
+
+
+@pytest.mark.parametrize("written", CHILD_SENDS)
+def test_write_jsonl_formats_the_range_of_a_child_that_exits_early(
+    tmp_path, monkeypatch, forks, written
+):
+    def send(text, start, end, fd):
+        payload = b"".join(data_module._formatted(text, start, end))
+        payload = len(payload).to_bytes(8, "little") + payload
+        with open(fd, "wb") as out:
+            out.write(payload[: CHILD_SENDS[written](len(payload))])
+
+    monkeypatch.setattr(data_module, "_send_text", send)
+    record, got = _float_records(3000), tmp_path / "got.jsonl"
+    with deadline(60), using_cpus(3):
+        write_jsonl(str(got), 3000, record)
+    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
+    assert len(forks) == 2
+
+
+def test_write_jsonl_without_a_fork_to_spare_formats_every_range(tmp_path, monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    record, got = _float_records(3000), tmp_path / "got.jsonl"
+    with deadline(60), using_cpus(3):
+        write_jsonl(str(got), 3000, record)
+    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
 
 
 # -------------------------------------------------------------------- dedup
