@@ -23,6 +23,7 @@ import numpy as np
 from .data import (
     GeneratorConfig,
     generate_synthetic,
+    load_json,
     load_jsonl,
     load_texts,
     save_jsonl,
@@ -288,8 +289,7 @@ def _merged_config(ns, defaults: dict) -> dict:
     merged = dict(defaults)
     config_path = getattr(ns, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = load_json(config_path)
         if not isinstance(file_cfg, dict):
             raise InvalidConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -347,13 +347,17 @@ def _cmd_eval(ns) -> _Run:
     # surface as an unknown class on the test file's first line
     if len(train_set) == 0:
         raise DatasetTooSmallError(f"training set {ns.train} is empty")
+    centroids = compute_centroids(params, train_set)
+    class_names = train_set.class_names
+    # the training features go before the test file is read, so the two
+    # matrices are never held at once
+    del train_set
     test_set = load_jsonl(
         ns.test,
         mnli_label_map=ns.mnli_label_map,
         split_tag="test",
-        class_names=train_set.class_names,
+        class_names=class_names,
     )
-    centroids = compute_centroids(params, train_set)
     report = mae_report(
         params,
         centroids,

@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatchError,
@@ -172,10 +173,11 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
     )
 
 
-# Shortest byte range worth a forked child. On a 2-core VM a file parsed in
-# two ranges broke even with one range at about 0.5 MiB and took 47 against
-# 76 ms at 2 MiB; with the second core busy, two ranges still lost at 2 MiB.
-MIN_RANGE_BYTES = 1 << 20
+# Shortest byte range worth a forked child. On a 2-core VM, with orjson
+# decoding lines, a file parsed in two ranges broke even with one range at
+# about 1.5 MiB and took 27 against 38 ms at 4 MiB; with the second core
+# busy, two ranges lost up to 4 MiB and broke even at 6 to 8 MiB.
+MIN_RANGE_BYTES = 1 << 21
 # bytes read at a time when counting lines: 256 KiB counted a 64 MB file in 24
 # against 30 ms at 1 MiB, with a quarter of the transient memory
 _COUNT_BLOCK = 1 << 18
@@ -264,46 +266,77 @@ def _line_count(fh, start: int, end: int) -> int:
 
 
 def _lines(fh, length: float = math.inf):
-    """(line number, text) per line of the next length bytes of the binary
-    file fh, which must end where a line ends.
-
-    Lines split and number as text mode splits them; a line that is not
-    UTF-8 is a ParseError naming it.
-    """
+    """(line number, bytes) per line of the next length bytes of the binary
+    file fh, which must end where a line ends; lines split and number as
+    text mode splits them."""
     pos, lineno = 0, 0
     for raw in fh:
-        for text in raw.splitlines():
+        for line in raw.splitlines():
             lineno += 1
-            try:
-                line = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
             yield lineno, line
         pos += len(raw)
         if pos >= length:
             return
 
 
-def _records(lines, fields: tuple[str, ...]):
-    """(line number, id, record) per non-blank (line number, text) of a JSON
+def _decode(lineno: int, line: bytes):
+    """The JSON value on one line as the stdlib decoder reads it, or None if
+    the line is blank; a line that is not UTF-8 or not JSON is a ParseError
+    naming it."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
+    if not text.strip():
+        return None
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # from _reject_non_finite
+        raise ParseError(lineno, str(exc)) from None
+    except RecursionError:
+        raise ParseError(lineno, "invalid JSON (nested too deeply)") from None
+
+
+# the types of a text field that orjson reads as the stdlib decoder does: it
+# reads an integer past 64 bits as a float, also inside a list or an object,
+# whose str() then differs
+_EXACT_TEXT = frozenset((str, int, bool, type(None)))
+
+
+def _records(lines, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
+    """(line number, id, record) per non-blank (line number, bytes) of a JSON
     Lines file.
 
-    Records must be JSON objects holding fields, the first being an id no
-    earlier line used; errors are ParseErrors naming the line.
+    Records must be JSON objects holding fields, which are read as text,
+    and arrays, which are read as numbers; the first field is an id no
+    earlier line used. Errors are ParseErrors naming the line.
+
+    orjson decodes each line. A line it rejects or does not read as an
+    object, or whose fields hold anything but strings, integers, booleans
+    and null, is decoded again by the stdlib decoder, whose record or error
+    stands: orjson rejects lone surrogates, NaN, Infinity, overflowing
+    numbers and blank lines of Unicode whitespace, all of which the stdlib
+    reads, and words its errors otherwise. Numbers read by either decoder,
+    an integer past 64 bits as orjson's float included, convert to the same
+    float64s.
     """
     id_lines: dict[str, int] = {}
     for lineno, line in lines:
-        if not line.strip():
-            continue
         try:
-            rec = _DECODER.decode(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
-        except ValueError as exc:  # from _reject_non_finite
-            raise ParseError(lineno, str(exc)) from None
-        if not isinstance(rec, dict):
-            raise ParseError(lineno, "record must be a JSON object")
-        for name in fields:
+            rec = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            rec = None
+        if type(rec) is not dict or not all(
+            type(rec.get(name)) in _EXACT_TEXT for name in fields
+        ):
+            rec = _decode(lineno, line)
+            if rec is None:
+                continue
+            if not isinstance(rec, dict):
+                raise ParseError(lineno, "record must be a JSON object")
+        for name in fields + arrays:
             if name not in rec:
                 raise ParseError(lineno, f"missing field {name!r}")
         rid = str(rec[fields[0]])
@@ -436,9 +469,9 @@ def _parse_range(
     subclass, ids, soft_scores = [], [], []
 
     fh.seek(start)
-    fields = ("id", "class", "polarity", "vector")
+    lines = _lines(fh, end - start)
     try:
-        for lineno, rid, rec in _records(_lines(fh, end - start), fields):
+        for lineno, rid, rec in _records(lines, ("id", "class", "polarity"), ("vector",)):
             cls = str(rec["class"])
             pol_str = str(rec["polarity"])
             ordinal = ordinals.get(pol_str)
@@ -608,6 +641,31 @@ def load_texts(path: str) -> list[tuple[str, str]]:
     """(id, text) per {"id", "text"} record, read and checked as load_jsonl reads."""
     with open(path, "rb") as fh:
         return [(rid, str(rec["text"])) for _, rid, rec in _records(_lines(fh), ("id", "text"))]
+
+
+def load_json(path: str):
+    """The JSON document in the file at path.
+
+    orjson decodes the file's bytes. A document it rejects is decoded by
+    json.loads from the text as text mode reads it, so NaN, Infinity and
+    lone surrogates read as json.load reads them, and its
+    json.JSONDecodeError stands; a file that is not UTF-8 is a ParseError
+    naming the line. An integer past 64 bits reads as a float.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the bad byte, counted as text mode counts lines
+        lineno = len((raw[: exc.start] + b"_").splitlines())
+        raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
+    # line ends as text mode reads them, so that error positions count alike
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # Fewest rows worth formatting in a forked child. On a 2-core VM, rows of 32

@@ -24,6 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .data import load_json
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -442,6 +443,5 @@ def save_checkpoint(path: str, params: EncoderParams, extra: dict | None = None)
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, dict]:
     """Read a checkpoint; returns (params, full document) for extra sections."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     return params_from_dict(doc), doc

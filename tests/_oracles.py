@@ -21,7 +21,10 @@ row-at-a-time loader the columnar one replaced.
 ref_parse_range and ref_write_jsonl are frozen too: the package's range
 parser as it was before it converted vectors a chunk of rows at a time, and
 its JSON Lines writers as they were before forked children formatted rows.
-The package must give the same dataset, error and bytes.
+ref_records, which ref_parse_range and ref_load_texts read lines through, is
+the package's record reader as it was before orjson decoded lines: every
+line decoded to text and read by the stdlib decoder. The package must give
+the same dataset, error and bytes.
 
 ids_of, dataset_of and centroids_of build the package's columnar inputs
 (int sub-class ids, a Dataset, SubclassCentroids) from HierLabel-style
@@ -58,7 +61,7 @@ from hiersphere import (
     pairwise_cosine_loss,
     triplet_batch_loss,
 )
-from hiersphere.data import _Block, _lines, _matrix, _records
+from hiersphere.data import _Block, _matrix
 from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
 
@@ -553,11 +556,61 @@ def ref_load_jsonl(path, mnli_label_map=False, class_names=None) -> dict:
     }
 
 
+def _ref_lines(fh, length=math.inf):
+    """(line number, text) per line of the next length bytes of the binary
+    file fh, split and numbered as text mode splits them; a line that is not
+    UTF-8 is a ParseError naming it."""
+    pos, lineno = 0, 0
+    for raw in fh:
+        for text in raw.splitlines():
+            lineno += 1
+            try:
+                line = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
+            yield lineno, line
+        pos += len(raw)
+        if pos >= length:
+            return
+
+
+def ref_records(lines, fields):
+    """(line number, id, record) per non-blank (line number, text): JSON
+    objects holding fields, the first an id no earlier line used."""
+    id_lines = {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            rec = _REF_DECODER.decode(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # from _ref_reject_constant
+            raise ParseError(lineno, str(exc)) from None
+        if not isinstance(rec, dict):
+            raise ParseError(lineno, "record must be a JSON object")
+        for name in fields:
+            if name not in rec:
+                raise ParseError(lineno, f"missing field {name!r}")
+        rid = str(rec[fields[0]])
+        if rid in id_lines:
+            raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+        id_lines[rid] = lineno
+        yield lineno, rid, rec
+
+
+def ref_load_texts(path):
+    """(id, text) per {"id", "text"} record, read through ref_records."""
+    with open(path, "rb") as fh:
+        records = ref_records(_ref_lines(fh), ("id", "text"))
+        return [(rid, str(rec["text"])) for _, rid, rec in records]
+
+
 def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, class_names):
     """The package's _parse_range as it was before it converted vectors a
     chunk of rows at a time, frozen: every check of a row runs as the row is
-    read. Only the line splitting, the record checks and the matrix
-    allocation are the package's own.
+    read, and lines are read through ref_records. Only the matrix
+    allocation is the package's own.
 
     Returns the package's _Block; raises what it raised, at the same line.
     """
@@ -568,7 +621,7 @@ def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, clas
 
     fh.seek(start)
     fields = ("id", "class", "polarity", "vector")
-    for lineno, rid, rec in _records(_lines(fh, end - start), fields):
+    for lineno, rid, rec in ref_records(_ref_lines(fh, end - start), fields):
         cls = str(rec["class"])
         pol_str = str(rec["polarity"])
         if mnli_label_map and pol_str in _REF_MNLI:

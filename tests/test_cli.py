@@ -213,6 +213,7 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({"hidden_dims": "12,a"}, [], "invalid training config"),
         ({"epochs": "3"}, [], "invalid training config"),
         ({"epochs": 3.5}, [], "epochs must be an integer"),
+        ({"epochs": 10**30}, [], "epochs must be an integer, got 1e+30"),
         ({"stage2_epochs": 2.0}, [], "stage2_epochs must be an integer"),
         ({"batch_size": True}, [], "batch_size must be an integer"),
         ({"seed": None}, [], "seed must be an integer"),
@@ -229,8 +230,8 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({"stage2_learning_rate": False}, [], "stage2_learning_rate must be a finite number or null"),
     ],
     ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string",
-         "epochs-float", "stage2-epochs-float", "batch-size-bool", "seed-null",
-         "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int",
+         "epochs-float", "epochs-past-64-bits", "stage2-epochs-float", "batch-size-bool",
+         "seed-null", "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int",
          "t-bool", "t-string", "learning-rate-null", "triplet-margin-nan",
          "learning-rate-huge-int", "stage2-learning-rate-string", "stage2-learning-rate-bool"],
 )
@@ -469,6 +470,27 @@ def test_eval_empty_training_file_is_named_before_the_test_file_is_read(
     assert not report.exists()
 
 
+def test_eval_missing_training_subclass_is_named_before_the_test_file_is_read(
+    tmp_path, corpus, trained, capsys
+):
+    # the centroids are made, and the training set dropped, before the test
+    # file is read: a missing sub-class comes before the test file's own error
+    lines = [ln for ln in _read_lines(corpus["train"])
+             if (json.loads(ln)["class"], json.loads(ln)["polarity"]) != ("class_1", "negative")]
+    train, test, report = tmp_path / "train.jsonl", tmp_path / "test.jsonl", tmp_path / "mae.json"
+    train.write_text("\n".join(lines) + "\n")
+    test.write_text('{"id": "t0",\n')
+    code = run_command(
+        ["eval", "--model", trained["model"], "--train", str(train), "--test", str(test),
+         "--report", str(report)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: missing sub-classes: (class 1, negative)"
+    ]
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------- viz
 
 
@@ -615,8 +637,9 @@ def test_dedup_duplicate_id_is_data_error(tmp_path, capsys):
      ('{"id":"c","text":', "invalid JSON"),
      ('{"id":"c"}', "missing field 'text'"),
      ('{"text":"more words"}', "missing field 'id'"),
-     ('{"id":"a","text":"red"}', "duplicate id 'a' (first on line 1)")],
-    ids=["non-object", "bad-json", "missing-text", "missing-id", "duplicate-id"],
+     ('{"id":"a","text":"red"}', "duplicate id 'a' (first on line 1)"),
+     ("[" * 1100 + "]" * 1100, "invalid JSON (nested too deeply)")],
+    ids=["non-object", "bad-json", "missing-text", "missing-id", "duplicate-id", "nested-1100"],
 )
 def test_dedup_bad_record_is_data_error_with_line(tmp_path, capsys, bad_line, message):
     data = tmp_path / "texts.jsonl"
@@ -818,6 +841,42 @@ def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, c
     assert len(lines) == 1 and lines[0].startswith("data error:")
     assert message in lines[0]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [(b"\xff\xfe{}", 1), (b'{\r\n  "seed": "\xff"\r\n}\r\n', 2)],
+    ids=["utf16-bom", "bad-byte-on-line-2"],
+)
+@pytest.mark.parametrize("command", ["embed", "train"])
+def test_non_utf8_model_or_config_is_a_one_line_data_error(
+    tmp_path, corpus, trained, capsys, command, content, line
+):
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(content)
+    if command == "embed":
+        argv = ["embed", "--model", str(bad), "--data", corpus["test"], "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(bad), "--data", corpus["train"], "--out", str(out)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: line {line}: invalid UTF-8 (invalid start byte)"
+    ]
+    assert not out.exists()
+
+
+def test_checkpoint_step_count_past_64_bits_is_data_error(tmp_path, corpus, trained, capsys):
+    # orjson reads an integer past 64 bits as a float, which no integer field takes
+    doc = _read_json(trained["model"])
+    doc["step_count"] = 10**29
+    model, out = tmp_path / "m.json", tmp_path / "emb.jsonl"
+    model.write_text(json.dumps(doc))
+    argv = ["embed", "--model", str(model), "--data", corpus["test"], "--out", str(out)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: step_count must be an integer >= 0, got 1e+29"
+    ]
+    assert not out.exists()
 
 
 def test_embed_reads_only_the_encoder_from_a_checkpoint(tmp_path, corpus, trained):

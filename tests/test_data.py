@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -35,13 +36,14 @@ from hiersphere import (
     tfidf_dedup,
 )
 from hiersphere import data as data_module
-from hiersphere.data import MIN_FORMAT_ROWS, _tfidf_matrix, write_jsonl
+from hiersphere.data import MIN_FORMAT_ROWS, _tfidf_matrix, load_json, load_texts, write_jsonl
 
 from _oracles import (
     dataset_of,
     ids_of,
     ref_dataset_records,
     ref_load_jsonl,
+    ref_load_texts,
     ref_parse_range,
     ref_tfidf_vectors,
     ref_write_jsonl,
@@ -432,8 +434,16 @@ def test_dataset_rejects_columns_of_unequal_length():
 BAD_KINDS = (
     None, None, "bad-json", "non-object", "missing-field", "bad-polarity", "non-numeric",
     "nan-token", "null", "overflow", "ragged", "duplicate-id", "bad-scores", "nested-vector",
-    "unknown-class",
+    "unknown-class", "big-int-label", "lone-surrogate", "unicode-blank", "bom",
+    "duplicate-key", "trailing-garbage",
 )
+# kinds that damage the record's whole line: on each, orjson and the stdlib
+# decoder differ, in the value they read or in how they word an error
+LINE_DAMAGE = {
+    "bom": lambda line: "\ufeff" + line,
+    "duplicate-key": lambda line: '{"vector": null, "class": [1], ' + line[1:],
+    "trailing-garbage": lambda line: line + " {}",
+}
 FUZZ_CLASSES = ("a", "b", "c")
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -471,7 +481,8 @@ def jsonl_documents(draw):
                 lines.append(line)
                 continue
         sep = ",\r " if draw(st.integers(0, 19)) == 0 else ", "
-        lines.append("{" + sep.join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        line = "{" + sep.join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        lines.append(LINE_DAMAGE[kind](line) if i == bad_line and kind in LINE_DAMAGE else line)
     ends = [draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""
@@ -507,7 +518,9 @@ def _malform(draw, kind, fields, i, width):
     elif kind == "non-numeric":
         fields["vector"] = '[1.0, "x"]'
     elif kind in ("nan-token", "null", "overflow"):
-        token = {"nan-token": "NaN", "null": "null", "overflow": "-1e999"}[kind]
+        tokens = {"nan-token": ("NaN", "-Infinity"), "null": ("null",),
+                  "overflow": ("-1e999", "1e999")}[kind]
+        token = draw(st.sampled_from(tokens))
         target = "scores" if "scores" in fields and draw(st.booleans()) else "vector"
         fields[target] = "[" + ", ".join(["0.5"] * (width - 1) + [token]) + "]"
     elif kind == "ragged":
@@ -520,6 +533,14 @@ def _malform(draw, kind, fields, i, width):
         fields["vector"] = json.dumps([[0.5] * width])
     elif kind == "unknown-class":
         fields["class"] = '"d"'
+    elif kind == "big-int-label":  # orjson reads these as floats
+        digits = draw(st.sampled_from(("18446744073709551616", "-" + "9" * 30)))
+        fields[draw(st.sampled_from(("id", "class", "polarity")))] = digits
+    elif kind == "lone-surrogate":  # the stdlib reads these, orjson does not
+        escaped = draw(st.sampled_from(('"\\ud800"', '"a\\udfff"')))
+        fields[draw(st.sampled_from(("id", "class")))] = escaped
+    elif kind == "unicode-blank":  # blank to str.strip, not JSON whitespace
+        return draw(st.sampled_from(("\u00a0", "\x1c", "\u2028", " \u3000 ")))
     return None
 
 
@@ -839,6 +860,165 @@ def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected
     for soft, want_soft in zip(got.soft_scores, want.soft_scores):
         assert (soft is None) == (want_soft is None)
         assert soft is None or soft.tobytes() == want_soft.tobytes()
+
+
+# ------------------------------------------------------------ record decoder
+
+# per input on which orjson and the stdlib decoder differ, the fields it
+# replaces in a record, or a function of the record's line giving the line
+DECODER_DIVERGENCES = {
+    "big-int-id": {"id": "1" + "0" * 25},
+    "big-int-class": {"class": "-" + "9" * 30},
+    "big-int-polarity": {"polarity": "18446744073709551616"},
+    "big-int-in-a-label-list": {"class": "[100000000000000000000000]"},
+    "big-int-text": {"text": "18446744073709551617"},
+    "big-int-vector": {"vector": "[18446744073709551617, -1" + "0" * 30 + "]"},
+    "lone-surrogate-id": {"id": '"r\\ud800"'},
+    "lone-surrogate-text": {"text": '"a \\udfff b"'},
+    "nbsp-line": lambda line: "\u00a0",
+    "fs-line": lambda line: "\x1c",
+    "1e999": {"vector": "[1e999, 0.5]"},
+    "nan": {"vector": "[NaN, 0.5]"},
+    "-infinity": {"vector": "[0.5, -Infinity]"},
+    "nan-text": {"text": "NaN"},
+    "bom": lambda line: "\ufeff" + line,
+    "duplicate-keys": lambda line: '{"id": 1.5, "text": [2], "vector": null, ' + line[1:],
+    "trailing-garbage": lambda line: line + " x",
+    "float-id": {"id": "2.5"},
+    "non-utf8": lambda line: line.replace("words", "w\udcffrds"),
+}
+
+
+def _divergent_file(path, case):
+    """Seven records readable by load_jsonl and load_texts alike, the fourth
+    damaged by DECODER_DIVERGENCES[case]."""
+    lines = []
+    for i in range(7):
+        fields = {"id": f'"r{i}"', "class": '"a"', "polarity": '"positive"',
+                  "vector": f"[0.5, {i}]", "text": '"some words"'}
+        damage = DECODER_DIVERGENCES[case] if i == 3 else {}
+        if isinstance(damage, dict):
+            fields.update(damage)
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        lines.append(line if isinstance(damage, dict) else damage(line))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+
+
+def _outcome(read):
+    """read()'s value, or the type and text of the HiersphereError it raised."""
+    try:
+        return read()
+    except HiersphereError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+@pytest.mark.parametrize("case", DECODER_DIVERGENCES)
+def test_decoder_divergences_read_as_the_stdlib_reads_them(tmp_path, case, ranges):
+    path = str(tmp_path / "d.jsonl")
+    _divergent_file(path, case)
+    size = os.path.getsize(path)
+
+    def reference():
+        with open(path, "rb") as fh:
+            return ref_parse_range(fh, 0, size, 8, None, False, None)
+
+    want = _outcome(reference)
+    with cut_into(ranges):
+        got = _outcome(lambda: load_jsonl(path))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        n = len(want.ids)
+        assert got.features.tobytes() == want.features[:n].tobytes()
+        assert got.subclass.tolist() == want.subclass
+        assert got.ids == want.ids and got.class_names == want.class_names
+    assert _outcome(lambda: load_texts(path)) == _outcome(lambda: ref_load_texts(path))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[" * 1100 + "]" * 1100, "invalid JSON (nested too deeply)"),
+     ('{"id": ' + "[" * 1100 + "]" * 1100 + ', "class": "a", "polarity": "positive", '
+      '"vector": [0.5], "text": "x"}', "invalid JSON (nested too deeply)"),
+     ('{"id": "r", "class": "a", "polarity": "positive", "vector": '
+      + "[" * 1100 + "]" * 1100 + "}", "vector must hold numbers")],
+    ids=["line", "id", "vector"],
+)
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_line_nested_1100_deep_is_a_parse_error_naming_it(tmp_path, line, message, ranges):
+    # the stdlib decoder runs out of stack on such a line, which orjson reads
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps({"id": f"r{i}", "class": "a", "polarity": "positive", "vector": [0.5],
+                         "text": "x"}) for i in range(40)]
+    lines[20] = line
+    path.write_text("\n".join(lines) + "\n")
+    with cut_into(ranges), pytest.raises(ParseError, match=re.escape(f"line 21: {message}")):
+        load_jsonl(str(path))
+    if "vector" not in message:
+        with pytest.raises(ParseError, match=re.escape(f"line 21: {message}")):
+            load_texts(str(path))
+
+
+def test_clean_records_take_the_fast_path(tmp_path, monkeypatch):
+    # each line the stdlib decoder reads again costs about 65 against 18 us
+    path = tmp_path / "d.jsonl"
+    _sample_file(path, 3000, dim=16)
+    texts = tmp_path / "t.jsonl"
+    texts.write_text("".join(json.dumps({"id": f"t{i}", "text": f"word {i} é"}) + "\n"
+                             for i in range(3000)))
+    decoded, real_decode = [], data_module._decode
+    monkeypatch.setattr(data_module, "_decode", lambda *a: decoded.append(a) or real_decode(*a))
+    with cut_into(1):
+        assert len(load_jsonl(str(path))) == 3000
+    assert len(load_texts(str(texts))) == 3000
+    assert decoded == []
+
+
+# documents that load_json reads as json.load reads the file in text mode
+JSON_DOCUMENTS = {
+    "object": b'{"a": [1, 2.5, -0.0, "\xc3\xa9"], "b": null}',
+    "long-mantissa": b"[0.1000000000000000055511151231257827, 123456789012345678901.5]",
+    "64-bit-edges": b"[18446744073709551615, -9223372036854775808, 1e-400, 5e-324]",
+    "nan": b'{"x": NaN, "y": -Infinity, "z": 1e999}',
+    "lone-surrogate": b'{"k": "\\ud800"}',
+    "duplicate-keys": b'{"a": 1, "a": 2}',
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "crlf-syntax-error": b'{\r\n"a": 1,\r\n"b": }\r\n',
+    "cr-syntax-error": b'{\r"a": 1,\r"b": ]\r',
+    "trailing-garbage": b"[1] [2]",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", JSON_DOCUMENTS)
+def test_load_json_reads_as_json_load_reads_text(tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_bytes(JSON_DOCUMENTS[name])
+
+    def read(load):
+        try:
+            return repr(load())
+        except json.JSONDecodeError as exc:
+            return f"error: {exc}"
+
+    with open(path, "r", encoding="utf-8") as fh:
+        want = read(lambda: json.load(fh))
+    assert read(lambda: load_json(str(path))) == want
+
+
+def test_load_json_reads_an_integer_past_64_bits_as_a_float(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"[18446744073709551616, -9223372036854775809, 1" + b"0" * 29 + b"]")
+    assert load_json(str(path)) == [2.0**64, -(2.0**63), 1e29]
+
+
+def test_load_json_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{\r\n"a": 1,\r"b": "\xe9"\n}')
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 \(invalid continuation byte\)$"):
+        load_json(str(path))
 
 
 # ---------------------------------------------------------- JSON Lines writer
