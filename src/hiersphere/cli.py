@@ -28,6 +28,7 @@ from .data import (
     load_texts,
     save_jsonl,
     tfidf_dedup,
+    write_json,
     write_jsonl,
 )
 from .encoder import (
@@ -83,8 +84,8 @@ BENCH_DEFAULTS = {
     "classes": 5,
     "dim": 64,
     "per_subclass": 200,
-    "alpha": 1.0,
-    "sigma": 0.3,
+    "alpha": GeneratorConfig.polarity_offset,
+    "sigma": GeneratorConfig.noise_sigma,
     # bench trains every mode, so it takes no mode, shuffle or label switch
     **{
         key: value
@@ -98,7 +99,6 @@ BENCH_DEFAULTS = {
     # the two-stage model does not separate from the baselines
     "stage2_epochs": 60,
     "stage2_learning_rate": 1e-3,
-    "threads": 1,
 }
 
 # the flags of train and bench are generated from their defaults tables, in
@@ -140,14 +140,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json_atomic(path: str, doc) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 @dataclass
 class _Run:
     """What one command ran on and wrote, for its manifest. The manifest is
@@ -172,7 +164,7 @@ def _write_manifest(command: str, run: _Run, started: float) -> None:
         "checksums": {os.path.basename(p): _sha256(p) for p in sorted(run.outputs)},
         "wall_time_seconds": time.time() - started,
     }
-    _write_json_atomic(stem + ".manifest.json", doc)
+    write_json(stem + ".manifest.json", doc, indent=2)
 
 
 def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
@@ -245,12 +237,13 @@ def _cmd_dedup(ns) -> _Run:
     outputs = [out]
     if ns.report:
         report_path = _resolve_out(ns.report)
-        _write_json_atomic(
+        write_json(
             report_path,
             [
                 {"removed_id": r.removed_id, "kept_id": r.kept_id, "similarity": r.similarity}
                 for r in removals
             ],
+            indent=2,
         )
         outputs.append(report_path)
     print(f"kept {len(kept_ids)} of {len(texts)} texts ({len(removals)} removed)")
@@ -317,7 +310,7 @@ def _cmd_train(ns) -> _Run:
     out = _resolve_out(ns.out)
     _save_model(out, params, state, report)
     report_path = os.path.splitext(out)[0] + ".report.json"
-    _write_json_atomic(report_path, report.to_dict())
+    write_json(report_path, report.to_dict(), indent=2)
 
     for epoch, loss in enumerate(report.stage1_epoch_losses, start=1):
         print(f"stage1 epoch {epoch}: loss {loss}")
@@ -332,12 +325,12 @@ def _cmd_embed(ns) -> _Run:
     # lists outweigh its arrays many times over
     params = load_checkpoint(ns.model)[0]
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
-    emb = embed_all(params, dataset, num_threads=ns.threads)
+    emb = embed_all(params, dataset)
     out = _resolve_out(ns.out)
     ids = dataset.ids
     write_jsonl(out, len(ids), lambda i: {"id": ids[i], "embedding": emb[i].tolist()})
     print(f"wrote {len(dataset)} embeddings to {out}")
-    return _Run({"threads": ns.threads}, inputs=[ns.model, ns.data], outputs=[out])
+    return _Run({}, inputs=[ns.model, ns.data], outputs=[out])
 
 
 def _cmd_eval(ns) -> _Run:
@@ -355,7 +348,6 @@ def _cmd_eval(ns) -> _Run:
     test_set = load_jsonl(
         ns.test,
         mnli_label_map=ns.mnli_label_map,
-        split_tag="test",
         class_names=class_names,
     )
     report = mae_report(
@@ -365,13 +357,12 @@ def _cmd_eval(ns) -> _Run:
         model_tag=ns.tag,
         mode=ns.label_mode,
         signed=not ns.unsigned,
-        num_threads=ns.threads,
     )
     report_path = _resolve_out(ns.report)
-    _write_json_atomic(report_path, report.to_dict())
+    write_json(report_path, report.to_dict(), indent=2)
     print(format_mae_table([report]))
     return _Run(
-        {"label_mode": ns.label_mode, "unsigned": ns.unsigned, "threads": ns.threads},
+        {"label_mode": ns.label_mode, "unsigned": ns.unsigned},
         inputs=[ns.model, ns.train, ns.test],
         outputs=[report_path],
     )
@@ -407,8 +398,6 @@ def _cmd_viz(ns) -> _Run:
 
 def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
-    if cfg["threads"] < 1:
-        raise InvalidConfigError("num_threads must be >= 1")
     out_dir = _resolve_out(ns.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -440,16 +429,17 @@ def _cmd_bench(ns) -> _Run:
         outputs.append(model_path)
 
         centroids = compute_centroids(params, train_set)
-        rep = mae_report(params, centroids, test_set, model_tag=mode, num_threads=cfg["threads"])
+        rep = mae_report(params, centroids, test_set, model_tag=mode)
         reports.append(rep)
         print(f"{mode}: average MAE {rep.average_mae:.4f}")
 
     table = format_mae_table(reports)
     print(table)
     report_path = os.path.join(out_dir, "bench_report.json")
-    _write_json_atomic(
+    write_json(
         report_path,
         {"models": [r.to_dict() for r in reports], "table": table, "config": cfg},
+        indent=2,
     )
     outputs.append(report_path)
     return _Run(cfg, [], outputs, seed=cfg["seed"], stem=os.path.join(out_dir, "bench"))
@@ -490,8 +480,8 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--per-subclass", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0, help="polarity offset")
-    p.add_argument("--sigma", type=float, default=0.3, help="noise level")
+    p.add_argument("--alpha", type=float, default=BENCH_DEFAULTS["alpha"], help="polarity offset")
+    p.add_argument("--sigma", type=float, default=BENCH_DEFAULTS["sigma"], help="noise level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--out", required=True)
@@ -518,7 +508,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_mnli_flag(p)
     p.set_defaults(func=_cmd_embed)
 
@@ -530,7 +519,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tag", default="model")
     p.add_argument("--label-mode", choices=("auto", "hard", "soft"), default="auto")
     p.add_argument("--unsigned", action="store_true", help="unsigned score variant")
-    p.add_argument("--threads", type=int, default=1)
     _add_mnli_flag(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -68,7 +68,6 @@ class Dataset:
     ids: list[str]
     class_names: list[str]
     soft_scores: list[np.ndarray | None] | None = None
-    split_tag: str = "train"
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -98,7 +97,6 @@ class Dataset:
             ids=[self.ids[i] for i in idx],
             class_names=self.class_names,
             soft_scores=None if self.soft_scores is None else [self.soft_scores[i] for i in idx],
-            split_tag=self.split_tag,
         )
 
 
@@ -169,7 +167,6 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
         subclass=subclass,
         ids=ids,
         class_names=list(cfg.class_names) or [f"class_{c}" for c in range(cfg.num_classes)],
-        split_tag=split_tag,
     )
 
 
@@ -387,6 +384,9 @@ def _vector(lineno: int, vector, dim: int | None) -> np.ndarray:
     width dim if dim is not None."""
     try:
         feats = np.asarray(vector, dtype=np.float64)
+    except OverflowError:
+        # an integer literal past the float range, worded as 1e999's Infinity is
+        raise ParseError(lineno, "vector must hold finite numbers") from None
     except (TypeError, ValueError):
         raise ParseError(lineno, "vector must hold numbers") from None
     if feats.ndim != 1:
@@ -487,6 +487,8 @@ def _parse_range(
             scores = rec.get("scores")
             try:
                 soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+            except OverflowError:
+                raise ParseError(lineno, "scores must hold finite numbers") from None
             except (TypeError, ValueError):
                 raise ParseError(lineno, "scores must hold numbers") from None
             if soft is not None and not np.isfinite(soft).all():
@@ -593,7 +595,6 @@ def load_jsonl(
     path: str,
     expected_dim: int | None = None,
     mnli_label_map: bool = False,
-    split_tag: str = "train",
     class_names: list[str] | None = None,
 ) -> Dataset:
     """Parse one sample per line: {"id", "class", "polarity", "vector"[, "scores"]}.
@@ -633,7 +634,6 @@ def load_jsonl(
         ids=block.ids,
         class_names=block.class_names,
         soft_scores=block.soft_scores,
-        split_tag=split_tag,
     )
 
 
@@ -666,6 +666,17 @@ def load_json(path: str):
         raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
     # line ends as text mode reads them, so that error positions count alike
     return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
+def write_json(path: str, doc, **dump_options) -> None:
+    """Write doc to path as JSON with sorted keys and a final newline,
+    atomically: json.dump streams it to path + ".tmp", which then replaces
+    path. dump_options (indent, separators) go to json.dump."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, **dump_options)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 # Fewest rows worth formatting in a forked child. On a 2-core VM, rows of 32

@@ -8,23 +8,21 @@ whole chain stays exactly differentiable and gradient-checkable.
 All parameters and both Adam moments live in one (3, P) buffer per encoder;
 the per-layer weights and biases are views of it, and a training step
 updates it in place with a single Adam call. A forward pass writes nothing
-to the params, so threads share them read-only. The trainer hands each
-forward pass to its step through an EncoderTape, a workspace made once per
-run: the forward writes its activations, norms and unit output into the
-tape's buffers, the step writes the gradient into the tape's one flat array,
-and everything on a tape lives until the next forward on that tape. A call
-without a tape gets arrays of its own.
+to the params. The trainer hands each forward pass to its step through an
+EncoderTape, a workspace made once per run: the forward writes its
+activations, norms and unit output into the tape's buffers, the step writes
+the gradient into the tape's one flat array, and everything on a tape lives
+until the next forward on that tape. A call without a tape gets arrays of
+its own.
 """
 
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
 
-from .data import load_json
+from .data import load_json, write_json
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -415,6 +413,9 @@ def params_from_dict(doc: dict) -> EncoderParams:
                 names.append(f"{section}[{i}].{key}")
                 try:
                     arr = np.asarray(entry[key], dtype=np.float64)
+                except OverflowError:
+                    # an integer literal past the float range, worded as Infinity is
+                    raise InvalidConfigError(f"{names[-1]} holds a non-finite value") from None
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InvalidConfigError(f"{names[-1]} is not numeric: {exc}") from exc
                 if arr.shape != view.shape:
@@ -434,11 +435,7 @@ def save_checkpoint(path: str, params: EncoderParams, extra: dict | None = None)
     doc = params_to_dict(params)
     if extra:
         doc.update(extra)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, doc, separators=(",", ":"))
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, dict]:

@@ -7,7 +7,6 @@ unsigned average is available for ablation but collapses toward zero in that
 same antipodal geometry.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,21 +58,11 @@ class MaeReport:
 def embed_all(
     params: EncoderParams,
     dataset: Dataset,
-    num_threads: int = 1,
     batch_size: int = EMBED_BATCH,
 ) -> np.ndarray:
-    """Unit embeddings for every sample in dataset order; (0, output_dim) for none.
-
-    Chunks are independent, so extra threads change nothing but wall time.
-    """
-    if num_threads < 1:
-        raise InvalidConfigError("num_threads must be >= 1")
+    """Unit embeddings for every sample in dataset order; (0, output_dim) for none."""
     chunks = [dataset.features[i : i + batch_size] for i in range(0, len(dataset), batch_size)]
-    if num_threads == 1 or len(chunks) < 2:
-        parts = [encoder_forward_batch(params, c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            parts = list(pool.map(lambda c: encoder_forward_batch(params, c), chunks))
+    parts = [encoder_forward_batch(params, c) for c in chunks]
     return np.vstack(parts) if parts else np.empty((0, params.config.output_dim))
 
 
@@ -118,10 +107,9 @@ def predict_all(
     centroids: SubclassCentroids,
     dataset: Dataset,
     signed: bool = True,
-    num_threads: int = 1,
 ) -> np.ndarray:
     """n x K matrix of class scores for every sample."""
-    emb = embed_all(params, dataset, num_threads=num_threads)
+    emb = embed_all(params, dataset)
     pos, neg = _centroid_matrices(centroids)
     cos_pos = emb @ pos.T
     cos_neg = emb @ neg.T
@@ -168,10 +156,9 @@ def mae_report(
     model_tag: str = "",
     mode: str = "auto",
     signed: bool = True,
-    num_threads: int = 1,
 ) -> MaeReport:
     """Per-class mean absolute error between predicted and true scores."""
-    scores = predict_all(params, centroids, test_dataset, signed=signed, num_threads=num_threads)
+    scores = predict_all(params, centroids, test_dataset, signed=signed)
     truth = true_score_matrix(test_dataset, mode=mode)
     per_class = np.abs(scores - truth).mean(axis=0)
     return MaeReport(

@@ -187,11 +187,11 @@ def adacos_init_scale(num_subclasses: int) -> float:
 
 @dataclass
 class AdaCosState:
-    """Unit-row class anchors plus the adaptive logit scale."""
+    """Unit-row class anchors plus the adaptive logit scale, which every
+    adacos_loss call refreshes from its batch."""
 
     weights: np.ndarray
     scale: float
-    dynamic: bool = True
 
     @property
     def num_subclasses(self) -> int:
@@ -203,7 +203,6 @@ class AdaCosState:
         num_subclasses: int,
         dim: int,
         rng: np.random.Generator,
-        dynamic: bool = True,
     ) -> "AdaCosState":
         scale = adacos_init_scale(num_subclasses)
         if scale < SCALE_FLOOR:
@@ -214,7 +213,7 @@ class AdaCosState:
             )
             scale = SCALE_FLOOR
         weights = init_unit_anchors(num_subclasses, dim, rng)
-        return cls(weights=weights, scale=scale, dynamic=dynamic)
+        return cls(weights=weights, scale=scale)
 
 
 def adacos_update_scale(
@@ -260,9 +259,9 @@ def adacos_loss(
 ) -> LossOutput:
     """Sub-class classification loss over scaled embedding/anchor cosines.
 
-    With a dynamic state the adaptive scale is refreshed from this batch's
-    cosines before the loss is evaluated; the scale is treated as a constant
-    during backprop. labels are the batch's int sub-class ids.
+    The adaptive scale is refreshed from this batch's cosines before the loss
+    is evaluated; the scale is treated as a constant during backprop. labels
+    are the batch's int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
@@ -274,8 +273,7 @@ def adacos_loss(
         raise IndexOutOfRangeError("label sub-class index outside the anchor range")
 
     cos = emb @ state.weights.T
-    if state.dynamic:
-        adacos_update_scale(state, cos, targets)
+    adacos_update_scale(state, cos, targets)
 
     value, dlogits = _softmax_ce(state.scale * cos, targets)
     dcos = state.scale * dlogits

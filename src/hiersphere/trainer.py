@@ -315,7 +315,6 @@ def train_stage1(dataset: Dataset, config: TrainConfig):
         3 * dataset.num_classes,
         enc_cfg.output_dim,
         make_rng(config.seed, STREAM_CLASSIFIER_INIT),
-        dynamic=True,
     )
     report = TrainReport(config=config.to_dict(), model_tag="adacos")
 

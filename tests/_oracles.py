@@ -71,7 +71,7 @@ def ids_of(labels) -> np.ndarray:
     return np.array([lb.subclass_index for lb in labels], dtype=np.int64)
 
 
-def dataset_of(rows, num_classes, dim, names=None, split_tag="test") -> Dataset:
+def dataset_of(rows, num_classes, dim, names=None) -> Dataset:
     """Dataset of (vector, class_id, polarity, soft scores or None) rows, ids s0, s1, ..."""
     return Dataset(
         features=np.array([r[0] for r in rows], dtype=float).reshape(len(rows), dim),
@@ -79,7 +79,6 @@ def dataset_of(rows, num_classes, dim, names=None, split_tag="test") -> Dataset:
         ids=[f"s{i}" for i in range(len(rows))],
         class_names=names or [f"class_{c}" for c in range(num_classes)],
         soft_scores=[None if r[3] is None else np.asarray(r[3], dtype=float) for r in rows],
-        split_tag=split_tag,
     )
 
 
@@ -411,7 +410,7 @@ def ref_train(dataset, config, mode):
         anchors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         m, v = np.zeros_like(anchors), np.zeros_like(anchors)
     if mode in ("two-stage", "adacos"):
-        state = AdaCosState(weights=anchors, scale=adacos_init_scale(k), dynamic=True)
+        state = AdaCosState(weights=anchors, scale=adacos_init_scale(k))
 
     out = {"stage1": [], "stage2": [], "scales": [], "steps": 0, "skipped": 0}
     for epoch in range(config.stage1_epochs):

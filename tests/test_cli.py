@@ -267,18 +267,6 @@ def test_bench_bad_float_setting_is_data_error(tmp_path, capsys, file_cfg, expec
     assert expected in lines[0]
 
 
-def test_bench_zero_threads_fails_before_writing_anything(tmp_path, capsys):
-    out = tmp_path / "b"
-    out.mkdir()
-    code = run_command(
-        ["bench", "--out-dir", str(out), "--classes", "2", "--dim", "6", "--per-subclass", "4",
-         "--threads", "0"] + TINY_TRAIN_FLAGS
-    )
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: num_threads must be >= 1"]
-    assert os.listdir(out) == []
-
-
 def test_train_no_shuffle_recorded(tmp_path, corpus):
     out = str(tmp_path / "m.json")
     code = run_command(
@@ -675,15 +663,15 @@ OPTION_STRINGS = {
               "--epochs", "--stage2-epochs", "--batch-size", "--learning-rate",
               "--stage2-learning-rate", "--hidden-dims", "--embed-dim", "--activation",
               "--no-shuffle", "--triplet-margin", "--neutral-pairs-positive", "--mnli-label-map"],
-    "embed": ["-h", "--help", "--model", "--data", "--out", "--threads", "--mnli-label-map"],
+    "embed": ["-h", "--help", "--model", "--data", "--out", "--mnli-label-map"],
     "eval": ["-h", "--help", "--model", "--train", "--test", "--report", "--tag", "--label-mode",
-             "--unsigned", "--threads", "--mnli-label-map"],
+             "--unsigned", "--mnli-label-map"],
     "viz": ["-h", "--help", "--model", "--data", "--out", "--csv", "--max-points", "--seed",
             "--mnli-label-map"],
     "bench": ["-h", "--help", "--out-dir", "--config", "--classes", "--dim", "--per-subclass",
               "--alpha", "--sigma", "--t", "--seed", "--epochs", "--stage2-epochs",
               "--batch-size", "--learning-rate", "--stage2-learning-rate", "--hidden-dims",
-              "--embed-dim", "--activation", "--triplet-margin", "--threads"],
+              "--embed-dim", "--activation", "--triplet-margin"],
 }
 
 
@@ -723,7 +711,6 @@ BENCH_SETTINGS = {
         "t", "seed", "epochs", "stage2_epochs", "learning_rate", "stage2_learning_rate",
         "hidden_dims", "embed_dim", "activation", "triplet_margin")},
     "batch_size": (["--batch-size", "8"], 8),
-    "threads": (["--threads", "2"], 2),
 }
 
 
@@ -813,6 +800,10 @@ def _weight_string(doc):
     doc["layers"][1]["weight"][0][0] = "x"
 
 
+def _weight_huge_int(doc):
+    doc["layers"][0]["weight"][1][0] = 10**400
+
+
 def _hidden_dims_int(doc):
     doc["config"]["hidden_dims"] = 5
 
@@ -824,9 +815,10 @@ def _hidden_dims_int(doc):
      (_bias_nested, "layers[1].bias"),
      (_weight_null, "layers[0].weight"),
      (_weight_string, "layers[1].weight"),
-     (_hidden_dims_int, "checkpoint config")],
+     (_hidden_dims_int, "checkpoint config"),
+     (_weight_huge_int, "layers[0].weight holds a non-finite value")],
     ids=["bias-short", "moment-1x1", "bias-nested", "weight-null", "weight-string",
-         "hidden-dims-int"],
+         "hidden-dims-int", "weight-integer-overflow"],
 )
 def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
     doc = _read_json(trained["model"])
@@ -897,8 +889,9 @@ def test_embed_reads_only_the_encoder_from_a_checkpoint(tmp_path, corpus, traine
     [('[1,0,0,0,0,"a"]', "vector must hold numbers"),
      ("[1,0,0,0,0,NaN]", "non-finite number NaN"),
      ("[1,0,0,0,0,null]", "vector must hold finite numbers"),
-     ("[1,0,0,0,0,1e999]", "vector must hold finite numbers")],
-    ids=["non-numeric", "nan", "null", "overflow"],
+     ("[1,0,0,0,0,1e999]", "vector must hold finite numbers"),
+     (f"[1,0,0,0,0,{10**400}]", "vector must hold finite numbers")],
+    ids=["non-numeric", "nan", "null", "overflow", "integer-overflow"],
 )
 def test_bad_vector_is_data_error_with_line(tmp_path, capsys, vector, message):
     data = str(tmp_path / "bad.jsonl")
@@ -911,6 +904,20 @@ def test_bad_vector_is_data_error_with_line(tmp_path, capsys, vector, message):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: line 4:")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("score", ["1e999", str(10**400)], ids=["overflow", "integer-overflow"])
+def test_scores_past_the_float_range_are_a_data_error_with_line(tmp_path, capsys, score):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(
+        '{"id":"x0","class":"c","polarity":"positive","vector":[1,0]}\n'
+        f'{{"id":"x1","class":"c","polarity":"negative","vector":[0,1],"scores":[{score}]}}\n'
+    )
+    code = run_command(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: line 2: scores must hold finite numbers"
+    ]
 
 
 def test_embed_non_utf8_line_is_data_error(tmp_path, corpus, trained, capsys):

@@ -36,7 +36,14 @@ from hiersphere import (
     tfidf_dedup,
 )
 from hiersphere import data as data_module
-from hiersphere.data import MIN_FORMAT_ROWS, _tfidf_matrix, load_json, load_texts, write_jsonl
+from hiersphere.data import (
+    MIN_FORMAT_ROWS,
+    _tfidf_matrix,
+    load_json,
+    load_texts,
+    write_json,
+    write_jsonl,
+)
 
 from _oracles import (
     dataset_of,
@@ -308,11 +315,13 @@ def test_load_unknown_polarity_has_line_number(tmp_path):
         ('"vector":[1.0,-1e999]', "vector must hold finite numbers"),
         ('"vector":[1.0,2.0],"scores":[null,0.1]', "scores must hold finite numbers"),
         ('"vector":[1.0,2.0],"scores":[0.1,1e400]', "scores must hold finite numbers"),
+        (f'"vector":[1.0,{10**400}]', "vector must hold finite numbers"),
+        (f'"vector":[1.0,2.0],"scores":[0.1,{10**400}]', "scores must hold finite numbers"),
     ],
     ids=[
         "vector-string", "vector-object", "scores-string", "nan", "infinity", "scores-minus-inf",
         "vector-null", "vector-overflow", "vector-minus-overflow", "scores-null",
-        "scores-overflow",
+        "scores-overflow", "vector-integer-overflow", "scores-integer-overflow",
     ],
 )
 def test_load_rejects_non_numeric_and_non_finite_values(tmp_path, bad_field, message):
@@ -416,7 +425,7 @@ def test_dataset_take_selects_rows_in_order():
     np.testing.assert_array_equal(part.subclass, ids_of([HierLabel(1, NEU), HierLabel(0, POS)]))
     assert part.ids == ["s2", "s0"]
     assert [s.tolist() for s in part.soft_scores] == [[0.1], [0.5]]
-    assert part.class_names == ["x", "y"] and part.split_tag == data.split_tag
+    assert part.class_names == ["x", "y"]
     assert len(part) == 2 and len(data.take([])) == 0
 
 
@@ -1019,6 +1028,20 @@ def test_load_json_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path.write_bytes(b'{\r\n"a": 1,\r"b": "\xe9"\n}')
     with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 \(invalid continuation byte\)$"):
         load_json(str(path))
+
+
+@pytest.mark.parametrize(
+    "options, text",
+    [({"indent": 2}, '{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": null\n}\n'),
+     ({"separators": (",", ":")}, '{"a":[1,"\\u00e9"],"b":null}\n')],
+    ids=["report", "checkpoint"],
+)
+def test_write_json_bytes_replace_the_file_whole(tmp_path, options, text):
+    path = tmp_path / "doc.json"
+    path.write_text("old contents, longer than the new document" * 10)
+    write_json(str(path), {"b": None, "a": [1, "\u00e9"]}, **options)
+    assert path.read_bytes() == text.encode("ascii")
+    assert os.listdir(tmp_path) == ["doc.json"]
 
 
 # ---------------------------------------------------------- JSON Lines writer

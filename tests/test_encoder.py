@@ -513,9 +513,7 @@ def test_forward_writes_nothing_to_params():
     before, state = dict(vars(params)), params.state.tobytes()
     encoder_forward_batch(params, x)
     encoder_forward_batch(params, x, tape=EncoderTape())
-    serial = embed_all(params, data, batch_size=7)
-    for _ in range(3):
-        assert embed_all(params, data, num_threads=2, batch_size=7).tobytes() == serial.tobytes()
+    embed_all(params, data, batch_size=7)
     after = vars(params)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
@@ -645,12 +643,13 @@ def test_checkpoint_rejects_shape_mismatch():
      (lambda d: d["layers"].__setitem__(1, [1.0]), "layers[1].weight is not numeric"),
      (lambda d: d["optimizer_state"][2].pop("bias_v"), "optimizer_state[2].bias_v is not numeric"),
      (lambda d: d["optimizer_state"][1]["bias_v"].__setitem__(0, 1e999), "optimizer_state[1].bias_v"),
+     (lambda d: d["layers"][0]["bias"].__setitem__(0, 10**400), "layers[0].bias holds a non-finite"),
      (lambda d: d["config"].__setitem__("output_dim", 3.0), "dimensions must be integers"),
      (lambda d: d["config"].__setitem__("hidden_dims", "65"), "dimensions must be integers"),
      (lambda d: d.__setitem__("step_count", -1), "step_count"),
      (lambda d: d.__setitem__("step_count", "4"), "step_count")],
     ids=["layer-missing", "extra-moment", "layer-not-object", "moment-missing", "overflow",
-         "float-dim", "string-dims", "negative-steps", "string-steps"],
+         "integer-overflow", "float-dim", "string-dims", "negative-steps", "string-steps"],
 )
 def test_checkpoint_rejects_malformed_document(corrupt, message):
     doc = params_to_dict(_trained_relu_params())

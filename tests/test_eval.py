@@ -73,28 +73,18 @@ def test_embed_all_matches_single_forward():
         np.testing.assert_allclose(emb[i], encoder_forward(params, feats), atol=1e-15)
 
 
-def test_embed_all_threads_and_chunks_change_nothing():
+def test_embed_all_chunks_change_nothing():
     params = init_params(EncoderConfig(input_dim=6, hidden_dims=(5,), output_dim=4, seed=1))
     data = generate_synthetic(GeneratorConfig(num_classes=2, input_dim=6, per_subclass_count=20, seed=2))
     base = embed_all(params, data, batch_size=7)
-    # same chunking, more threads: bitwise identical
-    np.testing.assert_array_equal(base, embed_all(params, data, num_threads=4, batch_size=7))
     # different chunking reorders BLAS accumulation, so only near-identical
     np.testing.assert_allclose(base, embed_all(params, data, batch_size=256), atol=1e-12)
 
 
-@pytest.mark.parametrize("num_threads", [1, 2])
-def test_embed_all_of_no_rows_is_empty(num_threads):
+def test_embed_all_of_no_rows_is_empty():
     params = init_params(EncoderConfig(input_dim=3, hidden_dims=(4,), output_dim=5, seed=1))
-    emb = embed_all(params, dataset_of([], 1, 3), num_threads=num_threads)
+    emb = embed_all(params, dataset_of([], 1, 3))
     assert emb.shape == (0, 5) and emb.dtype == np.float64
-
-
-def test_embed_all_rejects_bad_thread_count():
-    params = identity_encoder(2)
-    data = dataset_of([([1.0, 0.0], 0, POS, None)], 1, 2)
-    with pytest.raises(InvalidConfigError):
-        embed_all(params, data, num_threads=0)
 
 
 # ---------------------------------------------------------------- centroids

@@ -300,7 +300,7 @@ def test_adacos_state_rows_unit_norm():
 def test_adacos_update_zero_angle_case():
     # single sample, perfect target cosine, one non-target with s*cos = 1:
     # B_avg = e, theta_med = 0, so the new scale is ln(e)/cos(0) = 1
-    state = AdaCosState(weights=np.eye(2), scale=2.0, dynamic=True)
+    state = AdaCosState(weights=np.eye(2), scale=2.0)
     s = adacos_update_scale(state, np.array([[1.0, 0.5]]), np.array([0]))
     assert abs(s - 1.0) < 1e-12
     assert state.scale == s
@@ -308,7 +308,7 @@ def test_adacos_update_zero_angle_case():
 
 def test_adacos_update_clamps_median_angle():
     # target angle pi/3 exceeds pi/4, so the denominator is cos(pi/4)
-    state = AdaCosState(weights=np.eye(2), scale=4.0, dynamic=True)
+    state = AdaCosState(weights=np.eye(2), scale=4.0)
     s = adacos_update_scale(state, np.array([[0.5, 0.5]]), np.array([0]))
     assert abs(s - 2.0 / math.cos(math.pi / 4.0)) < 1e-12
 
@@ -320,7 +320,7 @@ def test_adacos_update_matches_reference_formula():
         cos = rng.uniform(-0.95, 0.95, size=(n, c))
         targets = rng.integers(0, c, size=n)
         s_old = float(rng.uniform(1.0, 20.0))
-        state = AdaCosState(weights=np.zeros((c, 2)), scale=s_old, dynamic=True)
+        state = AdaCosState(weights=np.zeros((c, 2)), scale=s_old)
         got = adacos_update_scale(state, cos, targets)
 
         mask = np.ones_like(cos, dtype=bool)
@@ -348,24 +348,26 @@ def test_adacos_update_permutation_invariant():
 
 
 def test_adacos_update_exponent_clamp_keeps_finite():
-    state = AdaCosState(weights=np.zeros((3, 2)), scale=1000.0, dynamic=True)
+    state = AdaCosState(weights=np.zeros((3, 2)), scale=1000.0)
     s = adacos_update_scale(state, np.array([[0.99, 0.9, 0.8]]), np.array([0]))
     assert math.isfinite(s)
     # both non-target args hit the clamp, so B_avg = 2 e^80
     assert abs(s - math.log(2.0 * math.exp(80.0)) / math.cos(math.acos(0.99))) < 1e-9
 
 
-def test_adacos_loss_static_hand_value():
-    # orthogonal anchors, embedding on the target anchor, fixed scale 10:
-    # loss = ln(1 + 2 e^-10)
-    state = AdaCosState(weights=np.eye(3), scale=10.0, dynamic=False)
+def test_adacos_loss_hand_value():
+    # orthogonal anchors, embedding on the target anchor: the two non-targets
+    # at cosine 0 give B_avg = 2 and the target angle is 0, so whatever the
+    # old scale the new one is ln 2, and loss = ln(1 + 2 e^-ln 2) = ln 2
+    state = AdaCosState(weights=np.eye(3), scale=10.0)
     out = adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(0, NEG)]))
-    assert abs(out.value - 9.079573746725622e-05) < 1e-16
+    assert abs(state.scale - math.log(2.0)) < 1e-15
+    assert abs(out.value - math.log(2.0)) < 1e-15
 
 
 def test_adacos_loss_identical_anchors_uniform():
     w = np.tile(unit_rows(make_rng(0, 81), 1, 4), (3, 1))
-    state = AdaCosState(weights=w, scale=7.0, dynamic=False)
+    state = AdaCosState(weights=w, scale=7.0)
     emb = unit_rows(make_rng(1, 81), 2, 4)
     out = adacos_loss(state, emb, ids_of([HierLabel(0, NEG), HierLabel(0, NEU)]))
     assert abs(out.value - math.log(3.0)) < 1e-12
@@ -378,11 +380,11 @@ def test_adacos_loss_dynamic_updates_scale_before_loss():
     labels = [HierLabel(0, POS), HierLabel(1, NEG), HierLabel(0, NEU), HierLabel(1, POS)]
     targets = np.array([lb.subclass_index for lb in labels])
 
-    probe = AdaCosState(weights=w.copy(), scale=3.0, dynamic=True)
+    probe = AdaCosState(weights=w.copy(), scale=3.0)
     expected_scale = adacos_update_scale(probe, emb @ w.T, targets)
     expected_value = softmax_ce_loss(expected_scale * (emb @ w.T), targets).value
 
-    state = AdaCosState(weights=w.copy(), scale=3.0, dynamic=True)
+    state = AdaCosState(weights=w.copy(), scale=3.0)
     out = adacos_loss(state, emb, ids_of(labels))
     assert abs(state.scale - expected_scale) < 1e-12
     assert abs(out.value - expected_value) < 1e-12
@@ -393,22 +395,23 @@ def test_adacos_loss_gradients_match_fd():
     w = unit_rows(rng, 6, 4)
     emb = unit_rows(rng, 3, 4)
     labels = [HierLabel(0, POS), HierLabel(1, NEU), HierLabel(0, NEG)]
-    state = AdaCosState(weights=w, scale=5.0, dynamic=False)
+    state = AdaCosState(weights=w, scale=5.0)
     out = adacos_loss(state, emb, ids_of(labels))
+    # backprop holds the refreshed scale constant, so the reference loss does too
+    s = state.scale
 
     def f_emb(flat):
-        return adacos_loss(state, flat.reshape(emb.shape), ids_of(labels)).value
+        return softmax_ce_loss(s * (flat.reshape(emb.shape) @ w.T), ids_of(labels)).value
 
     def f_w(flat):
-        st2 = AdaCosState(weights=flat.reshape(w.shape), scale=5.0, dynamic=False)
-        return adacos_loss(st2, emb, ids_of(labels)).value
+        return softmax_ce_loss(s * (emb @ flat.reshape(w.shape).T), ids_of(labels)).value
 
     assert grad_check(f_emb, emb.ravel(), out.grad_embeddings.ravel()).max_rel_error < 1e-4
     assert grad_check(f_w, w.ravel(), out.grad_weights.ravel()).max_rel_error < 1e-4
 
 
 def test_adacos_loss_rejects_out_of_range_subclass():
-    state = AdaCosState(weights=np.eye(3), scale=5.0, dynamic=False)
+    state = AdaCosState(weights=np.eye(3), scale=5.0)
     with pytest.raises(IndexOutOfRangeError):
         adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(1, NEG)]))
 
