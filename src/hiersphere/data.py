@@ -679,77 +679,56 @@ def write_json(path: str, doc, **dump_options) -> None:
     os.replace(tmp, path)
 
 
-# Fewest rows worth formatting in a forked child. On a 2-core VM, rows of 32
-# floats written in two ranges broke even with one range at about 256 rows
-# and took 21 against 27 ms at 1,024 rows; text rows of 30 words, ten times
-# cheaper to format, broke even only at about 4,000 rows.
-MIN_FORMAT_ROWS = 512
-# rows formatted at a time, and the most bytes copied at once from a child;
-# small blocks keep the writer's transient memory small
-_FORMAT_ROWS = 64
-_COPY_BLOCK = 1 << 16
-
-
-def _formatted(text, start: int, end: int):
-    """The bytes of rows [start, end), _FORMAT_ROWS rows at a time."""
-    for lo in range(start, end, _FORMAT_ROWS):
-        yield text(lo, min(lo + _FORMAT_ROWS, end))
-
-
-def _send_text(text, start: int, end: int, fd: int) -> None:
-    """In a forked child: format rows [start, end) and write them to the
-    pipe fd as an 8-byte length and the bytes."""
-    blocks = list(_formatted(text, start, end))
-    with open(fd, "wb") as out:
-        out.write(sum(map(len, blocks)).to_bytes(8, "little"))
-        out.writelines(blocks)
-
-
-def _copy_sent(pipe, fh) -> bool:
-    """Copy the bytes a child sent through to fh, at most _COPY_BLOCK at a
-    time; False if it wrote short."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        return False
-    remaining = int.from_bytes(head, "little")
-    block = memoryview(bytearray(min(remaining, _COPY_BLOCK)))
-    while remaining:
-        got = pipe.readinto(block[: min(remaining, len(block))])
-        if not got:
-            return False
-        fh.write(block[:got])
-        remaining -= got
-    return True
+def _orjson_exact(value) -> bool:
+    """Whether orjson writes value as json.dumps does, where it writes it
+    at all. It does not for a float below 1e-4 in magnitude (printed
+    positionally) or from 1e16 (an exponent without its sign), NaN and the
+    infinities (null), text that is not ASCII (UTF-8 where json escapes)
+    or holds \\x7f (written as itself), and a type json cannot write, such
+    as a datetime."""
+    kind = type(value)
+    if kind is list:
+        try:
+            # a list of numbers in three passes that run in C: min and max
+            # skip a NaN that does not come first, the sum does not
+            if (
+                min(map(abs, value)) >= 1e-4
+                and max(map(abs, value)) < 1e16
+                and math.isfinite(sum(value))
+            ):
+                return True
+        except (TypeError, ValueError):  # not all numbers, or empty
+            pass
+        return all(map(_orjson_exact, value))
+    if kind is str:
+        return value.isascii() and value.isprintable()
+    if kind is float:
+        return value == 0.0 or 1e-4 <= abs(value) < 1e16
+    if kind is dict:
+        return all(_orjson_exact(k) and _orjson_exact(v) for k, v in value.items())
+    return kind is int or kind is bool or value is None
 
 
 def write_jsonl(path: str, n: int, record) -> None:
     """Write the JSON objects record(0), ..., record(n - 1) to path, one per
-    line, with compact separators and floats exact via repr.
+    line, as json.dumps(record, separators=(",", ":")) writes them: floats
+    exact via repr, text ASCII with the rest escaped.
 
-    With at least 2 * MIN_FORMAT_ROWS rows and a seekable file, the rows are
-    cut into up to one range per usable CPU. Forked children format all but
-    the first, which this process writes before copying their bytes
-    through; a range whose child dies or writes short is formatted here. The
-    bytes are those of one process writing row by row.
+    orjson writes a record when _orjson_exact allows it; json writes every
+    other record, and one orjson refuses: an integer past 64 bits, a key
+    that is not a string, or a number of a type it does not know.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
-
-    def text(start: int, end: int) -> bytes:
-        return "".join([encode(record(i)) + "\n" for i in range(start, end)]).encode()
-
     with open(path, "wb") as fh:
-        count = _worker_count(n, MIN_FORMAT_ROWS) if fh.seekable() else 1
-        cuts = [n * k // count for k in range(count + 1)]
-        ranges = list(zip(cuts, cuts[1:]))
-        jobs = [functools.partial(_send_text, text, *span) for span in ranges[1:]]
-        with _forked(jobs) as pipes:
-            fh.writelines(_formatted(text, *ranges[0]))
-            for span, pipe in zip(ranges[1:], pipes):
-                mark = fh.tell()
-                if pipe is None or not _copy_sent(pipe, fh):
-                    fh.seek(mark)
-                    fh.truncate()
-                    fh.writelines(_formatted(text, *span))
+        for i in range(n):
+            rec = record(i)
+            if _orjson_exact(rec):
+                try:
+                    fh.write(orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE))
+                    continue
+                except orjson.JSONEncodeError:
+                    pass
+            fh.write((encode(rec) + "\n").encode())
 
 
 def save_jsonl(path: str, dataset: Dataset) -> None:

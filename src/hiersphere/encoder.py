@@ -16,6 +16,7 @@ until the next forward on that tape. A call without a tape gets arrays of
 its own.
 """
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
@@ -129,6 +130,17 @@ def init_params(config: EncoderConfig) -> EncoderParams:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
+
+
+@contextlib.contextmanager
+def allocating(config: EncoderConfig):
+    """Turn a MemoryError in the block, where arrays sized by config are
+    made, into an InvalidConfigError naming config's dimensions."""
+    try:
+        yield
+    except MemoryError:
+        dims = (config.input_dim, *config.hidden_dims, config.output_dim)
+        raise InvalidConfigError(f"not enough memory for an encoder of dimensions {dims}") from None
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
@@ -402,7 +414,9 @@ def params_from_dict(doc: dict) -> EncoderParams:
     if not isinstance(step_count, int) or step_count < 0:
         raise InvalidConfigError(f"step_count must be an integer >= 0, got {step_count!r}")
 
-    params = EncoderParams(config, np.empty((3, config.param_count)), step_count)
+    with allocating(config):
+        state = np.empty((3, config.param_count))
+    params = EncoderParams(config, state, step_count)
     names = []
     for (section, *keys), (ws, bs) in zip(_CHECKPOINT_ROWS, _row_views(params)):
         entries = doc[section]

@@ -20,6 +20,7 @@ from .encoder import (
     EncoderTape,
     OptimizerConfig,
     adam_step_array,
+    allocating,
     encoder_backward_step,
     encoder_forward_batch,
     init_params,
@@ -311,18 +312,20 @@ def train_stage1(dataset: Dataset, config: TrainConfig):
     """
     _require_trainable(dataset)
     enc_cfg = _resolve_encoder_config(dataset, config)
-    state = AdaCosState.initialize(
-        3 * dataset.num_classes,
-        enc_cfg.output_dim,
-        make_rng(config.seed, STREAM_CLASSIFIER_INIT),
-    )
+    with allocating(enc_cfg):
+        state = AdaCosState.initialize(
+            3 * dataset.num_classes,
+            enc_cfg.output_dim,
+            make_rng(config.seed, STREAM_CLASSIFIER_INIT),
+        )
+        params = init_params(enc_cfg)
+        anchors = _Anchors(state.weights)
     report = TrainReport(config=config.to_dict(), model_tag="adacos")
 
     def objective(emb, labels):
         return adacos_loss(state, emb, labels)
 
-    params = init_params(enc_cfg)
-    _fit(dataset, config, params, objective, report, anchors=_Anchors(state.weights), adacos=state)
+    _fit(dataset, config, params, objective, report, anchors=anchors, adacos=state)
     return params, state, report
 
 
@@ -384,26 +387,27 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
     enc_cfg = _resolve_encoder_config(dataset, config)
     report = TrainReport(config=config.to_dict(), model_tag=config.loss_kind)
     anchors = None
-    if config.loss_kind == "triplet":
+    with allocating(enc_cfg):
+        if config.loss_kind == "triplet":
 
-        def objective(emb, labels):
-            return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
+            def objective(emb, labels):
+                return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
 
-    else:
-        anchors = _Anchors(
-            init_unit_anchors(
-                3 * dataset.num_classes,
-                enc_cfg.output_dim,
-                make_rng(config.seed, STREAM_CLASSIFIER_INIT),
+        else:
+            anchors = _Anchors(
+                init_unit_anchors(
+                    3 * dataset.num_classes,
+                    enc_cfg.output_dim,
+                    make_rng(config.seed, STREAM_CLASSIFIER_INIT),
+                )
             )
-        )
-        margin = DEFAULT_MARGINS[config.loss_kind]
+            margin = DEFAULT_MARGINS[config.loss_kind]
 
-        def objective(emb, labels):
-            return angular_margin_loss(
-                emb, anchors.weights, labels, config.loss_kind, MARGIN_SCALE, margin
-            )
+            def objective(emb, labels):
+                return angular_margin_loss(
+                    emb, anchors.weights, labels, config.loss_kind, MARGIN_SCALE, margin
+                )
 
-    params = init_params(enc_cfg)
+        params = init_params(enc_cfg)
     _fit(dataset, config, params, objective, report, anchors=anchors)
     return params, None, report

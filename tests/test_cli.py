@@ -23,6 +23,7 @@ from hiersphere import (
     tfidf_dedup,
 )
 from hiersphere import data as data_module
+from hiersphere import losses as losses_module
 from hiersphere.cli import BENCH_DEFAULTS, OUT_DIR_ENV, TRAIN_DEFAULTS, build_parser, run_command
 from hiersphere.data import GeneratorConfig, generate_synthetic, save_jsonl
 
@@ -186,6 +187,24 @@ def test_train_baseline_mode_has_no_stage2(tmp_path, corpus):
     assert "adacos" not in _read_json(out)
 
 
+def test_train_out_of_memory_at_initialisation_is_a_data_error(
+    tmp_path, corpus, monkeypatch, capsys
+):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    # faked, and at a small width: a real allocation that does not fail at
+    # once could fill memory
+    monkeypatch.setattr(losses_module, "init_unit_anchors", out_of_memory)
+    out = tmp_path / "m.json"
+    code = run_command(["train", "--data", corpus["train"], "--out", str(out), "--embed-dim", "7"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: not enough memory for an encoder of dimensions (6, 128, 7)"
+    ]
+    assert not out.exists()
+
+
 def test_train_config_file_and_flag_precedence(tmp_path, corpus):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -310,24 +329,7 @@ def test_embed_writes_one_line_per_sample(tmp_path, corpus, trained):
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
 
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-@pytest.fixture
-def forked_writes(monkeypatch):
-    """Let write_jsonl fork for every row range, up to three; after the test
-    no child may be left and no file descriptor may have leaked."""
-    monkeypatch.setattr(data_module, "MIN_FORMAT_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    fds = _open_fds()
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds
-
-
-def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained, forked_writes):
+def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained):
     out, want = tmp_path / "emb.jsonl", tmp_path / "want.jsonl"
     code = run_command(
         ["embed", "--model", trained["model"], "--data", corpus["test"], "--out", str(out)]
@@ -340,7 +342,7 @@ def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained, 
 
 
 def test_embed_into_a_missing_directory_is_a_data_error(
-    tmp_path, corpus, trained, forked_writes, capsys
+    tmp_path, corpus, trained, capsys
 ):
     out = tmp_path / "missing" / "emb.jsonl"
     code = run_command(
@@ -594,7 +596,7 @@ def test_dedup_round_trip(tmp_path, capsys):
     assert "kept 2 of 3" in capsys.readouterr().out
 
 
-def test_dedup_writes_the_bytes_of_the_serial_writer(tmp_path, forked_writes):
+def test_dedup_writes_the_bytes_of_the_serial_writer(tmp_path):
     data, out, want = tmp_path / "texts.jsonl", tmp_path / "kept.jsonl", tmp_path / "want.jsonl"
     texts = [(f"t{i}", f"café {i % 7} naïve \"quoted\" \u65e5\u672c {i % 5}") for i in range(40)]
     with open(data, "w", encoding="utf-8") as fh:
@@ -808,6 +810,11 @@ def _hidden_dims_int(doc):
     doc["config"]["hidden_dims"] = 5
 
 
+def _hidden_dims_huge(doc):
+    # a parameter buffer of terabytes, which np.empty asks for without writing to it
+    doc["config"]["hidden_dims"] = [4000000000]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_bias_short, "layers[0].bias"),
@@ -816,9 +823,10 @@ def _hidden_dims_int(doc):
      (_weight_null, "layers[0].weight"),
      (_weight_string, "layers[1].weight"),
      (_hidden_dims_int, "checkpoint config"),
-     (_weight_huge_int, "layers[0].weight holds a non-finite value")],
+     (_weight_huge_int, "layers[0].weight holds a non-finite value"),
+     (_hidden_dims_huge, "4000000000")],
     ids=["bias-short", "moment-1x1", "bias-nested", "weight-null", "weight-string",
-         "hidden-dims-int", "weight-integer-overflow"],
+         "hidden-dims-int", "weight-integer-overflow", "hidden-dims-past-memory"],
 )
 def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
     doc = _read_json(trained["model"])

@@ -1,6 +1,7 @@
 """Synthetic generator, JSONL ingestion, and tf-idf near-duplicate removal."""
 
 import contextlib
+import datetime
 import json
 import math
 import os
@@ -10,7 +11,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import tracemalloc
 
 import numpy as np
@@ -37,7 +37,6 @@ from hiersphere import (
 )
 from hiersphere import data as data_module
 from hiersphere.data import (
-    MIN_FORMAT_ROWS,
     _tfidf_matrix,
     load_json,
     load_texts,
@@ -1065,84 +1064,91 @@ def _serial_bytes(tmp_path, n, record):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize(
-    "n", [0, 1, MIN_FORMAT_ROWS - 1, MIN_FORMAT_ROWS, MIN_FORMAT_ROWS + 1,
-          2 * MIN_FORMAT_ROWS - 1, 2 * MIN_FORMAT_ROWS, 3000],
-)
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1023, 1024, 3000])
 def test_write_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus, n):
     record = _float_records(n)
     got = tmp_path / "got.jsonl"
     with deadline(60), using_cpus(cpus):
         write_jsonl(str(got), n, record)
     assert got.read_bytes() == _serial_bytes(tmp_path, n, record)
-    assert len(forks) == max(1, min(cpus, n // MIN_FORMAT_ROWS)) - 1
+    assert forks == []
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_save_jsonl_bytes_equal_the_serial_writer(tmp_path, monkeypatch, forks, cpus):
+def test_save_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus):
     data = generate_synthetic(small_cfg(per_subclass_count=50))
     data.soft_scores = [None if i % 3 else np.array([0.5, -1e-310, i]) for i in range(len(data))]
-    monkeypatch.setattr(data_module, "MIN_FORMAT_ROWS", 40)
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
     with deadline(60), using_cpus(cpus):
         save_jsonl(str(got), data)
     ref_write_jsonl(str(want), ref_dataset_records(data))
     assert got.read_bytes() == want.read_bytes()
-    assert len(forks) == cpus - 1
-
-
-def test_write_jsonl_beside_another_thread_writes_alone(tmp_path, forks):
-    record, got = _float_records(3000), tmp_path / "got.jsonl"
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        with deadline(60), using_cpus(2):
-            write_jsonl(str(got), 3000, record)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
     assert forks == []
 
 
-# how many of the n bytes it owes a child writes before it exits
-CHILD_SENDS = {
-    "nothing": lambda n: 0,
-    "inside-length": lambda n: 5,
-    "half": lambda n: n // 2,
-    "all-but-one": lambda n: n - 1,
-}
+def _around(*values):
+    """Each value, its neighbouring floats and their negations."""
+    near = [v2 for v in values for v2 in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+    return near + [-v for v in near]
 
 
-@pytest.mark.parametrize("written", CHILD_SENDS)
-def test_write_jsonl_formats_the_range_of_a_child_that_exits_early(
-    tmp_path, monkeypatch, forks, written
-):
-    def send(text, start, end, fd):
-        payload = b"".join(data_module._formatted(text, start, end))
-        payload = len(payload).to_bytes(8, "little") + payload
-        with open(fd, "wb") as out:
-            out.write(payload[: CHILD_SENDS[written](len(payload))])
+# floats at the edges of the range orjson prints as repr does, subnormals,
+# zeros, values near the largest float and the non-finite ones json writes
+EDGE_FLOATS = _around(1e-4, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+EDGE_FLOATS += [0.0, -0.0, math.nan, math.inf, -math.inf]
+# integers at the edges of the 64 bits orjson writes
+EDGE_INTS = [k + d for k in (-(2**63), 2**63, 2**64) for d in (-1, 0, 1)]
 
-    monkeypatch.setattr(data_module, "_send_text", send)
-    record, got = _float_records(3000), tmp_path / "got.jsonl"
-    with deadline(60), using_cpus(3):
-        write_jsonl(str(got), 3000, record)
-    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
-    assert len(forks) == 2
+json_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+ascii_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+# every code point, lone surrogates and control characters included
+json_text = st.one_of(
+    ascii_text,
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["\x7f", "\x00", "\n", "\ud800", "\u00e9", 'a"b\\c/']),
+)
+json_scalars = st.one_of(
+    json_floats,
+    json_text,
+    st.integers() | st.sampled_from(EDGE_INTS),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=12,
+)
+json_records = st.dictionaries(
+    ascii_text | json_text,
+    json_values | st.lists(json_floats, max_size=8) | st.lists(st.floats(1e-4, 1e16), max_size=8),
+    max_size=4,
+)
 
 
-def test_write_jsonl_without_a_fork_to_spare_formats_every_range(tmp_path, monkeypatch):
-    def fork():
-        raise BlockingIOError("no process to spare")
+# a NaN after a number in range, which min and max pass over; 1e16 after
+# one; a numpy float, which json writes and orjson refuses
+@example([{"v": [1.0, math.nan]}, {"v": [0.5, math.nan, 2.0]}])
+@example([{"v": [1.0, 1e16]}, {"v": [np.float64(0.5)]}])
+@settings(max_examples=400, deadline=None)
+@given(st.lists(json_records, max_size=6))
+def test_write_jsonl_writes_the_bytes_of_json_dumps(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
+        write_jsonl(got, len(records), records.__getitem__)
+        ref_write_jsonl(want, records)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
 
-    monkeypatch.setattr(os, "fork", fork)
-    record, got = _float_records(3000), tmp_path / "got.jsonl"
-    with deadline(60), using_cpus(3):
-        write_jsonl(str(got), 3000, record)
-    assert got.read_bytes() == _serial_bytes(tmp_path, 3000, record)
+
+@pytest.mark.parametrize(
+    "value", [datetime.date(2026, 1, 1), [np.float32(0.5)]], ids=["date", "float32"]
+)
+def test_write_jsonl_refuses_what_json_dumps_refuses(tmp_path, value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_jsonl(str(tmp_path / "got.jsonl"), 1, lambda i: {"v": value})
 
 
 # -------------------------------------------------------------------- dedup

@@ -29,7 +29,7 @@ from hiersphere import (
     train_two_stage,
     triplet_batch_loss,
 )
-from hiersphere import encoder, trainer
+from hiersphere import encoder, losses, trainer
 from hiersphere.rng import make_rng
 from hiersphere.trainer import LOSS_KINDS
 
@@ -145,6 +145,29 @@ def test_stage2_optimizer_default_is_tenth_rate():
     assert abs(cfg.stage2_optimizer().learning_rate - 2e-4) < 1e-18
     explicit = TrainConfig(stage2_learning_rate=5e-3)
     assert explicit.stage2_optimizer().learning_rate == 5e-3
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "kind, failing",
+    [("adacos", "anchors"), ("adacos", "params"), ("softmax", "anchors"),
+     ("softmax", "params"), ("triplet", "params")],
+)
+def test_allocation_failure_at_initialisation_is_a_config_error(monkeypatch, kind, failing):
+    # the allocations are faked to fail: real ones this large could fill memory
+    if failing == "anchors":
+        monkeypatch.setattr(losses, "init_unit_anchors", _out_of_memory)
+        monkeypatch.setattr(trainer, "init_unit_anchors", _out_of_memory)
+    else:
+        monkeypatch.setattr(trainer, "init_params", _out_of_memory)
+    with pytest.raises(
+        InvalidConfigError,
+        match=r"^not enough memory for an encoder of dimensions \(8, 12, 8\)$",
+    ):
+        train_baseline(tiny_dataset(), small_train_config(loss_kind=kind))
 
 
 def test_train_config_to_dict_is_json_ready():
