@@ -13,7 +13,8 @@ EncoderTape, a workspace made once per run: the forward writes its
 activations, norms and unit output into the tape's buffers, the step writes
 the gradient into the tape's one flat array, and everything on a tape lives
 until the next forward on that tape. A call without a tape gets arrays of
-its own.
+its own. A checkpoint holds the config and the parameters, not the moments:
+no command resumes training from a file.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ from .errors import (
 from .rng import STREAM_ENCODER_INIT, make_rng
 from .vecmath import NORM_FLOOR
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(not isinstance(d, Integral) or d < 1 for d in dims):
+        if any(not isinstance(d, Integral) or isinstance(d, bool) or d < 1 for d in dims):
             raise InvalidConfigError(f"all dimensions must be integers >= 1, got {dims}")
         if self.activation not in ("tanh", "relu"):
             raise InvalidConfigError(f"activation must be tanh or relu, got {self.activation!r}")
@@ -364,44 +365,27 @@ def adam_step_array(
     theta -= a
 
 
-# the checkpoint (section, weight key, bias key) of state rows 0, 1 and 2
-_CHECKPOINT_ROWS = (
-    ("layers", "weight", "bias"),
-    ("optimizer_state", "weight_m", "bias_m"),
-    ("optimizer_state", "weight_v", "bias_v"),
-)
-
-
-def _row_views(params: EncoderParams):
-    return [(params.weights, params.biases), (params.m_weights, params.m_biases),
-            (params.v_weights, params.v_biases)]
-
-
 def params_to_dict(params: EncoderParams) -> dict:
-    n_layers = len(params.weights)
-    doc = {
+    return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": {**asdict(params.config), "hidden_dims": list(params.config.hidden_dims)},
-        "step_count": params.step_count,
-        "layers": [{} for _ in range(n_layers)],
-        "optimizer_state": [{} for _ in range(n_layers)],
+        "layers": [{"weight": w.tolist(), "bias": b.tolist()}
+                   for w, b in zip(params.weights, params.biases)],
     }
-    for (section, w_key, b_key), (ws, bs) in zip(_CHECKPOINT_ROWS, _row_views(params)):
-        for entry, w, b in zip(doc[section], ws, bs):
-            entry[w_key], entry[b_key] = w.tolist(), b.tolist()
-    return doc
 
 
 def params_from_dict(doc: dict) -> EncoderParams:
-    """Params from a checkpoint document, checked against its config's layout.
+    """Params from a format 1 or 2 checkpoint document, checked against its config's layout.
 
-    Every weight, bias and moment array must have its layer's shape and hold
-    finite numbers; the error names the first array that does not.
+    Only config and layers are read; a format-1 document's Adam moments and
+    step_count are not, so the params come back with zero moments at step 0.
+    Every weight and bias must have its layer's shape and hold finite numbers;
+    the error names the first array that does not.
     """
     if not isinstance(doc, dict):
         raise InvalidConfigError("checkpoint must hold a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise InvalidConfigError(f"unsupported checkpoint format_version {version!r}")
     cfg = doc["config"]
     try:
@@ -410,35 +394,30 @@ def params_from_dict(doc: dict) -> EncoderParams:
         config = EncoderConfig(**values)
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"invalid checkpoint config: {exc}") from exc
-    step_count = doc["step_count"]
-    if not isinstance(step_count, int) or step_count < 0:
-        raise InvalidConfigError(f"step_count must be an integer >= 0, got {step_count!r}")
 
     with allocating(config):
-        state = np.empty((3, config.param_count))
-    params = EncoderParams(config, state, step_count)
+        params = EncoderParams(config, np.zeros((3, config.param_count)))
+    entries = doc["layers"]
+    if not isinstance(entries, list) or len(entries) != len(params.weights):
+        raise InvalidConfigError(f"layers must list {len(params.weights)} layers")
     names = []
-    for (section, *keys), (ws, bs) in zip(_CHECKPOINT_ROWS, _row_views(params)):
-        entries = doc[section]
-        if not isinstance(entries, list) or len(entries) != len(ws):
-            raise InvalidConfigError(f"{section} must list {len(ws)} layers")
-        for i, entry in enumerate(entries):
-            for key, view in zip(keys, (ws[i], bs[i])):
-                names.append(f"{section}[{i}].{key}")
-                try:
-                    arr = np.asarray(entry[key], dtype=np.float64)
-                except OverflowError:
-                    # an integer literal past the float range, worded as Infinity is
-                    raise InvalidConfigError(f"{names[-1]} holds a non-finite value") from None
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise InvalidConfigError(f"{names[-1]} is not numeric: {exc}") from exc
-                if arr.shape != view.shape:
-                    raise InvalidConfigError(f"{names[-1]} has shape {arr.shape}, not {view.shape}")
-                view[...] = arr
-    # one finiteness pass over the whole buffer; the first bad entry names its array
-    bad = np.flatnonzero(~np.isfinite(params.state))
+    for i, entry in enumerate(entries):
+        for key, view in (("weight", params.weights[i]), ("bias", params.biases[i])):
+            names.append(f"layers[{i}].{key}")
+            try:
+                arr = np.asarray(entry[key], dtype=np.float64)
+            except OverflowError:
+                # an integer literal past the float range, worded as Infinity is
+                raise InvalidConfigError(f"{names[-1]} holds a non-finite value") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InvalidConfigError(f"{names[-1]} is not numeric: {exc}") from exc
+            if arr.shape != view.shape:
+                raise InvalidConfigError(f"{names[-1]} has shape {arr.shape}, not {view.shape}")
+            view[...] = arr
+    # one finiteness pass over the parameters; the first bad entry names its array
+    bad = np.flatnonzero(~np.isfinite(params.state[0]))
     if bad.size:
-        ends = np.cumsum([math.prod(s) for s in config.param_shapes] * 3)
+        ends = np.cumsum([math.prod(s) for s in config.param_shapes])
         name = names[np.searchsorted(ends, bad[0], side="right")]
         raise InvalidConfigError(f"{name} holds a non-finite value")
     return params

@@ -20,6 +20,7 @@ from hiersphere import (
     encoder_forward_batch,
     load_checkpoint,
     load_jsonl,
+    save_checkpoint,
     tfidf_dedup,
 )
 from hiersphere import data as data_module
@@ -138,7 +139,8 @@ def test_gen_data_manifest_checksums(tmp_path):
 
 def test_train_writes_model_report_manifest(trained, corpus):
     model = _read_json(trained["model"])
-    assert model["format_version"] == 1
+    assert model.keys() == {"format_version", "config", "layers", "train_report", "adacos"}
+    assert model["format_version"] == 2
     assert [len(layer["weight"]) for layer in model["layers"]] == [12, 8]
     report = _read_json(os.path.join(trained["root"], "model.report.json"))
     assert len(report["stage1_epoch_losses"]) == 2
@@ -786,8 +788,8 @@ def _bias_short(doc):
     doc["layers"][0]["bias"].pop()
 
 
-def _moment_one_by_one(doc):
-    doc["optimizer_state"][0]["weight_m"] = [[0.0]]
+def _output_dim_true(doc):
+    doc["config"]["output_dim"] = True
 
 
 def _bias_nested(doc):
@@ -818,15 +820,15 @@ def _hidden_dims_huge(doc):
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_bias_short, "layers[0].bias"),
-     (_moment_one_by_one, "optimizer_state[0].weight_m"),
      (_bias_nested, "layers[1].bias"),
      (_weight_null, "layers[0].weight"),
      (_weight_string, "layers[1].weight"),
      (_hidden_dims_int, "checkpoint config"),
      (_weight_huge_int, "layers[0].weight holds a non-finite value"),
-     (_hidden_dims_huge, "4000000000")],
-    ids=["bias-short", "moment-1x1", "bias-nested", "weight-null", "weight-string",
-         "hidden-dims-int", "weight-integer-overflow", "hidden-dims-past-memory"],
+     (_hidden_dims_huge, "4000000000"),
+     (_output_dim_true, "all dimensions must be integers >= 1, got (6, 12, True)")],
+    ids=["bias-short", "bias-nested", "weight-null", "weight-string", "hidden-dims-int",
+         "weight-integer-overflow", "hidden-dims-past-memory", "output-dim-true"],
 )
 def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
     doc = _read_json(trained["model"])
@@ -865,18 +867,18 @@ def test_non_utf8_model_or_config_is_a_one_line_data_error(
     assert not out.exists()
 
 
-def test_checkpoint_step_count_past_64_bits_is_data_error(tmp_path, corpus, trained, capsys):
-    # orjson reads an integer past 64 bits as a float, which no integer field takes
-    doc = _read_json(trained["model"])
-    doc["step_count"] = 10**29
-    model, out = tmp_path / "m.json", tmp_path / "emb.jsonl"
-    model.write_text(json.dumps(doc))
-    argv = ["embed", "--model", str(model), "--data", corpus["test"], "--out", str(out)]
-    assert run_command(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "data error: step_count must be an integer >= 0, got 1e+29"
-    ]
-    assert not out.exists()
+def test_embed_with_a_format1_model_matches_its_format2_resave(tmp_path):
+    # a format-1 file's moments are not read, so its re-save keeps the encoder
+    format1 = os.path.join(os.path.dirname(__file__), "data", "model_format1.json")
+    format2, data = str(tmp_path / "m.json"), str(tmp_path / "data.jsonl")
+    save_checkpoint(format2, load_checkpoint(format1)[0])
+    assert _read_json(format2).keys() == {"format_version", "config", "layers"}
+    save_jsonl(data, generate_synthetic(GeneratorConfig(num_classes=2, input_dim=4,
+                                                        per_subclass_count=3, seed=2)))
+    outs = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    for model, out in zip((format1, format2), outs):
+        assert run_command(["embed", "--model", model, "--data", data, "--out", out]) == 0
+    assert _sha256(outs[0]) == _sha256(outs[1])
 
 
 def test_embed_reads_only_the_encoder_from_a_checkpoint(tmp_path, corpus, trained):

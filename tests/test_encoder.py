@@ -1,6 +1,8 @@
 """Encoder forward/backward, Adam, and checkpoint round-trips."""
 
+import json
 import math
+import pathlib
 import pickle
 import re
 from dataclasses import fields
@@ -324,8 +326,9 @@ def _assert_views_alias_state(params):
             assert np.shares_memory(view, params.state), name
 
 
-def _trained_relu_params():
-    cfg = EncoderConfig(input_dim=4, hidden_dims=(6, 5), output_dim=3, activation="relu", seed=12)
+def _trained_params(activation="relu", hidden_dims=(6, 5)):
+    cfg = EncoderConfig(input_dim=4, hidden_dims=hidden_dims, output_dim=3,
+                        activation=activation, seed=14)
     params = init_params(cfg)
     rng = make_rng(10, 50)
     for _ in range(4):
@@ -340,6 +343,13 @@ def _loaded(params, tmp_path):
     return load_checkpoint(path)[0]
 
 
+def _encoder_only(params):
+    """params as a checkpoint keeps them: the parameters, zero moments, step 0."""
+    state = np.zeros_like(params.state)
+    state[0] = params.state[0]
+    return EncoderParams(params.config, state)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda p, _: p, lambda p, _: p.copy(), _loaded, lambda p, _: pickle.loads(pickle.dumps(p))],
@@ -347,10 +357,10 @@ def _loaded(params, tmp_path):
 )
 def test_every_view_shares_memory_with_state(make, tmp_path):
     for base in (init_params(EncoderConfig(input_dim=5, hidden_dims=(7,), output_dim=3)),
-                 _trained_relu_params()):
+                 _trained_params()):
         params = make(base, tmp_path)
         _assert_views_alias_state(params)
-        _assert_params_bitwise(params, base)
+        _assert_params_bitwise(params, _encoder_only(base) if make is _loaded else base)
 
 
 def test_views_cannot_be_rebound():
@@ -580,36 +590,34 @@ def test_loss_non_increasing_over_fifty_steps():
 # --------------------------------------------------------------- serialize
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path):
-    cfg = EncoderConfig(input_dim=4, hidden_dims=(3,), output_dim=2, seed=11)
-    params = init_params(cfg)
-    x = make_rng(8, 47).normal(size=(4, 4))
-    g = make_rng(9, 47).normal(size=(4, 2))
-    encoder_backward_step(params, x, g, OptimizerConfig())
+_CHECKPOINT_CASES = [(act, hidden) for act in ("tanh", "relu") for hidden in ((), (3,), (6, 5))]
 
+
+def test_checkpoint_round_trip_bitwise(tmp_path):
+    # a checkpoint keeps the parameters bitwise and drops the Adam moments
     path = tmp_path / "model.json"
-    save_checkpoint(str(path), params)
-    loaded, doc = load_checkpoint(str(path))
-    assert loaded.config == params.config
-    assert loaded.step_count == params.step_count
-    for a, b in zip(params.weights, loaded.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(params.m_weights, loaded.m_weights):
-        np.testing.assert_array_equal(a, b)
-    assert doc["format_version"] == 1
+    for activation, hidden_dims in _CHECKPOINT_CASES:
+        params = _trained_params(activation, hidden_dims)
+        assert params.step_count == 4 and params.state[1:].all()
+        save_checkpoint(str(path), params)
+        loaded, doc = load_checkpoint(str(path))
+        assert doc.keys() == {"format_version", "config", "layers"}
+        assert doc["format_version"] == 2
+        assert loaded.config == params.config
+        assert loaded.state[0].tobytes() == params.state[0].tobytes()
+        assert not loaded.state[1:].any() and loaded.step_count == 0
 
 
 def test_checkpoint_resave_byte_identical(tmp_path):
-    trained = _trained_relu_params()
-    assert trained.step_count == 4
-    assert all(np.any(m != 0.0) for m in trained.m_weights + trained.v_biases)
-    for params in (_identity_encoder(3), trained):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    for activation, hidden_dims in _CHECKPOINT_CASES:
+        params = _trained_params(activation, hidden_dims)
         save_checkpoint(str(p1), params)
         loaded, _ = load_checkpoint(str(p1))
         save_checkpoint(str(p2), loaded)
         assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.state.tobytes() == params.state.tobytes()
+        assert loaded.state[0].tobytes() == params.state[0].tobytes()
+        assert not loaded.state[1:].any() and loaded.step_count == 0
 
 
 def test_checkpoint_extra_sections_survive(tmp_path):
@@ -621,11 +629,11 @@ def test_checkpoint_extra_sections_survive(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_version():
-    params = _identity_encoder(2)
-    doc = params_to_dict(params)
-    doc["format_version"] = 999
-    with pytest.raises(InvalidConfigError):
-        params_from_dict(doc)
+    doc = params_to_dict(_identity_encoder(2))
+    for version in (999, 0, True, 1.0, "2", None):
+        doc["format_version"] = version
+        with pytest.raises(InvalidConfigError, match=re.escape(f"format_version {version!r}")):
+            params_from_dict(doc)
 
 
 def test_checkpoint_rejects_shape_mismatch():
@@ -639,20 +647,17 @@ def test_checkpoint_rejects_shape_mismatch():
 @pytest.mark.parametrize(
     "corrupt, message",
     [(lambda d: d["layers"].pop(), "layers must list 3 layers"),
-     (lambda d: d["optimizer_state"].append({}), "optimizer_state must list 3 layers"),
      (lambda d: d["layers"].__setitem__(1, [1.0]), "layers[1].weight is not numeric"),
-     (lambda d: d["optimizer_state"][2].pop("bias_v"), "optimizer_state[2].bias_v is not numeric"),
-     (lambda d: d["optimizer_state"][1]["bias_v"].__setitem__(0, 1e999), "optimizer_state[1].bias_v"),
+     (lambda d: d["layers"][2].pop("bias"), "layers[2].bias is not numeric"),
+     (lambda d: d["layers"][1]["bias"].__setitem__(0, 1e999), "layers[1].bias holds a non-finite"),
      (lambda d: d["layers"][0]["bias"].__setitem__(0, 10**400), "layers[0].bias holds a non-finite"),
      (lambda d: d["config"].__setitem__("output_dim", 3.0), "dimensions must be integers"),
-     (lambda d: d["config"].__setitem__("hidden_dims", "65"), "dimensions must be integers"),
-     (lambda d: d.__setitem__("step_count", -1), "step_count"),
-     (lambda d: d.__setitem__("step_count", "4"), "step_count")],
-    ids=["layer-missing", "extra-moment", "layer-not-object", "moment-missing", "overflow",
-         "integer-overflow", "float-dim", "string-dims", "negative-steps", "string-steps"],
+     (lambda d: d["config"].__setitem__("hidden_dims", "65"), "dimensions must be integers")],
+    ids=["layer-missing", "layer-not-object", "bias-missing", "overflow", "integer-overflow",
+         "float-dim", "string-dims"],
 )
 def test_checkpoint_rejects_malformed_document(corrupt, message):
-    doc = params_to_dict(_trained_relu_params())
+    doc = params_to_dict(_trained_params())
     corrupt(doc)
     with pytest.raises(InvalidConfigError, match=re.escape(message)):
         params_from_dict(doc)
@@ -660,8 +665,43 @@ def test_checkpoint_rejects_malformed_document(corrupt, message):
         params_from_dict([doc])
 
 
+# a 4->(3,)->2 relu encoder after three Adam steps, written by the format-1
+# writer: its optimizer_state holds non-zero moments and its step_count is 3
+FORMAT1_MODEL = pathlib.Path(__file__).parent / "data" / "model_format1.json"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda d: None,
+     lambda d: d["optimizer_state"].append({}),
+     lambda d: d["optimizer_state"][1].pop("bias_v"),
+     lambda d: d["optimizer_state"][0].__setitem__("weight_m", [[0.0]]),
+     lambda d: d.__setitem__("step_count", -1),
+     lambda d: d.__setitem__("step_count", "4"),
+     # read through orjson as the float 1e29
+     lambda d: d.__setitem__("step_count", 10**29)],
+    ids=["as-written", "extra-moment", "moment-missing", "moment-1x1", "negative-steps",
+         "string-steps", "steps-past-64-bits"],
+)
+def test_format1_checkpoint_loads_only_its_layers_and_config(tmp_path, corrupt):
+    doc = json.loads(FORMAT1_MODEL.read_text())
+    assert doc["format_version"] == 1 and doc["step_count"] == 3
+    assert all(np.any(arr) for entry in doc["optimizer_state"] for arr in entry.values())
+    corrupt(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    params, _ = load_checkpoint(str(path))
+    assert params.config == EncoderConfig(input_dim=4, hidden_dims=(3,), output_dim=2,
+                                          activation="relu", seed=1)
+    assert params_to_dict(params)["config"] == doc["config"]
+    for layer, w, b in zip(doc["layers"], params.weights, params.biases, strict=True):
+        assert w.tobytes() == np.array(layer["weight"]).tobytes()
+        assert b.tobytes() == np.array(layer["bias"]).tobytes()
+    assert not params.state[1:].any() and params.step_count == 0
+
+
 def test_checkpoint_config_mirrors_encoder_config():
-    params = _trained_relu_params()
+    params = _trained_params()
     doc = params_to_dict(params)
     assert doc["config"] == {f.name: getattr(params.config, f.name) for f in fields(EncoderConfig)
                              } | {"hidden_dims": [6, 5]}
