@@ -260,9 +260,15 @@ def _setting_type(key: str, default) -> type:
 def _check_json_type(key: str, value, kind: type) -> None:
     """Config-file values of boolean, integer and float settings must be JSON
     booleans, integers and finite numbers (bool is an int subclass, so it is
-    neither of the others); stage2_learning_rate may also be null."""
+    neither of the others); stage2_learning_rate may also be null. String
+    settings must be JSON strings: one of SETTING_CHOICES for mode and
+    activation, and for hidden_dims a string whose widths are parsed later."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is bool:
+    if kind is str:
+        choices = SETTING_CHOICES.get(key)
+        ok = isinstance(value, str) and (choices is None or value in choices)
+        what = f"one of {', '.join(choices)}" if choices else 'a string such as "128,64"'
+    elif kind is bool:
         ok, what = isinstance(value, bool), "true or false"
     elif kind is int:
         ok, what = number and isinstance(value, int), "an integer"
@@ -271,8 +277,6 @@ def _check_json_type(key: str, value, kind: type) -> None:
         ok, what = number and abs(value) <= sys.float_info.max, "a finite number"
         if key == "stage2_learning_rate":
             ok, what = ok or value is None, what + " or null"
-    else:
-        return
     if not ok:
         raise InvalidConfigError(f"invalid training config: {key} must be {what}, got {value!r}")
 
@@ -380,7 +384,7 @@ def _cmd_viz(ns) -> _Run:
         subset = dataset.take(np.sort(rng.choice(len(dataset), size=ns.max_points, replace=False)))
 
     emb = embed_all(params, subset)
-    mds = classical_mds(emb, input_kind="points")
+    mds = classical_mds(emb)
     out = _resolve_out(ns.out)
     csv_path = _resolve_out(ns.csv) if ns.csv else None
     emit_svg_scatter(

@@ -6,8 +6,8 @@ normalization onto the unit hypersphere. No dropout or layer norm, so the
 whole chain stays exactly differentiable and gradient-checkable.
 
 All parameters and both Adam moments live in one (3, P) buffer per encoder;
-the per-layer weights and biases are views of it, and a training step
-updates it in place with a single Adam call. A forward pass writes nothing
+the per-layer weights and biases are views of its parameter row, and a
+training step updates all three rows in place with a single Adam call. A forward pass writes nothing
 to the params. The trainer hands each forward pass to its step through an
 EncoderTape, a workspace made once per run: the forward writes its
 activations, norms and unit output into the tape's buffers, the step writes
@@ -90,9 +90,10 @@ class EncoderParams:
 
     state[0] holds the parameters, state[1] the first and state[2] the second
     moments, each laid out layer by layer as the weight (fan_out x fan_in,
-    row-major) then the bias. weights, biases and the four moment tuples are
-    views of those rows built once here, so an in-place update of state moves
-    them all; a tuple entry cannot be rebound away from the buffer.
+    row-major) then the bias. weights and biases are tuples of views of
+    state[0] built once here, so an in-place update of state moves them; a
+    tuple entry cannot be rebound away from the buffer. The step reads the
+    moments as the flat rows state[1] and state[2].
     """
 
     config: EncoderConfig
@@ -100,10 +101,6 @@ class EncoderParams:
     step_count: int = 0
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    m_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    m_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    v_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    v_biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shapes = self.config.param_shapes
@@ -111,9 +108,8 @@ class EncoderParams:
         if np.shape(self.state) != (3, size):
             raise InvalidConfigError(f"state shape {np.shape(self.state)} is not (3, {size})")
         self.state = np.ascontiguousarray(self.state, dtype=np.float64)
-        rows = [_layer_views(row, shapes) for row in self.state]
-        self.weights, self.m_weights, self.v_weights = (r[0::2] for r in rows)
-        self.biases, self.m_biases, self.v_biases = (r[1::2] for r in rows)
+        views = _layer_views(self.state[0], shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def __reduce__(self):
         # rebuilding from the buffer keeps the views aliased
@@ -242,14 +238,6 @@ def encoder_forward_batch(
             f"expected batch of width {params.config.input_dim}, got shape {arr.shape}"
         )
     return _forward_cached(params, arr, tape).unit
-
-
-def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embedding for a single input vector."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError("expected a single input vector")
-    return encoder_forward_batch(params, arr[None, :])[0]
 
 
 def encoder_param_grads(

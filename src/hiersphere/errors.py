@@ -86,6 +86,3 @@ class NoTestLabelsError(DataError):
 class NoValidTripletsError(DataError):
     """Batch contains no sub-class with at least two members."""
 
-
-class AsymmetricInputError(DataError):
-    """Square input intended as a distance matrix is not symmetric."""

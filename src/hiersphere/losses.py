@@ -82,46 +82,6 @@ def softmax_ce_loss(logits: Sequence[float] | np.ndarray, targets) -> LossOutput
     return LossOutput(value=value, grad_embeddings=grad[0] if squeeze else grad)
 
 
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    margin: float = 1.0,
-) -> LossOutput:
-    """Euclidean hinge max(0, ||a-p|| - ||a-n|| + margin).
-
-    Intended for unit-normalized embeddings. grad_embeddings stacks the
-    gradients for (anchor, positive, negative); the subgradient at the hinge
-    corner and at coincident points is zero.
-    """
-    a = np.asarray(anchor, dtype=np.float64)
-    p = np.asarray(positive, dtype=np.float64)
-    n = np.asarray(negative, dtype=np.float64)
-    if not (a.shape == p.shape == n.shape) or a.ndim != 1:
-        raise DimensionMismatchError("anchor/positive/negative must share one dimension")
-    if margin < 0:
-        raise InvalidConfigError("margin must be non-negative")
-
-    diff_p = a - p
-    diff_n = a - n
-    dist_p = float(np.linalg.norm(diff_p))
-    dist_n = float(np.linalg.norm(diff_n))
-    value = dist_p - dist_n + margin
-
-    grads = np.zeros((3, a.size))
-    if value <= 0.0:
-        return LossOutput(value=0.0, grad_embeddings=grads)
-    if dist_p > 0.0:
-        unit_p = diff_p / dist_p
-        grads[0] += unit_p
-        grads[1] = -unit_p
-    if dist_n > 0.0:
-        unit_n = diff_n / dist_n
-        grads[0] -= unit_n
-        grads[2] = unit_n
-    return LossOutput(value=value, grad_embeddings=grads)
-
-
 def _margin_cos_derivative(cos_target: np.ndarray, kind: str, margin: float) -> np.ndarray:
     """d(target logit)/d(target cosine), without the scale factor."""
     if kind in ("cosface", "softmax") or margin == 0.0:

@@ -1,11 +1,10 @@
-"""Vector primitives: normalization, cosine similarity, gradient checking.
+"""Vector primitives: finite 1-D coercion and unit normalization.
 
-All computation is 64-bit; gradient checks at 1e-4 tolerances are not
-reliable in 32-bit. Functions are pure and safe for concurrent callers.
+All computation is 64-bit. Functions are pure and safe for concurrent
+callers.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,61 +30,3 @@ def unit_normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
     if norm <= NORM_FLOOR:
         raise ZeroNormError(f"norm {norm:.3e} below {NORM_FLOOR:.0e}")
     return arr / norm
-
-
-def cosine_sim(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Cosine of the angle between `a` and `b`, clamped to [-1, 1].
-
-    Clamping matters: rounding can push the quotient marginally outside the
-    interval and break downstream arccos.
-    """
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(f"lengths differ: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= NORM_FLOOR or nb <= NORM_FLOOR:
-        raise ZeroNormError("cosine undefined for (near-)zero vector")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of one central-difference gradient check."""
-
-    max_rel_error: float
-    per_coordinate_errors: np.ndarray
-    step: float
-
-
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    analytic_grad: Sequence[float] | np.ndarray,
-    step: float = 1e-4,
-) -> GradCheckReport:
-    """Compare `analytic_grad` to central finite differences of `f` at `x`.
-
-    Per-coordinate relative error is |fd - g| / max(1, |fd|, |g|); the max(1,.)
-    denominator keeps the check stable near zero gradients.
-    """
-    x0 = as_vector(x, "x")
-    g = as_vector(analytic_grad, "analytic_grad")
-    if x0.shape != g.shape:
-        raise DimensionMismatchError("analytic_grad shape does not match x")
-    if not step > 0:
-        raise ValueError("step must be positive")
-
-    errors = np.empty_like(x0)
-    for i in range(x0.size):
-        probe = x0.copy()
-        probe[i] = x0[i] + step
-        f_plus = float(f(probe))
-        probe[i] = x0[i] - step
-        f_minus = float(f(probe))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteError(f"probe at coordinate {i} evaluated to NaN/Inf")
-        fd = (f_plus - f_minus) / (2.0 * step)
-        errors[i] = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
-    return GradCheckReport(max_rel_error=float(errors.max()), per_coordinate_errors=errors, step=step)

@@ -14,9 +14,9 @@ without changing an operation, so the two must agree bit for bit.
 
 pair_target, margin_logit_transform and class_score are per-sample forms
 of what the package computes a batch at a time. ref_classical_mds
-double-centres the full N x N squared-distance matrix, the textbook route
-that the package takes only for distance input. ref_load_jsonl is the
-row-at-a-time loader the columnar one replaced.
+double-centres the full N x N squared-distance matrix of the points, the
+textbook route that the package replaces with the d x d scatter matrix.
+ref_load_jsonl is the row-at-a-time loader the columnar one replaced.
 
 ref_parse_range and ref_write_jsonl are frozen too: the package's range
 parser as it was before it converted vectors a chunk of rows at a time, and
@@ -29,31 +29,39 @@ the same dataset, error and bytes.
 ids_of, dataset_of and centroids_of build the package's columnar inputs
 (int sub-class ids, a Dataset, SubclassCentroids) from HierLabel-style
 descriptions, so tests can state their cases per sample.
+
+HierLabel, cosine_sim and grad_check (with its GradCheckReport) are test
+instruments rather than oracles: a per-sample (class, polarity) label, a
+clamped cosine, and the central-difference gradient check every analytic
+gradient of the package is held to. No command runs them.
 """
 
 import json
 import math
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import Callable, Sequence
 
 import numpy as np
 
 from hiersphere import (
     AdaCosState,
+    DataError,
     Dataset,
     DimensionMismatchError,
     EncoderConfig,
-    HierLabel,
     IndexOutOfRangeError,
     InvalidConfigError,
+    NonFiniteError,
     NoValidTripletsError,
     ParseError,
     Polarity,
     SubclassCentroids,
     UnknownPolarityError,
+    ZeroNormError,
     adacos_init_scale,
     adacos_loss,
     angular_margin_loss,
-    cosine_sim,
     encoder_forward_batch,
     init_params,
     make_batches,
@@ -64,6 +72,85 @@ from hiersphere import (
 from hiersphere.data import _Block, _matrix
 from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
+from hiersphere.vecmath import NORM_FLOOR, as_vector
+
+
+@dataclass(frozen=True)
+class HierLabel:
+    class_id: int
+    polarity: Polarity
+
+    def __post_init__(self):
+        if self.class_id < 0:
+            raise DataError(f"class_id must be non-negative, got {self.class_id}")
+
+    @property
+    def subclass_index(self) -> int:
+        return self.class_id * 3 + self.polarity.ordinal
+
+    @classmethod
+    def from_subclass_index(cls, index: int) -> "HierLabel":
+        if index < 0:
+            raise DataError(f"subclass index must be non-negative, got {index}")
+        return cls(class_id=index // 3, polarity=Polarity.from_ordinal(index % 3))
+
+
+def cosine_sim(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+    """Cosine of the angle between `a` and `b`, clamped to [-1, 1].
+
+    Clamping matters: rounding can push the quotient marginally outside the
+    interval and break downstream arccos.
+    """
+    va = as_vector(a, "a")
+    vb = as_vector(b, "b")
+    if va.shape != vb.shape:
+        raise DimensionMismatchError(f"lengths differ: {va.shape[0]} vs {vb.shape[0]}")
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na <= NORM_FLOOR or nb <= NORM_FLOOR:
+        raise ZeroNormError("cosine undefined for (near-)zero vector")
+    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of one central-difference gradient check."""
+
+    max_rel_error: float
+    per_coordinate_errors: np.ndarray
+    step: float
+
+
+def grad_check(
+    f: Callable[[np.ndarray], float],
+    x: Sequence[float] | np.ndarray,
+    analytic_grad: Sequence[float] | np.ndarray,
+    step: float = 1e-4,
+) -> GradCheckReport:
+    """Compare `analytic_grad` to central finite differences of `f` at `x`.
+
+    Per-coordinate relative error is |fd - g| / max(1, |fd|, |g|); the max(1,.)
+    denominator keeps the check stable near zero gradients.
+    """
+    x0 = as_vector(x, "x")
+    g = as_vector(analytic_grad, "analytic_grad")
+    if x0.shape != g.shape:
+        raise DimensionMismatchError("analytic_grad shape does not match x")
+    if not step > 0:
+        raise ValueError("step must be positive")
+
+    errors = np.empty_like(x0)
+    for i in range(x0.size):
+        probe = x0.copy()
+        probe[i] = x0[i] + step
+        f_plus = float(f(probe))
+        probe[i] = x0[i] - step
+        f_minus = float(f(probe))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NonFiniteError(f"probe at coordinate {i} evaluated to NaN/Inf")
+        fd = (f_plus - f_minus) / (2.0 * step)
+        errors[i] = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
+    return GradCheckReport(max_rel_error=float(errors.max()), per_coordinate_errors=errors, step=step)
 
 
 def ids_of(labels) -> np.ndarray:
@@ -187,18 +274,14 @@ def _ref_euclidean_matrix(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def ref_classical_mds(arr, input_kind: str):
-    """(coords, top two eigenvalues, stress) of classical MDS through the N x N Gram matrix.
+def ref_classical_mds(arr):
+    """(coords, top two eigenvalues, stress) of classical MDS of points via the N x N Gram matrix.
 
-    input_kind is "points" or "distances"; the input is taken as valid.
+    The input is taken as valid.
     """
     arr = np.asarray(arr, dtype=np.float64)
     n = arr.shape[0]
-    if input_kind == "distances":
-        dist = np.maximum((arr + arr.T) / 2.0, 0.0)
-        np.fill_diagonal(dist, 0.0)
-    else:
-        dist = _ref_euclidean_matrix(arr)
+    dist = _ref_euclidean_matrix(arr)
 
     d2 = dist * dist
     row = d2.mean(axis=1, keepdims=True)
@@ -327,7 +410,7 @@ def ref_tfidf_vectors(texts) -> np.ndarray:
 
 
 def ref_backward_step(params, x, grad_embeddings, opt):
-    """One encoder Adam step as its own forward, per-layer backward and per-array Adam.
+    """One encoder Adam step as its own forward, per-layer backward and textbook Adam.
 
     Returns new EncoderParams built from a fresh stacked buffer and leaves
     params untouched. Operation order follows the textbook Adam form, so the
@@ -351,30 +434,17 @@ def ref_backward_step(params, x, grad_embeddings, opt):
             g = g @ params.weights[i]
             g = g * (1.0 - acts[i] * acts[i]) if tanh else g * (acts[i] > 0.0)
 
+    # the moments are the flat rows state[1] and state[2], laid out as the
+    # parameters are: per layer the weight (row-major), then the bias
+    grad = np.concatenate([a.ravel() for pair in grads for a in pair])
+    theta, m, v = params.state
     t = params.step_count + 1
-
-    def adam(theta, grad, m, v):
-        m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-        v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-        m_hat = m / (1.0 - opt.beta1**t)
-        v_hat = v / (1.0 - opt.beta2**t)
-        return theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon), m, v
-
-    new = {key: [] for key in ("w", "mw", "vw", "b", "mb", "vb")}
-    for i, (dw, db) in enumerate(grads):
-        for key, theta, grad, m, v in (
-            ("w", params.weights[i], dw, params.m_weights[i], params.v_weights[i]),
-            ("b", params.biases[i], db, params.m_biases[i], params.v_biases[i]),
-        ):
-            theta, m, v = adam(theta, grad, m, v)
-            new[key].append(theta)
-            new["m" + key].append(m)
-            new["v" + key].append(v)
-    rows = [
-        np.concatenate([a.ravel() for pair in zip(new[w], new[b]) for a in pair])
-        for w, b in (("w", "b"), ("mw", "mb"), ("vw", "vb"))
-    ]
-    return EncoderParams(params.config, np.stack(rows), t)
+    m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+    v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+    m_hat = m / (1.0 - opt.beta1**t)
+    v_hat = v / (1.0 - opt.beta2**t)
+    theta = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    return EncoderParams(params.config, np.stack([theta, m, v]), t)
 
 
 def random_labels(rng, n, num_classes=3):

@@ -23,18 +23,15 @@ from hiersphere import (
     AdaCosState,
     EncoderConfig,
     GeneratorConfig,
-    HierLabel,
     Polarity,
     adacos_init_scale,
     adacos_loss,
     angular_margin_loss,
     classical_mds,
     compute_centroids,
-    cosine_sim,
     embed_all,
     encoder_forward_batch,
     generate_synthetic,
-    grad_check,
     init_params,
     load_checkpoint,
     load_jsonl,
@@ -42,12 +39,21 @@ from hiersphere import (
     save_jsonl,
     softmax_ce_loss,
     tfidf_dedup,
-    triplet_loss,
+    triplet_batch_loss,
 )
 from hiersphere.cli import run_command
 from hiersphere.encoder import encoder_param_grads
 
-from _oracles import ids_of, pair_target, random_labels, ref_pairwise_loss, ref_tfidf_vectors
+from _oracles import (
+    HierLabel,
+    cosine_sim,
+    grad_check,
+    ids_of,
+    pair_target,
+    random_labels,
+    ref_pairwise_loss,
+    ref_tfidf_vectors,
+)
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -121,26 +127,32 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
             out.grad_embeddings.ravel(),
         )
 
-    # triplet: probe away from the hinge and from coincident points
+    # batch triplet loss, as training runs it: probe away from every hinge
+    # of a valid triplet and from every coincident pair
     for k in range(20):
         rng = np.random.default_rng(200 + k)
-        d = 2 + k % 5
+        b, d = 4 + k % 3, 2 + k % 5
         margin = 0.5 if k % 2 else 1.0
         while True:
-            a, p, ng = rng.normal(size=(3, d))
-            hinge = np.linalg.norm(a - p) - np.linalg.norm(a - ng) + margin
+            labels = rng.integers(0, 3, size=b)
+            emb = _unit_rows(rng, b, d)
+            dist = _distance_matrix(emb)
+            same = labels[:, None] == labels[None, :]
+            off_diagonal = ~np.eye(b, dtype=bool)
+            valid = (same & off_diagonal)[:, :, None] & ~same[None, :, :]
+            hinge = dist[:, :, None] - dist[:, None, :] + margin
             if (
-                abs(hinge) > GUARD
-                and np.linalg.norm(a - p) > GUARD
-                and np.linalg.norm(a - ng) > GUARD
+                valid.any()
+                and np.abs(hinge[valid]).min() > GUARD
+                and dist[off_diagonal].min() > GUARD
             ):
                 break
-        out = triplet_loss(a, p, ng, margin=margin)
+        out, _ = triplet_batch_loss(emb, labels, margin)
         check(
-            lambda flat, d=d, m=margin: triplet_loss(
-                flat[:d], flat[d : 2 * d], flat[2 * d :], margin=m
-            ).value,
-            np.concatenate([a, p, ng]),
+            lambda flat, b=b, d=d, lbs=labels, m=margin: triplet_batch_loss(
+                flat.reshape(b, d), lbs, m
+            )[0].value,
+            emb.ravel(),
             out.grad_embeddings.ravel(),
         )
 
@@ -430,7 +442,7 @@ def test_criterion_7_mds_fidelity(capsys):
     worst_rel = 0.0
     worst_stress = 0.0
     for points in (triangle, collinear):
-        mds = classical_mds(points, input_kind="points")
+        mds = classical_mds(points)
         want = _distance_matrix(points)
         got = _distance_matrix(mds.coords)
         iu = np.triu_indices(len(points), k=1)
@@ -442,8 +454,8 @@ def test_criterion_7_mds_fidelity(capsys):
     base = rng.normal(size=(8, 5))
     rotation, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     moved = base @ rotation + rng.normal(size=5)
-    d_base = _distance_matrix(classical_mds(base, input_kind="points").coords)
-    d_moved = _distance_matrix(classical_mds(moved, input_kind="points").coords)
+    d_base = _distance_matrix(classical_mds(base).coords)
+    d_moved = _distance_matrix(classical_mds(moved).coords)
     rigid_diff = float(np.max(np.abs(d_base - d_moved)))
     rigid_ok = rigid_diff <= 1e-9
 

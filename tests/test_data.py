@@ -23,7 +23,6 @@ from hiersphere import (
     DimensionMismatchError,
     EmptyCorpusError,
     GeneratorConfig,
-    HierLabel,
     HiersphereError,
     InvalidConfigError,
     ParseError,
@@ -45,6 +44,7 @@ from hiersphere.data import (
 )
 
 from _oracles import (
+    HierLabel,
     dataset_of,
     ids_of,
     ref_dataset_records,

@@ -25,7 +25,6 @@ from hiersphere import (
     ZeroNormError,
     adacos_loss,
     embed_all,
-    encoder_forward,
     encoder_forward_batch,
     generate_synthetic,
     init_params,
@@ -41,9 +40,13 @@ from hiersphere.encoder import (
     params_to_dict,
 )
 from hiersphere.rng import STREAM_CLASSIFIER_INIT, make_rng
-from hiersphere.vecmath import grad_check
 
-from _oracles import ref_backward_step
+from _oracles import grad_check, ref_backward_step
+
+
+def _forward_one(params, x):
+    """The unit embedding of one input vector, as a batch of one."""
+    return encoder_forward_batch(params, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 def _identity_encoder(dim):
@@ -78,8 +81,7 @@ def test_init_glorot_bounds_and_zero_biases():
         assert np.all(np.abs(w) <= bound)
     for b in params.biases:
         assert np.all(b == 0.0)
-    for m in params.m_weights + params.v_weights + params.m_biases + params.v_biases:
-        assert np.all(m == 0.0)
+    assert np.all(params.state[1:] == 0.0)
     assert params.step_count == 0
 
 
@@ -108,7 +110,7 @@ def test_optimizer_config_validation():
 
 def test_identity_layer_normalizes_input():
     params = _identity_encoder(2)
-    np.testing.assert_allclose(encoder_forward(params, [3.0, 4.0]), [0.6, 0.8], atol=1e-12)
+    np.testing.assert_allclose(_forward_one(params, [3.0, 4.0]), [0.6, 0.8], atol=1e-12)
 
 
 def test_batch_forward_matches_single():
@@ -117,7 +119,7 @@ def test_batch_forward_matches_single():
     x = make_rng(0, 40).normal(size=(8, 6))
     batch = encoder_forward_batch(params, x)
     for i in range(8):
-        np.testing.assert_allclose(batch[i], encoder_forward(params, x[i]), atol=1e-14)
+        np.testing.assert_allclose(batch[i], _forward_one(params, x[i]), atol=1e-14)
 
 
 def test_outputs_unit_norm():
@@ -138,7 +140,7 @@ def test_forward_matches_manual_two_layer():
     x = np.array([0.4, -1.2])
     h = np.tanh(params.weights[0] @ x + params.biases[0])
     pre = params.weights[1] @ h + params.biases[1]
-    np.testing.assert_allclose(encoder_forward(params, x), pre / np.linalg.norm(pre), atol=1e-14)
+    np.testing.assert_allclose(_forward_one(params, x), pre / np.linalg.norm(pre), atol=1e-14)
 
 
 def test_relu_activation_forward():
@@ -147,21 +149,21 @@ def test_relu_activation_forward():
     params.weights[0][...] = np.eye(2)
     params.weights[1][...] = np.eye(2)
     # negative coordinate is clipped before the output layer
-    out = encoder_forward(params, [3.0, -4.0])
+    out = _forward_one(params, [3.0, -4.0])
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
 
 def test_forward_wrong_width_raises():
     params = _identity_encoder(3)
     with pytest.raises(DimensionMismatchError):
-        encoder_forward(params, [1.0, 2.0])
+        _forward_one(params, [1.0, 2.0])
 
 
 def test_forward_zero_output_raises():
     params = _identity_encoder(2)
     params.weights[0][...] = 0.0
     with pytest.raises(ZeroNormError):
-        encoder_forward(params, [1.0, 2.0])
+        _forward_one(params, [1.0, 2.0])
 
 
 def test_forward_is_pure():
@@ -319,11 +321,16 @@ def test_finite_gradient_whose_sum_overflows_still_steps(monkeypatch):
 
 def _assert_views_alias_state(params):
     assert params.state.shape == (3, params.config.param_count)
-    for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+    assert params.state.flags.c_contiguous
+    for name in ("weights", "biases"):
         views = getattr(params, name)
         assert isinstance(views, tuple) and len(views) == len(params.config.layer_dims)
         for view in views:
-            assert np.shares_memory(view, params.state), name
+            assert np.shares_memory(view, params.state[0]), name
+            assert not np.shares_memory(view, params.state[1:]), name
+    # the views tile the parameter row in layout order: per layer weight, bias
+    layout = [a.ravel() for pair in zip(params.weights, params.biases) for a in pair]
+    assert np.concatenate(layout).tobytes() == params.state[0].tobytes()
 
 
 def _trained_params(activation="relu", hidden_dims=(6, 5)):
@@ -368,7 +375,7 @@ def test_views_cannot_be_rebound():
     with pytest.raises(TypeError):
         params.weights[0] = np.eye(3)
     with pytest.raises(TypeError):
-        params.m_biases[0] = np.zeros(3)
+        params.biases[0] = np.zeros(3)
 
 
 @pytest.mark.parametrize("shape", [(3, 13), (2, 12), (12,), (3, 4, 3)])
@@ -422,7 +429,9 @@ def test_adam_step_array_bitwise_equals_textbook_form(arrays, t, lr, beta1, beta
 
 def _assert_params_bitwise(got, want):
     assert got.step_count == want.step_count
-    for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+    # parameters and both Adam moments
+    assert got.state.shape == want.state.shape and got.state.tobytes() == want.state.tobytes()
+    for name in ("weights", "biases"):
         for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 

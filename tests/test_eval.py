@@ -9,7 +9,6 @@ import pytest
 from hiersphere import (
     EncoderConfig,
     GeneratorConfig,
-    HierLabel,
     IndexOutOfRangeError,
     InvalidConfigError,
     MissingSubclassError,
@@ -17,7 +16,7 @@ from hiersphere import (
     Polarity,
     compute_centroids,
     embed_all,
-    encoder_forward,
+    encoder_forward_batch,
     format_mae_table,
     generate_synthetic,
     init_params,
@@ -28,7 +27,7 @@ from hiersphere import (
 from hiersphere.evaluate import true_score_matrix
 from hiersphere.rng import make_rng
 
-from _oracles import centroids_of, class_score, dataset_of
+from _oracles import HierLabel, centroids_of, class_score, dataset_of
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -70,7 +69,7 @@ def test_embed_all_matches_single_forward():
     )
     emb = embed_all(params, data)
     for i, feats in enumerate(data.features):
-        np.testing.assert_allclose(emb[i], encoder_forward(params, feats), atol=1e-15)
+        np.testing.assert_allclose(emb[i], encoder_forward_batch(params, feats[None])[0], atol=1e-15)
 
 
 def test_embed_all_chunks_change_nothing():
@@ -241,7 +240,7 @@ def test_predict_all_ideal_geometry():
             np.testing.assert_allclose(scores[i], 0.0, atol=1e-12)
         else:
             assert int(np.argmax(np.abs(scores[i]))) == own
-            expected = 0.5 * label.polarity.numeric()
+            expected = 0.5 * (label.polarity.ordinal - NEU.ordinal)
             assert abs(scores[i, own] - expected) < 1e-12
 
 

@@ -11,7 +11,6 @@ from hiersphere import (
     AdaCosState,
     BatchTooSmallError,
     DimensionMismatchError,
-    HierLabel,
     IndexOutOfRangeError,
     InvalidClassCountError,
     InvalidConfigError,
@@ -20,17 +19,17 @@ from hiersphere import (
     adacos_loss,
     adacos_update_scale,
     angular_margin_loss,
-    grad_check,
     pair_target_matrix,
     pairwise_cosine_loss,
     softmax_ce_loss,
-    triplet_loss,
 )
 from hiersphere import losses
 from hiersphere.rng import make_rng
 
 from _oracles import (
+    HierLabel,
     PairTarget,
+    grad_check,
     ids_of,
     margin_logit_transform,
     pair_target,
@@ -105,59 +104,6 @@ def test_softmax_ce_extreme_logits_finite():
     out = softmax_ce_loss([800.0, -800.0], 1)
     assert math.isfinite(out.value)
     assert out.value > 100.0
-
-
-# ------------------------------------------------------------ triplet
-
-
-def test_triplet_inactive_when_negative_far():
-    a = np.array([0.0, 0.0])
-    p = np.array([0.0, 0.0])
-    n = np.array([0.0, 2.0])
-    out = triplet_loss(a, p, n, margin=1.0)
-    assert out.value == 0.0
-    assert np.all(out.grad_embeddings == 0.0)
-
-
-def test_triplet_equidistant_pays_margin():
-    out = triplet_loss([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], margin=0.5)
-    assert abs(out.value - 0.5) < 1e-12
-    np.testing.assert_allclose(out.grad_embeddings[0], [-1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(out.grad_embeddings[1], [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(out.grad_embeddings[2], [0.0, -1.0], atol=1e-12)
-
-
-def test_triplet_anchor_equals_negative():
-    out = triplet_loss([0.0, 0.0], [1.0, 0.0], [0.0, 0.0], margin=1.0)
-    assert abs(out.value - 2.0) < 1e-12
-    # coincident anchor/negative contributes no direction: subgradient zero
-    np.testing.assert_allclose(out.grad_embeddings[2], [0.0, 0.0], atol=1e-12)
-
-
-def test_triplet_gradient_matches_fd():
-    rng = make_rng(11, 50)
-    for _ in range(5):
-        a, p, n = unit_rows(rng, 3, 4)
-        out = triplet_loss(a, p, n, margin=1.0)
-        if abs(out.value) < 1e-3:  # skip checks too close to the hinge corner
-            continue
-
-        def f(flat):
-            va, vp, vn = flat.reshape(3, 4)
-            return triplet_loss(va, vp, vn, margin=1.0).value
-
-        rep = grad_check(f, np.concatenate([a, p, n]), out.grad_embeddings.ravel())
-        assert rep.max_rel_error < 1e-4
-
-
-def test_triplet_negative_margin_rejected():
-    with pytest.raises(InvalidConfigError):
-        triplet_loss([0.0], [0.0], [0.0], margin=-0.1)
-
-
-def test_triplet_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        triplet_loss([0.0, 1.0], [0.0], [0.0])
 
 
 # ----------------------------------------------- margin logit transform

@@ -10,12 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
-    AsymmetricInputError,
     DatasetTooSmallError,
     DegenerateDistancesError,
     DimensionMismatchError,
-    HierLabel,
-    InvalidConfigError,
     Polarity,
     classical_mds,
     emit_svg_scatter,
@@ -28,7 +25,7 @@ from hiersphere.viz import (
     marker_shape_for_class,
 )
 
-from _oracles import ids_of, ref_classical_mds
+from _oracles import HierLabel, ids_of, ref_classical_mds
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -42,8 +39,8 @@ def pairwise(coords):
 
 
 def test_equilateral_triangle_recovered():
-    d = np.ones((3, 3)) - np.eye(3)
-    mds = classical_mds(d)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+    mds = classical_mds(pts)
     rec = pairwise(mds.coords)
     iu = np.triu_indices(3, 1)
     assert np.max(np.abs(rec[iu] - 1.0)) < 1e-6
@@ -53,8 +50,9 @@ def test_equilateral_triangle_recovered():
 
 def test_collinear_points_recovered_on_a_line():
     # three points at 0, 1, 3 on a line
-    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    mds = classical_mds(d)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    d = pairwise(pts)
+    mds = classical_mds(pts)
     rec = pairwise(mds.coords)
     iu = np.triu_indices(3, 1)
     assert np.max(np.abs(rec[iu] - d[iu]) / d[iu]) < 1e-6
@@ -89,9 +87,9 @@ def test_duplicate_points_coincide():
 
 
 def test_tetrahedron_cannot_be_flat():
-    # four mutually equidistant points need three dimensions
-    d = np.ones((4, 4)) - np.eye(4)
-    mds = classical_mds(d)
+    # four mutually equidistant points (unit edges) need three dimensions
+    pts = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    mds = classical_mds(pts / np.sqrt(8.0))
     assert mds.stress > 1e-2
     assert mds.eigenvalues[0] > 0.0 and mds.eigenvalues[1] > 0.0
 
@@ -111,58 +109,19 @@ def test_mds_deterministic():
     assert a.stress == b.stress
 
 
-def test_auto_detects_square_points_matrix():
-    # square input with a nonzero diagonal is point coordinates, not distances
-    pts = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 4.0]])
-    auto = classical_mds(pts)
-    explicit = classical_mds(pts, input_kind="points")
-    np.testing.assert_array_equal(auto.coords, explicit.coords)
-
-
-def test_explicit_kind_overrides_auto():
-    arr = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    as_dist = classical_mds(arr, input_kind="distances")
-    as_pts = classical_mds(arr, input_kind="points")
-    assert not np.allclose(as_dist.coords, as_pts.coords)
-
-
-def test_asymmetric_distances_rejected():
-    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]])
-    with pytest.raises(AsymmetricInputError):
-        classical_mds(d, input_kind="distances")
-
-
-def test_negative_distances_rejected():
-    d = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(InvalidConfigError):
-        classical_mds(d, input_kind="distances")
-
-
-def test_nonsquare_distances_rejected():
-    with pytest.raises(DimensionMismatchError):
-        classical_mds(np.zeros((3, 4)), input_kind="distances")
-
-
 def test_all_zero_distances_degenerate():
     with pytest.raises(DegenerateDistancesError):
-        classical_mds(np.zeros((3, 3)), input_kind="distances")
-    with pytest.raises(DegenerateDistancesError):
-        classical_mds(np.ones((4, 2)), input_kind="points")
+        classical_mds(np.ones((4, 2)))
 
 
 def test_too_few_points_rejected():
     with pytest.raises(DatasetTooSmallError):
-        classical_mds(np.zeros((2, 2)), input_kind="points")
+        classical_mds(np.zeros((2, 2)))
 
 
 def test_one_dimensional_input_rejected():
     with pytest.raises(DimensionMismatchError):
         classical_mds(np.zeros(5))
-
-
-def test_bad_input_kind_rejected():
-    with pytest.raises(InvalidConfigError):
-        classical_mds(np.zeros((3, 3)), input_kind="metric")
 
 
 def test_marker_shape_cycle():
@@ -200,10 +159,10 @@ def assert_columns_match(got, want):
 def test_points_mds_matches_gram_oracle(pts):
     if np.all(pts == pts[0]):
         with pytest.raises(DegenerateDistancesError):
-            classical_mds(pts, input_kind="points")
+            classical_mds(pts)
         return
-    mds = classical_mds(pts, input_kind="points")
-    coords, eigenvalues, stress = ref_classical_mds(pts, "points")
+    mds = classical_mds(pts)
+    coords, eigenvalues, stress = ref_classical_mds(pts)
     xc = pts - pts.mean(axis=0)
     lam = np.concatenate([np.linalg.eigvalsh(xc.T @ xc)[::-1], np.zeros(2)])
     tiny = 1e-6 * lam[0]
@@ -233,24 +192,12 @@ def test_points_mds_memory_is_linear_in_points():
     pts = make_rng(6, 305).normal(size=(3000, 32))
     tracemalloc.start()
     try:
-        classical_mds(pts, input_kind="points")
+        classical_mds(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one 3000 x 3000 float64 matrix alone would take 72 MB
     assert peak < 24e6
-
-
-@pytest.mark.parametrize("n", [3, 4, 9, 40])
-def test_distances_mds_coordinates_equal_oracle_bitwise(n):
-    pts = make_rng(7, 306 + n).normal(size=(n, 5))
-    dist = pairwise(pts)
-    np.fill_diagonal(dist, 0.0)
-    mds = classical_mds(dist, input_kind="distances")
-    coords, eigenvalues, stress = ref_classical_mds(dist, "distances")
-    np.testing.assert_array_equal(mds.coords, coords)
-    np.testing.assert_array_equal(mds.eigenvalues, eigenvalues)
-    assert abs(mds.stress - stress) <= 1e-12
 
 
 def test_distance_rows_have_an_exact_zero_diagonal():
@@ -265,8 +212,8 @@ def test_distance_rows_have_an_exact_zero_diagonal():
 def test_stress_spans_several_row_blocks():
     # more rows than one stress block, against the oracle's all-pairs sum
     pts = make_rng(8, 307).normal(size=(300, 4))
-    mds = classical_mds(pts, input_kind="points")
-    assert abs(mds.stress - ref_classical_mds(pts, "points")[2]) <= 1e-12
+    mds = classical_mds(pts)
+    assert abs(mds.stress - ref_classical_mds(pts)[2]) <= 1e-12
 
 
 # ---------------------------------------------------------------------- svg
