@@ -16,7 +16,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .evaluate import (
     format_mae_table,
     mae_report,
 )
+from .forks import forked, read_pickle, worker_count, write_pickle
 from .losses import AdaCosState
 from .rng import STREAM_SAMPLING, make_rng
 from .trainer import (
@@ -101,6 +103,15 @@ BENCH_DEFAULTS = {
     "stage2_learning_rate": 1e-3,
 }
 
+# the baselines bench trains in a forked child, beside stage 1 and stage 2
+LANE_MODES = ("triplet", "softmax")
+# Shortest baseline run, in training rows x epochs, worth that child. On a
+# 2-core VM with one BLAS thread (medians of 30 bench runs, lane against
+# serial), the lane lost 26.7 against 15.7 ms at 24 rows x 1 epoch. It broke
+# even near 1,000 at bench's widths (64-128-32, batch 32) and near 1,500 at
+# 6-12-8 with batch 8, and won 237 against 328 ms at 600 rows x 5 epochs.
+MIN_LANE_WORK = 1_500
+
 # the flags of train and bench are generated from their defaults tables, in
 # table order (an overriding key keeps its first place); these add what a
 # default cannot say
@@ -151,6 +162,8 @@ class _Run:
     outputs: list[str]
     seed: int | None = None
     stem: str | None = None
+    # wall-clock figures and the path the run took, which only the manifest holds
+    timing: dict = field(default_factory=dict)
 
 
 def _write_manifest(command: str, run: _Run, started: float) -> None:
@@ -163,16 +176,22 @@ def _write_manifest(command: str, run: _Run, started: float) -> None:
         "seed": run.seed,
         "checksums": {os.path.basename(p): _sha256(p) for p in sorted(run.outputs)},
         "wall_time_seconds": time.time() - started,
+        **run.timing,
     }
     write_json(stem + ".manifest.json", doc, indent=2)
 
 
 def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
     mode = cfg["mode"]
-    # a config file can hold values of any JSON type: a non-integer width or
-    # a quoted number fails here as a data error, not a traceback
     try:
-        hidden = tuple(int(h) for h in str(cfg["hidden_dims"]).split(",") if h.strip())
+        hidden = tuple(int(h) for h in cfg["hidden_dims"].split(",") if h.strip())
+    except ValueError:
+        raise InvalidConfigError(
+            "invalid training config: hidden_dims must be comma-separated integers such as "
+            f'"128,64", got {cfg["hidden_dims"]!r}'
+        ) from None
+    # a value of the wrong type fails here as a data error, not a traceback
+    try:
         return TrainConfig(
             stage1_epochs=cfg["epochs"],
             stage2_epochs=cfg["stage2_epochs"] if mode == "two-stage" else 0,
@@ -402,10 +421,10 @@ def _cmd_viz(ns) -> _Run:
 
 def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
+    gen = _generator_config(cfg)
     out_dir = _resolve_out(ns.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    gen = _generator_config(cfg)
     train_set = generate_synthetic(gen, split_tag="train")
     test_set = generate_synthetic(gen, split_tag="test")
     train_path = os.path.join(out_dir, "train.jsonl")
@@ -416,18 +435,51 @@ def _cmd_bench(ns) -> _Run:
     def run_config(mode: str) -> TrainConfig:
         return _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode}, train_set.input_dim)
 
+    seconds = {}
+
+    def train(mode: str, stage1=None):
+        started = time.perf_counter()
+        if mode == "two-stage":
+            result = train_two_stage(train_set, run_config(mode), stage1=stage1)
+        else:
+            result = train_baseline(train_set, run_config(mode))
+        seconds[mode] = time.perf_counter() - started
+        return result
+
+    def train_lane(fd: int) -> None:
+        # in the forked child; its warnings are shown by the parent, in order
+        with warnings.catch_warnings(record=True) as caught:
+            results = {mode: train(mode) for mode in LANE_MODES}
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        with open(fd, "wb") as out:
+            write_pickle(out, (results, seconds, shown))
+
     # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
-    # setting), so it is trained once and stage 2 continues from its result
-    stage1 = train_baseline(train_set, run_config("adacos"))
+    # setting), so it is trained once and stage 2 continues from its result;
+    # the other baselines share only the training set with them
+    lane_work = len(train_set) * cfg["epochs"] * len(LANE_MODES)
+    lanes = 2 if worker_count(lane_work, MIN_LANE_WORK) > 1 else 1
+    trained = {}
+    with forked([train_lane] if lanes == 2 else []) as pipes:
+        trained["adacos"] = train("adacos")
+        trained["two-stage"] = train("two-stage", stage1=trained["adacos"])
+        delivered = read_pickle(pipes[0]) if pipes and pipes[0] else None
+    if delivered is None:
+        lanes = 1  # a baseline the child did not deliver is trained below
+    else:
+        results, lane_seconds, shown = delivered
+        trained.update(results)
+        seconds.update(lane_seconds)
+        # the registry warnings.warn keeps for train's frame, so that a warning
+        # shows as often as on the serial path
+        registry = globals().setdefault("__warningregistry__", {})
+        for message, category, filename, lineno in shown:
+            warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
+
     outputs = [train_path, test_path]
     reports = []
-    for mode in ("two-stage", "adacos", "triplet", "softmax"):
-        if mode == "two-stage":
-            params, state, train_rep = train_two_stage(train_set, run_config(mode), stage1=stage1)
-        elif mode == "adacos":
-            params, state, train_rep = stage1
-        else:
-            params, state, train_rep = train_baseline(train_set, run_config(mode))
+    for mode in ("two-stage", "adacos", *LANE_MODES):
+        params, state, train_rep = trained[mode] if mode in trained else train(mode)
         model_path = os.path.join(out_dir, f"model_{mode}.json")
         _save_model(model_path, params, state, train_rep)
         outputs.append(model_path)
@@ -446,7 +498,9 @@ def _cmd_bench(ns) -> _Run:
         indent=2,
     )
     outputs.append(report_path)
-    return _Run(cfg, [], outputs, seed=cfg["seed"], stem=os.path.join(out_dir, "bench"))
+    stem = os.path.join(out_dir, "bench")
+    timing = {"lanes": lanes, "train_seconds": seconds}
+    return _Run(cfg, [], outputs, seed=cfg["seed"], stem=stem, timing=timing)
 
 
 # ----------------------------------------------------------------- parser

@@ -12,17 +12,13 @@ noise produces the samples. Geometry depends only on the seed, so train and
 test splits drawn from the same config share sub-class structure.
 """
 
-import contextlib
 import functools
 import io
 import json
 import math
 import mmap
 import os
-import pickle
 import re
-import signal
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +32,7 @@ from .errors import (
     ParseError,
     UnknownPolarityError,
 )
+from .forks import forked, read_pickle, worker_count, write_pickle
 from .labels import Polarity
 from .rng import (
     STREAM_DATA_GEOMETRY,
@@ -113,8 +110,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.num_classes < 1 or self.input_dim < 2 or self.per_subclass_count < 1:
             raise InvalidConfigError("need num_classes >= 1, input_dim >= 2, counts >= 1")
-        if self.polarity_offset <= 0 or self.noise_sigma <= 0:
-            raise InvalidConfigError("polarity_offset and noise_sigma must be positive")
+        for name in ("polarity_offset", "noise_sigma"):
+            value = getattr(self, name)
+            # NaN compares false, so it fails here too
+            if not 0 < value < math.inf:
+                raise InvalidConfigError(f"{name} must be a positive finite number, got {value}")
         if self.class_names and len(self.class_names) != self.num_classes:
             raise InvalidConfigError("class_names length must equal num_classes")
 
@@ -180,56 +180,6 @@ MIN_RANGE_BYTES = 1 << 21
 _COUNT_BLOCK = 1 << 18
 # a forked child gets copy-on-write pages of a matrix, as from malloc
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-def _worker_count(work: int, min_work: int) -> int:
-    """How many processes to share work units between: at most one per
-    usable CPU, each with at least min_work units."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    # a child forked beside other threads could wait forever on a lock one held
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), work // min_work))
-
-
-@contextlib.contextmanager
-def _forked(jobs):
-    """Run each job(fd) in a forked child that writes to the pipe fd and
-    exits; yield per job the pipe's read end, or None once a fork fails.
-
-    A child exits without unwinding into the parent's stack, flushing
-    inherited buffers or printing a traceback, so its failure shows as a
-    short write. On leaving, every pipe is closed and every child killed
-    and reaped.
-    """
-    children = []  # (pid, pipe from the child)
-    try:
-        for job in jobs:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the caller does the rest
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    job(write_fd)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        pipes = [pipe for _, pipe in children]
-        yield pipes + [None] * (len(jobs) - len(pipes))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _byte_ranges(fh, size: int, count: int) -> list[tuple[int, int]]:
@@ -505,15 +455,14 @@ def _parse_range(
 
 def _send_range(path: str, parse, start: int, end: int, capacity: int, fd: int) -> None:
     """In a forked child: parse one range of path and write it to the pipe fd
-    as an 8-byte header length, the pickled header and the raw rows."""
+    as its header, by write_pickle, then the raw rows."""
     with open(path, "rb") as fh:
         block = parse(fh, start, end, capacity)
     n = len(block.ids)
     dim = None if block.features is None else block.features.shape[1]
-    header = pickle.dumps((n, dim, block.ids, block.class_names, block.subclass, block.soft_scores))
+    header = (n, dim, block.ids, block.class_names, block.subclass, block.soft_scores)
     with open(fd, "wb") as out:
-        out.write(len(header).to_bytes(8, "little"))
-        out.write(header)
+        write_pickle(out, header)
         if n:
             out.write(memoryview(block.features[:n]).cast("B"))
 
@@ -525,16 +474,6 @@ def _count_and_send(path: str, parse, start: int, end: int, fd: int) -> None:
         capacity = _line_count(fh, start, end)
     os.write(fd, capacity.to_bytes(8, "little"))
     _send_range(path, parse, start, end, capacity, fd)
-
-
-def _receive_header(pipe):
-    """The header a child wrote, or None if it wrote short."""
-    length = pipe.read(8)
-    if len(length) < 8:
-        return None
-    size = int.from_bytes(length, "little")
-    header = pipe.read(size)
-    return pickle.loads(header) if len(header) == size else None
 
 
 def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
@@ -549,7 +488,7 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
     raises the error a reader going line by line meets first.
     """
     jobs = [functools.partial(_count_and_send, path, parse, *span) for span in ranges[1:]]
-    with _forked(jobs) as pipes:
+    with forked(jobs) as pipes:
         if None in pipes:
             return None
         capacity = _line_count(fh, *ranges[0])
@@ -568,7 +507,7 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
         class_ids = {name: i for i, name in enumerate(block.class_names)}
         subclass = [np.asarray(block.subclass, dtype=np.int64)]
         for pipe in pipes:
-            header = _receive_header(pipe)
+            header = read_pickle(pipe)
             if header is None:
                 return None
             n, dim, range_ids, range_names, range_subclass, range_soft = header
@@ -621,7 +560,7 @@ def load_jsonl(
         # a pipe can be read only once, and only here: hold its bytes
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         size = fh.seek(0, io.SEEK_END)
-        count = _worker_count(size, MIN_RANGE_BYTES) if fh is raw else 1
+        count = worker_count(size, MIN_RANGE_BYTES) if fh is raw else 1
         ranges = _byte_ranges(fh, size, count)
         block = _parse_ranges(path, fh, parse, ranges) if len(ranges) > 1 else None
         if block is None:

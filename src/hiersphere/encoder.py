@@ -76,12 +76,13 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfigError("learning_rate must be positive")
+        # each comparison is false for NaN, so NaN fails every check
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidConfigError(f"{name} must be a positive finite number, got {value}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise InvalidConfigError("betas must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise InvalidConfigError("epsilon must be positive")
 
 
 @dataclass
@@ -375,9 +376,11 @@ def params_from_dict(doc: dict) -> EncoderParams:
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise InvalidConfigError(f"unsupported checkpoint format_version {version!r}")
-    cfg = doc["config"]
+    cfg, keys = doc.get("config"), [f.name for f in fields(EncoderConfig)]
+    if not isinstance(cfg, dict):
+        raise InvalidConfigError(f"checkpoint config must be an object with keys {', '.join(keys)}")
     try:
-        values = {f.name: cfg[f.name] for f in fields(EncoderConfig)}
+        values = {key: cfg[key] for key in keys}
         values["hidden_dims"] = tuple(values["hidden_dims"])
         config = EncoderConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -385,7 +388,7 @@ def params_from_dict(doc: dict) -> EncoderParams:
 
     with allocating(config):
         params = EncoderParams(config, np.zeros((3, config.param_count)))
-    entries = doc["layers"]
+    entries = doc.get("layers")
     if not isinstance(entries, list) or len(entries) != len(params.weights):
         raise InvalidConfigError(f"layers must list {len(params.weights)} layers")
     names = []

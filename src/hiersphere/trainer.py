@@ -8,6 +8,7 @@ two-stage result has something to beat. All of them run one epoch/batch
 loop, `_fit`, and differ only in the objective it is given.
 """
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -77,10 +78,16 @@ class TrainConfig:
             raise InvalidConfigError(f"t must lie in [0, 1], got {self.t}")
         if self.loss_kind not in LOSS_KINDS:
             raise InvalidConfigError(f"loss_kind must be one of {LOSS_KINDS}")
-        if self.triplet_margin < 0:
-            raise InvalidConfigError("triplet_margin must be non-negative")
-        if self.stage2_learning_rate is not None and self.stage2_learning_rate <= 0:
-            raise InvalidConfigError("stage2_learning_rate must be positive")
+        # each comparison is false for NaN, so NaN fails these checks
+        if not 0 <= self.triplet_margin < math.inf:
+            raise InvalidConfigError(
+                f"triplet_margin must be a non-negative finite number, got {self.triplet_margin}"
+            )
+        lr = self.stage2_learning_rate
+        if lr is not None and not 0 < lr < math.inf:
+            raise InvalidConfigError(
+                f"stage2_learning_rate must be a positive finite number or None, got {lr}"
+            )
 
     def stage2_optimizer(self) -> OptimizerConfig:
         lr = self.stage2_learning_rate

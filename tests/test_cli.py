@@ -122,6 +122,23 @@ def test_gen_data_splits_differ_in_noise(tmp_path):
     assert _sha256(a) != _sha256(b)
 
 
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [("--alpha", "nan", "polarity_offset must be a positive finite number, got nan"),
+     ("--alpha", "-1", "polarity_offset must be a positive finite number, got -1.0"),
+     ("--sigma", "inf", "noise_sigma must be a positive finite number, got inf")],
+    ids=["alpha-nan", "alpha-negative", "sigma-inf"],
+)
+def test_gen_data_non_finite_setting_is_data_error(tmp_path, capsys, flag, value, expected):
+    out = tmp_path / "gen.jsonl"
+    code = run_command(["gen-data", "--classes", "2", "--dim", "6", "--per-subclass", "3",
+                        flag, value, "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"data error: {expected}"]
+    assert not out.exists()
+
+
 def test_gen_data_manifest_checksums(tmp_path):
     out = str(tmp_path / "gen.jsonl")
     run_command(
@@ -230,8 +247,10 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
     "file_cfg, flags, expected",
     [
         ({"epochz": 1}, [], "epochz"),
-        ({}, ["--hidden-dims", "12,a"], "invalid training config"),
-        ({"hidden_dims": "12,a"}, [], "invalid training config"),
+        ({}, ["--hidden-dims", "8,x"], "invalid training config: hidden_dims must be "
+                                       'comma-separated integers such as "128,64", got \'8,x\''),
+        ({"hidden_dims": "12,a"}, [], "invalid training config: hidden_dims must be "
+                                      'comma-separated integers such as "128,64", got \'12,a\''),
         ({"epochs": "3"}, [], "invalid training config"),
         ({"epochs": 3.5}, [], "epochs must be an integer"),
         ({"epochs": 10**30}, [], "epochs must be an integer, got 1e+30"),
@@ -254,13 +273,21 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus):
         ({"activation": 1}, [], "activation must be one of tanh, relu, got 1"),
         ({"mode": ["x"]}, [], "mode must be one of two-stage, triplet, softmax, cosface, arcface, "
                              "adacos, got ['x']"),
+        ({}, ["--mode", "triplet", "--triplet-margin", "nan"],
+         "triplet_margin must be a non-negative finite number, got nan"),
+        ({}, ["--learning-rate", "nan"], "learning_rate must be a positive finite number, got nan"),
+        ({}, ["--learning-rate", "inf"], "learning_rate must be a positive finite number, got inf"),
+        ({}, ["--stage2-learning-rate", "nan", "--epochs", "1", "--stage2-epochs", "1"],
+         "stage2_learning_rate must be a positive finite number or None, got nan"),
     ],
     ids=["unknown-key", "hidden-dims-flag", "hidden-dims-file", "epochs-string",
          "epochs-float", "epochs-past-64-bits", "stage2-epochs-float", "batch-size-bool",
          "seed-null", "embed-dim-list", "shuffle-int", "neutral-pairs-string", "mnli-int",
          "t-bool", "t-string", "learning-rate-null", "triplet-margin-nan",
          "learning-rate-huge-int", "stage2-learning-rate-string", "stage2-learning-rate-bool",
-         "hidden-dims-list", "hidden-dims-bool", "activation-int", "mode-list"],
+         "hidden-dims-list", "hidden-dims-bool", "activation-int", "mode-list",
+         "triplet-margin-nan-flag", "learning-rate-nan-flag", "learning-rate-inf-flag",
+         "stage2-learning-rate-nan-flag"],
 )
 def test_train_unknown_config_key_is_data_error(tmp_path, corpus, capsys, file_cfg, flags, expected):
     cfg_path = str(tmp_path / "cfg.json")
@@ -292,6 +319,21 @@ def test_bench_bad_float_setting_is_data_error(tmp_path, capsys, file_cfg, expec
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:")
     assert expected in lines[0]
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [(["--sigma", "inf"], "noise_sigma must be a positive finite number, got inf"),
+     (["--alpha", "nan"], "polarity_offset must be a positive finite number, got nan")],
+    ids=["sigma-inf", "alpha-nan"],
+)
+def test_bench_non_finite_generator_flag_is_data_error_before_any_output(
+    tmp_path, capsys, flags, expected
+):
+    out_dir = tmp_path / "b"
+    assert run_command(["bench", "--out-dir", str(out_dir), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {expected}"]
+    assert not out_dir.exists()
 
 
 def test_train_no_shuffle_recorded(tmp_path, corpus):
@@ -818,6 +860,14 @@ def _hidden_dims_int(doc):
     doc["config"]["hidden_dims"] = 5
 
 
+def _layers_missing(doc):
+    del doc["layers"]
+
+
+def _config_list(doc):
+    doc["config"] = list(doc["config"].values())
+
+
 def _hidden_dims_huge(doc):
     # a parameter buffer of terabytes, which np.empty asks for without writing to it
     doc["config"]["hidden_dims"] = [4000000000]
@@ -832,9 +882,13 @@ def _hidden_dims_huge(doc):
      (_hidden_dims_int, "checkpoint config"),
      (_weight_huge_int, "layers[0].weight holds a non-finite value"),
      (_hidden_dims_huge, "4000000000"),
-     (_output_dim_true, "all dimensions must be integers >= 1, got (6, 12, True)")],
+     (_output_dim_true, "all dimensions must be integers >= 1, got (6, 12, True)"),
+     (_layers_missing, "layers must list 2 layers"),
+     (_config_list, "checkpoint config must be an object with keys input_dim, hidden_dims, "
+                    "output_dim, activation, seed")],
     ids=["bias-short", "bias-nested", "weight-null", "weight-string", "hidden-dims-int",
-         "weight-integer-overflow", "hidden-dims-past-memory", "output-dim-true"],
+         "weight-integer-overflow", "hidden-dims-past-memory", "output-dim-true",
+         "layers-missing", "config-list"],
 )
 def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
     doc = _read_json(trained["model"])

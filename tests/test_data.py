@@ -92,26 +92,6 @@ def using_cpus(count):
         yield
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork makes in the test. After it, no child
-    may be left and no file descriptor may have leaked."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    fds = len(os.listdir("/proc/self/fd"))
-    yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
 def small_cfg(**kw):
     base = dict(num_classes=2, input_dim=6, per_subclass_count=5, seed=3)
     base.update(kw)
@@ -128,6 +108,11 @@ def test_generator_config_validation():
         GeneratorConfig(num_classes=1, input_dim=1, per_subclass_count=1)
     with pytest.raises(InvalidConfigError):
         GeneratorConfig(num_classes=1, input_dim=4, per_subclass_count=1, noise_sigma=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="noise_sigma must be a positive finite"):
+            GeneratorConfig(num_classes=1, input_dim=4, per_subclass_count=1, noise_sigma=bad)
+        with pytest.raises(InvalidConfigError, match="polarity_offset must be a positive finite"):
+            GeneratorConfig(num_classes=1, input_dim=4, per_subclass_count=1, polarity_offset=bad)
     with pytest.raises(InvalidConfigError):
         GeneratorConfig(num_classes=2, input_dim=4, per_subclass_count=1, class_names=("a",))
 

@@ -103,6 +103,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(InvalidConfigError):
         OptimizerConfig(beta1=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="learning_rate must be a positive finite"):
+            OptimizerConfig(learning_rate=bad)
+        with pytest.raises(InvalidConfigError, match="epsilon must be a positive finite"):
+            OptimizerConfig(epsilon=bad)
+    with pytest.raises(InvalidConfigError):
+        OptimizerConfig(beta2=float("nan"))
 
 
 # ----------------------------------------------------------------- forward

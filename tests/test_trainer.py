@@ -143,6 +143,13 @@ def test_train_config_validation():
         TrainConfig(loss_kind="contrastive")
     with pytest.raises(InvalidConfigError):
         TrainConfig(batch_size=1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="triplet_margin must be a non-negative finite"):
+            TrainConfig(triplet_margin=bad)
+        with pytest.raises(InvalidConfigError, match="stage2_learning_rate must be a positive finite"):
+            TrainConfig(stage2_learning_rate=bad)
+    with pytest.raises(InvalidConfigError):
+        TrainConfig(t=float("nan"))
     assert set(LOSS_KINDS) == {"adacos", "softmax", "cosface", "arcface", "triplet"}
 
 
