@@ -20,7 +20,6 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     EncoderTape,
-    OptimizerConfig,
     encoder_forward_batch,
     init_params,
     load_checkpoint,
@@ -109,7 +108,6 @@ __all__ = [
     "NoTestLabelsError",
     "NoValidTripletsError",
     "NumericError",
-    "OptimizerConfig",
     "ParseError",
     "Polarity",
     "SubclassCentroids",

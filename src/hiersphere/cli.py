@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,7 @@ from .data import (
     write_json,
     write_jsonl,
 )
-from .encoder import (
-    EncoderConfig,
-    OptimizerConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .errors import DataError, DatasetTooSmallError, InvalidConfigError, NumericError
 from .evaluate import (
     compute_centroids,
@@ -49,6 +44,7 @@ from .forks import forked, read_pickle, worker_count, write_pickle
 from .losses import AdaCosState
 from .rng import STREAM_SAMPLING, make_rng
 from .trainer import (
+    MODES,
     TrainConfig,
     train_baseline,
     train_two_stage,
@@ -62,23 +58,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-TRAIN_MODES = ("two-stage", "triplet", "softmax", "cosface", "arcface", "adacos")
-
+# TrainConfig's fields and defaults, hidden_dims as its flag spells it
 TRAIN_DEFAULTS = {
-    "mode": "two-stage",
-    "t": 0.3,
-    "seed": 0,
-    "epochs": 20,
-    "stage2_epochs": 20,
-    "batch_size": 32,
-    "learning_rate": 1e-3,
-    "stage2_learning_rate": None,
-    "hidden_dims": "128",
-    "embed_dim": 32,
-    "activation": "tanh",
-    "shuffle": True,
-    "triplet_margin": 1.0,
-    "neutral_pairs_positive": False,
+    **{f.name: f.default for f in fields(TrainConfig)},
+    "hidden_dims": ",".join(map(str, TrainConfig.hidden_dims)),
     "mnli_label_map": False,
 }
 
@@ -115,7 +98,7 @@ MIN_LANE_WORK = 1_500
 # the flags of train and bench are generated from their defaults tables, in
 # table order (an overriding key keeps its first place); these add what a
 # default cannot say
-SETTING_CHOICES = {"mode": TRAIN_MODES, "activation": ("tanh", "relu")}
+SETTING_CHOICES = {"mode": MODES, "activation": ACTIVATIONS}
 SETTING_HELP = {
     "t": "null band half-width",
     "hidden_dims": "comma-separated, e.g. 128,64",
@@ -181,10 +164,10 @@ def _write_manifest(command: str, run: _Run, started: float) -> None:
     write_json(stem + ".manifest.json", doc, indent=2)
 
 
-def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
-    mode = cfg["mode"]
+def _train_config_from_ns(cfg: dict) -> TrainConfig:
+    settings = {f.name: cfg[f.name] for f in fields(TrainConfig)}
     try:
-        hidden = tuple(int(h) for h in cfg["hidden_dims"].split(",") if h.strip())
+        settings["hidden_dims"] = tuple(int(h) for h in cfg["hidden_dims"].split(",") if h.strip())
     except ValueError:
         raise InvalidConfigError(
             "invalid training config: hidden_dims must be comma-separated integers such as "
@@ -192,25 +175,7 @@ def _train_config_from_ns(cfg: dict, input_dim: int) -> TrainConfig:
         ) from None
     # a value of the wrong type fails here as a data error, not a traceback
     try:
-        return TrainConfig(
-            stage1_epochs=cfg["epochs"],
-            stage2_epochs=cfg["stage2_epochs"] if mode == "two-stage" else 0,
-            batch_size=cfg["batch_size"],
-            t=cfg["t"],
-            loss_kind="adacos" if mode == "two-stage" else mode,
-            triplet_margin=cfg["triplet_margin"],
-            optimizer=OptimizerConfig(learning_rate=cfg["learning_rate"]),
-            stage2_learning_rate=cfg["stage2_learning_rate"],
-            seed=cfg["seed"],
-            shuffle=cfg["shuffle"],
-            encoder=EncoderConfig(
-                input_dim=input_dim,
-                hidden_dims=hidden,
-                output_dim=cfg["embed_dim"],
-                activation=cfg["activation"],
-            ),
-            same_class_neutral_pair_positive=cfg["neutral_pairs_positive"],
-        )
+        return TrainConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"invalid training config: {exc}") from exc
 
@@ -323,7 +288,7 @@ def _merged_config(ns, defaults: dict) -> dict:
 def _cmd_train(ns) -> _Run:
     cfg = _merged_config(ns, TRAIN_DEFAULTS)
     dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
-    train_cfg = _train_config_from_ns(cfg, dataset.input_dim)
+    train_cfg = _train_config_from_ns(cfg)
 
     if cfg["mode"] == "two-stage":
         params, state, report = train_two_stage(dataset, train_cfg)
@@ -433,7 +398,7 @@ def _cmd_bench(ns) -> _Run:
     save_jsonl(test_path, test_set)
 
     def run_config(mode: str) -> TrainConfig:
-        return _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode}, train_set.input_dim)
+        return _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode})
 
     seconds = {}
 
@@ -617,7 +582,7 @@ def run_command(argv: list[str]) -> int:
     try:
         _write_manifest(ns.command, ns.func(ns), started)
         return EXIT_OK
-    except (DataError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DataError, OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

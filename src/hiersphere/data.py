@@ -246,6 +246,20 @@ def _decode(lineno: int, line: bytes):
         raise ParseError(lineno, "invalid JSON (nested too deeply)") from None
 
 
+# orjson 3.8 has no nesting limit: on an 8 MiB stack it overflowed the C
+# stack at 131,250 nested arrays and 52,852 nested objects, which ends the
+# process. Text shorter than _DEEP_BYTES cannot nest that deep, and text
+# with at most _DEEP_BRACKETS opening brackets nests no deeper than that.
+_DEEP_BYTES = 1 << 16
+_DEEP_BRACKETS = 10_000
+
+
+def _orjson_safe(raw: bytes) -> bool:
+    """Whether raw is too short or too flat to overflow orjson's stack; the
+    stdlib decoder, which raises RecursionError instead, reads the rest."""
+    return len(raw) < _DEEP_BYTES or raw.count(b"[") + raw.count(b"{") <= _DEEP_BRACKETS
+
+
 # the types of a text field that orjson reads as the stdlib decoder does: it
 # reads an integer past 64 bits as a float, also inside a list or an object,
 # whose str() then differs
@@ -260,19 +274,19 @@ def _records(lines, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
     and arrays, which are read as numbers; the first field is an id no
     earlier line used. Errors are ParseErrors naming the line.
 
-    orjson decodes each line. A line it rejects or does not read as an
-    object, or whose fields hold anything but strings, integers, booleans
-    and null, is decoded again by the stdlib decoder, whose record or error
-    stands: orjson rejects lone surrogates, NaN, Infinity, overflowing
-    numbers and blank lines of Unicode whitespace, all of which the stdlib
-    reads, and words its errors otherwise. Numbers read by either decoder,
-    an integer past 64 bits as orjson's float included, convert to the same
-    float64s.
+    orjson decodes each line that _orjson_safe passes. A line it skips,
+    rejects or does not read as an object, or whose fields hold anything but
+    strings, integers, booleans and null, is decoded again by the stdlib
+    decoder, whose record or error stands: orjson rejects lone surrogates,
+    NaN, Infinity, overflowing numbers and blank lines of Unicode whitespace,
+    all of which the stdlib reads, and words its errors otherwise. Numbers
+    read by either decoder, an integer past 64 bits as orjson's float
+    included, convert to the same float64s.
     """
     id_lines: dict[str, int] = {}
     for lineno, line in lines:
         try:
-            rec = orjson.loads(line)
+            rec = orjson.loads(line) if _orjson_safe(line) else None
         except orjson.JSONDecodeError:
             rec = None
         if type(rec) is not dict or not all(
@@ -585,18 +599,21 @@ def load_texts(path: str) -> list[tuple[str, str]]:
 def load_json(path: str):
     """The JSON document in the file at path.
 
-    orjson decodes the file's bytes. A document it rejects is decoded by
-    json.loads from the text as text mode reads it, so NaN, Infinity and
-    lone surrogates read as json.load reads them, and its
-    json.JSONDecodeError stands; a file that is not UTF-8 is a ParseError
-    naming the line. An integer past 64 bits reads as a float.
+    orjson decodes the file's bytes if _orjson_safe passes them. A document
+    it skips or rejects is decoded by json.loads from the text as text mode
+    reads it, so NaN, Infinity and lone surrogates read as json.load reads
+    them, and its json.JSONDecodeError stands; a file that is not UTF-8 is a
+    ParseError naming the line, and one nested too deeply for the stack a
+    ParseError at line 1, where the document starts. An integer past 64 bits
+    reads as a float.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        return orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        pass
+    if _orjson_safe(raw):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -604,7 +621,10 @@ def load_json(path: str):
         lineno = len((raw[: exc.start] + b"_").splitlines())
         raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
     # line ends as text mode reads them, so that error positions count alike
-    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    try:
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except RecursionError:
+        raise ParseError(1, "invalid JSON (nested too deeply)") from None
 
 
 def write_json(path: str, doc, **dump_options) -> None:

@@ -35,6 +35,7 @@ from .rng import STREAM_ENCODER_INIT, make_rng
 from .vecmath import NORM_FLOOR
 
 CHECKPOINT_FORMAT_VERSION = 2
+ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class EncoderConfig:
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(not isinstance(d, Integral) or isinstance(d, bool) or d < 1 for d in dims):
             raise InvalidConfigError(f"all dimensions must be integers >= 1, got {dims}")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise InvalidConfigError(f"activation must be tanh or relu, got {self.activation!r}")
 
     @property
@@ -68,21 +69,11 @@ class EncoderConfig:
         return sum(math.prod(s) for s in self.param_shapes)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        # each comparison is false for NaN, so NaN fails every check
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InvalidConfigError(f"{name} must be a positive finite number, got {value}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise InvalidConfigError("betas must lie in (0, 1)")
+# Adam's moment decay rates and denominator floor; the learning rate is a
+# training setting
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -297,10 +288,10 @@ def encoder_backward_step(
     params: EncoderParams,
     batch_inputs: np.ndarray,
     grad_embeddings: np.ndarray,
-    opt: OptimizerConfig,
+    lr: float,
     tape: EncoderTape | None = None,
 ) -> None:
-    """One bias-corrected Adam step from upstream embedding gradients, in place.
+    """One bias-corrected Adam step at rate lr from upstream embedding gradients, in place.
 
     A tape goes on to encoder_param_grads, which writes the gradient into it;
     without one the pass is recomputed on a fresh tape. A non-finite gradient
@@ -317,7 +308,7 @@ def encoder_backward_step(
         raise NonFiniteError("non-finite parameter gradient; step aborted")
     params.step_count += 1
     theta, m, v = params.state
-    adam_step_array(theta, grad, m, v, params.step_count, opt)
+    adam_step_array(theta, grad, m, v, params.step_count, lr)
 
 
 def adam_step_array(
@@ -326,11 +317,12 @@ def adam_step_array(
     m: np.ndarray,
     v: np.ndarray,
     t: int,
-    opt: OptimizerConfig,
+    lr: float,
 ) -> None:
     """In-place bias-corrected Adam update of one parameter array and its moments.
 
-    theta, grad, m and v share one shape. The textbook form
+    theta, grad, m and v share one shape; b1, b2 and eps are ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPSILON. The textbook form
 
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
@@ -338,18 +330,18 @@ def adam_step_array(
     is evaluated in that operation order through two scratch arrays, so the
     result is bitwise equal to it.
     """
-    a = np.multiply(grad, 1.0 - opt.beta1)
-    m *= opt.beta1
+    a = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += a
-    np.multiply(grad, 1.0 - opt.beta2, out=a)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
     a *= grad
-    v *= opt.beta2
+    v *= ADAM_BETA2
     v += a
-    np.divide(m, 1.0 - opt.beta1**t, out=a)
-    a *= opt.learning_rate
-    b = np.divide(v, 1.0 - opt.beta2**t)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+    a *= lr
+    b = np.divide(v, 1.0 - ADAM_BETA2**t)
     np.sqrt(b, out=b)
-    b += opt.epsilon
+    b += ADAM_EPSILON
     a /= b
     theta -= a
 
@@ -377,8 +369,12 @@ def params_from_dict(doc: dict) -> EncoderParams:
     if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise InvalidConfigError(f"unsupported checkpoint format_version {version!r}")
     cfg, keys = doc.get("config"), [f.name for f in fields(EncoderConfig)]
+    shape = f"checkpoint config must be an object with keys {', '.join(keys)}"
     if not isinstance(cfg, dict):
-        raise InvalidConfigError(f"checkpoint config must be an object with keys {', '.join(keys)}")
+        raise InvalidConfigError(shape)
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise InvalidConfigError(f"{shape}; it lacks {', '.join(missing)}")
     try:
         values = {key: cfg[key] for key in keys}
         values["hidden_dims"] = tuple(values["hidden_dims"])

@@ -19,7 +19,6 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     EncoderTape,
-    OptimizerConfig,
     adam_step_array,
     allocating,
     encoder_backward_step,
@@ -43,7 +42,9 @@ from .losses import (
 )
 from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, make_rng
 
-LOSS_KINDS = ("adacos", "softmax", "cosface", "arcface", "triplet")
+# the training modes, in the order the train command lists them: the
+# two-stage method, then each single-stage baseline
+MODES = ("two-stage", "triplet", "softmax", "cosface", "arcface", "adacos")
 
 MARGIN_SCALE = 30.0
 DEFAULT_MARGINS = {"softmax": 0.0, "cosface": 0.35, "arcface": 0.5}
@@ -55,33 +56,49 @@ STAGE2_SHUFFLE_OFFSET = 1_000_000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage1_epochs: int = 20
+    """The training settings: one field per setting of the train command but
+    mnli_label_map, which says how to read the data.
+
+    epochs counts stage 1, or the one stage of a baseline; stage2_epochs and
+    stage2_learning_rate (None: a tenth of learning_rate) are read by stage 2
+    only. hidden_dims, embed_dim and activation shape the encoder, whose
+    input width is the data's and whose seed is seed. neutral_pairs_positive
+    makes stage 2 treat same-class neutral pairs as positive.
+    """
+
+    mode: str = "two-stage"
+    t: float = 0.3
+    seed: int = 0
+    epochs: int = 20
     stage2_epochs: int = 20
     batch_size: int = 32
-    t: float = 0.3
-    loss_kind: str = "adacos"
-    triplet_margin: float = 1.0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    learning_rate: float = 1e-3
     stage2_learning_rate: float | None = None
-    seed: int = 0
+    hidden_dims: tuple[int, ...] = EncoderConfig.hidden_dims
+    embed_dim: int = EncoderConfig.output_dim
+    activation: str = EncoderConfig.activation
     shuffle: bool = True
-    encoder: EncoderConfig | None = None
-    same_class_neutral_pair_positive: bool = False
+    triplet_margin: float = 1.0
+    neutral_pairs_positive: bool = False
 
     def __post_init__(self):
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
+        if self.epochs < 0 or self.stage2_epochs < 0:
             raise InvalidConfigError("epoch counts must be >= 0")
         if self.batch_size < 2:
             raise InvalidConfigError("batch_size must be >= 2")
         # t = 1 is allowed as the degenerate saturated band
         if not 0.0 <= self.t <= 1.0:
             raise InvalidConfigError(f"t must lie in [0, 1], got {self.t}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise InvalidConfigError(f"loss_kind must be one of {LOSS_KINDS}")
+        if self.mode not in MODES:
+            raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # each comparison is false for NaN, so NaN fails these checks
         if not 0 <= self.triplet_margin < math.inf:
             raise InvalidConfigError(
                 f"triplet_margin must be a non-negative finite number, got {self.triplet_margin}"
+            )
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidConfigError(
+                f"learning_rate must be a positive finite number, got {self.learning_rate}"
             )
         lr = self.stage2_learning_rate
         if lr is not None and not 0 < lr < math.inf:
@@ -89,20 +106,18 @@ class TrainConfig:
                 f"stage2_learning_rate must be a positive finite number or None, got {lr}"
             )
 
-    def stage2_optimizer(self) -> OptimizerConfig:
-        lr = self.stage2_learning_rate
-        if lr is None:
-            lr = self.optimizer.learning_rate / 10.0
-        return replace(self.optimizer, learning_rate=lr)
+    def stage2_rate(self) -> float:
+        """The learning rate of stage 2."""
+        if self.stage2_learning_rate is None:
+            return self.learning_rate / 10.0
+        return self.stage2_learning_rate
+
+    def encoder_config(self, input_dim: int) -> EncoderConfig:
+        """The encoder these settings train on data of width input_dim."""
+        return EncoderConfig(input_dim, self.hidden_dims, self.embed_dim, self.activation, self.seed)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        if self.encoder is not None:
-            # the train seed is the single seed source, so the encoder's copy
-            # is not echoed
-            del doc["encoder"]["seed"]
-            doc["encoder"]["hidden_dims"] = list(self.encoder.hidden_dims)
-        return doc
+        return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
 
 
 @dataclass
@@ -150,18 +165,6 @@ def make_batches(
     return batches
 
 
-def _resolve_encoder_config(dataset: Dataset, config: TrainConfig) -> EncoderConfig:
-    # the train seed is the single seed source; an explicit encoder config
-    # contributes architecture only
-    if config.encoder is None:
-        return EncoderConfig(input_dim=dataset.input_dim, seed=config.seed)
-    if config.encoder.input_dim != dataset.input_dim:
-        raise InvalidConfigError(
-            f"encoder input_dim {config.encoder.input_dim} != dataset dim {dataset.input_dim}"
-        )
-    return replace(config.encoder, seed=config.seed)
-
-
 def _require_trainable(dataset: Dataset) -> None:
     if len(dataset) < 2:
         raise DatasetTooSmallError(f"need at least 2 samples, got {len(dataset)}")
@@ -182,10 +185,10 @@ class _Anchors:
         self.v = np.zeros_like(weights)
         self.t = 0
 
-    def step(self, grad: np.ndarray, opt: OptimizerConfig) -> None:
-        """One Adam step, then every row re-normalized to unit length."""
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """One Adam step at rate lr, then every row re-normalized to unit length."""
         self.t += 1
-        adam_step_array(self.weights, grad, self.m, self.v, self.t, opt)
+        adam_step_array(self.weights, grad, self.m, self.v, self.t, lr)
         self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)
 
 
@@ -264,7 +267,7 @@ def _fit(
 
     objective(embeddings, subclass) gives the batch's LossOutput. A
     batch whose objective raises NoValidTripletsError is skipped and counted.
-    Stage 2 takes its own epoch count, optimizer, shuffle streams and loss
+    Stage 2 takes its own epoch count, learning rate, shuffle streams and loss
     curve, and merges a trailing singleton batch into the one before it.
     anchors take an Adam step from the loss's grad_weights; the scale of an
     adacos state is recorded after every epoch. A step backpropagates through
@@ -272,10 +275,10 @@ def _fit(
     """
     x, sub = dataset.features, dataset.subclass
     if stage2:
-        epochs, opt = config.stage2_epochs, config.stage2_optimizer()
+        epochs, lr = config.stage2_epochs, config.stage2_rate()
         epoch_losses, epoch_offset = report.stage2_epoch_losses, STAGE2_SHUFFLE_OFFSET
     else:
-        epochs, opt = config.stage1_epochs, config.optimizer
+        epochs, lr = config.epochs, config.learning_rate
         epoch_losses, epoch_offset = report.stage1_epoch_losses, 0
     tape = EncoderTape()
 
@@ -299,9 +302,9 @@ def _fit(
                 warnings.warn("batch without any valid triplet skipped", stacklevel=3)
                 report.skipped_batches += 1
                 continue
-            encoder_backward_step(params, bx, out.grad_embeddings, opt, tape=tape)
+            encoder_backward_step(params, bx, out.grad_embeddings, lr, tape=tape)
             if anchors is not None:
-                anchors.step(out.grad_weights, opt)
+                anchors.step(out.grad_weights, lr)
             batch_losses.append(out.value)
             report.steps += 1
         # an epoch where every batch was skipped has no mean loss; None keeps
@@ -318,7 +321,7 @@ def train_stage1(dataset: Dataset, config: TrainConfig):
     Returns (EncoderParams, AdaCosState, TrainReport).
     """
     _require_trainable(dataset)
-    enc_cfg = _resolve_encoder_config(dataset, config)
+    enc_cfg = config.encoder_config(dataset.input_dim)
     with allocating(enc_cfg):
         state = AdaCosState.initialize(
             3 * dataset.num_classes,
@@ -351,7 +354,7 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
             emb,
             labels,
             t=config.t,
-            same_class_neutral_pair_positive=config.same_class_neutral_pair_positive,
+            same_class_neutral_pair_positive=config.neutral_pairs_positive,
         )
 
     params = params.copy()
@@ -382,20 +385,21 @@ def train_two_stage(dataset: Dataset, config: TrainConfig, stage1=None):
 
 
 def train_baseline(dataset: Dataset, config: TrainConfig):
-    """Single-stage training with config.loss_kind.
+    """Single-stage training with config.mode's objective.
 
-    Returns (EncoderParams, AdaCosState | None, TrainReport); the state is
-    present only for the adacos kind, where this is definitionally stage 1.
+    Returns (EncoderParams, AdaCosState | None, TrainReport). adacos is
+    definitionally stage 1, and so is the single stage of two-stage; only
+    they return a state.
     """
-    if config.loss_kind == "adacos":
+    if config.mode in ("adacos", "two-stage"):
         return train_stage1(dataset, config)
 
     _require_trainable(dataset)
-    enc_cfg = _resolve_encoder_config(dataset, config)
-    report = TrainReport(config=config.to_dict(), model_tag=config.loss_kind)
+    enc_cfg = config.encoder_config(dataset.input_dim)
+    report = TrainReport(config=config.to_dict(), model_tag=config.mode)
     anchors = None
     with allocating(enc_cfg):
-        if config.loss_kind == "triplet":
+        if config.mode == "triplet":
 
             def objective(emb, labels):
                 return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
@@ -408,11 +412,11 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
                     make_rng(config.seed, STREAM_CLASSIFIER_INIT),
                 )
             )
-            margin = DEFAULT_MARGINS[config.loss_kind]
+            margin = DEFAULT_MARGINS[config.mode]
 
             def objective(emb, labels):
                 return angular_margin_loss(
-                    emb, anchors.weights, labels, config.loss_kind, MARGIN_SCALE, margin
+                    emb, anchors.weights, labels, config.mode, MARGIN_SCALE, margin
                 )
 
         params = init_params(enc_cfg)

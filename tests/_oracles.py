@@ -409,8 +409,13 @@ def ref_tfidf_vectors(texts) -> np.ndarray:
     return mat / norms
 
 
-def ref_backward_step(params, x, grad_embeddings, opt):
-    """One encoder Adam step as its own forward, per-layer backward and textbook Adam.
+# Adam's decay rates and floor, which no setting changes
+REF_BETA1, REF_BETA2, REF_EPSILON = 0.9, 0.999, 1e-8
+
+
+def ref_backward_step(params, x, grad_embeddings, lr):
+    """One encoder Adam step at rate lr as its own forward, per-layer backward
+    and textbook Adam.
 
     Returns new EncoderParams built from a fresh stacked buffer and leaves
     params untouched. Operation order follows the textbook Adam form, so the
@@ -439,11 +444,11 @@ def ref_backward_step(params, x, grad_embeddings, opt):
     grad = np.concatenate([a.ravel() for pair in grads for a in pair])
     theta, m, v = params.state
     t = params.step_count + 1
-    m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-    v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    theta = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    m = REF_BETA1 * m + (1.0 - REF_BETA1) * grad
+    v = REF_BETA2 * v + (1.0 - REF_BETA2) * grad * grad
+    m_hat = m / (1.0 - REF_BETA1**t)
+    v_hat = v / (1.0 - REF_BETA2**t)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + REF_EPSILON)
     return EncoderParams(params.config, np.stack([theta, m, v]), t)
 
 
@@ -463,27 +468,29 @@ REF_STAGE2_EPOCH_OFFSET = 1_000_000
 def ref_train(dataset, config, mode):
     """Any training mode as plain epoch and batch loops.
 
-    mode is a CLI mode: two-stage or a baseline. config.encoder gives the
-    architecture; config.seed seeds everything. Returns a dict of params,
-    anchors (None for triplet), stage-1 and stage-2 epoch losses, scale
-    trajectory, steps and skipped batches.
+    mode is a CLI mode: two-stage or a baseline. config.hidden_dims,
+    embed_dim and activation give the architecture; config.seed seeds
+    everything. Returns a dict of params, anchors (None for triplet),
+    stage-1 and stage-2 epoch losses, scale trajectory, steps and skipped
+    batches.
     """
     x, sub = dataset.features, dataset.subclass
-    enc = config.encoder
     params = init_params(
-        EncoderConfig(enc.input_dim, enc.hidden_dims, enc.output_dim, enc.activation, config.seed)
+        EncoderConfig(
+            dataset.input_dim, config.hidden_dims, config.embed_dim, config.activation, config.seed
+        )
     )
     k = 3 * dataset.num_classes
     anchors = state = None
     if mode != "triplet":
-        raw = make_rng(config.seed, STREAM_CLASSIFIER_INIT).standard_normal((k, enc.output_dim))
+        raw = make_rng(config.seed, STREAM_CLASSIFIER_INIT).standard_normal((k, config.embed_dim))
         anchors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         m, v = np.zeros_like(anchors), np.zeros_like(anchors)
     if mode in ("two-stage", "adacos"):
         state = AdaCosState(weights=anchors, scale=adacos_init_scale(k))
 
     out = {"stage1": [], "stage2": [], "scales": [], "steps": 0, "skipped": 0}
-    for epoch in range(config.stage1_epochs):
+    for epoch in range(config.epochs):
         values = []
         for idx in make_batches(len(x), config.batch_size, config.seed, config.shuffle, epoch=epoch):
             emb = encoder_forward_batch(params, x[idx])
@@ -499,11 +506,11 @@ def ref_train(dataset, config, mode):
                 loss = angular_margin_loss(
                     emb, anchors, sub[idx], mode, REF_MARGIN_SCALE, REF_MARGINS[mode]
                 )
-            encoder_backward_step(params, x[idx], loss.grad_embeddings, config.optimizer)
+            encoder_backward_step(params, x[idx], loss.grad_embeddings, config.learning_rate)
             out["steps"] += 1
             # anchors step with every encoder step, so they share its count
             if anchors is not None:
-                adam_step_array(anchors, loss.grad_weights, m, v, out["steps"], config.optimizer)
+                adam_step_array(anchors, loss.grad_weights, m, v, out["steps"], config.learning_rate)
                 anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
             values.append(loss.value)
         out["stage1"].append(float(np.mean(values)) if values else None)
@@ -524,11 +531,10 @@ def ref_train(dataset, config, mode):
                 emb = encoder_forward_batch(params, x[idx])
                 loss = pairwise_cosine_loss(
                     emb, sub[idx], config.t,
-                    config.same_class_neutral_pair_positive,
+                    config.neutral_pairs_positive,
                 )
-                encoder_backward_step(
-                    params, x[idx], loss.grad_embeddings, config.stage2_optimizer()
-                )
+                stage2_lr = config.stage2_learning_rate or config.learning_rate / 10.0
+                encoder_backward_step(params, x[idx], loss.grad_embeddings, stage2_lr)
                 out["steps"] += 1
                 values.append(loss.value)
             out["stage2"].append(float(np.mean(values)))

@@ -32,7 +32,6 @@ PUBLIC_API = [
     "NoValidTripletsError",
     "NonFiniteError",
     "NumericError",
-    "OptimizerConfig",
     "ParseError",
     "Polarity",
     "SubclassCentroids",

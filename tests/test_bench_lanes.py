@@ -87,7 +87,7 @@ def _parent_trains(monkeypatch):
 
     def train_baseline(dataset, config):
         if os.getpid() == parent:
-            modes.append(config.loss_kind)
+            modes.append(config.mode)
         return real(dataset, config)
 
     monkeypatch.setattr(cli, "train_baseline", train_baseline)
@@ -130,7 +130,7 @@ def test_a_numeric_error_in_the_lane_is_the_serial_one(tmp_path, capfd, monkeypa
     real = cli.train_baseline
 
     def train_baseline(dataset, config):
-        if config.loss_kind == "softmax":
+        if config.mode == "softmax":
             raise NumericError("softmax diverged")
         return real(dataset, config)
 

@@ -8,13 +8,18 @@ by the embed/eval/viz tests.
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hiersphere
 from hiersphere import (
+    TrainConfig,
     compute_centroids,
     embed_all,
     encoder_forward_batch,
@@ -178,7 +183,7 @@ def test_train_embeds_adacos_state_and_report(trained):
     weights = np.asarray(doc["adacos"]["weights"])
     assert weights.shape == (6, 8)  # 2 classes x 3 polarities, embed dim 8
     assert doc["adacos"]["scale"] > 0
-    assert doc["train_report"]["config"]["loss_kind"] == "adacos"
+    assert doc["train_report"]["config"]["mode"] == "two-stage"
 
 
 def test_train_twice_byte_identical(tmp_path, corpus, trained):
@@ -704,6 +709,51 @@ def test_dedup_non_utf8_line_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _reading(target: str, path: str, corpus, trained, out: str) -> list[str]:
+    """A command that reads the file at path as target: a JSONL data file
+    for embed or dedup, a model file, or a --config file."""
+    return {
+        "embed-data": ["embed", "--model", trained["model"], "--data", path, "--out", out],
+        "dedup-data": ["dedup", "--data", path, "--out", out],
+        "model": ["embed", "--model", path, "--data", corpus["test"], "--out", out],
+        "config": ["train", "--data", corpus["train"], "--out", out, "--config", path],
+    }[target]
+
+
+@pytest.mark.parametrize("target", ["embed-data", "dedup-data", "model", "config"])
+def test_input_nested_200000_deep_is_a_data_error(tmp_path, corpus, trained, target):
+    # orjson has no depth limit and overflows the C stack on such input, which
+    # would end this process, so the command runs in a child interpreter
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    out = str(tmp_path / "out.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hiersphere.cli",
+         *_reading(target, str(deep), corpus, trained, out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hiersphere.__file__))},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["data error: line 1: invalid JSON (nested too deeply)"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("target", ["model", "config"])
+def test_document_nested_3000_deep_holding_nan_is_a_data_error(
+    tmp_path, corpus, trained, capsys, target
+):
+    # orjson rejects the NaN; the stdlib decoder then runs out of recursion
+    doc = tmp_path / "doc.json"
+    doc.write_text("[" * 3000 + "NaN" + "]" * 3000)
+    out = str(tmp_path / "out.json")
+    assert run_command(_reading(target, str(doc), corpus, trained, out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: line 1: invalid JSON (nested too deeply)"]
+    assert not os.path.exists(out)
+
+
 # -------------------------------------------------------------- CLI surface
 
 # every sub-command's option strings, in the order --help lists them
@@ -733,6 +783,18 @@ def test_every_subcommand_keeps_its_options():
     for name, parser in subparsers.choices.items():
         got = [opt for action in parser._actions for opt in action.option_strings]
         assert got == OPTION_STRINGS[name], name
+
+
+def test_train_defaults_are_the_train_config_defaults():
+    # every train setting but the label switch is a TrainConfig field, in order
+    defaults = TrainConfig()
+    keys = [key for key in TRAIN_DEFAULTS if key != "mnli_label_map"]
+    assert keys == [f.name for f in fields(TrainConfig)]
+    for key in keys:
+        want = getattr(defaults, key)
+        if key == "hidden_dims":
+            want = ",".join(map(str, want))
+        assert TRAIN_DEFAULTS[key] == want, key
 
 
 # per setting: its flags and the non-default value they and the config file set
@@ -868,6 +930,10 @@ def _config_list(doc):
     doc["config"] = list(doc["config"].values())
 
 
+def _config_lacks_activation(doc):
+    del doc["config"]["activation"]
+
+
 def _hidden_dims_huge(doc):
     # a parameter buffer of terabytes, which np.empty asks for without writing to it
     doc["config"]["hidden_dims"] = [4000000000]
@@ -885,10 +951,12 @@ def _hidden_dims_huge(doc):
      (_output_dim_true, "all dimensions must be integers >= 1, got (6, 12, True)"),
      (_layers_missing, "layers must list 2 layers"),
      (_config_list, "checkpoint config must be an object with keys input_dim, hidden_dims, "
-                    "output_dim, activation, seed")],
+                    "output_dim, activation, seed"),
+     (_config_lacks_activation, "checkpoint config must be an object with keys input_dim, "
+                                "hidden_dims, output_dim, activation, seed; it lacks activation")],
     ids=["bias-short", "bias-nested", "weight-null", "weight-string", "hidden-dims-int",
          "weight-integer-overflow", "hidden-dims-past-memory", "output-dim-true",
-         "layers-missing", "config-list"],
+         "layers-missing", "config-list", "config-lacks-activation"],
 )
 def test_malformed_checkpoint_is_data_error(tmp_path, corpus, trained, capsys, corrupt, message):
     doc = _read_json(trained["model"])

@@ -21,7 +21,6 @@ from hiersphere import (
     GeneratorConfig,
     InvalidConfigError,
     NonFiniteError,
-    OptimizerConfig,
     ZeroNormError,
     adacos_loss,
     embed_all,
@@ -96,20 +95,6 @@ def test_config_rejects_bad_dims_and_activation():
         EncoderConfig(input_dim=0, hidden_dims=(4,), output_dim=2)
     with pytest.raises(InvalidConfigError):
         EncoderConfig(input_dim=4, hidden_dims=(4,), output_dim=2, activation="gelu")
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(InvalidConfigError):
-        OptimizerConfig(learning_rate=0.0)
-    with pytest.raises(InvalidConfigError):
-        OptimizerConfig(beta1=1.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidConfigError, match="learning_rate must be a positive finite"):
-            OptimizerConfig(learning_rate=bad)
-        with pytest.raises(InvalidConfigError, match="epsilon must be a positive finite"):
-            OptimizerConfig(epsilon=bad)
-    with pytest.raises(InvalidConfigError):
-        OptimizerConfig(beta2=float("nan"))
 
 
 # ----------------------------------------------------------------- forward
@@ -244,7 +229,7 @@ def test_zero_gradient_step_keeps_parameters():
     params = init_params(cfg)
     before = params.copy()
     x = make_rng(5, 45).normal(size=(4, 3))
-    assert encoder_backward_step(params, x, np.zeros((4, 2)), OptimizerConfig()) is None
+    assert encoder_backward_step(params, x, np.zeros((4, 2)), 1e-3) is None
     assert params.step_count == 1
     for w0, w1 in zip(before.weights, params.weights):
         np.testing.assert_array_equal(w0, w1)
@@ -253,19 +238,19 @@ def test_zero_gradient_step_keeps_parameters():
 def test_backward_step_updates_params_in_place():
     params, x, g = _step_fixture()
     state, before = params.state, params.copy()
-    encoder_backward_step(params, x, g, OptimizerConfig(learning_rate=1e-2))
+    encoder_backward_step(params, x, g, 1e-2)
     assert params.state is state and params.step_count == 1
     _assert_views_alias_state(params)
     for w0, w1 in zip(before.weights, params.weights):
         assert not np.array_equal(w0, w1)
-    _assert_params_bitwise(params, ref_backward_step(before, x, g, OptimizerConfig(learning_rate=1e-2)))
+    _assert_params_bitwise(params, ref_backward_step(before, x, g, 1e-2))
 
 
 def test_nonfinite_gradient_rejected():
     params = _identity_encoder(2)
     g = np.array([[np.nan, 0.0]])
     with pytest.raises(NonFiniteError):
-        encoder_backward_step(params, np.array([[1.0, 2.0]]), g, OptimizerConfig())
+        encoder_backward_step(params, np.array([[1.0, 2.0]]), g, 1e-3)
 
 
 def _write_into_flat_gradient(monkeypatch, values):
@@ -287,9 +272,9 @@ def _write_into_flat_gradient(monkeypatch, values):
 )
 def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad, monkeypatch):
     params, x, g = _step_fixture()
-    opt = OptimizerConfig(learning_rate=1e-2)
+    lr = 1e-2
     for _ in range(3):
-        encoder_backward_step(params, x, g, opt)
+        encoder_backward_step(params, x, g, lr)
     state, before = params.state.tobytes(), params.step_count
     # the values in the upstream gradient, then straight in the parameter
     # gradient, where a +inf/-inf pair sums to NaN
@@ -299,10 +284,10 @@ def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad, monkeypat
     tape = EncoderTape()
     encoder_forward_batch(params, x, tape=tape)
     with pytest.raises(NonFiniteError):
-        encoder_backward_step(params, x, g, opt, tape=tape)
+        encoder_backward_step(params, x, g, lr, tape=tape)
     _write_into_flat_gradient(monkeypatch, bad)
     with pytest.raises(NonFiniteError):
-        encoder_backward_step(params, x, _step_fixture()[2], opt)
+        encoder_backward_step(params, x, _step_fixture()[2], lr)
     assert params.state.tobytes() == state
     assert params.step_count == before == 3
 
@@ -310,8 +295,8 @@ def test_nonfinite_gradient_leaves_state_and_step_count_unchanged(bad, monkeypat
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_gradient_whose_sum_overflows_still_steps(monkeypatch):
     params, x, g = _step_fixture()
-    opt = OptimizerConfig(learning_rate=1e-2)
-    encoder_backward_step(params, x, g, opt)
+    lr = 1e-2
+    encoder_backward_step(params, x, g, lr)
     tape = EncoderTape()
     encoder_forward_batch(params, x, tape=tape)
     grad = np.concatenate([a.ravel() for pair in encoder_param_grads(params, x, g) for a in pair])
@@ -319,9 +304,9 @@ def test_finite_gradient_whose_sum_overflows_still_steps(monkeypatch):
     assert np.isfinite(grad).all() and not np.isfinite(grad.sum())
     want = params.state.copy()
     theta, m, v = want
-    adam_step_array(theta, grad, m, v, 2, opt)
+    adam_step_array(theta, grad, m, v, 2, lr)
     _write_into_flat_gradient(monkeypatch, (1e308, 1e308))
-    encoder_backward_step(params, x, g, opt, tape=tape)
+    encoder_backward_step(params, x, g, lr, tape=tape)
     assert params.step_count == 2
     assert params.state.tobytes() == want.tobytes()
 
@@ -346,8 +331,7 @@ def _trained_params(activation="relu", hidden_dims=(6, 5)):
     params = init_params(cfg)
     rng = make_rng(10, 50)
     for _ in range(4):
-        encoder_backward_step(params, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)),
-                              OptimizerConfig(learning_rate=1e-2))
+        encoder_backward_step(params, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)), 1e-2)
     return params
 
 
@@ -394,14 +378,13 @@ def test_state_of_the_wrong_shape_is_rejected(shape):
 
 
 def test_adam_single_step_hand_formula():
-    opt = OptimizerConfig(learning_rate=0.01)
     theta = np.array([1.0])
     grad = np.array([0.5])
     m, v = np.zeros(1), np.zeros(1)
-    adam_step_array(theta, grad, m, v, t=1, opt=opt)
-    m_hat = (1 - opt.beta1) * 0.5 / (1 - opt.beta1)
-    v_hat = (1 - opt.beta2) * 0.25 / (1 - opt.beta2)
-    expected = 1.0 - 0.01 * m_hat / (math.sqrt(v_hat) + opt.epsilon)
+    adam_step_array(theta, grad, m, v, t=1, lr=0.01)
+    m_hat = (1 - 0.9) * 0.5 / (1 - 0.9)
+    v_hat = (1 - 0.999) * 0.25 / (1 - 0.999)
+    expected = 1.0 - 0.01 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert abs(theta[0] - expected) < 1e-15
 
 
@@ -417,18 +400,16 @@ def test_adam_single_step_hand_formula():
     ),
     st.integers(min_value=1, max_value=100_000),
     st.sampled_from([1e-3, 1e-2, 0.5]),
-    st.sampled_from([0.5, 0.9, 0.99]),
-    st.sampled_from([0.9, 0.999]),
 )
-def test_adam_step_array_bitwise_equals_textbook_form(arrays, t, lr, beta1, beta2):
+def test_adam_step_array_bitwise_equals_textbook_form(arrays, t, lr):
     theta, grad, m, v = (np.array(a, dtype=np.float64) for a in arrays)
-    opt = OptimizerConfig(learning_rate=lr, beta1=beta1, beta2=beta2)
-    m_want = opt.beta1 * m + (1.0 - opt.beta1) * grad
-    v_want = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-    m_hat = m_want / (1.0 - opt.beta1**t)
-    v_hat = v_want / (1.0 - opt.beta2**t)
-    theta_want = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-    adam_step_array(theta, grad, m, v, t, opt)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_want = beta1 * m + (1.0 - beta1) * grad
+    v_want = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m_want / (1.0 - beta1**t)
+    v_hat = v_want / (1.0 - beta2**t)
+    theta_want = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    adam_step_array(theta, grad, m, v, t, lr)
     assert theta.tobytes() == theta_want.tobytes()
     assert m.tobytes() == m_want.tobytes()
     assert v.tobytes() == v_want.tobytes()
@@ -450,7 +431,7 @@ def _assert_params_bitwise(got, want):
 def test_backward_step_matches_reference_over_chained_steps(activation, hidden_dims):
     cfg = EncoderConfig(input_dim=4, hidden_dims=hidden_dims, output_dim=3,
                         activation=activation, seed=11)
-    opt = OptimizerConfig(learning_rate=1e-2)
+    lr = 1e-2
     rng = make_rng(8, 47)
     params, want = init_params(cfg), init_params(cfg)
     for step in range(20):
@@ -461,10 +442,10 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
         if step % 2 == 0:
             tape = EncoderTape()
             encoder_forward_batch(params, x, tape=tape)
-            encoder_backward_step(params, x, g, opt, tape=tape)
+            encoder_backward_step(params, x, g, lr, tape=tape)
         else:
-            encoder_backward_step(params, x, g, opt)
-        want = ref_backward_step(want, x, g, opt)
+            encoder_backward_step(params, x, g, lr)
+        want = ref_backward_step(want, x, g, lr)
         _assert_params_bitwise(params, want)
 
 
@@ -475,7 +456,7 @@ def test_backward_step_matches_reference_over_chained_steps(activation, hidden_d
 def test_one_tape_over_changing_batch_sizes_matches_reference(activation, hidden_dims):
     cfg = EncoderConfig(input_dim=4, hidden_dims=hidden_dims, output_dim=3,
                         activation=activation, seed=13)
-    opt = OptimizerConfig(learning_rate=1e-2)
+    lr = 1e-2
     rng = make_rng(11, 49)
     params, want = init_params(cfg), init_params(cfg)
     tape = EncoderTape()
@@ -487,9 +468,9 @@ def test_one_tape_over_changing_batch_sizes_matches_reference(activation, hidden
         g = rng.normal(size=(b, 3))
         emb = encoder_forward_batch(params, x, tape=tape)
         assert emb.shape == (b, 3)
-        encoder_backward_step(params, x, g, opt, tape=tape)
+        encoder_backward_step(params, x, g, lr, tape=tape)
         flat.append(tape.grad)
-        want = ref_backward_step(want, x, g, opt)
+        want = ref_backward_step(want, x, g, lr)
         _assert_params_bitwise(params, want)
     assert flat[1] is flat[0] and flat[5] is flat[4]
     assert flat[2] is not flat[1]
@@ -553,9 +534,9 @@ def test_params_pickle_after_a_forward_pass():
     _assert_params_bitwise(restored, params)
     _assert_views_alias_state(restored)
     # a step through the unpickled params moves the weights it exposes
-    want = ref_backward_step(restored, x, g, OptimizerConfig(learning_rate=1e-2))
+    want = ref_backward_step(restored, x, g, 1e-2)
     weights = restored.weights[0]
-    encoder_backward_step(restored, x, g, OptimizerConfig(learning_rate=1e-2))
+    encoder_backward_step(restored, x, g, 1e-2)
     assert not np.array_equal(weights, params.weights[0])
     np.testing.assert_array_equal(weights, want.weights[0])
     _assert_params_bitwise(restored, want)
@@ -563,7 +544,7 @@ def test_params_pickle_after_a_forward_pass():
 
 def test_training_steps_deterministic():
     cfg = EncoderConfig(input_dim=4, hidden_dims=(5,), output_dim=3, seed=6)
-    opt = OptimizerConfig()
+    lr = 1e-3
     rng = make_rng(7, 46)
     x = rng.normal(size=(6, 4))
     g = rng.normal(size=(6, 3))
@@ -571,7 +552,7 @@ def test_training_steps_deterministic():
     def run():
         params = init_params(cfg)
         for _ in range(20):
-            encoder_backward_step(params, x, g, opt)
+            encoder_backward_step(params, x, g, lr)
         return params
 
     a, b = run(), run()
@@ -589,7 +570,7 @@ def test_loss_non_increasing_over_fifty_steps():
     )
     params = init_params(EncoderConfig(input_dim=8, hidden_dims=(16,), output_dim=8, seed=seed))
     state = AdaCosState.initialize(6, 8, make_rng(seed, STREAM_CLASSIFIER_INIT))
-    opt = OptimizerConfig(learning_rate=1e-3)
+    lr = 1e-3
     x, labels = data.features, data.subclass
 
     losses = []
@@ -597,7 +578,7 @@ def test_loss_non_increasing_over_fifty_steps():
         emb = encoder_forward_batch(params, x)
         out = adacos_loss(state, emb, labels)
         losses.append(out.value)
-        encoder_backward_step(params, x, out.grad_embeddings, opt)
+        encoder_backward_step(params, x, out.grad_embeddings, lr)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
     assert losses[-1] < losses[0]
@@ -725,6 +706,9 @@ def test_checkpoint_config_mirrors_encoder_config():
     for key in doc["config"]:
         broken = params_to_dict(params)
         del broken["config"][key]
-        # the CLI reports a KeyError as a data error
-        with pytest.raises(KeyError):
+        with pytest.raises(
+            InvalidConfigError,
+            match=f"^checkpoint config must be an object with keys input_dim, hidden_dims, "
+            f"output_dim, activation, seed; it lacks {key}$",
+        ):
             params_from_dict(broken)

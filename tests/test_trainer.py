@@ -14,7 +14,6 @@ from hiersphere import (
     GeneratorConfig,
     InvalidConfigError,
     NoValidTripletsError,
-    OptimizerConfig,
     Polarity,
     TrainConfig,
     adacos_init_scale,
@@ -29,7 +28,7 @@ from hiersphere import (
 )
 from hiersphere import encoder, losses, trainer
 from hiersphere.rng import make_rng
-from hiersphere.trainer import LOSS_KINDS
+from hiersphere.trainer import MODES
 
 from _oracles import (
     HierLabel,
@@ -52,11 +51,12 @@ def tiny_dataset(**kw):
 
 def small_train_config(**kw):
     base = dict(
-        stage1_epochs=3,
+        epochs=3,
         stage2_epochs=3,
         batch_size=8,
         seed=0,
-        encoder=EncoderConfig(input_dim=8, hidden_dims=(12,), output_dim=8),
+        hidden_dims=(12,),
+        embed_dim=8,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -138,26 +138,30 @@ def test_train_config_validation():
     with pytest.raises(InvalidConfigError):
         TrainConfig(t=1.5)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(stage1_epochs=-1)
+        TrainConfig(epochs=-1)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(loss_kind="contrastive")
+        TrainConfig(mode="contrastive")
     with pytest.raises(InvalidConfigError):
         TrainConfig(batch_size=1)
+    with pytest.raises(InvalidConfigError, match="learning_rate must be a positive finite"):
+        TrainConfig(learning_rate=0.0)
     for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="learning_rate must be a positive finite"):
+            TrainConfig(learning_rate=bad)
         with pytest.raises(InvalidConfigError, match="triplet_margin must be a non-negative finite"):
             TrainConfig(triplet_margin=bad)
         with pytest.raises(InvalidConfigError, match="stage2_learning_rate must be a positive finite"):
             TrainConfig(stage2_learning_rate=bad)
     with pytest.raises(InvalidConfigError):
         TrainConfig(t=float("nan"))
-    assert set(LOSS_KINDS) == {"adacos", "softmax", "cosface", "arcface", "triplet"}
+    assert set(MODES) == {"two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"}
 
 
-def test_stage2_optimizer_default_is_tenth_rate():
-    cfg = TrainConfig(optimizer=OptimizerConfig(learning_rate=2e-3))
-    assert abs(cfg.stage2_optimizer().learning_rate - 2e-4) < 1e-18
+def test_stage2_rate_default_is_tenth_rate():
+    cfg = TrainConfig(learning_rate=2e-3)
+    assert abs(cfg.stage2_rate() - 2e-4) < 1e-18
     explicit = TrainConfig(stage2_learning_rate=5e-3)
-    assert explicit.stage2_optimizer().learning_rate == 5e-3
+    assert explicit.stage2_rate() == 5e-3
 
 
 def _out_of_memory(*args, **kwargs):
@@ -180,7 +184,7 @@ def test_allocation_failure_at_initialisation_is_a_config_error(monkeypatch, kin
         InvalidConfigError,
         match=r"^not enough memory for an encoder of dimensions \(8, 12, 8\)$",
     ):
-        train_baseline(tiny_dataset(), small_train_config(loss_kind=kind))
+        train_baseline(tiny_dataset(), small_train_config(mode=kind))
 
 
 def test_train_config_to_dict_is_json_ready():
@@ -188,7 +192,7 @@ def test_train_config_to_dict_is_json_ready():
 
     doc = small_train_config().to_dict()
     json.dumps(doc)
-    assert doc["encoder"]["hidden_dims"] == [12]
+    assert doc["hidden_dims"] == [12]
 
 
 # ------------------------------------------------------------------ stage 1
@@ -201,11 +205,12 @@ def test_stage1_initial_epoch_loss_near_uniform():
         GeneratorConfig(num_classes=5, input_dim=16, per_subclass_count=4, seed=1)
     )
     cfg = TrainConfig(
-        stage1_epochs=1,
+        epochs=1,
         batch_size=32,
         seed=1,
-        optimizer=OptimizerConfig(learning_rate=1e-12),
-        encoder=EncoderConfig(input_dim=16, hidden_dims=(16,), output_dim=16),
+        learning_rate=1e-12,
+        hidden_dims=(16,),
+        embed_dim=16,
     )
     _, _, report = train_stage1(data, cfg)
     assert abs(report.stage1_epoch_losses[0] - math.log(15.0)) < 0.5
@@ -213,7 +218,7 @@ def test_stage1_initial_epoch_loss_near_uniform():
 
 def test_stage1_loss_improves():
     data = tiny_dataset()
-    cfg = small_train_config(stage1_epochs=10)
+    cfg = small_train_config(epochs=10)
     _, state, report = train_stage1(data, cfg)
     assert report.stage1_epoch_losses[-1] < report.stage1_epoch_losses[0]
     assert len(report.stage1_epoch_losses) == 10
@@ -224,7 +229,7 @@ def test_stage1_loss_improves():
 
 def test_stage1_zero_epochs_is_noop():
     data = tiny_dataset()
-    cfg = small_train_config(stage1_epochs=0)
+    cfg = small_train_config(epochs=0)
     params, state, report = train_stage1(data, cfg)
     fresh = init_params(EncoderConfig(input_dim=8, hidden_dims=(12,), output_dim=8, seed=0))
     assert params_equal(params, fresh)
@@ -251,18 +256,18 @@ def test_stage1_deterministic():
 
 def test_stage1_encoder_seed_comes_from_train_seed():
     data = tiny_dataset()
-    a = small_train_config(encoder=EncoderConfig(input_dim=8, hidden_dims=(12,), output_dim=8, seed=111))
-    b = small_train_config(encoder=EncoderConfig(input_dim=8, hidden_dims=(12,), output_dim=8, seed=222))
-    pa, _, _ = train_stage1(data, a)
-    pb, _, _ = train_stage1(data, b)
-    assert params_equal(pa, pb)
+    params, _, _ = train_stage1(data, small_train_config(seed=111, epochs=0))
+    want = EncoderConfig(input_dim=8, hidden_dims=(12,), output_dim=8, seed=111)
+    assert params.config == want
+    assert params_equal(params, init_params(want))
 
 
-def test_stage1_rejects_encoder_width_mismatch():
-    data = tiny_dataset()
-    cfg = small_train_config(encoder=EncoderConfig(input_dim=5, hidden_dims=(12,), output_dim=8))
-    with pytest.raises(InvalidConfigError):
-        train_stage1(data, cfg)
+def test_stage1_encoder_width_comes_from_the_data():
+    cfg = small_train_config(epochs=1)
+    for dim in (5, 8):
+        params, _, _ = train_stage1(tiny_dataset(input_dim=dim), cfg)
+        assert params.config == cfg.encoder_config(dim)
+        assert params.config.input_dim == dim
 
 
 def test_stage1_dataset_too_small():
@@ -285,7 +290,7 @@ def test_stage2_zero_epochs_returns_input_params():
 
 def test_stage2_loss_improves_from_stage1():
     data = tiny_dataset(per_subclass_count=6)
-    cfg = small_train_config(stage1_epochs=6, stage2_epochs=12, stage2_learning_rate=1e-3)
+    cfg = small_train_config(epochs=6, stage2_epochs=12, stage2_learning_rate=1e-3)
     params, _, _ = train_stage1(data, cfg)
     _, report = train_stage2(data, params, cfg)
     assert report.stage2_epoch_losses[-1] < report.stage2_epoch_losses[0]
@@ -359,7 +364,7 @@ def test_two_stage_from_the_adacos_baseline_equals_the_full_run():
     data = tiny_dataset()
     cfg = small_train_config()
     p_full, s_full, r_full = train_two_stage(data, cfg)
-    stage1 = train_baseline(data, replace(cfg, loss_kind="adacos", stage2_epochs=0))
+    stage1 = train_baseline(data, replace(cfg, mode="adacos", stage2_epochs=0))
     p1_before = stage1[0].copy()
     p, s, r = train_two_stage(data, cfg, stage1=stage1)
     assert params_equal(p, p_full)
@@ -375,7 +380,7 @@ def test_two_stage_from_the_adacos_baseline_equals_the_full_run():
 
 def test_baseline_adacos_is_stage1():
     data = tiny_dataset()
-    cfg = small_train_config(loss_kind="adacos")
+    cfg = small_train_config(mode="adacos")
     pa, sa, ra = train_baseline(data, cfg)
     pb, sb, rb = train_stage1(data, cfg)
     assert params_equal(pa, pb)
@@ -386,7 +391,7 @@ def test_baseline_adacos_is_stage1():
 @pytest.mark.parametrize("kind", ["softmax", "cosface", "arcface"])
 def test_margin_baselines_train(kind):
     data = tiny_dataset()
-    cfg = small_train_config(loss_kind=kind, stage1_epochs=4)
+    cfg = small_train_config(mode=kind, epochs=4)
     params, state, report = train_baseline(data, cfg)
     assert state is None
     assert report.model_tag == kind
@@ -399,10 +404,10 @@ def test_margin_baselines_train(kind):
 def test_triplet_baseline_trains():
     data = tiny_dataset(per_subclass_count=6)
     cfg = small_train_config(
-        loss_kind="triplet",
-        stage1_epochs=12,
+        mode="triplet",
+        epochs=12,
         batch_size=12,
-        optimizer=OptimizerConfig(learning_rate=3e-3),
+        learning_rate=3e-3,
     )
     _, state, report = train_baseline(data, cfg)
     assert state is None
@@ -413,7 +418,7 @@ def test_triplet_baseline_trains():
 def test_triplet_baseline_skips_batches_without_triplets():
     # one sample per sub-class: no anchor/positive pair exists anywhere
     data = tiny_dataset(per_subclass_count=1)
-    cfg = small_train_config(loss_kind="triplet", stage1_epochs=2, batch_size=8)
+    cfg = small_train_config(mode="triplet", epochs=2, batch_size=8)
     with pytest.warns(UserWarning):
         params, _, report = train_baseline(data, cfg)
     assert report.steps == 0
@@ -425,7 +430,7 @@ def test_triplet_baseline_skips_batches_without_triplets():
 
 def test_baseline_deterministic():
     data = tiny_dataset()
-    cfg = small_train_config(loss_kind="cosface")
+    cfg = small_train_config(mode="cosface")
     pa, _, ra = train_baseline(data, cfg)
     pb, _, rb = train_baseline(data, cfg)
     assert params_equal(pa, pb)
@@ -451,7 +456,7 @@ def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subcl
     cfg = small_train_config(
         batch_size=batch_size,
         seed=4,
-        loss_kind="adacos" if mode == "two-stage" else mode,
+        mode=mode,
         stage2_learning_rate=1e-3,
     )
     # the margin baselines return no anchors; record the array the loss sees
@@ -497,7 +502,7 @@ def test_one_forward_pass_per_training_step(monkeypatch, mode):
 
     monkeypatch.setattr(encoder, "_forward_cached", counted)
     data = tiny_dataset(per_subclass_count=6)
-    cfg = small_train_config(batch_size=12, loss_kind="adacos" if mode == "two-stage" else mode)
+    cfg = small_train_config(batch_size=12, mode=mode)
     if mode == "two-stage":
         report = train_two_stage(data, cfg)[2]
     else:

@@ -156,6 +156,9 @@ def assert_columns_match(got, want):
 @given(point_sets())
 @example(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))  # equal top eigenvalues
 @example(np.array([[-1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [0.0, 2.0]]))  # sign-rule tie on a line
+@example(  # a second eigenvalue, 3.58e-7, below 1e-6 of the first yet well above rounding
+    np.array([[-0.24873228, 0.82394068], [-0.26388801, 0.8697414], [0.27789279, -0.86777294]])
+)
 def test_points_mds_matches_gram_oracle(pts):
     if np.all(pts == pts[0]):
         with pytest.raises(DegenerateDistancesError):
@@ -174,10 +177,13 @@ def test_points_mds_matches_gram_oracle(pts):
     # ~1e-8 at coincident points, so stress agrees to about that.
     assert abs(mds.stress - stress) <= 1e-6
     if lam[1] <= tiny:
-        # A zero eigenvalue gives a zero column here, while the oracle's column
-        # holds the square root of that eigenvalue's rounding noise (~1e-8).
-        assert np.max(np.abs(mds.coords[:, 1])) <= 1e-6
-        assert np.max(np.abs(coords[:, 1])) <= 1e-6
+        # The second axis may be rounding noise, so its direction is not
+        # compared; on each side its column's norm is sqrt(max(eigenvalue, 0)),
+        # compared squared to the eigenvalues' tolerance. A zero eigenvalue
+        # gives a zero column here.
+        for column, eigenvalue in ((mds.coords[:, 1], mds.eigenvalues[1]),
+                                   (coords[:, 1], eigenvalues[1])):
+            assert abs(column @ column - max(eigenvalue, 0.0)) <= 1e-9 * lam[0]
         if mds.eigenvalues[1] <= 0.0:
             assert not np.any(mds.coords[:, 1])
         assert_columns_match(mds.coords[:, :1], coords[:, :1])
