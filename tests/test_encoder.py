@@ -21,6 +21,7 @@ from hiersphere import (
     GeneratorConfig,
     InvalidConfigError,
     NonFiniteError,
+    TrainConfig,
     ZeroNormError,
     adacos_loss,
     embed_all,
@@ -95,6 +96,16 @@ def test_config_rejects_bad_dims_and_activation():
         EncoderConfig(input_dim=0, hidden_dims=(4,), output_dim=2)
     with pytest.raises(InvalidConfigError):
         EncoderConfig(input_dim=4, hidden_dims=(4,), output_dim=2, activation="gelu")
+
+
+def test_optimizer_config_validation():
+    # Adam's betas and epsilon are constants; the learning rate is the one
+    # optimizer setting left, and TrainConfig validates it.
+    assert 0.0 <= encoder.ADAM_BETA1 < 1.0 and 0.0 <= encoder.ADAM_BETA2 < 1.0
+    assert 0.0 < encoder.ADAM_EPSILON < math.inf
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="learning_rate must be a positive finite"):
+            TrainConfig(learning_rate=bad)
 
 
 # ----------------------------------------------------------------- forward
