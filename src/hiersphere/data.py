@@ -19,6 +19,7 @@ import math
 import mmap
 import os
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
     InvalidConfigError,
     ParseError,
     UnknownPolarityError,
+    allocating,
 )
 from .forks import forked, read_pickle, worker_count, write_pickle
 from .labels import Polarity
@@ -148,15 +150,16 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
     """
     if split_tag not in ("train", "test"):
         raise InvalidConfigError(f"split_tag must be train or test, got {split_tag!r}")
-    means = subclass_means(cfg)
     stream = STREAM_DATA_NOISE_TRAIN if split_tag == "train" else STREAM_DATA_NOISE_TEST
     rng = make_rng(cfg.seed, stream)
 
     # one noise draw per sub-class, in sub-class order
     n, num_sub = cfg.per_subclass_count, 3 * cfg.num_classes
-    subclass = np.repeat(np.arange(num_sub), n)
-    noise = [rng.normal(0.0, cfg.noise_sigma, size=(n, cfg.input_dim)) for _ in range(num_sub)]
-    features = means[subclass] + np.concatenate(noise)
+    with allocating(f"{num_sub} sub-classes of {n} samples in {cfg.input_dim} dimensions"):
+        means = subclass_means(cfg)
+        subclass = np.repeat(np.arange(num_sub), n)
+        noise = [rng.normal(0.0, cfg.noise_sigma, size=(n, cfg.input_dim)) for _ in range(num_sub)]
+        features = means[subclass] + np.concatenate(noise)
     ids = [
         f"{split_tag}_c{sub // 3}_{Polarity.from_ordinal(sub % 3).value}_{k:04d}"
         for sub in range(num_sub)
@@ -719,33 +722,6 @@ class DedupRecord:
     similarity: float
 
 
-def _tfidf_matrix(texts: list[str]) -> np.ndarray:
-    """Rows are L2-normalized tf-idf vectors over the corpus vocabulary.
-
-    tf is the raw count; idf = ln((1+N)/(1+df)) + 1, which stays positive
-    even for terms present in every document.
-    """
-    token_lists = [[t for t in _TOKEN_SPLIT.split(text.lower()) if t] for text in texts]
-    vocab: dict[str, int] = {}
-    for tokens in token_lists:
-        for t in tokens:
-            if t not in vocab:
-                vocab[t] = len(vocab)
-
-    n = len(texts)
-    tf = np.zeros((n, len(vocab)))
-    for i, tokens in enumerate(token_lists):
-        for t in tokens:
-            tf[i, vocab[t]] += 1.0
-    df = (tf > 0).sum(axis=0)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    mat = tf * idf
-    norms = np.linalg.norm(mat, axis=1)
-    nonzero = norms > 0
-    mat[nonzero] /= norms[nonzero, None]
-    return mat
-
-
 def tfidf_dedup(
     texts: list[tuple[str, str]], threshold: float = 0.9
 ) -> tuple[list[str], list[DedupRecord]]:
@@ -753,26 +729,43 @@ def tfidf_dedup(
 
     A text is dropped when its tf-idf cosine with any already-kept text
     reaches the threshold; the first occurrence always survives. Returns the
-    kept ids and one record per removal (against the most similar kept text).
+    kept ids and one record per removal, against the most similar kept text
+    (the earliest kept on a tie).
+
+    tf is the raw count; idf = ln((1+N)/(1+df)) + 1, which stays positive
+    even for terms present in every document. Each text is a sparse
+    {token: tf*idf} row, and an inverted index over the kept rows gives its
+    dot products, so memory grows with the token count, not N x V. A row is
+    built in sorted token order, so two equal rows have a cosine of exactly 1.
     """
     if not texts:
         raise EmptyCorpusError("no texts to deduplicate")
     if not (0.0 < threshold <= 1.0):
         raise InvalidConfigError(f"threshold must be in (0, 1], got {threshold}")
 
-    ids = [t[0] for t in texts]
-    mat = _tfidf_matrix([t[1] for t in texts])
+    counts = [Counter(t for t in _TOKEN_SPLIT.split(text.lower()) if t) for _, text in texts]
+    df = Counter(tok for count in counts for tok in count)
+    idf = {tok: math.log((1.0 + len(texts)) / (1.0 + d)) + 1.0 for tok, d in df.items()}
 
-    kept_rows: list[int] = []
+    postings: dict[str, list[tuple[int, float]]] = defaultdict(list)  # token -> [(kept index, weight)]
     kept_ids: list[str] = []
+    kept_sq: list[float] = []
     report: list[DedupRecord] = []
-    for i in range(len(ids)):
-        if kept_rows:
-            sims = np.clip(mat[kept_rows] @ mat[i], -1.0, 1.0)
-            j = int(np.argmax(sims))
+    for (tid, _), count in zip(texts, counts):
+        row = [(tok, count[tok] * idf[tok]) for tok in sorted(count)]
+        sq = sum(w * w for _, w in row)
+        dots: dict[int, float] = defaultdict(float)
+        for tok, w in row:
+            for j, wj in postings.get(tok, ()):
+                dots[j] += w * wj
+        if dots:
+            sims = {j: min(1.0, dot / math.sqrt(sq * kept_sq[j])) for j, dot in dots.items()}
+            j = min(sims, key=lambda k: (-sims[k], k))  # the earliest kept on a tie
             if sims[j] >= threshold:
-                report.append(DedupRecord(ids[i], kept_ids[j], float(sims[j])))
+                report.append(DedupRecord(tid, kept_ids[j], sims[j]))
                 continue
-        kept_rows.append(i)
-        kept_ids.append(ids[i])
+        for tok, w in row:
+            postings[tok].append((len(kept_ids), w))
+        kept_ids.append(tid)
+        kept_sq.append(sq)
     return kept_ids, report

@@ -17,7 +17,6 @@ its own. A checkpoint holds the config and the parameters, not the moments:
 no command resumes training from a file.
 """
 
-import contextlib
 import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
@@ -31,6 +30,7 @@ from .errors import (
     NonFiniteError,
     ZeroNormError,
 )
+from .errors import allocating as _allocating
 from .rng import STREAM_ENCODER_INIT, make_rng
 from .vecmath import NORM_FLOOR
 
@@ -121,15 +121,11 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return params
 
 
-@contextlib.contextmanager
 def allocating(config: EncoderConfig):
-    """Turn a MemoryError in the block, where arrays sized by config are
-    made, into an InvalidConfigError naming config's dimensions."""
-    try:
-        yield
-    except MemoryError:
-        dims = (config.input_dim, *config.hidden_dims, config.output_dim)
-        raise InvalidConfigError(f"not enough memory for an encoder of dimensions {dims}") from None
+    """errors.allocating for a block where arrays sized by config are made,
+    naming config's dimensions."""
+    dims = (config.input_dim, *config.hidden_dims, config.output_dim)
+    return _allocating(f"an encoder of dimensions {dims}")
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:

@@ -5,6 +5,8 @@ configuration) and NumericError (degenerate or non-finite numerics). The CLI
 maps them to distinct exit codes.
 """
 
+import contextlib
+
 
 class HiersphereError(Exception):
     """Base for all toolkit errors."""
@@ -44,6 +46,17 @@ class InvalidClassCountError(DataError):
 
 class InvalidConfigError(DataError):
     """Configuration violates its invariants."""
+
+
+@contextlib.contextmanager
+def allocating(what: str):
+    """Turn a failure to allocate an array in the block, a MemoryError or the
+    ValueError numpy raises for a shape past its size limit, into an
+    InvalidConfigError naming what the arrays were for."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise InvalidConfigError(f"not enough memory for {what}") from None
 
 
 class BatchTooSmallError(DataError):

@@ -7,6 +7,8 @@ seeds give identical runs everywhere.
 
 import numpy as np
 
+from .errors import InvalidConfigError
+
 # Fixed stream ids; adding new streams must not renumber existing ones.
 STREAM_DATA_GEOMETRY = 0
 STREAM_DATA_NOISE_TRAIN = 1
@@ -18,6 +20,9 @@ STREAM_SAMPLING = 6
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for the sub-stream addressed by `stream` under `seed`."""
+    """Generator for the sub-stream addressed by `stream` under `seed`, which
+    must be a non-negative integer."""
+    if int(seed) < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.PCG64(seq))

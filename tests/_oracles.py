@@ -409,6 +409,24 @@ def ref_tfidf_vectors(texts) -> np.ndarray:
     return mat / norms
 
 
+def ref_greedy_dedup(texts, threshold):
+    """Greedy dedup over dense ref_tfidf_vectors rows: the kept ids and one
+    (removed id, kept id, similarity) per removal. Each text is compared with
+    every kept row at once, and np.argmax names the most similar kept text,
+    the earliest on a tie."""
+    vecs = ref_tfidf_vectors([text for _, text in texts])
+    kept, removals = [], []
+    for i, (tid, _) in enumerate(texts):
+        if kept:
+            sims = vecs[kept] @ vecs[i]
+            j = int(np.argmax(sims))
+            if sims[j] >= threshold:
+                removals.append((tid, texts[kept[j]][0], float(sims[j])))
+                continue
+        kept.append(i)
+    return [texts[k][0] for k in kept], removals
+
+
 # Adam's decay rates and floor, which no setting changes
 REF_BETA1, REF_BETA2, REF_EPSILON = 0.9, 0.999, 1e-8
 

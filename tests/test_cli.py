@@ -144,6 +144,48 @@ def test_gen_data_non_finite_setting_is_data_error(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "viz", "bench", "train-config"])
+def test_negative_seed_is_data_error(tmp_path, corpus, trained, capsys, command):
+    out = tmp_path / "out"
+    seed = {"gen-data": "-1", "train": "-3", "viz": "-2", "bench": "-1", "train-config": "-1"}[command]
+    tiny = TINY_TRAIN_FLAGS[:-2]  # without its --seed
+    argv = {
+        "gen-data": ["gen-data", "--classes", "2", "--dim", "6", "--per-subclass", "3",
+                     "--seed", seed, "--out", str(out)],
+        "train": ["train", "--data", corpus["train"], "--seed", seed, "--out", str(out), *tiny],
+        "viz": ["viz", "--model", trained["model"], "--data", corpus["test"], "--seed", seed,
+                "--max-points", "5", "--out", str(out)],
+        "bench": ["bench", "--out-dir", str(out), "--classes", "2", "--dim", "6",
+                  "--per-subclass", "3", "--seed", seed],
+        "train-config": ["train", "--data", corpus["train"], "--config", str(tmp_path / "c.json"),
+                         "--out", str(out), *tiny],
+    }[command]
+    (tmp_path / "c.json").write_text('{"seed": -1}')
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: seed must be a non-negative integer, got {seed}"
+    ]
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-data", "--classes", "2", "--dim", str(2**62), "--per-subclass", "3"],
+     ["gen-data", "--classes", "2", "--dim", "6", "--per-subclass", str(2**62)],
+     ["gen-data", "--classes", str(2**62), "--dim", "6", "--per-subclass", "3"],
+     ["bench", "--per-subclass", str(2**62)]],
+    ids=["gen-data-dim", "gen-data-per-subclass", "gen-data-classes", "bench-per-subclass"],
+)
+def test_generator_size_numpy_cannot_allocate_is_data_error(tmp_path, capsys, argv):
+    # numpy refuses shapes this large before it touches any memory
+    out = tmp_path / "out"
+    where = ["--out-dir" if argv[0] == "bench" else "--out", str(out)]
+    assert run_command([*argv, *where]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: not enough memory for ")
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_gen_data_manifest_checksums(tmp_path):
     out = str(tmp_path / "gen.jsonl")
     run_command(

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
@@ -36,7 +36,6 @@ from hiersphere import (
 )
 from hiersphere import data as data_module
 from hiersphere.data import (
-    _tfidf_matrix,
     load_json,
     load_texts,
     write_json,
@@ -48,6 +47,7 @@ from _oracles import (
     dataset_of,
     ids_of,
     ref_dataset_records,
+    ref_greedy_dedup,
     ref_load_jsonl,
     ref_load_texts,
     ref_parse_range,
@@ -198,6 +198,20 @@ def test_invalid_split_tag():
 def test_custom_class_names():
     cfg = small_cfg(class_names=("alpha", "beta"))
     assert generate_synthetic(cfg).class_names == ["alpha", "beta"]
+
+
+# numpy refuses these shapes before it touches any memory; a size it would
+# try to allocate could fill memory, so none is tested
+@pytest.mark.parametrize(
+    "classes, dim, per_subclass",
+    [(2, 2**62, 3), (2, 4, 2**62), (2**62, 4, 3)],
+    ids=["dim", "per-subclass", "classes"],
+)
+def test_generator_size_numpy_cannot_allocate_is_config_error(classes, dim, per_subclass):
+    cfg = GeneratorConfig(num_classes=classes, input_dim=dim, per_subclass_count=per_subclass)
+    expected = f"not enough memory for {3 * classes} sub-classes of {per_subclass} samples in {dim} dimensions"
+    with pytest.raises(InvalidConfigError, match=f"^{expected}$"):
+        generate_synthetic(cfg)
 
 
 # -------------------------------------------------------------------- jsonl
@@ -1213,9 +1227,74 @@ def test_dedup_empty_texts_have_zero_similarity():
     assert kept == ["a", "b", "c"]
 
 
-def test_tfidf_matrix_matches_reference():
-    texts = ["the cat sat on the mat", "a dog", "the dog sat", "cat cat cat"]
-    mine = _tfidf_matrix(texts)
-    ref = ref_tfidf_vectors(texts)
-    # reference sorts its vocabulary; compare via gram matrices instead
-    np.testing.assert_allclose(mine @ mine.T, ref @ ref.T, atol=1e-12)
+def test_dedup_threshold_one_removes_exact_duplicates():
+    texts = [("a", "red green blue red"), ("b", "hello world"), ("c", "red green blue red"),
+             ("d", "Blue, RED green red!"), ("e", "red green blue")]
+    kept, report = tfidf_dedup(texts, threshold=1.0)
+    assert kept == ["a", "b", "e"]
+    assert [(r.removed_id, r.kept_id, r.similarity) for r in report] == [
+        ("c", "a", 1.0), ("d", "a", 1.0)
+    ]
+
+
+def test_dedup_tie_names_the_earliest_kept_text():
+    # "y" and "z" have the same df, so "x" is equally close to "x y" and "x z"
+    texts = [("a", "x y"), ("b", "x z"), ("c", "x")]
+    kept, report = tfidf_dedup(texts, threshold=0.5)
+    assert kept == ["a", "b"]
+    assert [(r.removed_id, r.kept_id) for r in report] == [("c", "a")]
+
+
+dedup_texts = st.lists(
+    st.lists(st.sampled_from(["ab", "Ab", "cd", "ef", "gh", "ij", "kl", "mn"]), max_size=6).map(
+        lambda words: ", ".join(words)
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dedup_texts, st.floats(0.05, 1.0), st.randoms(use_true_random=False))
+def test_dedup_matches_dense_greedy_oracle(bodies, threshold, random):
+    # copies with their words shuffled make removals and ties common
+    bodies = list(bodies)
+    for k in range(len(bodies)):
+        if random.random() < 0.3:
+            words = bodies[random.randrange(len(bodies))].split(", ")
+            random.shuffle(words)
+            bodies[k] = ", ".join(words)
+    texts = [(f"t{k}", body) for k, body in enumerate(bodies)]
+    vecs = ref_tfidf_vectors(bodies)
+    gram = vecs @ vecs.T
+    np.fill_diagonal(gram, 0.0)
+    # a similarity this close to the threshold may round to either side
+    assume(not np.any(np.abs(gram - threshold) <= 1e-12))
+
+    kept, report = tfidf_dedup(texts, threshold)
+    ref_kept, ref_removals = ref_greedy_dedup(texts, threshold)
+    assert kept == ref_kept
+    assert [r.removed_id for r in report] == [removed for removed, _, _ in ref_removals]
+    for rec, (_, ref_kept_id, ref_sim) in zip(report, ref_removals):
+        assert abs(rec.similarity - ref_sim) <= 1e-12
+        # kept texts tied within rounding are equally the most similar
+        tied = gram[int(rec.removed_id[1:]), int(rec.kept_id[1:])]
+        assert rec.kept_id == ref_kept_id or abs(tied - ref_sim) <= 1e-12
+
+
+def test_dedup_memory_grows_with_tokens_not_vocabulary():
+    # 1,000 texts of 30 tokens over 20,000 words: a dense 1,000 x 20,000
+    # float64 matrix alone would take 160 MB
+    rng = np.random.default_rng(11)
+    vocab = [f"w{k}" for k in range(20_000)]
+    texts = [(f"t{i}", " ".join(vocab[k] for k in rng.integers(0, 20_000, size=30)))
+             for i in range(950)]
+    texts += [(f"copy{i}", texts[i][1]) for i in range(50)]
+    tracemalloc.start()
+    try:
+        kept, report = tfidf_dedup(texts, threshold=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 950 and {r.removed_id for r in report} == {f"copy{i}" for i in range(50)}
+    assert peak < 32 * 2**20

@@ -1,6 +1,7 @@
 """Batching, the two training stages, and the single-loss baselines."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,20 @@ def test_allocation_failure_at_initialisation_is_a_config_error(monkeypatch, kin
         match=r"^not enough memory for an encoder of dimensions \(8, 12, 8\)$",
     ):
         train_baseline(tiny_dataset(), small_train_config(mode=kind))
+
+
+@pytest.mark.parametrize("kind", ["adacos", "softmax", "triplet"])
+@pytest.mark.parametrize(
+    "sizes, dims",
+    [({"embed_dim": 2**62}, (8, 12, 2**62)), ({"hidden_dims": (2**62,)}, (8, 2**62, 8))],
+    ids=["embed-dim", "hidden-dims"],
+)
+def test_size_numpy_cannot_allocate_is_a_config_error(kind, sizes, dims):
+    # numpy refuses shapes this large before it touches any memory
+    with pytest.raises(
+        InvalidConfigError, match=f"^not enough memory for an encoder of dimensions {re.escape(str(dims))}$"
+    ):
+        train_baseline(tiny_dataset(), small_train_config(mode=kind, **sizes))
 
 
 def test_train_config_to_dict_is_json_ready():
