@@ -287,8 +287,8 @@ def _merged_config(ns, defaults: dict) -> dict:
 
 def _cmd_train(ns) -> _Run:
     cfg = _merged_config(ns, TRAIN_DEFAULTS)
-    dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
     train_cfg = _train_config_from_ns(cfg)
+    dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
 
     if cfg["mode"] == "two-stage":
         params, state, report = train_two_stage(dataset, train_cfg)
@@ -318,7 +318,7 @@ def _cmd_embed(ns) -> _Run:
     ids = dataset.ids
     write_jsonl(out, len(ids), lambda i: {"id": ids[i], "embedding": emb[i].tolist()})
     print(f"wrote {len(dataset)} embeddings to {out}")
-    return _Run({}, inputs=[ns.model, ns.data], outputs=[out])
+    return _Run({"mnli_label_map": ns.mnli_label_map}, inputs=[ns.model, ns.data], outputs=[out])
 
 
 def _cmd_eval(ns) -> _Run:
@@ -350,7 +350,12 @@ def _cmd_eval(ns) -> _Run:
     write_json(report_path, report.to_dict(), indent=2)
     print(format_mae_table([report]))
     return _Run(
-        {"label_mode": ns.label_mode, "unsigned": ns.unsigned},
+        {
+            "tag": ns.tag,
+            "label_mode": ns.label_mode,
+            "unsigned": ns.unsigned,
+            "mnli_label_map": ns.mnli_label_map,
+        },
         inputs=[ns.model, ns.train, ns.test],
         outputs=[report_path],
     )
@@ -381,33 +386,35 @@ def _cmd_viz(ns) -> _Run:
     )
     outputs = [out] + ([csv_path] if csv_path else [])
     print(f"projected {len(subset)} points (stress {mds.stress:.4f}) to {out}")
-    return _Run({"max_points": ns.max_points}, [ns.model, ns.data], outputs, seed=ns.seed)
+    config = {"max_points": ns.max_points, "mnli_label_map": ns.mnli_label_map}
+    return _Run(config, [ns.model, ns.data], outputs, seed=ns.seed)
 
 
 def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
+    # every setting is checked and both sets are made before anything is written
+    configs = {
+        mode: _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode})
+        for mode in ("two-stage", "adacos", *LANE_MODES)
+    }
     gen = _generator_config(cfg)
-    out_dir = _resolve_out(ns.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
     train_set = generate_synthetic(gen, split_tag="train")
     test_set = generate_synthetic(gen, split_tag="test")
+    out_dir = _resolve_out(ns.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     train_path = os.path.join(out_dir, "train.jsonl")
     test_path = os.path.join(out_dir, "test.jsonl")
     save_jsonl(train_path, train_set)
     save_jsonl(test_path, test_set)
-
-    def run_config(mode: str) -> TrainConfig:
-        return _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode})
 
     seconds = {}
 
     def train(mode: str, stage1=None):
         started = time.perf_counter()
         if mode == "two-stage":
-            result = train_two_stage(train_set, run_config(mode), stage1=stage1)
+            result = train_two_stage(train_set, configs[mode], stage1=stage1)
         else:
-            result = train_baseline(train_set, run_config(mode))
+            result = train_baseline(train_set, configs[mode])
         seconds[mode] = time.perf_counter() - started
         return result
 

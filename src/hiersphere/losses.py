@@ -82,16 +82,6 @@ def softmax_ce_loss(logits: Sequence[float] | np.ndarray, targets) -> LossOutput
     return LossOutput(value=value, grad_embeddings=grad[0] if squeeze else grad)
 
 
-def _margin_cos_derivative(cos_target: np.ndarray, kind: str, margin: float) -> np.ndarray:
-    """d(target logit)/d(target cosine), without the scale factor."""
-    if kind in ("cosface", "softmax") or margin == 0.0:
-        return np.ones_like(cos_target)
-    # arcface: d cos(theta + m)/d cos(theta) = sin(theta + m) / sin(theta)
-    c = np.clip(cos_target, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD)
-    theta = np.arccos(c)
-    return np.sin(theta + margin) / np.sin(theta)
-
-
 def angular_margin_loss(
     embeddings: np.ndarray,
     weights: np.ndarray,
@@ -114,6 +104,8 @@ def angular_margin_loss(
         raise InvalidConfigError(f"unknown kind {kind!r}")
     tgt = np.asarray(targets, dtype=np.int64)
     n, c = emb.shape[0], w.shape[0]
+    if tgt.shape != (n,):
+        raise DimensionMismatchError("one label per embedding required")
     if np.any(tgt < 0) or np.any(tgt >= c):
         raise IndexOutOfRangeError(f"targets must lie in [0, {c})")
 
@@ -128,7 +120,10 @@ def angular_margin_loss(
 
     value, dlogits = _softmax_ce(logits, tgt)
     dcos = scale * dlogits
-    dcos[rows, tgt] *= _margin_cos_derivative(cos[rows, tgt], kind, margin)
+    if kind == "arcface" and margin != 0.0:
+        # d cos(theta + m)/d cos(theta) = sin(theta + m) / sin(theta)
+        theta = np.arccos(np.clip(cos[rows, tgt], -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
+        dcos[rows, tgt] *= np.sin(theta + margin) / np.sin(theta)
     return LossOutput(value=value, grad_embeddings=dcos @ w, grad_weights=dcos.T @ emb)
 
 
@@ -219,9 +214,10 @@ def adacos_loss(
 ) -> LossOutput:
     """Sub-class classification loss over scaled embedding/anchor cosines.
 
-    The adaptive scale is refreshed from this batch's cosines before the loss
-    is evaluated; the scale is treated as a constant during backprop. labels
-    are the batch's int sub-class ids.
+    The adaptive scale is refreshed from this batch's cosines; the loss is
+    then the zero-margin 'softmax' kind of angular_margin_loss at that scale,
+    which backprop treats as a constant. labels are the batch's int sub-class
+    ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
@@ -232,16 +228,8 @@ def adacos_loss(
     if np.any((targets < 0) | (targets >= state.num_subclasses)):
         raise IndexOutOfRangeError("label sub-class index outside the anchor range")
 
-    cos = emb @ state.weights.T
-    adacos_update_scale(state, cos, targets)
-
-    value, dlogits = _softmax_ce(state.scale * cos, targets)
-    dcos = state.scale * dlogits
-    return LossOutput(
-        value=value,
-        grad_embeddings=dcos @ state.weights,
-        grad_weights=dcos.T @ emb,
-    )
+    adacos_update_scale(state, emb @ state.weights.T, targets)
+    return angular_margin_loss(emb, state.weights, targets, "softmax", state.scale, 0.0)
 
 
 def _same_class_targets(neutral_pair_positive: bool) -> np.ndarray:

@@ -4,8 +4,9 @@ Stage 1 fits the encoder plus a sub-class anchor matrix under the adaptive
 cosine classification loss; stage 2 fine-tunes the encoder alone with the
 thresholded pairwise cosine loss. Baselines run one stage with triplet,
 plain scaled-softmax, cosface, arcface, or adacos objectives so the
-two-stage result has something to beat. All of them run one epoch/batch
-loop, `_fit`, and differ only in the objective it is given.
+two-stage result has something to beat. Stage 1 and every baseline are
+one `_train_one_stage`, and all of them run one epoch/batch loop, `_fit`,
+differing only in the objective it is given.
 """
 
 import math
@@ -27,6 +28,7 @@ from .encoder import (
 )
 from .errors import (
     DatasetTooSmallError,
+    DimensionMismatchError,
     InvalidClassCountError,
     InvalidConfigError,
     NoValidTripletsError,
@@ -183,12 +185,10 @@ class _Anchors:
         self.weights = weights
         self.m = np.zeros_like(weights)
         self.v = np.zeros_like(weights)
-        self.t = 0
 
-    def step(self, grad: np.ndarray, lr: float) -> None:
-        """One Adam step at rate lr, then every row re-normalized to unit length."""
-        self.t += 1
-        adam_step_array(self.weights, grad, self.m, self.v, self.t, lr)
+    def step(self, grad: np.ndarray, lr: float, t: int) -> None:
+        """Adam step t at rate lr, then every row re-normalized to unit length."""
+        adam_step_array(self.weights, grad, self.m, self.v, t, lr)
         self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)
 
 
@@ -207,6 +207,8 @@ def triplet_batch_loss(
     emb = np.asarray(embeddings, dtype=np.float64)
     b = emb.shape[0]
     sub = np.asarray(labels, dtype=np.int64)
+    if sub.shape != (b,):
+        raise DimensionMismatchError("one label per embedding required")
     same = sub[:, None] == sub[None, :]
     sizes = np.add.reduce(same, axis=1, dtype=np.intp)  # each sample's sub-class size
     positives = sizes - 1
@@ -269,9 +271,10 @@ def _fit(
     batch whose objective raises NoValidTripletsError is skipped and counted.
     Stage 2 takes its own epoch count, learning rate, shuffle streams and loss
     curve, and merges a trailing singleton batch into the one before it.
-    anchors take an Adam step from the loss's grad_weights; the scale of an
-    adacos state is recorded after every epoch. A step backpropagates through
-    the tape its batch's forward filled, so the network runs once per batch.
+    anchors take an Adam step from the loss's grad_weights, numbered as the
+    encoder's; the scale of an adacos state is recorded after every epoch. A
+    step backpropagates through the tape its batch's forward filled, so the
+    network runs once per batch.
     """
     x, sub = dataset.features, dataset.subclass
     if stage2:
@@ -298,13 +301,13 @@ def _fit(
             try:
                 out = objective(emb, sub[idx])
             except NoValidTripletsError:
-                # stacklevel points at the caller of the public trainer
-                warnings.warn("batch without any valid triplet skipped", stacklevel=3)
+                # stacklevel points past _train_one_stage at the public trainer's caller
+                warnings.warn("batch without any valid triplet skipped", stacklevel=4)
                 report.skipped_batches += 1
                 continue
             encoder_backward_step(params, bx, out.grad_embeddings, lr, tape=tape)
             if anchors is not None:
-                anchors.step(out.grad_weights, lr)
+                anchors.step(out.grad_weights, lr, params.step_count)
             batch_losses.append(out.value)
             report.steps += 1
         # an epoch where every batch was skipped has no mean loss; None keeps
@@ -314,29 +317,47 @@ def _fit(
             report.scale_trajectory.append(adacos.scale)
 
 
+def _train_one_stage(dataset: Dataset, config: TrainConfig, kind: str):
+    """One stage under kind's objective: adacos, triplet or a margin kind.
+
+    Every anchor matrix is drawn here, from the classifier-init stream; only
+    adacos wraps its anchors in an AdaCosState, and only triplet has none.
+    Returns (EncoderParams, AdaCosState | None, TrainReport).
+    """
+    _require_trainable(dataset)
+    enc_cfg = config.encoder_config(dataset.input_dim)
+    state = anchors = None
+    with allocating(enc_cfg):
+        if kind != "triplet":
+            shape = (3 * dataset.num_classes, enc_cfg.output_dim)
+            rng = make_rng(config.seed, STREAM_CLASSIFIER_INIT)
+            if kind == "adacos":
+                state = AdaCosState.initialize(*shape, rng)
+                anchors = _Anchors(state.weights)
+            else:
+                anchors = _Anchors(init_unit_anchors(*shape, rng))
+        params = init_params(enc_cfg)
+    report = TrainReport(config=config.to_dict(), model_tag=kind)
+    margin = DEFAULT_MARGINS.get(kind)
+
+    def objective(emb, labels):
+        if kind == "adacos":
+            return adacos_loss(state, emb, labels)
+        if kind == "triplet":
+            return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
+        return angular_margin_loss(emb, anchors.weights, labels, kind, MARGIN_SCALE, margin)
+
+    _fit(dataset, config, params, objective, report, anchors=anchors, adacos=state)
+    return params, state, report
+
+
 def train_stage1(dataset: Dataset, config: TrainConfig):
     """Encoder + adaptive-cosine anchors on the 3K flattened sub-classes.
 
     Anchor rows are re-normalized to unit length after every optimizer step.
     Returns (EncoderParams, AdaCosState, TrainReport).
     """
-    _require_trainable(dataset)
-    enc_cfg = config.encoder_config(dataset.input_dim)
-    with allocating(enc_cfg):
-        state = AdaCosState.initialize(
-            3 * dataset.num_classes,
-            enc_cfg.output_dim,
-            make_rng(config.seed, STREAM_CLASSIFIER_INIT),
-        )
-        params = init_params(enc_cfg)
-        anchors = _Anchors(state.weights)
-    report = TrainReport(config=config.to_dict(), model_tag="adacos")
-
-    def objective(emb, labels):
-        return adacos_loss(state, emb, labels)
-
-    _fit(dataset, config, params, objective, report, anchors=anchors, adacos=state)
-    return params, state, report
+    return _train_one_stage(dataset, config, "adacos")
 
 
 def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
@@ -393,32 +414,4 @@ def train_baseline(dataset: Dataset, config: TrainConfig):
     """
     if config.mode in ("adacos", "two-stage"):
         return train_stage1(dataset, config)
-
-    _require_trainable(dataset)
-    enc_cfg = config.encoder_config(dataset.input_dim)
-    report = TrainReport(config=config.to_dict(), model_tag=config.mode)
-    anchors = None
-    with allocating(enc_cfg):
-        if config.mode == "triplet":
-
-            def objective(emb, labels):
-                return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
-
-        else:
-            anchors = _Anchors(
-                init_unit_anchors(
-                    3 * dataset.num_classes,
-                    enc_cfg.output_dim,
-                    make_rng(config.seed, STREAM_CLASSIFIER_INIT),
-                )
-            )
-            margin = DEFAULT_MARGINS[config.mode]
-
-            def objective(emb, labels):
-                return angular_margin_loss(
-                    emb, anchors.weights, labels, config.mode, MARGIN_SCALE, margin
-                )
-
-        params = init_params(enc_cfg)
-    _fit(dataset, config, params, objective, report, anchors=anchors)
-    return params, None, report
+    return _train_one_stage(dataset, config, config.mode)

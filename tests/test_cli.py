@@ -253,6 +253,16 @@ def test_train_baseline_mode_has_no_stage2(tmp_path, corpus):
     assert "adacos" not in _read_json(out)
 
 
+def test_skipped_triplet_batch_warns_at_the_cli(tmp_path, corpus):
+    # a batch of two holds no anchor, positive and negative, so each is skipped
+    out = str(tmp_path / "m.json")
+    argv = ["train", "--data", corpus["train"], "--out", out, "--mode", "triplet",
+            "--batch-size", "2", "--epochs", "1", "--hidden-dims", "12", "--embed-dim", "8"]
+    with pytest.warns(UserWarning, match="batch without any valid triplet") as caught:
+        assert run_command(argv) == 0
+    assert {os.path.basename(w.filename) for w in caught} == {"cli.py"}
+
+
 def test_train_out_of_memory_at_initialisation_is_a_data_error(
     tmp_path, corpus, monkeypatch, capsys
 ):
@@ -383,6 +393,35 @@ def test_bench_non_finite_generator_flag_is_data_error_before_any_output(
     assert not out_dir.exists()
 
 
+BAD_SETTINGS = {
+    "seed": (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    "learning-rate-nan": (["--learning-rate", "nan"],
+                          "learning_rate must be a positive finite number, got nan"),
+    "hidden-dims": (["--hidden-dims", "8,x"], "invalid training config: hidden_dims must be "
+                    'comma-separated integers such as "128,64", got \'8,x\''),
+}
+
+
+# train checks the seed only when it draws its first numbers, after reading
+@pytest.mark.parametrize(
+    "command, setting",
+    [("bench", "seed"), ("bench", "learning-rate-nan"), ("bench", "hidden-dims"),
+     ("train", "learning-rate-nan"), ("train", "hidden-dims")],
+)
+def test_bad_setting_fails_before_any_file_is_touched(tmp_path, capsys, command, setting):
+    flags, expected = BAD_SETTINGS[setting]
+    out = tmp_path / "out"
+    if command == "bench":
+        argv = ["bench", "--out-dir", str(out), "--classes", "2", "--dim", "6",
+                "--per-subclass", "3", *flags]
+    else:
+        # a data file that is never read: the settings are checked first
+        argv = ["train", "--data", str(tmp_path / "missing.jsonl"), "--out", str(out), *flags]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {expected}"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_train_no_shuffle_recorded(tmp_path, corpus):
     out = str(tmp_path / "m.json")
     code = run_command(
@@ -436,6 +475,25 @@ def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained):
     emb = embed_all(load_checkpoint(trained["model"])[0], dataset)
     ref_write_jsonl(str(want), ({"id": rid, "embedding": e.tolist()} for rid, e in zip(dataset.ids, emb)))
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_embed_eval_and_viz_manifests_echo_what_they_read(tmp_path, corpus, trained):
+    model, test = trained["model"], corpus["test"]
+    runs = {
+        "emb": ["embed", "--model", model, "--data", test, "--out", str(tmp_path / "emb.jsonl")],
+        "mae": ["eval", "--model", model, "--train", corpus["train"], "--test", test,
+                "--report", str(tmp_path / "mae.json"), "--tag", "tiny", "--unsigned"],
+        "plot": ["viz", "--model", model, "--data", test, "--out", str(tmp_path / "plot.svg"),
+                 "--max-points", "5"],
+    }
+    want = {
+        "emb": {"mnli_label_map": False},
+        "mae": {"tag": "tiny", "label_mode": "auto", "unsigned": True, "mnli_label_map": False},
+        "plot": {"max_points": 5, "mnli_label_map": False},
+    }
+    for stem, argv in runs.items():
+        assert run_command(argv) == 0, stem
+        assert _read_json(str(tmp_path / f"{stem}.manifest.json"))["config"] == want[stem]
 
 
 def test_embed_into_a_missing_directory_is_a_data_error(

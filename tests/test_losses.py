@@ -22,6 +22,7 @@ from hiersphere import (
     pair_target_matrix,
     pairwise_cosine_loss,
     softmax_ce_loss,
+    triplet_batch_loss,
 )
 from hiersphere import losses
 from hiersphere.rng import make_rng
@@ -566,3 +567,25 @@ def test_pairwise_rejects_bad_threshold():
 def test_pairwise_label_count_mismatch():
     with pytest.raises(DimensionMismatchError):
         pairwise_cosine_loss(np.eye(3), ids_of([HierLabel(0, POS)]))
+
+
+# every batch loss as (embeddings, five anchor rows, labels) -> LossOutput
+BATCH_LOSSES = {
+    "adacos": lambda emb, w, labels: adacos_loss(AdaCosState(w, 4.0), emb, labels),
+    "pairwise": lambda emb, w, labels: pairwise_cosine_loss(emb, labels),
+    "triplet": lambda emb, w, labels: triplet_batch_loss(emb, labels, 1.0)[0],
+    **{
+        kind: lambda emb, w, labels, kind=kind: angular_margin_loss(emb, w, labels, kind, 30.0, 0.35)
+        for kind in ("softmax", "cosface", "arcface")
+    },
+}
+
+
+@pytest.mark.parametrize("num_labels", [3, 5])
+@pytest.mark.parametrize("loss", sorted(BATCH_LOSSES))
+def test_every_batch_loss_rejects_a_label_count_unlike_the_batch(loss, num_labels):
+    # four embeddings, with labels that are valid sub-class ids of five anchors
+    emb, anchors = np.eye(4, 3), np.eye(5, 3)
+    labels = np.arange(num_labels) % 2
+    with pytest.raises(DimensionMismatchError, match="one label per embedding required"):
+        BATCH_LOSSES[loss](emb, anchors, labels)
