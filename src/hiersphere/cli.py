@@ -404,8 +404,10 @@ def _cmd_bench(ns) -> _Run:
     os.makedirs(out_dir, exist_ok=True)
     train_path = os.path.join(out_dir, "train.jsonl")
     test_path = os.path.join(out_dir, "test.jsonl")
-    save_jsonl(train_path, train_set)
-    save_jsonl(test_path, test_set)
+
+    def write_sets() -> None:
+        save_jsonl(train_path, train_set)
+        save_jsonl(test_path, test_set)
 
     seconds = {}
 
@@ -418,29 +420,46 @@ def _cmd_bench(ns) -> _Run:
         seconds[mode] = time.perf_counter() - started
         return result
 
-    def train_lane(fd: int) -> None:
-        # in the forked child; its warnings are shown by the parent, in order
+    def finish(mode: str, result):
+        """Save mode's trained model and return its MAE report."""
+        params, state, train_rep = result
+        _save_model(os.path.join(out_dir, f"model_{mode}.json"), params, state, train_rep)
+        centroids = compute_centroids(params, train_set)
+        return mae_report(params, centroids, test_set, model_tag=mode)
+
+    def lane(fd: int) -> None:
+        # in the forked child, which writes the sets and finishes the lane's
+        # models; its warnings are shown by the parent, in order
         with warnings.catch_warnings(record=True) as caught:
-            results = {mode: train(mode) for mode in LANE_MODES}
+            write_sets()
+            reports = {mode: finish(mode, train(mode)) for mode in LANE_MODES}
         shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         with open(fd, "wb") as out:
-            write_pickle(out, (results, seconds, shown))
+            write_pickle(out, (reports, seconds, shown))
 
     # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
     # setting), so it is trained once and stage 2 continues from its result;
     # the other baselines share only the training set with them
     lane_work = len(train_set) * cfg["epochs"] * len(LANE_MODES)
     lanes = 2 if worker_count(lane_work, MIN_LANE_WORK) > 1 else 1
-    trained = {}
-    with forked([train_lane] if lanes == 2 else []) as pipes:
-        trained["adacos"] = train("adacos")
-        trained["two-stage"] = train("two-stage", stage1=trained["adacos"])
-        delivered = read_pickle(pipes[0]) if pipes and pipes[0] else None
+    if lanes == 1:
+        write_sets()
+    trained, delivered = {}, None
+    try:
+        with forked([lane] if lanes == 2 else []) as pipes:
+            trained["adacos"] = train("adacos")
+            trained["two-stage"] = train("two-stage", stage1=trained["adacos"])
+            delivered = read_pickle(pipes[0]) if pipes and pipes[0] else None
+    finally:
+        # the child is reaped by now, so a set it did not deliver, perhaps
+        # left half-written, is written whole whether or not training failed
+        if lanes == 2 and delivered is None:
+            write_sets()
+    lane_reports = {}
     if delivered is None:
-        lanes = 1  # a baseline the child did not deliver is trained below
+        lanes = 1  # a baseline the child did not deliver is finished below
     else:
-        results, lane_seconds, shown = delivered
-        trained.update(results)
+        lane_reports, lane_seconds, shown = delivered
         seconds.update(lane_seconds)
         # the registry warnings.warn keeps for train's frame, so that a warning
         # shows as often as on the serial path
@@ -451,14 +470,11 @@ def _cmd_bench(ns) -> _Run:
     outputs = [train_path, test_path]
     reports = []
     for mode in ("two-stage", "adacos", *LANE_MODES):
-        params, state, train_rep = trained[mode] if mode in trained else train(mode)
-        model_path = os.path.join(out_dir, f"model_{mode}.json")
-        _save_model(model_path, params, state, train_rep)
-        outputs.append(model_path)
-
-        centroids = compute_centroids(params, train_set)
-        rep = mae_report(params, centroids, test_set, model_tag=mode)
+        rep = lane_reports.get(mode)
+        if rep is None:
+            rep = finish(mode, trained[mode] if mode in trained else train(mode))
         reports.append(rep)
+        outputs.append(os.path.join(out_dir, f"model_{mode}.json"))
         print(f"{mode}: average MAE {rep.average_mae:.4f}")
 
     table = format_mae_table(reports)

@@ -40,6 +40,7 @@ from .rng import (
     STREAM_DATA_GEOMETRY,
     STREAM_DATA_NOISE_TEST,
     STREAM_DATA_NOISE_TRAIN,
+    _check_seed,
     make_rng,
 )
 
@@ -119,6 +120,7 @@ class GeneratorConfig:
                 raise InvalidConfigError(f"{name} must be a positive finite number, got {value}")
         if self.class_names and len(self.class_names) != self.num_classes:
             raise InvalidConfigError("class_names length must equal num_classes")
+        _check_seed(self.seed)
 
 
 def subclass_means(cfg: GeneratorConfig) -> np.ndarray:
@@ -632,11 +634,12 @@ def load_json(path: str):
 
 def write_json(path: str, doc, **dump_options) -> None:
     """Write doc to path as JSON with sorted keys and a final newline,
-    atomically: json.dump streams it to path + ".tmp", which then replaces
-    path. dump_options (indent, separators) go to json.dump."""
+    atomically: it goes to path + ".tmp", which then replaces path.
+    dump_options (indent, separators) go to json.dumps, which without indent
+    encodes in one C call (json.dump would stream through Python code)."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, **dump_options)
+        fh.write(json.dumps(doc, sort_keys=True, **dump_options))
         fh.write("\n")
     os.replace(tmp, path)
 

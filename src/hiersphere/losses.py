@@ -48,17 +48,23 @@ def _as_batch(logits: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
     raise DimensionMismatchError(f"logits must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean -log softmax(logits)[target]; gradient wrt logits."""
-    n, c = logits.shape
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    denom = exp.sum(axis=1, keepdims=True)
+def _softmax_ce(
+    logits: np.ndarray, targets: np.ndarray, rows: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean -log softmax(logits)[target]; gradient wrt logits. rows is
+    np.arange(n), the row index of each target."""
+    n = logits.shape[0]
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    exp = logits - top
+    np.exp(exp, out=exp)
+    denom = np.add.reduce(exp, axis=1, keepdims=True)
     # logsumexp form keeps the value finite even for extreme logits
-    lse = np.log(denom[:, 0]) + logits.max(axis=1)
-    value = float(np.mean(lse - logits[np.arange(n), targets]))
-    grad = exp / denom
-    grad[np.arange(n), targets] -= 1.0
+    lse = np.log(denom[:, 0]) + top[:, 0]
+    lse -= logits[rows, targets]
+    value = float(np.add.reduce(lse) / n)
+    grad = exp
+    grad /= denom
+    grad[rows, targets] -= 1.0
     grad /= n
     return value, grad
 
@@ -78,7 +84,7 @@ def softmax_ce_loss(logits: Sequence[float] | np.ndarray, targets) -> LossOutput
         raise DimensionMismatchError(f"expected {n} targets, got shape {tgt.shape}")
     if np.any(tgt < 0) or np.any(tgt >= c):
         raise IndexOutOfRangeError(f"targets must lie in [0, {c})")
-    value, grad = _softmax_ce(arr, tgt)
+    value, grad = _softmax_ce(arr, tgt, np.arange(n))
     return LossOutput(value=value, grad_embeddings=grad[0] if squeeze else grad)
 
 
@@ -109,17 +115,21 @@ def angular_margin_loss(
     if np.any(tgt < 0) or np.any(tgt >= c):
         raise IndexOutOfRangeError(f"targets must lie in [0, {c})")
 
-    cos = emb @ w.T
+    return _cosine_softmax(emb, w, emb @ w.T, tgt, kind, scale, margin)
+
+
+def _cosine_softmax(emb, w, cos, tgt, kind, scale, margin) -> LossOutput:
+    """angular_margin_loss on checked inputs, given their cosines cos = emb @ w.T."""
+    rows = np.arange(emb.shape[0])
     logits = scale * cos
-    rows = np.arange(n)
     if kind == "cosface" and margin != 0.0:
         logits[rows, tgt] = scale * (cos[rows, tgt] - margin)
     elif kind == "arcface" and margin != 0.0:
         clipped = np.clip(cos[rows, tgt], -1.0, 1.0)
         logits[rows, tgt] = scale * np.cos(np.arccos(clipped) + margin)
 
-    value, dlogits = _softmax_ce(logits, tgt)
-    dcos = scale * dlogits
+    value, dcos = _softmax_ce(logits, tgt, rows)
+    dcos *= scale
     if kind == "arcface" and margin != 0.0:
         # d cos(theta + m)/d cos(theta) = sin(theta + m) / sin(theta)
         theta = np.arccos(np.clip(cos[rows, tgt], -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
@@ -188,14 +198,26 @@ def adacos_update_scale(
         raise BatchTooSmallError("need at least one sample")
 
     rows = np.arange(n)
-    exp_arg = np.minimum(state.scale * cos, EXP_ARG_MAX)
-    mass = np.exp(exp_arg)
+    mass = state.scale * cos
+    np.minimum(mass, EXP_ARG_MAX, out=mass)
+    np.exp(mass, out=mass)
     mass[rows, tgt] = 0.0
-    b_avg = float(mass.sum() / n)
+    b_avg = float(np.add.reduce(mass, axis=None) / n)
     if not np.isfinite(b_avg) or b_avg <= 0.0:
         raise NonFiniteError(f"non-target mass degenerate: {b_avg}")
 
-    theta_med = float(np.median(np.arccos(np.clip(cos[rows, tgt], -1.0, 1.0))))
+    # the median target angle, as np.median takes it: the middle of the
+    # sorted angles, the mean of the two middle ones for even n, NaN if any is
+    theta = cos[rows, tgt]
+    np.maximum(theta, -1.0, out=theta)
+    np.minimum(theta, 1.0, out=theta)
+    np.arccos(theta, out=theta)
+    theta.sort()
+    half = n // 2
+    if np.isnan(theta[-1]):
+        theta_med = math.nan
+    else:
+        theta_med = float(theta[half] if n % 2 else (theta[half - 1] + theta[half]) / 2.0)
     new_scale = math.log(b_avg) / math.cos(min(math.pi / 4.0, theta_med))
     if not math.isfinite(new_scale):
         raise NonFiniteError("adaptive scale update produced a non-finite value")
@@ -215,9 +237,9 @@ def adacos_loss(
     """Sub-class classification loss over scaled embedding/anchor cosines.
 
     The adaptive scale is refreshed from this batch's cosines; the loss is
-    then the zero-margin 'softmax' kind of angular_margin_loss at that scale,
-    which backprop treats as a constant. labels are the batch's int sub-class
-    ids.
+    then the zero-margin 'softmax' kind of angular_margin_loss on the same
+    cosines at that scale, which backprop treats as a constant. labels are
+    the batch's int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
@@ -228,8 +250,9 @@ def adacos_loss(
     if np.any((targets < 0) | (targets >= state.num_subclasses)):
         raise IndexOutOfRangeError("label sub-class index outside the anchor range")
 
-    adacos_update_scale(state, emb @ state.weights.T, targets)
-    return angular_margin_loss(emb, state.weights, targets, "softmax", state.scale, 0.0)
+    cos = emb @ state.weights.T
+    adacos_update_scale(state, cos, targets)
+    return _cosine_softmax(emb, state.weights, cos, targets, "softmax", state.scale, 0.0)
 
 
 def _same_class_targets(neutral_pair_positive: bool) -> np.ndarray:
@@ -307,21 +330,28 @@ def pairwise_cosine_loss(
     if not 0.0 <= t <= 1.0:
         raise InvalidConfigError(f"threshold t must lie in [0, 1], got {t}")
 
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(emb * emb, axis=1, keepdims=True))
     unit = emb / norms
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    cos = unit @ unit.T
+    # np.clip's steps, NaN kept
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
     targets = pair_target_matrix(sub, same_class_neutral_pair_positive)
 
-    null = (targets == 0.0) & (np.abs(cos) < t)
-    active = ~null
-    np.fill_diagonal(active, False)
-
-    residual = np.where(active, cos - targets, 0.0)
+    # zero on the null pairs and the diagonal
+    residual = cos - targets
+    residual[(targets == 0.0) & (np.abs(cos) < t)] = 0.0
+    residual.flat[:: b + 1] = 0.0
     num_pairs = b * (b - 1) // 2
-    value = float(np.sum(residual[_upper_pairs(b)] ** 2) / num_pairs)
+    upper = residual[_upper_pairs(b)]
+    value = float(np.add.reduce(upper * upper) / num_pairs)
 
     # dL/dcos_ij, symmetric; each unordered pair counted once in the value
-    dcos = 2.0 * residual / num_pairs
-    coeff = (dcos * cos).sum(axis=1, keepdims=True)
-    grad = (dcos @ unit - coeff * unit) / norms
+    dcos = residual
+    dcos *= 2.0
+    dcos /= num_pairs
+    coeff = np.add.reduce(dcos * cos, axis=1, keepdims=True)
+    grad = dcos @ unit
+    grad -= coeff * unit
+    grad /= norms
     return LossOutput(value=value, grad_embeddings=grad)

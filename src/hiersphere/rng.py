@@ -19,10 +19,15 @@ STREAM_SHUFFLE = 5
 STREAM_SAMPLING = 6
 
 
+def _check_seed(seed: int) -> None:
+    """Raise unless seed is a non-negative integer, as every stream needs."""
+    if int(seed) < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the sub-stream addressed by `stream` under `seed`, which
     must be a non-negative integer."""
-    if int(seed) < 0:
-        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.PCG64(seq))

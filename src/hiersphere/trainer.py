@@ -42,7 +42,7 @@ from .losses import (
     init_unit_anchors,
     pairwise_cosine_loss,
 )
-from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, make_rng
+from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, _check_seed, make_rng
 
 # the training modes, in the order the train command lists them: the
 # two-stage method, then each single-stage baseline
@@ -93,6 +93,7 @@ class TrainConfig:
             raise InvalidConfigError(f"t must lie in [0, 1], got {self.t}")
         if self.mode not in MODES:
             raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_seed(self.seed)
         # each comparison is false for NaN, so NaN fails these checks
         if not 0 <= self.triplet_margin < math.inf:
             raise InvalidConfigError(
@@ -188,8 +189,10 @@ class _Anchors:
 
     def step(self, grad: np.ndarray, lr: float, t: int) -> None:
         """Adam step t at rate lr, then every row re-normalized to unit length."""
-        adam_step_array(self.weights, grad, self.m, self.v, t, lr)
-        self.weights /= np.linalg.norm(self.weights, axis=1, keepdims=True)
+        w = self.weights
+        adam_step_array(w, grad, self.m, self.v, t, lr)
+        # np.linalg.norm's steps, without its wrapper
+        w /= np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
 
 
 def triplet_batch_loss(

@@ -12,6 +12,12 @@ batch triplet loss, frozen as it was, which built every (anchor, positive,
 negative) entry of a B x B x B tensor. The current loss reorders that work
 without changing an operation, so the two must agree bit for bit.
 
+ref_margin_batch_loss, ref_adacos_update_scale and ref_pairwise_batch_loss
+are frozen the same way: the cosine-classifier, adaptive-scale and pairwise
+steps as they were before they ran numpy's ufuncs in place of np.median,
+np.clip, np.linalg.norm, np.where and the reducing methods. Those are the
+same operations in the same order, so the package must agree bit for bit.
+
 pair_target, margin_logit_transform and class_score are per-sample forms
 of what the package computes a batch at a time. ref_classical_mds
 double-centres the full N x N squared-distance matrix of the points, the
@@ -66,6 +72,7 @@ from hiersphere import (
     init_params,
     make_batches,
     make_rng,
+    pair_target_matrix,
     pairwise_cosine_loss,
     triplet_batch_loss,
 )
@@ -383,6 +390,75 @@ def ref_triplet_batch_loss(embeddings, labels, margin):
     coeff = s * inv
     grad = coeff.sum(axis=1, keepdims=True) * emb - coeff @ emb
     return value, grad, num_triplets
+
+
+def _ref_softmax_ce(logits, targets):
+    n, c = logits.shape
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    denom = exp.sum(axis=1, keepdims=True)
+    lse = np.log(denom[:, 0]) + logits.max(axis=1)
+    value = float(np.mean(lse - logits[np.arange(n), targets]))
+    grad = exp / denom
+    grad[np.arange(n), targets] -= 1.0
+    grad /= n
+    return value, grad
+
+
+def ref_margin_batch_loss(emb, w, targets, kind, scale, margin):
+    """(value, grad_embeddings, grad_weights) of angular_margin_loss on
+    checked inputs, as the package computed it before."""
+    cos = emb @ w.T
+    logits = scale * cos
+    rows = np.arange(emb.shape[0])
+    if kind == "cosface" and margin != 0.0:
+        logits[rows, targets] = scale * (cos[rows, targets] - margin)
+    elif kind == "arcface" and margin != 0.0:
+        clipped = np.clip(cos[rows, targets], -1.0, 1.0)
+        logits[rows, targets] = scale * np.cos(np.arccos(clipped) + margin)
+    value, dlogits = _ref_softmax_ce(logits, targets)
+    dcos = scale * dlogits
+    if kind == "arcface" and margin != 0.0:
+        theta = np.arccos(np.clip(cos[rows, targets], -1.0 + 1e-7, 1.0 - 1e-7))
+        dcos[rows, targets] *= np.sin(theta + margin) / np.sin(theta)
+    return value, dcos @ w, dcos.T @ emb
+
+
+def ref_adacos_update_scale(scale, cos, targets):
+    """The adaptive scale that replaces scale, as the package computed it
+    before: the median target angle by np.median."""
+    n = cos.shape[0]
+    rows = np.arange(n)
+    mass = np.exp(np.minimum(scale * cos, 80.0))
+    mass[rows, targets] = 0.0
+    b_avg = float(mass.sum() / n)
+    if not np.isfinite(b_avg) or b_avg <= 0.0:
+        raise NonFiniteError(f"non-target mass degenerate: {b_avg}")
+    theta_med = float(np.median(np.arccos(np.clip(cos[rows, targets], -1.0, 1.0))))
+    new_scale = math.log(b_avg) / math.cos(min(math.pi / 4.0, theta_med))
+    if not math.isfinite(new_scale):
+        raise NonFiniteError("adaptive scale update produced a non-finite value")
+    return new_scale if new_scale > 0.0 else 1e-3
+
+
+def ref_pairwise_batch_loss(embeddings, labels, t, neutral_pair_positive):
+    """(value, grad_embeddings) of pairwise_cosine_loss as the package
+    computed it before, through np.linalg.norm, np.clip and np.where."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    b = emb.shape[0]
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    unit = emb / norms
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    targets = pair_target_matrix(labels, neutral_pair_positive)
+    null = (targets == 0.0) & (np.abs(cos) < t)
+    active = ~null
+    np.fill_diagonal(active, False)
+    residual = np.where(active, cos - targets, 0.0)
+    num_pairs = b * (b - 1) // 2
+    value = float(np.sum(residual[np.triu_indices(b, k=1)] ** 2) / num_pairs)
+    dcos = 2.0 * residual / num_pairs
+    coeff = (dcos * cos).sum(axis=1, keepdims=True)
+    return value, (dcos @ unit - coeff * unit) / norms
 
 
 def ref_tfidf_vectors(texts) -> np.ndarray:

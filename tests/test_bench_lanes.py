@@ -126,6 +126,45 @@ def test_a_child_that_writes_short_is_trained_again_here(
     assert trained_here == ["adacos", "triplet", "softmax"]
 
 
+def _half_written(path, dataset):
+    """Cut the file just written to half its bytes."""
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+# a child that dies in the midst of its writing: after cutting train.jsonl
+# short, or after saving its first model (and so before the test set)
+CHILD_DEATHS = {
+    "half-written-train-set": ("save_jsonl", _half_written),
+    "after-one-model": ("_save_model", lambda *args: None),
+}
+
+
+@pytest.mark.parametrize("death", sorted(CHILD_DEATHS))
+def test_a_child_that_dies_while_writing_leaves_the_serial_bytes(
+    tmp_path, capfd, monkeypatch, forks, death
+):
+    serial = _bench(tmp_path / "serial", capfd, monkeypatch, lane=False)
+    trained_here = _parent_trains(monkeypatch)
+    name, then = CHILD_DEATHS[death]
+    parent, real = os.getpid(), getattr(cli, name)
+    marker = tmp_path / "child-died"
+
+    def dies_in_the_child(*args):
+        real(*args)
+        if os.getpid() != parent:
+            then(*args)
+            marker.touch()
+            os._exit(0)
+
+    monkeypatch.setattr(cli, name, dies_in_the_child)
+    lane = _bench(tmp_path / "lane", capfd, monkeypatch, lane=True)
+    assert len(forks) == 1 and marker.exists()
+    assert serial[:4] == lane[:4]
+    assert lane[4]["lanes"] == 1
+    assert trained_here == ["adacos", "triplet", "softmax"]
+
+
 def test_a_numeric_error_in_the_lane_is_the_serial_one(tmp_path, capfd, monkeypatch, forks):
     real = cli.train_baseline
 

@@ -402,12 +402,8 @@ BAD_SETTINGS = {
 }
 
 
-# train checks the seed only when it draws its first numbers, after reading
-@pytest.mark.parametrize(
-    "command, setting",
-    [("bench", "seed"), ("bench", "learning-rate-nan"), ("bench", "hidden-dims"),
-     ("train", "learning-rate-nan"), ("train", "hidden-dims")],
-)
+@pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
+@pytest.mark.parametrize("command", ["bench", "train"])
 def test_bad_setting_fails_before_any_file_is_touched(tmp_path, capsys, command, setting):
     flags, expected = BAD_SETTINGS[setting]
     out = tmp_path / "out"

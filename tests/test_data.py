@@ -115,6 +115,8 @@ def test_generator_config_validation():
             GeneratorConfig(num_classes=1, input_dim=4, per_subclass_count=1, polarity_offset=bad)
     with pytest.raises(InvalidConfigError):
         GeneratorConfig(num_classes=2, input_dim=4, per_subclass_count=1, class_names=("a",))
+    with pytest.raises(InvalidConfigError, match="^seed must be a non-negative integer, got -1$"):
+        GeneratorConfig(num_classes=1, input_dim=4, per_subclass_count=1, seed=-1)
 
 
 def test_subclass_means_geometry():

@@ -1,6 +1,7 @@
 """Loss values against hand-computed references, plus gradient checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hiersphere import (
     IndexOutOfRangeError,
     InvalidClassCountError,
     InvalidConfigError,
+    NonFiniteError,
     Polarity,
     adacos_init_scale,
     adacos_loss,
@@ -35,7 +37,10 @@ from _oracles import (
     margin_logit_transform,
     pair_target,
     random_labels,
+    ref_adacos_update_scale,
+    ref_margin_batch_loss,
     ref_pair_target,
+    ref_pairwise_batch_loss,
     ref_pairwise_loss,
 )
 
@@ -589,3 +594,126 @@ def test_every_batch_loss_rejects_a_label_count_unlike_the_batch(loss, num_label
     labels = np.arange(num_labels) % 2
     with pytest.raises(DimensionMismatchError, match="one label per embedding required"):
         BATCH_LOSSES[loss](emb, anchors, labels)
+
+
+# ------------------------------------------------- frozen step oracles
+
+
+def same_bits(got, want) -> bool:
+    """Whether two floats or float arrays hold the same bits, NaN included."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def copy_rows(rng, copies, *arrays):
+    """Copy `copies` randomly drawn rows onto others, alike in every array."""
+    n = len(arrays[0])
+    src, dst = rng.integers(0, n, size=copies), rng.integers(0, n, size=copies)
+    for arr in arrays:
+        arr[dst] = arr[src]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=33),
+    c=st.integers(min_value=2, max_value=16),
+    grid=st.booleans(),
+    copies=st.integers(min_value=0, max_value=33),
+    nan_target=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_adacos_update_scale_bitwise_equals_the_frozen_oracle(n, c, grid, copies, nan_target, seed):
+    rng = np.random.default_rng(seed)
+    # beyond [-1, 1] the angles are clipped; on a grid of quarters many tie
+    if grid:
+        cos = rng.integers(-4, 5, size=(n, c)) / 4.0
+    else:
+        cos = rng.uniform(-1.2, 1.2, size=(n, c))
+    targets = rng.integers(0, c, size=n)
+    copy_rows(rng, copies, cos, targets)
+    if nan_target:
+        i = rng.integers(0, n)
+        cos[i, targets[i]] = np.nan
+    scale = float(rng.uniform(0.5, 40.0))
+    given_cos = cos.copy()
+    state = AdaCosState(weights=np.zeros((c, 2)), scale=scale)
+    try:
+        want = ref_adacos_update_scale(scale, cos, targets)
+    except NonFiniteError as exc:
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
+            adacos_update_scale(state, cos, targets)
+        return
+    got = adacos_update_scale(state, cos, targets)
+    assert same_bits(got, want) and same_bits(state.scale, want)
+    # adacos_loss hands the same cosines on to the softmax core
+    assert same_bits(cos, given_cos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["adacos", "softmax", "cosface", "arcface"]),
+    b=st.integers(min_value=1, max_value=33),
+    width=st.integers(min_value=2, max_value=12),
+    c=st.integers(min_value=2, max_value=16),
+    copies=st.integers(min_value=0, max_value=33),
+    tied_anchors=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cosine_classifier_steps_bitwise_equal_the_frozen_oracles(
+    kind, b, width, c, copies, tied_anchors, seed
+):
+    rng = np.random.default_rng(seed)
+    emb = unit_rows(rng, b, width)
+    labels = rng.integers(0, c, size=b)
+    # duplicate rows with their labels tie target angles, as do equal anchors
+    copy_rows(rng, copies, emb, labels)
+    w = unit_rows(rng, c, width)
+    if tied_anchors:
+        w[:] = w[0]
+    scale = float(rng.uniform(1.0, 30.0))
+    if kind == "adacos":
+        state = AdaCosState(weights=w.copy(), scale=scale)
+        try:
+            new_scale = ref_adacos_update_scale(scale, emb @ w.T, labels)
+        except NonFiniteError:
+            with pytest.raises(NonFiniteError):
+                adacos_loss(state, emb, labels)
+            return
+        want = ref_margin_batch_loss(emb, w, labels, "softmax", new_scale, 0.0)
+        out = adacos_loss(state, emb, labels)
+        assert same_bits(state.scale, new_scale)
+    else:
+        margin = {"softmax": 0.0, "cosface": 0.35, "arcface": 0.5}[kind]
+        want = ref_margin_batch_loss(emb, w, labels, kind, scale, margin)
+        out = angular_margin_loss(emb, w, labels, kind, scale, margin)
+    assert same_bits(out.value, want[0])
+    assert same_bits(out.grad_embeddings, want[1])
+    assert same_bits(out.grad_weights, want[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.integers(min_value=2, max_value=33),
+    width=st.integers(min_value=1, max_value=12),
+    num_subclasses=st.integers(min_value=1, max_value=12),
+    copies=st.integers(min_value=0, max_value=33),
+    t=st.sampled_from([0.0, 0.3, 1.0]),
+    switch=st.booleans(),
+    unit=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pairwise_step_bitwise_equals_the_frozen_oracle(
+    b, width, num_subclasses, copies, t, switch, unit, seed
+):
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(b, width)) * rng.uniform(0.1, 3.0, size=(b, 1))
+    if unit:
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    labels = rng.integers(0, num_subclasses, size=b)
+    # copied and negated rows give cosines just past 1 and -1, which are clipped
+    copy_rows(rng, copies, emb, labels)
+    emb[rng.integers(0, b, size=copies)] *= -1.0
+    want_value, want_grad = ref_pairwise_batch_loss(emb, labels, t, switch)
+    out = pairwise_cosine_loss(emb, labels, t=t, same_class_neutral_pair_positive=switch)
+    assert same_bits(out.value, want_value)
+    assert same_bits(out.grad_embeddings, want_grad)

@@ -155,6 +155,8 @@ def test_train_config_validation():
             TrainConfig(stage2_learning_rate=bad)
     with pytest.raises(InvalidConfigError):
         TrainConfig(t=float("nan"))
+    with pytest.raises(InvalidConfigError, match="^seed must be a non-negative integer, got -1$"):
+        TrainConfig(seed=-1)
     assert set(MODES) == {"two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"}
 
 
