@@ -41,10 +41,10 @@ from .evaluate import (
     mae_report,
 )
 from .forks import forked, read_pickle, worker_count, write_pickle
-from .losses import AdaCosState
 from .rng import STREAM_SAMPLING, make_rng
 from .trainer import (
     MODES,
+    Model,
     TrainConfig,
     train_baseline,
     train_two_stage,
@@ -180,10 +180,13 @@ def _train_config_from_ns(cfg: dict) -> TrainConfig:
         raise InvalidConfigError(f"invalid training config: {exc}") from exc
 
 
-def _save_model(path: str, params, state: AdaCosState | None, report) -> None:
+def _save_model(path: str, model: Model) -> None:
+    """The one model writer. Only an adacos head is saved, as the adacos
+    section; two-stage's is its stage-1 head."""
+    params, anchors, report = model
     extra = {"train_report": report.to_dict()}
-    if state is not None:
-        extra["adacos"] = {"scale": state.scale, "weights": state.weights.tolist()}
+    if anchors is not None and anchors.kind == "adacos":
+        extra["adacos"] = {"scale": anchors.scale, "weights": anchors.weights.tolist()}
     save_checkpoint(path, params, extra=extra)
 
 
@@ -291,12 +294,13 @@ def _cmd_train(ns) -> _Run:
     dataset = load_jsonl(ns.data, mnli_label_map=cfg["mnli_label_map"])
 
     if cfg["mode"] == "two-stage":
-        params, state, report = train_two_stage(dataset, train_cfg)
+        model = train_two_stage(dataset, train_cfg)
     else:
-        params, state, report = train_baseline(dataset, train_cfg)
+        model = train_baseline(dataset, train_cfg)
+    report = model.report
 
     out = _resolve_out(ns.out)
-    _save_model(out, params, state, report)
+    _save_model(out, model)
     report_path = os.path.splitext(out)[0] + ".report.json"
     write_json(report_path, report.to_dict(), indent=2)
 
@@ -411,31 +415,32 @@ def _cmd_bench(ns) -> _Run:
 
     seconds = {}
 
-    def train(mode: str, stage1=None):
+    def train(mode: str, stage1: Model | None = None) -> Model:
         started = time.perf_counter()
         if mode == "two-stage":
-            result = train_two_stage(train_set, configs[mode], stage1=stage1)
+            model = train_two_stage(train_set, configs[mode], stage1=stage1)
         else:
-            result = train_baseline(train_set, configs[mode])
+            model = train_baseline(train_set, configs[mode])
         seconds[mode] = time.perf_counter() - started
-        return result
+        return model
 
-    def finish(mode: str, result):
-        """Save mode's trained model and return its MAE report."""
-        params, state, train_rep = result
-        _save_model(os.path.join(out_dir, f"model_{mode}.json"), params, state, train_rep)
-        centroids = compute_centroids(params, train_set)
-        return mae_report(params, centroids, test_set, model_tag=mode)
+    def evaluate(mode: str, model: Model):
+        centroids = compute_centroids(model.params, train_set)
+        return mae_report(model.params, centroids, test_set, model_tag=mode)
 
     def lane(fd: int) -> None:
-        # in the forked child, which writes the sets and finishes the lane's
-        # models; its warnings are shown by the parent, in order
+        # in the forked child, which writes the sets, then trains and
+        # evaluates the lane's models and sends them back, saving none; its
+        # warnings are shown by the parent, in order
+        models, reports = {}, {}
         with warnings.catch_warnings(record=True) as caught:
             write_sets()
-            reports = {mode: finish(mode, train(mode)) for mode in LANE_MODES}
+            for mode in LANE_MODES:
+                models[mode] = train(mode)
+                reports[mode] = evaluate(mode, models[mode])
         shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         with open(fd, "wb") as out:
-            write_pickle(out, (reports, seconds, shown))
+            write_pickle(out, (models, reports, seconds, shown))
 
     # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
     # setting), so it is trained once and stage 2 continues from its result;
@@ -457,9 +462,10 @@ def _cmd_bench(ns) -> _Run:
             write_sets()
     lane_reports = {}
     if delivered is None:
-        lanes = 1  # a baseline the child did not deliver is finished below
+        lanes = 1  # a baseline the child did not deliver is trained below
     else:
-        lane_reports, lane_seconds, shown = delivered
+        lane_models, lane_reports, lane_seconds, shown = delivered
+        trained.update(lane_models)
         seconds.update(lane_seconds)
         # the registry warnings.warn keeps for train's frame, so that a warning
         # shows as often as on the serial path
@@ -467,14 +473,16 @@ def _cmd_bench(ns) -> _Run:
         for message, category, filename, lineno in shown:
             warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
 
+    # this process writes every model, once its own training has succeeded
     outputs = [train_path, test_path]
     reports = []
     for mode in ("two-stage", "adacos", *LANE_MODES):
-        rep = lane_reports.get(mode)
-        if rep is None:
-            rep = finish(mode, trained[mode] if mode in trained else train(mode))
+        model = trained[mode] if mode in trained else train(mode)
+        path = os.path.join(out_dir, f"model_{mode}.json")
+        _save_model(path, model)
+        rep = lane_reports[mode] if mode in lane_reports else evaluate(mode, model)
         reports.append(rep)
-        outputs.append(os.path.join(out_dir, f"model_{mode}.json"))
+        outputs.append(path)
         print(f"{mode}: average MAE {rep.average_mae:.4f}")
 
     table = format_mae_table(reports)

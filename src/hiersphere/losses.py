@@ -150,46 +150,56 @@ def adacos_init_scale(num_subclasses: int) -> float:
     return math.sqrt(2.0) * math.log(num_subclasses - 1)
 
 
-@dataclass
-class AdaCosState:
-    """Unit-row class anchors plus the adaptive logit scale, which every
-    adacos_loss call refreshes from its batch."""
+MARGIN_SCALE = 30.0
+DEFAULT_MARGINS = {"softmax": 0.0, "cosface": 0.35, "arcface": 0.5}
 
+
+@dataclass
+class Anchors:
+    """A cosine classifier head: one unit-row anchor per sub-class, with the
+    logit scale and margin kind's loss applies. adacos_loss refreshes an
+    adacos head's scale from every batch; the margin kinds keep theirs."""
+
+    kind: str
     weights: np.ndarray
     scale: float
-
-    @property
-    def num_subclasses(self) -> int:
-        return self.weights.shape[0]
+    margin: float = 0.0
 
     @classmethod
     def initialize(
         cls,
+        kind: str,
         num_subclasses: int,
         dim: int,
         rng: np.random.Generator,
-    ) -> "AdaCosState":
-        scale = adacos_init_scale(num_subclasses)
-        if scale < SCALE_FLOOR:
-            warnings.warn(
-                f"initial scale {scale:.3f} for {num_subclasses} classes is degenerate; "
-                f"flooring at {SCALE_FLOOR}",
-                stacklevel=2,
-            )
-            scale = SCALE_FLOOR
-        weights = init_unit_anchors(num_subclasses, dim, rng)
-        return cls(weights=weights, scale=scale)
+    ) -> "Anchors":
+        """Standard-normal anchor rows drawn from rng; adacos starts at
+        adacos_init_scale, floored at SCALE_FLOOR, every margin kind at
+        MARGIN_SCALE with its DEFAULT_MARGINS margin."""
+        if kind == "adacos":
+            scale, margin = adacos_init_scale(num_subclasses), 0.0
+            if scale < SCALE_FLOOR:
+                warnings.warn(
+                    f"initial scale {scale:.3f} for {num_subclasses} classes is degenerate; "
+                    f"flooring at {SCALE_FLOOR}",
+                    stacklevel=2,
+                )
+                scale = SCALE_FLOOR
+        else:
+            scale, margin = MARGIN_SCALE, DEFAULT_MARGINS[kind]
+        return cls(kind, init_unit_anchors(num_subclasses, dim, rng), scale, margin)
 
 
 def adacos_update_scale(
-    state: AdaCosState,
+    anchors: Anchors,
     batch_cosines: np.ndarray,
     targets: np.ndarray,
 ) -> float:
     """Adaptive scale step: s = ln(B_avg) / cos(min(pi/4, median target angle)).
 
     B_avg averages the non-target exponential mass under the pre-update scale;
-    the result replaces state.scale.
+    the result replaces anchors.scale. A NaN target cosine makes the median
+    angle NaN, which raises NonFiniteError.
     """
     cos = np.asarray(batch_cosines, dtype=np.float64)
     tgt = np.asarray(targets, dtype=np.int64)
@@ -198,7 +208,7 @@ def adacos_update_scale(
         raise BatchTooSmallError("need at least one sample")
 
     rows = np.arange(n)
-    mass = state.scale * cos
+    mass = anchors.scale * cos
     np.minimum(mass, EXP_ARG_MAX, out=mass)
     np.exp(mass, out=mass)
     mass[rows, tgt] = 0.0
@@ -207,30 +217,30 @@ def adacos_update_scale(
         raise NonFiniteError(f"non-target mass degenerate: {b_avg}")
 
     # the median target angle, as np.median takes it: the middle of the
-    # sorted angles, the mean of the two middle ones for even n, NaN if any is
+    # sorted angles, the mean of the two middle ones for even n; NaN sorts
+    # last, and min(pi/4, NaN) would be pi/4, so it is refused here
     theta = cos[rows, tgt]
     np.maximum(theta, -1.0, out=theta)
     np.minimum(theta, 1.0, out=theta)
     np.arccos(theta, out=theta)
     theta.sort()
-    half = n // 2
     if np.isnan(theta[-1]):
-        theta_med = math.nan
-    else:
-        theta_med = float(theta[half] if n % 2 else (theta[half - 1] + theta[half]) / 2.0)
+        raise NonFiniteError("median target angle is NaN")
+    half = n // 2
+    theta_med = float(theta[half] if n % 2 else (theta[half - 1] + theta[half]) / 2.0)
     new_scale = math.log(b_avg) / math.cos(min(math.pi / 4.0, theta_med))
     if not math.isfinite(new_scale):
         raise NonFiniteError("adaptive scale update produced a non-finite value")
     if new_scale <= 0.0:
-        # keeps the state invariant scale > 0; only reachable when the
+        # keeps the invariant scale > 0; only reachable when the
         # non-target mass collapses below 1, which desk-scale runs never hit
         new_scale = 1e-3
-    state.scale = new_scale
+    anchors.scale = new_scale
     return new_scale
 
 
 def adacos_loss(
-    state: AdaCosState,
+    anchors: Anchors,
     embeddings: np.ndarray,
     labels: np.ndarray,
 ) -> LossOutput:
@@ -242,17 +252,17 @@ def adacos_loss(
     the batch's int sub-class ids.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[1] != state.weights.shape[1]:
+    if emb.ndim != 2 or emb.shape[1] != anchors.weights.shape[1]:
         raise DimensionMismatchError("embeddings must be 2-D and match anchor width")
     targets = np.asarray(labels, dtype=np.int64)
     if targets.shape != (emb.shape[0],):
         raise DimensionMismatchError("one label per embedding required")
-    if np.any((targets < 0) | (targets >= state.num_subclasses)):
+    if np.any((targets < 0) | (targets >= anchors.weights.shape[0])):
         raise IndexOutOfRangeError("label sub-class index outside the anchor range")
 
-    cos = emb @ state.weights.T
-    adacos_update_scale(state, cos, targets)
-    return _cosine_softmax(emb, state.weights, cos, targets, "softmax", state.scale, 0.0)
+    cos = emb @ anchors.weights.T
+    adacos_update_scale(anchors, cos, targets)
+    return _cosine_softmax(emb, anchors.weights, cos, targets, "softmax", anchors.scale, 0.0)
 
 
 def _same_class_targets(neutral_pair_positive: bool) -> np.ndarray:

@@ -12,6 +12,7 @@ differing only in the objective it is given.
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,11 @@ from .errors import (
     NoValidTripletsError,
 )
 from .losses import (
-    AdaCosState,
+    Anchors,
     LossOutput,
     adacos_loss,
     angular_margin_loss,
     _upper_pairs,
-    init_unit_anchors,
     pairwise_cosine_loss,
 )
 from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, _check_seed, make_rng
@@ -47,9 +47,6 @@ from .rng import STREAM_CLASSIFIER_INIT, STREAM_SHUFFLE, _check_seed, make_rng
 # the training modes, in the order the train command lists them: the
 # two-stage method, then each single-stage baseline
 MODES = ("two-stage", "triplet", "softmax", "cosface", "arcface", "adacos")
-
-MARGIN_SCALE = 30.0
-DEFAULT_MARGINS = {"softmax": 0.0, "cosface": 0.35, "arcface": 0.5}
 
 # stage-2 epochs use shuffle streams disjoint from stage 1 regardless of
 # how many stage-1 epochs actually ran
@@ -138,6 +135,15 @@ class TrainReport:
         return asdict(self)
 
 
+class Model(NamedTuple):
+    """A trained model: the encoder, its classifier head (None for triplet;
+    for two-stage, the stage-1 head) and its training report."""
+
+    params: EncoderParams
+    anchors: Anchors | None
+    report: TrainReport
+
+
 def make_batches(
     dataset,
     batch_size: int,
@@ -173,26 +179,6 @@ def _require_trainable(dataset: Dataset) -> None:
         raise DatasetTooSmallError(f"need at least 2 samples, got {len(dataset)}")
     if 3 * dataset.num_classes < 2:
         raise InvalidClassCountError("need at least one class")
-
-
-class _Anchors:
-    """Unit-row class anchors with their own Adam moments.
-
-    The weights are updated in place, so an AdaCosState built on the same
-    array sees every step.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
-        self.m = np.zeros_like(weights)
-        self.v = np.zeros_like(weights)
-
-    def step(self, grad: np.ndarray, lr: float, t: int) -> None:
-        """Adam step t at rate lr, then every row re-normalized to unit length."""
-        w = self.weights
-        adam_step_array(w, grad, self.m, self.v, t, lr)
-        # np.linalg.norm's steps, without its wrapper
-        w /= np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
 
 
 def triplet_batch_loss(
@@ -265,8 +251,7 @@ def _fit(
     report: TrainReport,
     *,
     stage2: bool = False,
-    anchors: _Anchors | None = None,
-    adacos: AdaCosState | None = None,
+    anchors: Anchors | None = None,
 ) -> None:
     """The one epoch/batch loop; steps params in place and fills report.
 
@@ -275,7 +260,8 @@ def _fit(
     Stage 2 takes its own epoch count, learning rate, shuffle streams and loss
     curve, and merges a trailing singleton batch into the one before it.
     anchors take an Adam step from the loss's grad_weights, numbered as the
-    encoder's; the scale of an adacos state is recorded after every epoch. A
+    encoder's, with moments of their own, and every row is then re-normalized
+    to unit length; an adacos head's scale is recorded after every epoch. A
     step backpropagates through the tape its batch's forward filled, so the
     network runs once per batch.
     """
@@ -287,6 +273,9 @@ def _fit(
         epochs, lr = config.epochs, config.learning_rate
         epoch_losses, epoch_offset = report.stage1_epoch_losses, 0
     tape = EncoderTape()
+    if anchors is not None:
+        w = anchors.weights
+        m, v = np.zeros_like(w), np.zeros_like(w)
 
     for epoch in range(epochs):
         batches = make_batches(
@@ -310,56 +299,48 @@ def _fit(
                 continue
             encoder_backward_step(params, bx, out.grad_embeddings, lr, tape=tape)
             if anchors is not None:
-                anchors.step(out.grad_weights, lr, params.step_count)
+                adam_step_array(w, out.grad_weights, m, v, params.step_count, lr)
+                # np.linalg.norm's steps, without its wrapper
+                w /= np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
             batch_losses.append(out.value)
             report.steps += 1
         # an epoch where every batch was skipped has no mean loss; None keeps
         # the serialized report valid JSON
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else None)
-        if adacos is not None:
-            report.scale_trajectory.append(adacos.scale)
+        if anchors is not None and anchors.kind == "adacos":
+            report.scale_trajectory.append(anchors.scale)
 
 
-def _train_one_stage(dataset: Dataset, config: TrainConfig, kind: str):
+def _train_one_stage(dataset: Dataset, config: TrainConfig, kind: str) -> Model:
     """One stage under kind's objective: adacos, triplet or a margin kind.
 
-    Every anchor matrix is drawn here, from the classifier-init stream; only
-    adacos wraps its anchors in an AdaCosState, and only triplet has none.
-    Returns (EncoderParams, AdaCosState | None, TrainReport).
+    Every classifier head is drawn here, from the classifier-init stream;
+    only triplet has none.
     """
     _require_trainable(dataset)
     enc_cfg = config.encoder_config(dataset.input_dim)
-    state = anchors = None
+    anchors = None
     with allocating(enc_cfg):
         if kind != "triplet":
-            shape = (3 * dataset.num_classes, enc_cfg.output_dim)
             rng = make_rng(config.seed, STREAM_CLASSIFIER_INIT)
-            if kind == "adacos":
-                state = AdaCosState.initialize(*shape, rng)
-                anchors = _Anchors(state.weights)
-            else:
-                anchors = _Anchors(init_unit_anchors(*shape, rng))
+            anchors = Anchors.initialize(kind, 3 * dataset.num_classes, enc_cfg.output_dim, rng)
         params = init_params(enc_cfg)
     report = TrainReport(config=config.to_dict(), model_tag=kind)
-    margin = DEFAULT_MARGINS.get(kind)
 
     def objective(emb, labels):
         if kind == "adacos":
-            return adacos_loss(state, emb, labels)
+            return adacos_loss(anchors, emb, labels)
         if kind == "triplet":
             return triplet_batch_loss(emb, labels, config.triplet_margin)[0]
-        return angular_margin_loss(emb, anchors.weights, labels, kind, MARGIN_SCALE, margin)
+        w = anchors.weights
+        return angular_margin_loss(emb, w, labels, kind, anchors.scale, anchors.margin)
 
-    _fit(dataset, config, params, objective, report, anchors=anchors, adacos=state)
-    return params, state, report
+    _fit(dataset, config, params, objective, report, anchors=anchors)
+    return Model(params, anchors, report)
 
 
-def train_stage1(dataset: Dataset, config: TrainConfig):
-    """Encoder + adaptive-cosine anchors on the 3K flattened sub-classes.
-
-    Anchor rows are re-normalized to unit length after every optimizer step.
-    Returns (EncoderParams, AdaCosState, TrainReport).
-    """
+def train_stage1(dataset: Dataset, config: TrainConfig) -> Model:
+    """Encoder + adaptive-cosine anchors on the 3K flattened sub-classes."""
     return _train_one_stage(dataset, config, "adacos")
 
 
@@ -386,17 +367,17 @@ def train_stage2(dataset: Dataset, params: EncoderParams, config: TrainConfig):
     return params, report
 
 
-def train_two_stage(dataset: Dataset, config: TrainConfig, stage1=None):
-    """Stage 1 then stage 2; the merged report carries both loss curves.
+def train_two_stage(dataset: Dataset, config: TrainConfig, stage1=None) -> Model:
+    """Stage 1 then stage 2; the merged report carries both loss curves, and
+    the model keeps stage 1's anchors.
 
-    Given a stage-1 result (EncoderParams, AdaCosState, TrainReport), only
-    stage 2 runs, from it. Stage 1 reads no stage-2 field of the config, so
-    the adacos baseline's result serves as well as train_stage1's. Returns
-    (EncoderParams, AdaCosState, TrainReport).
+    Given a stage-1 Model, only stage 2 runs, from it. Stage 1 reads no
+    stage-2 field of the config, so the adacos baseline's model serves as
+    well as train_stage1's.
     """
     if stage1 is None:
         stage1 = train_stage1(dataset, config)
-    params, state, r1 = stage1
+    params, anchors, r1 = stage1
     params, r2 = train_stage2(dataset, params, config)
     report = replace(
         r2,
@@ -405,16 +386,12 @@ def train_two_stage(dataset: Dataset, config: TrainConfig, stage1=None):
         steps=r1.steps + r2.steps,
         skipped_batches=r1.skipped_batches + r2.skipped_batches,
     )
-    return params, state, report
+    return Model(params, anchors, report)
 
 
-def train_baseline(dataset: Dataset, config: TrainConfig):
-    """Single-stage training with config.mode's objective.
-
-    Returns (EncoderParams, AdaCosState | None, TrainReport). adacos is
-    definitionally stage 1, and so is the single stage of two-stage; only
-    they return a state.
-    """
+def train_baseline(dataset: Dataset, config: TrainConfig) -> Model:
+    """Single-stage training with config.mode's objective. adacos is
+    definitionally stage 1, and so is the single stage of two-stage."""
     if config.mode in ("adacos", "two-stage"):
         return train_stage1(dataset, config)
     return _train_one_stage(dataset, config, config.mode)

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from hiersphere import (
-    AdaCosState,
+    Anchors,
     DataError,
     Dataset,
     DimensionMismatchError,
@@ -426,7 +426,7 @@ def ref_margin_batch_loss(emb, w, targets, kind, scale, margin):
 
 def ref_adacos_update_scale(scale, cos, targets):
     """The adaptive scale that replaces scale, as the package computed it
-    before: the median target angle by np.median."""
+    before: the median target angle by np.median, refused when NaN."""
     n = cos.shape[0]
     rows = np.arange(n)
     mass = np.exp(np.minimum(scale * cos, 80.0))
@@ -435,6 +435,8 @@ def ref_adacos_update_scale(scale, cos, targets):
     if not np.isfinite(b_avg) or b_avg <= 0.0:
         raise NonFiniteError(f"non-target mass degenerate: {b_avg}")
     theta_med = float(np.median(np.arccos(np.clip(cos[rows, targets], -1.0, 1.0))))
+    if math.isnan(theta_med):
+        raise NonFiniteError("median target angle is NaN")
     new_scale = math.log(b_avg) / math.cos(min(math.pi / 4.0, theta_med))
     if not math.isfinite(new_scale):
         raise NonFiniteError("adaptive scale update produced a non-finite value")
@@ -581,7 +583,7 @@ def ref_train(dataset, config, mode):
         anchors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         m, v = np.zeros_like(anchors), np.zeros_like(anchors)
     if mode in ("two-stage", "adacos"):
-        state = AdaCosState(weights=anchors, scale=adacos_init_scale(k))
+        state = Anchors("adacos", weights=anchors, scale=adacos_init_scale(k))
 
     out = {"stage1": [], "stage2": [], "scales": [], "steps": 0, "skipped": 0}
     for epoch in range(config.epochs):

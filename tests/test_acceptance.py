@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from hiersphere import (
-    AdaCosState,
+    Anchors,
     EncoderConfig,
     GeneratorConfig,
     Polarity,
@@ -195,7 +195,7 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         labels = random_labels(rng, n, num_classes=num_classes)
         emb = _unit_rows(rng, n, d)
         w = _unit_rows(rng, c, d)
-        state = AdaCosState(weights=w.copy(), scale=adacos_init_scale(c))
+        state = Anchors("adacos", weights=w.copy(), scale=adacos_init_scale(c))
         out = adacos_loss(state, emb, ids_of(labels))
 
         def f(flat, n=n, c=c, d=d, lbs=ids_of(labels), s=state.scale):

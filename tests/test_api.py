@@ -7,7 +7,7 @@ shows in the diff of this file.
 import hiersphere
 
 PUBLIC_API = [
-    "AdaCosState",
+    "Anchors",
     "BatchTooSmallError",
     "DataError",
     "Dataset",
@@ -28,6 +28,7 @@ PUBLIC_API = [
     "MaeReport",
     "Mds2D",
     "MissingSubclassError",
+    "Model",
     "NoTestLabelsError",
     "NoValidTripletsError",
     "NonFiniteError",

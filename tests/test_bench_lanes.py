@@ -7,6 +7,7 @@ those of the serial path; only the manifest's timing fields tell them apart.
 import io
 import json
 import os
+import time
 import warnings
 
 import pytest
@@ -132,11 +133,12 @@ def _half_written(path, dataset):
         fh.truncate(os.path.getsize(path) // 2)
 
 
-# a child that dies in the midst of its writing: after cutting train.jsonl
-# short, or after saving its first model (and so before the test set)
+# a child that dies in the midst of its work: after cutting train.jsonl
+# short (and so before the test set), or after training and evaluating its
+# first model
 CHILD_DEATHS = {
     "half-written-train-set": ("save_jsonl", _half_written),
-    "after-one-model": ("_save_model", lambda *args: None),
+    "after-one-model": ("mae_report", lambda *args, **kwargs: None),
 }
 
 
@@ -150,12 +152,13 @@ def test_a_child_that_dies_while_writing_leaves_the_serial_bytes(
     parent, real = os.getpid(), getattr(cli, name)
     marker = tmp_path / "child-died"
 
-    def dies_in_the_child(*args):
-        real(*args)
+    def dies_in_the_child(*args, **kwargs):
+        result = real(*args, **kwargs)
         if os.getpid() != parent:
-            then(*args)
+            then(*args, **kwargs)
             marker.touch()
             os._exit(0)
+        return result
 
     monkeypatch.setattr(cli, name, dies_in_the_child)
     lane = _bench(tmp_path / "lane", capfd, monkeypatch, lane=True)
@@ -197,3 +200,34 @@ def test_the_lane_shows_the_serial_warnings(tmp_path, capfd, monkeypatch, forks)
     assert len(forks) == 1
     assert shown[True] == shown[False]
     assert any("without any valid triplet" in text for text, *_ in shown[True])
+
+
+def test_a_failed_stage_leaves_no_model_of_the_lane(tmp_path, capfd, monkeypatch, forks):
+    # stage 2 fails only once the child has trained and delivered both
+    # baselines; the out-dir still holds only the two sets, as in one process
+    parent = os.getpid()
+    delivered = tmp_path / "child-delivered"
+    real_write = cli.write_pickle
+
+    def write_pickle(out, obj):
+        real_write(out, obj)
+        if os.getpid() != parent:
+            out.flush()
+            delivered.touch()
+
+    def train_two_stage(dataset, config, stage1=None):
+        deadline = time.monotonic() + 60.0
+        while forks and not delivered.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise NumericError("stage 2 diverged")
+
+    monkeypatch.setattr(cli, "write_pickle", write_pickle)
+    monkeypatch.setattr(cli, "train_two_stage", train_two_stage)
+    serial = _bench(tmp_path / "serial", capfd, monkeypatch, lane=False)
+    lane = _bench(tmp_path / "lane", capfd, monkeypatch, lane=True)
+    assert len(forks) == 1 and delivered.exists()
+    assert serial[0] == lane[0] == 3
+    assert serial[1] == lane[1] == ""
+    assert serial[2] == lane[2] == "numeric error: stage 2 diverged\n"
+    assert serial[3] == lane[3]
+    assert sorted(lane[3]) == ["test.jsonl", "train.jsonl"]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
-    AdaCosState,
+    Anchors,
     DimensionMismatchError,
     EncoderConfig,
     EncoderParams,
@@ -580,7 +580,7 @@ def test_loss_non_increasing_over_fifty_steps():
         GeneratorConfig(num_classes=2, input_dim=8, per_subclass_count=4, seed=seed)
     )
     params = init_params(EncoderConfig(input_dim=8, hidden_dims=(16,), output_dim=8, seed=seed))
-    state = AdaCosState.initialize(6, 8, make_rng(seed, STREAM_CLASSIFIER_INIT))
+    state = Anchors.initialize("adacos", 6, 8, make_rng(seed, STREAM_CLASSIFIER_INIT))
     lr = 1e-3
     x, labels = data.features, data.subclass
 

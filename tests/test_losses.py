@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
-    AdaCosState,
+    Anchors,
     BatchTooSmallError,
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -240,19 +240,19 @@ def test_adacos_init_scale_rejects_fewer_than_two():
 
 def test_adacos_state_floors_degenerate_scale():
     with pytest.warns(UserWarning):
-        state = AdaCosState.initialize(2, 4, make_rng(0, 70))
+        state = Anchors.initialize("adacos", 2, 4, make_rng(0, 70))
     assert state.scale == 1.0
 
 
 def test_adacos_state_rows_unit_norm():
-    state = AdaCosState.initialize(9, 16, make_rng(0, 70))
+    state = Anchors.initialize("adacos", 9, 16, make_rng(0, 70))
     np.testing.assert_allclose(np.linalg.norm(state.weights, axis=1), 1.0, atol=1e-12)
 
 
 def test_adacos_update_zero_angle_case():
     # single sample, perfect target cosine, one non-target with s*cos = 1:
     # B_avg = e, theta_med = 0, so the new scale is ln(e)/cos(0) = 1
-    state = AdaCosState(weights=np.eye(2), scale=2.0)
+    state = Anchors("adacos", weights=np.eye(2), scale=2.0)
     s = adacos_update_scale(state, np.array([[1.0, 0.5]]), np.array([0]))
     assert abs(s - 1.0) < 1e-12
     assert state.scale == s
@@ -260,9 +260,17 @@ def test_adacos_update_zero_angle_case():
 
 def test_adacos_update_clamps_median_angle():
     # target angle pi/3 exceeds pi/4, so the denominator is cos(pi/4)
-    state = AdaCosState(weights=np.eye(2), scale=4.0)
+    state = Anchors("adacos", weights=np.eye(2), scale=4.0)
     s = adacos_update_scale(state, np.array([[0.5, 0.5]]), np.array([0]))
     assert abs(s - 2.0 / math.cos(math.pi / 4.0)) < 1e-12
+
+
+def test_adacos_update_refuses_a_nan_target_cosine():
+    # min(pi/4, NaN) is pi/4, so a NaN median angle must be caught before it
+    state = Anchors("adacos", weights=np.eye(2), scale=2.0)
+    with pytest.raises(NonFiniteError, match="^median target angle is NaN$"):
+        adacos_update_scale(state, np.array([[np.nan, 0.5], [0.9, 0.1]]), np.array([0, 0]))
+    assert state.scale == 2.0
 
 
 def test_adacos_update_matches_reference_formula():
@@ -272,7 +280,7 @@ def test_adacos_update_matches_reference_formula():
         cos = rng.uniform(-0.95, 0.95, size=(n, c))
         targets = rng.integers(0, c, size=n)
         s_old = float(rng.uniform(1.0, 20.0))
-        state = AdaCosState(weights=np.zeros((c, 2)), scale=s_old)
+        state = Anchors("adacos", weights=np.zeros((c, 2)), scale=s_old)
         got = adacos_update_scale(state, cos, targets)
 
         mask = np.ones_like(cos, dtype=bool)
@@ -291,16 +299,16 @@ def test_adacos_update_permutation_invariant():
     targets = rng.integers(0, 5, size=6)
     perm = rng.permutation(6)
     s1 = adacos_update_scale(
-        AdaCosState(weights=np.zeros((5, 2)), scale=8.0), cos, targets
+        Anchors("adacos", weights=np.zeros((5, 2)), scale=8.0), cos, targets
     )
     s2 = adacos_update_scale(
-        AdaCosState(weights=np.zeros((5, 2)), scale=8.0), cos[perm], targets[perm]
+        Anchors("adacos", weights=np.zeros((5, 2)), scale=8.0), cos[perm], targets[perm]
     )
     assert abs(s1 - s2) < 1e-12
 
 
 def test_adacos_update_exponent_clamp_keeps_finite():
-    state = AdaCosState(weights=np.zeros((3, 2)), scale=1000.0)
+    state = Anchors("adacos", weights=np.zeros((3, 2)), scale=1000.0)
     s = adacos_update_scale(state, np.array([[0.99, 0.9, 0.8]]), np.array([0]))
     assert math.isfinite(s)
     # both non-target args hit the clamp, so B_avg = 2 e^80
@@ -311,7 +319,7 @@ def test_adacos_loss_hand_value():
     # orthogonal anchors, embedding on the target anchor: the two non-targets
     # at cosine 0 give B_avg = 2 and the target angle is 0, so whatever the
     # old scale the new one is ln 2, and loss = ln(1 + 2 e^-ln 2) = ln 2
-    state = AdaCosState(weights=np.eye(3), scale=10.0)
+    state = Anchors("adacos", weights=np.eye(3), scale=10.0)
     out = adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(0, NEG)]))
     assert abs(state.scale - math.log(2.0)) < 1e-15
     assert abs(out.value - math.log(2.0)) < 1e-15
@@ -319,7 +327,7 @@ def test_adacos_loss_hand_value():
 
 def test_adacos_loss_identical_anchors_uniform():
     w = np.tile(unit_rows(make_rng(0, 81), 1, 4), (3, 1))
-    state = AdaCosState(weights=w, scale=7.0)
+    state = Anchors("adacos", weights=w, scale=7.0)
     emb = unit_rows(make_rng(1, 81), 2, 4)
     out = adacos_loss(state, emb, ids_of([HierLabel(0, NEG), HierLabel(0, NEU)]))
     assert abs(out.value - math.log(3.0)) < 1e-12
@@ -332,11 +340,11 @@ def test_adacos_loss_dynamic_updates_scale_before_loss():
     labels = [HierLabel(0, POS), HierLabel(1, NEG), HierLabel(0, NEU), HierLabel(1, POS)]
     targets = np.array([lb.subclass_index for lb in labels])
 
-    probe = AdaCosState(weights=w.copy(), scale=3.0)
+    probe = Anchors("adacos", weights=w.copy(), scale=3.0)
     expected_scale = adacos_update_scale(probe, emb @ w.T, targets)
     expected_value = softmax_ce_loss(expected_scale * (emb @ w.T), targets).value
 
-    state = AdaCosState(weights=w.copy(), scale=3.0)
+    state = Anchors("adacos", weights=w.copy(), scale=3.0)
     out = adacos_loss(state, emb, ids_of(labels))
     assert abs(state.scale - expected_scale) < 1e-12
     assert abs(out.value - expected_value) < 1e-12
@@ -347,7 +355,7 @@ def test_adacos_loss_gradients_match_fd():
     w = unit_rows(rng, 6, 4)
     emb = unit_rows(rng, 3, 4)
     labels = [HierLabel(0, POS), HierLabel(1, NEU), HierLabel(0, NEG)]
-    state = AdaCosState(weights=w, scale=5.0)
+    state = Anchors("adacos", weights=w, scale=5.0)
     out = adacos_loss(state, emb, ids_of(labels))
     # backprop holds the refreshed scale constant, so the reference loss does too
     s = state.scale
@@ -363,7 +371,7 @@ def test_adacos_loss_gradients_match_fd():
 
 
 def test_adacos_loss_rejects_out_of_range_subclass():
-    state = AdaCosState(weights=np.eye(3), scale=5.0)
+    state = Anchors("adacos", weights=np.eye(3), scale=5.0)
     with pytest.raises(IndexOutOfRangeError):
         adacos_loss(state, np.array([[1.0, 0.0, 0.0]]), ids_of([HierLabel(1, NEG)]))
 
@@ -576,7 +584,7 @@ def test_pairwise_label_count_mismatch():
 
 # every batch loss as (embeddings, five anchor rows, labels) -> LossOutput
 BATCH_LOSSES = {
-    "adacos": lambda emb, w, labels: adacos_loss(AdaCosState(w, 4.0), emb, labels),
+    "adacos": lambda emb, w, labels: adacos_loss(Anchors("adacos", w, 4.0), emb, labels),
     "pairwise": lambda emb, w, labels: pairwise_cosine_loss(emb, labels),
     "triplet": lambda emb, w, labels: triplet_batch_loss(emb, labels, 1.0)[0],
     **{
@@ -636,13 +644,16 @@ def test_adacos_update_scale_bitwise_equals_the_frozen_oracle(n, c, grid, copies
         cos[i, targets[i]] = np.nan
     scale = float(rng.uniform(0.5, 40.0))
     given_cos = cos.copy()
-    state = AdaCosState(weights=np.zeros((c, 2)), scale=scale)
+    state = Anchors("adacos", weights=np.zeros((c, 2)), scale=scale)
     try:
         want = ref_adacos_update_scale(scale, cos, targets)
     except NonFiniteError as exc:
         with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
             adacos_update_scale(state, cos, targets)
+        assert state.scale == scale
         return
+    # a NaN target cosine makes the median angle NaN, which both refuse
+    assert not nan_target
     got = adacos_update_scale(state, cos, targets)
     assert same_bits(got, want) and same_bits(state.scale, want)
     # adacos_loss hands the same cosines on to the softmax core
@@ -672,7 +683,7 @@ def test_cosine_classifier_steps_bitwise_equal_the_frozen_oracles(
         w[:] = w[0]
     scale = float(rng.uniform(1.0, 30.0))
     if kind == "adacos":
-        state = AdaCosState(weights=w.copy(), scale=scale)
+        state = Anchors("adacos", weights=w.copy(), scale=scale)
         try:
             new_scale = ref_adacos_update_scale(scale, emb @ w.T, labels)
         except NonFiniteError:

@@ -14,6 +14,7 @@ from hiersphere import (
     EncoderConfig,
     GeneratorConfig,
     InvalidConfigError,
+    Model,
     NoValidTripletsError,
     Polarity,
     TrainConfig,
@@ -28,6 +29,7 @@ from hiersphere import (
     triplet_batch_loss,
 )
 from hiersphere import encoder, losses, trainer
+from hiersphere.losses import DEFAULT_MARGINS, MARGIN_SCALE
 from hiersphere.rng import make_rng
 from hiersphere.trainer import MODES
 
@@ -180,7 +182,6 @@ def test_allocation_failure_at_initialisation_is_a_config_error(monkeypatch, kin
     # the allocations are faked to fail: real ones this large could fill memory
     if failing == "anchors":
         monkeypatch.setattr(losses, "init_unit_anchors", _out_of_memory)
-        monkeypatch.setattr(trainer, "init_unit_anchors", _out_of_memory)
     else:
         monkeypatch.setattr(trainer, "init_params", _out_of_memory)
     with pytest.raises(
@@ -409,8 +410,8 @@ def test_baseline_adacos_is_stage1():
 def test_margin_baselines_train(kind):
     data = tiny_dataset()
     cfg = small_train_config(mode=kind, epochs=4)
-    params, state, report = train_baseline(data, cfg)
-    assert state is None
+    params, anchors, report = train_baseline(data, cfg)
+    assert anchors.kind == kind
     assert report.model_tag == kind
     assert len(report.stage1_epoch_losses) == 4
     assert all(math.isfinite(v) for v in report.stage1_epoch_losses)
@@ -468,7 +469,7 @@ def test_baseline_deterministic():
     [(3, 3, 13), (4, 2, 3)],
     ids=["singleton-merge", "triplet-skips"],
 )
-def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subclass, batch_size):
+def test_trainers_match_loop_reference(mode, num_classes, per_subclass, batch_size):
     data = tiny_dataset(num_classes=num_classes, per_subclass_count=per_subclass)
     cfg = small_train_config(
         batch_size=batch_size,
@@ -476,29 +477,19 @@ def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subcl
         mode=mode,
         stage2_learning_rate=1e-3,
     )
-    # the margin baselines return no anchors; record the array the loss sees
-    seen_anchors = []
-    margin_loss = trainer.angular_margin_loss
-
-    def recording_margin_loss(emb, weights, *args):
-        seen_anchors.append(weights)
-        return margin_loss(emb, weights, *args)
-
-    monkeypatch.setattr(trainer, "angular_margin_loss", recording_margin_loss)
     if mode == "two-stage":
-        params, state, report = train_two_stage(data, cfg)
+        params, anchors, report = train_two_stage(data, cfg)
     else:
-        params, state, report = train_baseline(data, cfg)
+        params, anchors, report = train_baseline(data, cfg)
     ref = ref_train(data, cfg, mode)
 
     assert params.step_count == ref["params"].step_count
     # parameters and both Adam moments: the three rows of state
     np.testing.assert_array_equal(params.state, ref["params"].state)
     if mode == "triplet":
-        assert ref["anchors"] is None
+        assert anchors is None and ref["anchors"] is None
     else:
-        anchors = state.weights if state is not None else seen_anchors[-1]
-        np.testing.assert_array_equal(anchors, ref["anchors"])
+        np.testing.assert_array_equal(anchors.weights, ref["anchors"])
     assert report.stage1_epoch_losses == ref["stage1"]
     assert report.stage2_epoch_losses == ref["stage2"]
     assert report.scale_trajectory == ref["scales"]
@@ -506,6 +497,30 @@ def test_trainers_match_loop_reference(monkeypatch, mode, num_classes, per_subcl
     assert report.skipped_batches == ref["skipped"]
     if mode == "triplet" and batch_size == 3:
         assert 0 < report.skipped_batches and 0 < report.steps
+
+
+@pytest.mark.filterwarnings("ignore:batch without any valid triplet")
+@pytest.mark.parametrize("mode", MODES)
+def test_every_trainer_returns_one_model_record(mode):
+    data = tiny_dataset()
+    cfg = small_train_config(mode=mode)
+    model = train_two_stage(data, cfg) if mode == "two-stage" else train_baseline(data, cfg)
+    assert isinstance(model, Model)
+    params, anchors, report = model
+    assert params is model.params and anchors is model.anchors and report is model.report
+    if mode == "triplet":
+        assert anchors is None
+        return
+    np.testing.assert_allclose(np.linalg.norm(anchors.weights, axis=1), 1.0, rtol=0, atol=1e-12)
+    if mode in ("two-stage", "adacos"):
+        # two-stage keeps its stage-1 head, which the adaptive scale trained
+        assert anchors.kind == "adacos"
+        assert anchors.scale == report.scale_trajectory[-1]
+        assert anchors.margin == 0.0
+    else:
+        assert anchors.kind == mode
+        assert anchors.scale == MARGIN_SCALE
+        assert anchors.margin == DEFAULT_MARGINS[mode]
 
 
 @pytest.mark.parametrize("mode", ["two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"])
