@@ -320,7 +320,7 @@ def _cmd_embed(ns) -> _Run:
     emb = embed_all(params, dataset)
     out = _resolve_out(ns.out)
     ids = dataset.ids
-    write_jsonl(out, len(ids), lambda i: {"id": ids[i], "embedding": emb[i].tolist()})
+    write_jsonl(out, len(ids), lambda i: {"id": ids[i], "embedding": emb[i]}, emb)
     print(f"wrote {len(dataset)} embeddings to {out}")
     return _Run({"mnli_label_map": ns.mnli_label_map}, inputs=[ns.model, ns.data], outputs=[out])
 

@@ -14,11 +14,13 @@ test splits drawn from the same config share sub-class structure.
 
 import functools
 import io
+import itertools
 import json
 import math
 import mmap
 import os
 import re
+import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -178,11 +180,16 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
 # Shortest byte range worth a forked child. On a 2-core VM, with orjson
 # decoding lines, a file parsed in two ranges broke even with one range at
 # about 1.5 MiB and took 27 against 38 ms at 4 MiB; with the second core
-# busy, two ranges lost up to 4 MiB and broke even at 6 to 8 MiB.
+# busy, two ranges lost up to 4 MiB and broke even at 6 to 8 MiB. Re-checked
+# with the block reader (21 alternating pairs, medians): two ranges broke
+# even between 1.5 MiB (14.5 against 14.3 ms) and 2 MiB (16.9 against
+# 18.8 ms), and took 27.7 against 36.3 ms at 4 MiB, the smallest file cut,
+# winning 16 of 21 pairs there.
 MIN_RANGE_BYTES = 1 << 21
-# bytes read at a time when counting lines: 256 KiB counted a 64 MB file in 24
-# against 30 ms at 1 MiB, with a quarter of the transient memory
-_COUNT_BLOCK = 1 << 18
+# bytes read at a time, to count lines and to split them: 256 KiB counted a
+# 64 MB file in 24 against 30 ms at 1 MiB, with a quarter of the transient
+# memory
+_READ_BLOCK = 1 << 18
 # a forked child gets copy-on-write pages of a matrix, as from malloc
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
@@ -206,7 +213,7 @@ def _line_count(fh, start: int, end: int) -> int:
     fh.seek(start)
     lines, last = 0, ord("\n")
     while start < end:
-        block = fh.read(min(_COUNT_BLOCK, end - start))
+        block = fh.read(min(_READ_BLOCK, end - start))
         if not block:
             break
         start += len(block)
@@ -218,17 +225,45 @@ def _line_count(fh, start: int, end: int) -> int:
 
 
 def _lines(fh, length: float = math.inf):
-    """(line number, bytes) per line of the next length bytes of the binary
-    file fh, which must end where a line ends; lines split and number as
-    text mode splits them."""
-    pos, lineno = 0, 0
-    for raw in fh:
-        for line in raw.splitlines():
-            lineno += 1
-            yield lineno, line
-        pos += len(raw)
-        if pos >= length:
+    r"""(number of the first line, lines) per block of the next length bytes
+    of the binary file fh, which must end where a line ends; lines split and
+    number as text mode splits them.
+
+    A block is _READ_BLOCK bytes read on to the end of the line they end
+    in, so that no line, and no \r\n, straddles two blocks.
+    """
+    lineno = 1
+    while length > 0:
+        block = fh.read(min(_READ_BLOCK, length))
+        if not block:
             return
+        if block[-1:] != b"\n":
+            block += fh.readline()
+        length -= len(block)
+        lines = _split_lines(block)
+        del block  # the lines copy its bytes: hold one of the two
+        yield lineno, lines
+        lineno += len(lines)
+
+
+def _split_lines(block: bytes) -> list[bytes]:
+    r"""The lines of block as block.splitlines() splits them.
+
+    A block without \r is cut at each \n that bytes.find finds, at memchr's
+    speed, where splitlines looks at every byte: on a 2-core VM, 46 against
+    185 us for 256 KiB of 2.7 KB lines.
+    """
+    if b"\r" in block:
+        return block.splitlines()
+    lines, start, find = [], 0, block.find
+    end = find(b"\n")
+    while end >= 0:
+        lines.append(block[start:end])
+        start = end + 1
+        end = find(b"\n", start)
+    if start < len(block):
+        lines.append(block[start:])
+    return lines
 
 
 def _decode(lineno: int, line: bytes):
@@ -271,9 +306,9 @@ def _orjson_safe(raw: bytes) -> bool:
 _EXACT_TEXT = frozenset((str, int, bool, type(None)))
 
 
-def _records(lines, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
-    """(line number, id, record) per non-blank (line number, bytes) of a JSON
-    Lines file.
+def _records(blocks, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
+    """(line number, id, record) per non-blank line of the (first line
+    number, lines) blocks of a JSON Lines file.
 
     Records must be JSON objects holding fields, which are read as text,
     and arrays, which are read as numbers; the first field is an id no
@@ -288,28 +323,30 @@ def _records(lines, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
     read by either decoder, an integer past 64 bits as orjson's float
     included, convert to the same float64s.
     """
+    required = frozenset(fields + arrays)
     id_lines: dict[str, int] = {}
-    for lineno, line in lines:
-        try:
-            rec = orjson.loads(line) if _orjson_safe(line) else None
-        except orjson.JSONDecodeError:
-            rec = None
-        if type(rec) is not dict or not all(
-            type(rec.get(name)) in _EXACT_TEXT for name in fields
-        ):
-            rec = _decode(lineno, line)
-            if rec is None:
-                continue
-            if not isinstance(rec, dict):
-                raise ParseError(lineno, "record must be a JSON object")
-        for name in fields + arrays:
-            if name not in rec:
-                raise ParseError(lineno, f"missing field {name!r}")
-        rid = str(rec[fields[0]])
-        if rid in id_lines:
-            raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
-        id_lines[rid] = lineno
-        yield lineno, rid, rec
+    for first, lines in blocks:
+        for lineno, line in enumerate(lines, first):
+            try:
+                rec = orjson.loads(line) if _orjson_safe(line) else None
+            except orjson.JSONDecodeError:
+                rec = None
+            if type(rec) is not dict or not _EXACT_TEXT.issuperset(
+                map(type, map(rec.get, fields))
+            ):
+                rec = _decode(lineno, line)
+                if rec is None:
+                    continue
+                if not isinstance(rec, dict):
+                    raise ParseError(lineno, "record must be a JSON object")
+            if not rec.keys() >= required:
+                missing = next(name for name in fields + arrays if name not in rec)
+                raise ParseError(lineno, f"missing field {missing!r}")
+            rid = str(rec[fields[0]])
+            if rid in id_lines:
+                raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
+            id_lines[rid] = lineno
+            yield lineno, rid, rec
 
 
 def _matrix(rows: int, cols: int) -> np.ndarray:
@@ -341,9 +378,9 @@ class _Block:
     soft_scores: list[np.ndarray | None]
 
 
-# Rows whose vectors convert in one np.asarray and one np.isfinite. From 32
-# to 512 rows a 4,000-row file read at one speed within the noise; fewer
-# rows keep fewer decoded lists alive at once.
+# Rows whose vectors convert in one call (_float_rows) and one np.isfinite.
+# From 32 to 512 rows a 4,000-row file read at one speed within the noise;
+# fewer rows keep fewer decoded lists alive at once.
 _CHUNK_ROWS = 16
 _POLARITY_ORDINALS = {p.value: p.ordinal for p in Polarity}
 
@@ -369,6 +406,30 @@ def _vector(lineno: int, vector, dim: int | None) -> np.ndarray:
     return feats
 
 
+def _float_rows(vectors: list, dim: int | None) -> np.ndarray | None:
+    """vectors as rows of width dim (of the first vector's width if dim is
+    None) of a float64 array, converted as np.asarray(vectors,
+    dtype=np.float64) converts them; None if that fails or gives another
+    shape.
+
+    Lists of one length, as orjson decodes vectors, are packed by struct
+    when it takes every number, to the same float64s: on a 2-core VM, 2.6
+    against 4.8 us a row of 128 floats. What struct refuses, such as numeric
+    text or null, numpy converts or rejects."""
+    width = len(vectors[0]) if dim is None and type(vectors[0]) is list else dim
+    if all(type(v) is list and len(v) == width for v in vectors):
+        try:
+            packed = struct.pack(f"{len(vectors) * width}d", *itertools.chain.from_iterable(vectors))
+            return np.frombuffer(packed).reshape(len(vectors), width)
+        except (struct.error, OverflowError):
+            pass
+    try:
+        chunk = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return chunk if chunk.ndim == 2 and dim in (None, chunk.shape[1]) else None
+
+
 class _Rows:
     """The vectors of one range, checked and written a chunk of rows at a
     time into one capacity x d matrix made when the first row is written."""
@@ -389,16 +450,10 @@ class _Rows:
         rows of the expected width, else one row at a time, which raises the
         error a line-by-line reader meets first."""
         pending, self.pending = self.pending, []
-        try:
-            chunk = np.asarray([vector for _, vector in pending], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            chunk = None
-        if (
-            chunk is not None
-            and chunk.ndim == 2
-            and self.dim in (None, chunk.shape[1])
-            and np.isfinite(chunk).all()
-        ):
+        if not pending:
+            return
+        chunk = _float_rows([vector for _, vector in pending], self.dim)
+        if chunk is not None and np.isfinite(chunk).all():
             self._write(chunk)
             return
         for lineno, vector in pending:
@@ -438,9 +493,9 @@ def _parse_range(
     subclass, ids, soft_scores = [], [], []
 
     fh.seek(start)
-    lines = _lines(fh, end - start)
+    records = _records(_lines(fh, end - start), ("id", "class", "polarity"), ("vector",))
     try:
-        for lineno, rid, rec in _records(lines, ("id", "class", "polarity"), ("vector",)):
+        for lineno, rid, rec in records:
             cls = str(rec["class"])
             pol_str = str(rec["polarity"])
             ordinal = ordinals.get(pol_str)
@@ -674,7 +729,48 @@ def _orjson_exact(value) -> bool:
     return kind is int or kind is bool or value is None
 
 
-def write_jsonl(path: str, n: int, record) -> None:
+# rows written at a time: each block of rows is tested, formatted and
+# joined at once, so the writer holds one block of output
+_WRITE_ROWS = 256
+_NUMPY_LINE = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+
+
+def _exact_rows(rows: np.ndarray) -> list[bool]:
+    """Per row of a 2-D array, whether orjson writes the row itself as
+    json.dumps writes its .tolist(): it is a C-contiguous float64 row, and
+    each number in it is 0 or has 1e-4 <= |v| < 1e16 (_orjson_exact's float
+    clause)."""
+    if rows.dtype != np.float64 or not rows.flags.c_contiguous:
+        return [False] * len(rows)
+    mag = np.abs(rows)
+    return ((mag >= 1e-4) & (mag < 1e16) | (rows == 0)).all(axis=1).tolist()
+
+
+def _line(rec, encode) -> bytes:
+    """rec and a newline as json.dumps writes them: by orjson when
+    _orjson_exact allows it and orjson writes it, else by encode."""
+    if _orjson_exact(rec):
+        try:
+            return orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE)
+        except orjson.JSONEncodeError:
+            pass
+    return (encode(rec) + "\n").encode()
+
+
+def _row_line(rec: dict, exact: bool, encode) -> bytes:
+    """_line of rec with each ndarray in it, a matrix row, as its .tolist();
+    orjson takes the row as it is when exact (see _exact_rows)."""
+    if exact and all(
+        _orjson_exact(k) and (type(v) is np.ndarray or _orjson_exact(v)) for k, v in rec.items()
+    ):
+        try:
+            return orjson.dumps(rec, option=_NUMPY_LINE)
+        except orjson.JSONEncodeError:
+            pass
+    return _line({k: v.tolist() if type(v) is np.ndarray else v for k, v in rec.items()}, encode)
+
+
+def write_jsonl(path: str, n: int, record, matrix: np.ndarray | None = None) -> None:
     """Write the JSON objects record(0), ..., record(n - 1) to path, one per
     line, as json.dumps(record, separators=(",", ":")) writes them: floats
     exact via repr, text ASCII with the rest escaped.
@@ -682,37 +778,42 @@ def write_jsonl(path: str, n: int, record) -> None:
     orjson writes a record when _orjson_exact allows it; json writes every
     other record, and one orjson refuses: an integer past 64 bits, a key
     that is not a string, or a number of a type it does not know.
+
+    record(i) may hold matrix[i], row i of a 2-D float array, as one of its
+    values, written as its .tolist() is. One test per block of rows finds
+    the rows orjson writes that way straight from numpy (_exact_rows); the
+    others go through .tolist().
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "wb") as fh:
-        for i in range(n):
-            rec = record(i)
-            if _orjson_exact(rec):
-                try:
-                    fh.write(orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE))
-                    continue
-                except orjson.JSONEncodeError:
-                    pass
-            fh.write((encode(rec) + "\n").encode())
+        for start in range(0, n, _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, n)
+            if matrix is None:
+                lines = [_line(record(i), encode) for i in range(start, stop)]
+            else:
+                exact = _exact_rows(matrix[start:stop])
+                lines = [_row_line(record(i), ok, encode) for i, ok in zip(range(start, stop), exact)]
+            fh.write(b"".join(lines))
 
 
 def save_jsonl(path: str, dataset: Dataset) -> None:
     """Inverse of load_jsonl; floats round-trip exactly via repr."""
     subclass = dataset.subclass.tolist()
     soft_scores = dataset.soft_scores or [None] * len(dataset)
+    features = dataset.features
 
     def record(i: int) -> dict:
         rec = {
             "id": dataset.ids[i],
             "class": dataset.class_names[subclass[i] // 3],
             "polarity": Polarity.from_ordinal(subclass[i] % 3).value,
-            "vector": dataset.features[i].tolist(),
+            "vector": features[i],
         }
         if soft_scores[i] is not None:
             rec["scores"] = soft_scores[i].tolist()
         return rec
 
-    write_jsonl(path, len(dataset), record)
+    write_jsonl(path, len(dataset), record, features)
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

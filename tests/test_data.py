@@ -826,19 +826,32 @@ def chunked_documents(draw):
     return _chunked_document(chunk, rows, class_names, damage)
 
 
+# bytes the reader reads at a time: a few, so that lines and chunks straddle
+# blocks everywhere, and the package's own
+READ_BLOCKS = (1, 2, 7, 64, data_module._READ_BLOCK)
+
+
 # two errors of different kinds in one chunk, in both orders
-@example(_chunked_document(3, _plain_rows(11), None, [(3, "nan"), (5, "polarity")]), 1, None)
-@example(_chunked_document(3, _plain_rows(11), None, [(3, "polarity"), (5, "nan")]), 2, None)
-@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "ragged"), (5, "class")]), 1, None)
-@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "class"), (5, "ragged")]), 1, None)
-@example(_chunked_document(3, _plain_rows(11), None, [(2, "scores"), (3, "duplicate-id")]), 1, 2)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "nan"), (5, "polarity")]), 1, None,
+         data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "polarity"), (5, "nan")]), 2, None,
+         data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "ragged"), (5, "class")]), 1, None,
+         data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), ["a"], [(3, "class"), (5, "ragged")]), 1, None,
+         data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), None, [(2, "scores"), (3, "duplicate-id")]), 1, 2,
+         data_module._READ_BLOCK)
 # a whole chunk that converts but is not 2-D, or is 2-D of another width
-@example(_chunked_document(3, _plain_rows(11), None, [(3, "nested")]), 1, None)
-@example(_chunked_document(3, _plain_rows(11), None, [(0, "wide")]), 1, 2)
-@example(_chunked_document(3, _plain_rows(11), None, [(3, "wide")]), 1, None)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "nested")]), 1, None,
+         data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), None, [(0, "wide")]), 1, 2, data_module._READ_BLOCK)
+@example(_chunked_document(3, _plain_rows(11), None, [(3, "wide")]), 1, None,
+         data_module._READ_BLOCK)
 @settings(max_examples=300, deadline=None)
-@given(chunked_documents(), st.integers(1, 3), st.sampled_from((None, 2)))
-def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected_dim):
+@given(chunked_documents(), st.integers(1, 3), st.sampled_from((None, 2)),
+       st.sampled_from(READ_BLOCKS))
+def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected_dim, read_block):
     text, class_names, chunk = document
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.jsonl")
@@ -852,23 +865,86 @@ def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected
             want = exc
         with cut_into(ranges), pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_module, "_CHUNK_ROWS", chunk)
+            mp.setattr(data_module, "_READ_BLOCK", read_block)
             try:
                 got = load_jsonl(path, expected_dim=expected_dim, class_names=class_names)
             except HiersphereError as exc:
                 got = exc
+    _assert_reads_as(got, want)
+
+
+def _assert_reads_as(got, want):
+    """got, load_jsonl's Dataset or error, equals want, ref_parse_range's
+    _Block or error: same rows, bit for bit, or same error type and text."""
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert not isinstance(got, Exception), got
     n = len(want.ids)
-    assert got.features.shape == (n, 2)
-    assert got.features.tobytes() == want.features[:n].tobytes()
+    if want.features is None:
+        assert got.features.shape[0] == 0
+    else:
+        assert got.features.shape == (n, want.features.shape[1])
+        assert got.features.tobytes() == want.features[:n].tobytes()
     assert got.subclass.tolist() == want.subclass
     assert got.ids == want.ids and got.class_names == want.class_names
     assert len(got.soft_scores) == n
     for soft, want_soft in zip(got.soft_scores, want.soft_scores):
         assert (soft is None) == (want_soft is None)
         assert soft is None or soft.tobytes() == want_soft.tobytes()
+
+
+def _boundary_document(kind, read_block, bad):
+    """A document that opens with a blank line of read_block - 1 spaces, so
+    that its line end starts on the last byte of the first read block, then
+    holds four {id, class, polarity, vector, text} records with line ends of
+    the given kind; the last record repeats the first one's id if bad. The
+    first "long-line" record is longer than a block, and a "newlines-only"
+    document holds line ends alone."""
+    if kind == "newlines-only":
+        return b"\n" * 70 + b"\r\n\r\n\r"
+    records = [{"id": f"r{i}", "class": "ab"[i % 2], "polarity": "negative",
+                "vector": [0.5, -i], "text": "words é"} for i in range(4)]
+    if bad:
+        records[-1]["id"] = "r0"
+    lines = [" " * (read_block - 1)] + [json.dumps(rec) for rec in records]
+    if kind == "long-line":  # spaces after the opening brace keep the record
+        lines[1] = "{" + " " * read_block + lines[1][1:]
+    ends = {
+        "crlf": ["\r\n"] * 5,
+        "lone-cr": ["\r"] * 5,
+        "blank-lines": ["\n\n", "\r\n\r\n", "\r\r", "\n\r\n", "\n"],
+        "no-final-newline": ["\n"] * 4 + [""],
+        "long-line": ["\n"] * 5,
+    }[kind]
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["valid", "duplicate-id"])
+@pytest.mark.parametrize(
+    "kind", ["crlf", "lone-cr", "blank-lines", "no-final-newline", "long-line", "newlines-only"]
+)
+@pytest.mark.parametrize("read_block", READ_BLOCKS)
+def test_lines_across_read_blocks_read_as_the_reference(tmp_path, read_block, kind, bad):
+    text = _boundary_document(kind, read_block, bad)
+    path = str(tmp_path / "d.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    try:
+        with open(path, "rb") as fh:
+            want = ref_parse_range(fh, 0, len(text), len(text.splitlines()) + 1, None, False, None)
+    except HiersphereError as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_READ_BLOCK", read_block)
+        for ranges in (1, 2):
+            with cut_into(ranges):
+                try:
+                    got = load_jsonl(path)
+                except HiersphereError as exc:
+                    got = exc
+            _assert_reads_as(got, want)
+        assert _outcome(lambda: load_texts(path)) == _outcome(lambda: ref_load_texts(path))
 
 
 # ------------------------------------------------------------ record decoder
@@ -1150,6 +1226,63 @@ def test_write_jsonl_refuses_what_json_dumps_refuses(tmp_path, value):
         json.dumps(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
         write_jsonl(str(tmp_path / "got.jsonl"), 1, lambda i: {"v": value})
+
+
+def _edge_matrix():
+    """Rows holding one of EDGE_FLOATS each beside numbers orjson prints as
+    repr does, a row of zeros of both signs, and a row of in-range numbers."""
+    rows = [[v, 0.5, -3.25] for v in EDGE_FLOATS]
+    rows += [[0.0, -0.0, 0.0], [1e-4, math.nextafter(1e16, 0.0), -0.1]]
+    return np.array(rows)
+
+
+WRITER_MATRICES = {
+    "edge-floats": _edge_matrix(),
+    "fortran-ordered": np.asfortranarray(_edge_matrix()),
+    "no-rows": np.empty((0, 3)),
+    "unit-rows": np.random.default_rng(0).standard_normal((40, 8)) / math.sqrt(8),
+}
+
+
+def _printed_as_repr(values):
+    return all(v == 0 or 1e-4 <= abs(v) < 1e16 for v in values)
+
+
+@pytest.mark.parametrize("scores", [False, True], ids=["vector", "vector-and-scores"])
+@pytest.mark.parametrize("name", WRITER_MATRICES)
+def test_write_jsonl_matrix_rows_write_the_bytes_of_json_dumps(tmp_path, monkeypatch, name, scores):
+    matrix = WRITER_MATRICES[name]
+    n = len(matrix)
+    ids = [f"r{i}" + ("", "\u00e9", "\x7f")[i % 3] for i in range(n)]
+
+    soft = [[EDGE_FLOATS[i % len(EDGE_FLOATS)], 0.5] if scores else [] for i in range(n)]
+
+    def record(i, row):
+        rec = {"id": ids[i], "vector": row}
+        if scores:
+            rec["scores"] = soft[i]
+        return rec
+
+    listed, real_line = [], data_module._line
+
+    def line(rec, encode):
+        listed.append(rec["id"])
+        return real_line(rec, encode)
+
+    monkeypatch.setattr(data_module, "_WRITE_ROWS", 7)
+    monkeypatch.setattr(data_module, "_line", line)
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_jsonl(str(got), n, lambda i: record(i, matrix[i]), matrix)
+    ref_write_jsonl(str(want), (record(i, matrix[i].tolist()) for i in range(n)))
+    assert got.read_bytes() == want.read_bytes()
+    # orjson takes a C-contiguous row as it is when the whole record prints
+    # as json.dumps prints it; every other row goes through .tolist()
+    straight = [
+        rid for rid, row, row_soft in zip(ids, matrix.tolist(), soft)
+        if matrix.flags.c_contiguous and _printed_as_repr(row + row_soft)
+        and rid.isascii() and rid.isprintable()
+    ]
+    assert sorted(listed) == sorted(set(ids) - set(straight))
 
 
 # -------------------------------------------------------------------- dedup
