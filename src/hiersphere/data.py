@@ -14,7 +14,6 @@ test splits drawn from the same config share sub-class structure.
 
 import functools
 import io
-import itertools
 import json
 import math
 import mmap
@@ -30,7 +29,6 @@ import orjson
 from .errors import (
     DimensionMismatchError,
     EmptyCorpusError,
-    HiersphereError,
     InvalidConfigError,
     ParseError,
     UnknownPolarityError,
@@ -378,10 +376,6 @@ class _Block:
     soft_scores: list[np.ndarray | None]
 
 
-# Rows whose vectors convert in one call (_float_rows) and one np.isfinite.
-# From 32 to 512 rows a 4,000-row file read at one speed within the noise;
-# fewer rows keep fewer decoded lists alive at once.
-_CHUNK_ROWS = 16
 _POLARITY_ORDINALS = {p.value: p.ordinal for p in Polarity}
 
 
@@ -406,65 +400,41 @@ def _vector(lineno: int, vector, dim: int | None) -> np.ndarray:
     return feats
 
 
-def _float_rows(vectors: list, dim: int | None) -> np.ndarray | None:
-    """vectors as rows of width dim (of the first vector's width if dim is
-    None) of a float64 array, converted as np.asarray(vectors,
-    dtype=np.float64) converts them; None if that fails or gives another
-    shape.
-
-    Lists of one length, as orjson decodes vectors, are packed by struct
-    when it takes every number, to the same float64s: on a 2-core VM, 2.6
-    against 4.8 us a row of 128 floats. What struct refuses, such as numeric
-    text or null, numpy converts or rejects."""
-    width = len(vectors[0]) if dim is None and type(vectors[0]) is list else dim
-    if all(type(v) is list and len(v) == width for v in vectors):
-        try:
-            packed = struct.pack(f"{len(vectors) * width}d", *itertools.chain.from_iterable(vectors))
-            return np.frombuffer(packed).reshape(len(vectors), width)
-        except (struct.error, OverflowError):
-            pass
-    try:
-        chunk = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return chunk if chunk.ndim == 2 and dim in (None, chunk.shape[1]) else None
-
-
 class _Rows:
-    """The vectors of one range, checked and written a chunk of rows at a
-    time into one capacity x d matrix made when the first row is written."""
+    """The vectors of one range, each checked and written as its row is read
+    into one capacity x d matrix made when the first row is written.
+
+    The first row goes through _vector, which fixes d. struct packs each
+    later list straight into the matrix, to the float64s numpy converts it
+    to, and the row stands if its sum is finite, which it is unless one of
+    its numbers is not or they overflow together. A row that struct refuses
+    (another length, text, null, a nested list, an integer past the float
+    range) or whose sum is not finite goes through _vector, which decides
+    what a vector may hold and words the error. On a 2-core VM a row of 128
+    floats took 2.5 us this way, against 5.6 us through _vector."""
 
     def __init__(self, capacity: int, dim: int | None):
         self.capacity, self.dim = capacity, dim
         self.features = None
+        self.row = None  # the struct.Struct of one row, once d is known
         self.written = 0
-        self.pending = []  # (line number, vector) per row read but not written
 
     def add(self, lineno: int, vector) -> None:
-        self.pending.append((lineno, vector))
-        if len(self.pending) == _CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write the pending rows: as one chunk when they convert to finite
-        rows of the expected width, else one row at a time, which raises the
-        error a line-by-line reader meets first."""
-        pending, self.pending = self.pending, []
-        if not pending:
-            return
-        chunk = _float_rows([vector for _, vector in pending], self.dim)
-        if chunk is not None and np.isfinite(chunk).all():
-            self._write(chunk)
-            return
-        for lineno, vector in pending:
-            self._write(_vector(lineno, vector, self.dim)[None])
-
-    def _write(self, rows: np.ndarray) -> None:
-        if self.features is None:
-            self.dim = rows.shape[1]
+        if self.row is not None and type(vector) is list:
+            try:
+                self.row.pack_into(self.features, self.row.size * self.written, *vector)
+                if math.isfinite(sum(vector)):
+                    self.written += 1
+                    return
+            except (struct.error, OverflowError):  # a sum of integers past the float range too
+                pass
+        feats = _vector(lineno, vector, self.dim)
+        if self.row is None:
+            self.dim = feats.shape[0]
             self.features = _matrix(self.capacity, self.dim)
-        self.features[self.written : self.written + len(rows)] = rows
-        self.written += len(rows)
+            self.row = struct.Struct(f"{self.dim}d")
+        self.features[self.written] = feats
+        self.written += 1
 
 
 def _parse_range(
@@ -479,10 +449,8 @@ def _parse_range(
     """Records in bytes [start, end) of the binary file fh, rows written into
     one capacity x d matrix; line numbers count from the range's first line.
 
-    Vectors are checked a chunk at a time, every other field as its line is
-    read. Before an error leaves the loop, the rows still pending are checked
-    one at a time, so the error raised is the one a line-by-line reader
-    meets first.
+    Every field of a record, its vector included, is checked as its line is
+    read, so the error raised is the one a line-by-line reader meets first.
     """
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
@@ -494,36 +462,30 @@ def _parse_range(
 
     fh.seek(start)
     records = _records(_lines(fh, end - start), ("id", "class", "polarity"), ("vector",))
-    try:
-        for lineno, rid, rec in records:
-            cls = str(rec["class"])
-            pol_str = str(rec["polarity"])
-            ordinal = ordinals.get(pol_str)
-            if ordinal is None:
-                raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}")
-            # a line-by-line reader checks the vector here
-            rows.add(lineno, rec["vector"])
+    for lineno, rid, rec in records:
+        cls = str(rec["class"])
+        pol_str = str(rec["polarity"])
+        ordinal = ordinals.get(pol_str)
+        if ordinal is None:
+            raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}")
+        rows.add(lineno, rec["vector"])
 
-            if cls not in class_ids:
-                if vocabulary_fixed:
-                    raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
-                class_ids[cls] = len(class_ids)
-            scores = rec.get("scores")
-            try:
-                soft = None if scores is None else np.asarray(scores, dtype=np.float64)
-            except OverflowError:
-                raise ParseError(lineno, "scores must hold finite numbers") from None
-            except (TypeError, ValueError):
-                raise ParseError(lineno, "scores must hold numbers") from None
-            if soft is not None and not np.isfinite(soft).all():
-                raise ParseError(lineno, "scores must hold finite numbers")
-            subclass.append(3 * class_ids[cls] + ordinal)
-            ids.append(rid)
-            soft_scores.append(soft)
-        rows.flush()
-    except Exception:
-        rows.flush()  # an earlier row's vector error comes first
-        raise
+        if cls not in class_ids:
+            if vocabulary_fixed:
+                raise ParseError(lineno, f"class {cls!r} is not one of the known classes")
+            class_ids[cls] = len(class_ids)
+        scores = rec.get("scores")
+        try:
+            soft = None if scores is None else np.asarray(scores, dtype=np.float64)
+        except OverflowError:
+            raise ParseError(lineno, "scores must hold finite numbers") from None
+        except (TypeError, ValueError):
+            raise ParseError(lineno, "scores must hold numbers") from None
+        if soft is not None and not np.isfinite(soft).all():
+            raise ParseError(lineno, "scores must hold finite numbers")
+        subclass.append(3 * class_ids[cls] + ordinal)
+        ids.append(rid)
+        soft_scores.append(soft)
     return _Block(rows.features, ids, subclass, list(class_ids), soft_scores)
 
 
@@ -556,10 +518,12 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
     every line: this process counts the lines of its range, each child those
     of its own.
 
-    None when a fork or a range fails, a child dies or writes short, a
-    range's vectors differ in width from the first range's, or an id repeats
-    across ranges; the caller then parses the whole file in one range, which
-    raises the error a reader going line by line meets first.
+    The first range starts at line 1, so its first error is the file's
+    first, and is raised as it is. None when a fork fails, the first range
+    holds no record, a child fails, dies or writes short, a range's vectors
+    differ in width from the first range's, or an id repeats across ranges;
+    the caller then parses the whole file in one range, which raises the
+    error a reader going line by line meets first.
     """
     jobs = [functools.partial(_count_and_send, path, parse, *span) for span in ranges[1:]]
     with forked(jobs) as pipes:
@@ -571,10 +535,7 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
             if len(count) < 8:
                 return None
             capacity += int.from_bytes(count, "little")
-        try:
-            block = parse(fh, *ranges[0], capacity)
-        except HiersphereError:
-            return None
+        block = parse(fh, *ranges[0], capacity)
         if block.features is None:
             return None
         features, ids, soft_scores = block.features, block.ids, block.soft_scores
@@ -619,10 +580,12 @@ def load_jsonl(
     as 1e999 are rejected), lines must be UTF-8 and ids must be unique;
     errors carry the 1-based offending line number.
 
-    A file of at least 2 * MIN_RANGE_BYTES is cut at line starts into up to
+    Each record, its vector included, is checked as its line is read. A
+    file of at least 2 * MIN_RANGE_BYTES is cut at line starts into up to
     one range per usable CPU; this process parses the first while forked
-    children parse the rest. The result, and any error, is that of parsing
-    the file line by line.
+    children parse the rest. An error in the first range is raised as it
+    is; the result, and any other error, is that of parsing the file line
+    by line.
     """
     parse = functools.partial(
         _parse_range,

@@ -90,6 +90,10 @@ class TrainConfig:
             raise InvalidConfigError(f"t must lie in [0, 1], got {self.t}")
         if self.mode not in MODES:
             raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.embed_dim < 1:
+            raise InvalidConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise InvalidConfigError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
         _check_seed(self.seed)
         # each comparison is false for NaN, so NaN fails these checks
         if not 0 <= self.triplet_margin < math.inf:

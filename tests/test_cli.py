@@ -399,6 +399,8 @@ BAD_SETTINGS = {
                           "learning_rate must be a positive finite number, got nan"),
     "hidden-dims": (["--hidden-dims", "8,x"], "invalid training config: hidden_dims must be "
                     'comma-separated integers such as "128,64", got \'8,x\''),
+    "hidden-width": (["--hidden-dims", "0"], "hidden_dims widths must be >= 1, got (0,)"),
+    "embed-dim": (["--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
 }
 
 

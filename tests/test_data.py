@@ -724,6 +724,30 @@ def test_failed_child_gives_the_serial_result_and_is_reaped(tmp_path, monkeypatc
     assert parent_parses[1:] == ([] if delivered else [(0, os.path.getsize(path))])
 
 
+def test_error_in_the_first_range_is_raised_without_a_second_parse(tmp_path, monkeypatch, forks):
+    path = tmp_path / "d.jsonl"
+    _sample_file(path, 300, dim=8)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[20] = lines[20].replace(b'"positive"', b'"sideways"')
+    path.write_bytes(b"".join(lines))
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh, pytest.raises(UnknownPolarityError) as want:
+        ref_parse_range(fh, 0, size, len(lines), None, False, None)
+    parent_parses, real_parse = [], data_module._parse_range
+
+    def parse(*args, **kwargs):
+        parent_parses.append(args[1:3])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(data_module, "_parse_range", parse)
+    with deadline(60), cut_into(2), pytest.raises(UnknownPolarityError) as got:
+        load_jsonl(str(path))
+    assert str(got.value) == str(want.value) == "line 21: unknown polarity 'sideways'"
+    # the child parsed the second range; this process parsed only the first
+    assert len(forks) == 1
+    assert len(parent_parses) == 1 and parent_parses[0][0] == 0 and parent_parses[0][1] < size
+
+
 def test_parent_counts_the_lines_of_its_own_range_only(tmp_path, monkeypatch, forks):
     path = str(tmp_path / "d.jsonl")
     _sample_file(path, 300, dim=8)
@@ -744,13 +768,18 @@ def test_parent_counts_the_lines_of_its_own_range_only(tmp_path, monkeypatch, fo
 
 # ------------------------------------------------------- chunked vector reads
 
-# damage to one field of one row; "numeric" and "bool" vectors convert, and
-# an unknown class is an error only under a fixed vocabulary
+# damage to one field of one row; "numeric", "bool", "sum-overflow" and
+# "past-2**53" vectors convert, and an unknown class is an error only under a
+# fixed vocabulary
 ROW_DAMAGE = {
     "null": ("vector", "[null, 0.5]"),
     "overflow": ("vector", "[1e999, 0.5]"),
     "nan": ("vector", "[NaN, 0.5]"),
     "ragged": ("vector", "[0.5, 0.5, 0.5]"),
+    "empty": ("vector", "[]"),
+    # finite numbers whose sum is not, and an integer that rounds to float64
+    "sum-overflow": ("vector", "[1.7e308, 1.7e308]"),
+    "past-2**53": ("vector", "[9007199254740993, 0.5]"),
     "numeric": ("vector", '["0.25", "-1e3"]'),
     "bool": ("vector", "[true, false]"),
     "text": ("vector", '["x", 0.5]'),
@@ -864,7 +893,6 @@ def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected
         except HiersphereError as exc:
             want = exc
         with cut_into(ranges), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_module, "_CHUNK_ROWS", chunk)
             mp.setattr(data_module, "_READ_BLOCK", read_block)
             try:
                 got = load_jsonl(path, expected_dim=expected_dim, class_names=class_names)
@@ -958,6 +986,8 @@ DECODER_DIVERGENCES = {
     "big-int-in-a-label-list": {"class": "[100000000000000000000000]"},
     "big-int-text": {"text": "18446744073709551617"},
     "big-int-vector": {"vector": "[18446744073709551617, -1" + "0" * 30 + "]"},
+    # read by the stdlib for its id: exact integers whose sum passes the float range
+    "big-int-sum": {"id": '"r\\ud800"', "vector": "[1" + "0" * 308 + ", 1" + "0" * 308 + "]"},
     "lone-surrogate-id": {"id": '"r\\ud800"'},
     "lone-surrogate-text": {"text": '"a \\udfff b"'},
     "nbsp-line": lambda line: "\u00a0",
