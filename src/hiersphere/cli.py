@@ -368,12 +368,12 @@ def _cmd_eval(ns) -> _Run:
 def _cmd_viz(ns) -> _Run:
     if ns.max_points < 0:
         raise InvalidConfigError(f"--max-points must be >= 0, got {ns.max_points}")
+    rng = make_rng(ns.seed, STREAM_SAMPLING)  # checks the seed before anything is read
     params = load_checkpoint(ns.model)[0]
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
 
     subset = dataset
     if ns.max_points and len(dataset) > ns.max_points:
-        rng = make_rng(ns.seed, STREAM_SAMPLING)
         subset = dataset.take(np.sort(rng.choice(len(dataset), size=ns.max_points, replace=False)))
 
     emb = embed_all(params, subset)

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyCorpusError,
     InvalidConfigError,
+    NonFiniteError,
     ParseError,
     UnknownPolarityError,
     allocating,
@@ -662,121 +663,67 @@ def write_json(path: str, doc, **dump_options) -> None:
     os.replace(tmp, path)
 
 
-def _orjson_exact(value) -> bool:
-    """Whether orjson writes value as json.dumps does, where it writes it
-    at all. It does not for a float below 1e-4 in magnitude (printed
-    positionally) or from 1e16 (an exponent without its sign), NaN and the
-    infinities (null), text that is not ASCII (UTF-8 where json escapes)
-    or holds \\x7f (written as itself), and a type json cannot write, such
-    as a datetime."""
-    kind = type(value)
-    if kind is list:
-        try:
-            # a list of numbers in three passes that run in C: min and max
-            # skip a NaN that does not come first, the sum does not
-            if (
-                min(map(abs, value)) >= 1e-4
-                and max(map(abs, value)) < 1e16
-                and math.isfinite(sum(value))
-            ):
-                return True
-        except (TypeError, ValueError):  # not all numbers, or empty
-            pass
-        return all(map(_orjson_exact, value))
-    if kind is str:
-        return value.isascii() and value.isprintable()
-    if kind is float:
-        return value == 0.0 or 1e-4 <= abs(value) < 1e16
-    if kind is dict:
-        return all(_orjson_exact(k) and _orjson_exact(v) for k, v in value.items())
-    return kind is int or kind is bool or value is None
-
-
-# rows written at a time: each block of rows is tested, formatted and
-# joined at once, so the writer holds one block of output
+# rows written at a time, so the writer holds one block of output
 _WRITE_ROWS = 256
-_NUMPY_LINE = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+# a date goes to the stdlib, which refuses it, rather than out as text
+_ORJSON_LINE = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATETIME
+_STDLIB = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
-def _exact_rows(rows: np.ndarray) -> list[bool]:
-    """Per row of a 2-D array, whether orjson writes the row itself as
-    json.dumps writes its .tolist(): it is a C-contiguous float64 row, and
-    each number in it is 0 or has 1e-4 <= |v| < 1e16 (_orjson_exact's float
-    clause)."""
-    if rows.dtype != np.float64 or not rows.flags.c_contiguous:
-        return [False] * len(rows)
-    mag = np.abs(rows)
-    return ((mag >= 1e-4) & (mag < 1e16) | (rows == 0)).all(axis=1).tolist()
-
-
-def _line(rec, encode) -> bytes:
-    """rec and a newline as json.dumps writes them: by orjson when
-    _orjson_exact allows it and orjson writes it, else by encode."""
-    if _orjson_exact(rec):
-        try:
-            return orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE)
-        except orjson.JSONEncodeError:
-            pass
-    return (encode(rec) + "\n").encode()
-
-
-def _row_line(rec: dict, exact: bool, encode) -> bytes:
-    """_line of rec with each ndarray in it, a matrix row, as its .tolist();
-    orjson takes the row as it is when exact (see _exact_rows)."""
-    if exact and all(
-        _orjson_exact(k) and (type(v) is np.ndarray or _orjson_exact(v)) for k, v in rec.items()
-    ):
-        try:
-            return orjson.dumps(rec, option=_NUMPY_LINE)
-        except orjson.JSONEncodeError:
-            pass
-    return _line({k: v.tolist() if type(v) is np.ndarray else v for k, v in rec.items()}, encode)
+def _line(rec: dict) -> bytes:
+    """rec and a newline as orjson writes them, or as the stdlib does, numpy
+    rows listed, if orjson refuses rec. The stdlib also checks a line that
+    holds null, which may be orjson's NaN or Inf."""
+    try:
+        line = orjson.dumps(rec, option=_ORJSON_LINE)
+        if b"null" not in line:
+            return line
+    except orjson.JSONEncodeError:
+        line = b""
+    try:
+        text = _STDLIB.encode({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in rec.items()})
+    except ValueError as exc:  # NaN or an infinity
+        raise NonFiniteError(f"cannot write a record: {exc}") from None
+    return line or (text + "\n").encode()
 
 
 def write_jsonl(path: str, n: int, record, matrix: np.ndarray | None = None) -> None:
     """Write the JSON objects record(0), ..., record(n - 1) to path, one per
-    line, as json.dumps(record, separators=(",", ":")) writes them: floats
-    exact via repr, text ASCII with the rest escaped.
+    line, each read back by json.loads as its record, floats bit for bit.
 
-    orjson writes a record when _orjson_exact allows it; json writes every
-    other record, and one orjson refuses: an integer past 64 bits, a key
-    that is not a string, or a number of a type it does not know.
-
-    record(i) may hold matrix[i], row i of a 2-D float array, as one of its
-    values, written as its .tolist() is. One test per block of rows finds
-    the rows orjson writes that way straight from numpy (_exact_rows); the
-    others go through .tolist().
+    orjson writes a record, numpy values included; the stdlib writes one
+    orjson refuses, such as a lone surrogate, an integer past 64 bits or a
+    row that is not C-contiguous. A type neither writes raises TypeError, and
+    NaN or an infinity, which JSON lacks, NonFiniteError. record(i) may hold
+    matrix[i], row i of a 2-D float array, checked whole before path is opened.
     """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    if matrix is not None and not np.isfinite(matrix).all():
+        raise NonFiniteError(f"cannot write NaN or Inf to {path}")
     with open(path, "wb") as fh:
         for start in range(0, n, _WRITE_ROWS):
-            stop = min(start + _WRITE_ROWS, n)
-            if matrix is None:
-                lines = [_line(record(i), encode) for i in range(start, stop)]
-            else:
-                exact = _exact_rows(matrix[start:stop])
-                lines = [_row_line(record(i), ok, encode) for i, ok in zip(range(start, stop), exact)]
-            fh.write(b"".join(lines))
+            fh.write(b"".join(_line(record(i)) for i in range(start, min(start + _WRITE_ROWS, n))))
 
 
 def save_jsonl(path: str, dataset: Dataset) -> None:
-    """Inverse of load_jsonl; floats round-trip exactly via repr."""
+    """Inverse of load_jsonl, by write_jsonl. A NaN or an infinity in a
+    feature or a score raises NonFiniteError before path is opened."""
     subclass = dataset.subclass.tolist()
     soft_scores = dataset.soft_scores or [None] * len(dataset)
-    features = dataset.features
+    if any(s is not None and not np.isfinite(s).all() for s in soft_scores):
+        raise NonFiniteError(f"cannot write NaN or Inf to {path}")
 
     def record(i: int) -> dict:
         rec = {
             "id": dataset.ids[i],
             "class": dataset.class_names[subclass[i] // 3],
             "polarity": Polarity.from_ordinal(subclass[i] % 3).value,
-            "vector": features[i],
+            "vector": dataset.features[i],
         }
         if soft_scores[i] is not None:
-            rec["scores"] = soft_scores[i].tolist()
+            rec["scores"] = soft_scores[i]
         return rec
 
-    write_jsonl(path, len(dataset), record, features)
+    write_jsonl(path, len(dataset), record, dataset.features)
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

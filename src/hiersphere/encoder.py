@@ -205,7 +205,10 @@ def _forward_cached(params: EncoderParams, x: np.ndarray, tape: EncoderTape | No
     np.multiply(a, a, out=tape.unit)
     np.add.reduce(tape.unit, axis=1, keepdims=True, out=tape.norms)
     np.sqrt(tape.norms, out=tape.norms)
-    if (tape.norms <= NORM_FLOOR).any():
+    # the norms are below 1.4e154, so their sum is finite if and only if each is
+    if not math.isfinite(np.add.reduce(tape.norms, axis=None)):
+        raise NonFiniteError("encoder output norm is NaN or Inf before normalization")
+    if np.minimum.reduce(tape.norms, axis=None) <= NORM_FLOOR:
         raise ZeroNormError("encoder output collapsed to (near-)zero before normalization")
     np.divide(a, tape.norms, out=tape.unit)
     return tape

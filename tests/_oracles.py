@@ -24,13 +24,19 @@ double-centres the full N x N squared-distance matrix of the points, the
 textbook route that the package replaces with the d x d scatter matrix.
 ref_load_jsonl is the row-at-a-time loader the columnar one replaced.
 
-ref_parse_range and ref_write_jsonl are frozen too: the package's range
-parser as it was before it converted vectors a chunk of rows at a time, and
-its JSON Lines writers as they were before forked children formatted rows.
-ref_records, which ref_parse_range and ref_load_texts read lines through, is
-the package's record reader as it was before orjson decoded lines: every
-line decoded to text and read by the stdlib decoder. The package must give
-the same dataset, error and bytes.
+ref_parse_range is frozen too: the package's range parser as it was before
+it converted vectors a chunk of rows at a time. ref_records, which
+ref_parse_range and ref_load_texts read lines through, is the package's
+record reader as it was before orjson decoded lines: every line decoded to
+text and read by the stdlib decoder. The package must give the same dataset
+and error.
+
+ref_write_jsonl is one json.dumps per record. The package's JSON Lines
+contract is the round trip, each line decoding to its record with floats
+bit for bit, so ref_write_jsonl gives only the bytes it must write where
+orjson prints as json.dumps does (no float below 1e-4 in magnitude but
+zero, none from 1e16 up, and text all printable ASCII) and where it hands a
+record to the stdlib.
 
 ids_of, dataset_of and centroids_of build the package's columnar inputs
 (int sub-class ids, a Dataset, SubclassCentroids) from HierLabel-style
@@ -840,7 +846,8 @@ def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, clas
 def ref_write_jsonl(path, records) -> None:
     """The package's JSON Lines writers (save_jsonl, embed's and dedup's) as
     they were before one helper formatted rows for all three, frozen: one
-    json.dumps per record into a text-mode file."""
+    json.dumps per record into a text-mode file. Floats are written by repr
+    and text that is not ASCII as escapes."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, separators=(",", ":")))

@@ -31,7 +31,7 @@ from hiersphere import (
 from hiersphere import data as data_module
 from hiersphere import losses as losses_module
 from hiersphere.cli import BENCH_DEFAULTS, OUT_DIR_ENV, TRAIN_DEFAULTS, build_parser, run_command
-from hiersphere.data import GeneratorConfig, generate_synthetic, save_jsonl
+from hiersphere.data import GeneratorConfig, generate_synthetic, load_texts, save_jsonl
 
 from _oracles import class_score, ref_write_jsonl
 
@@ -144,10 +144,13 @@ def test_gen_data_non_finite_setting_is_data_error(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train", "viz", "bench", "train-config"])
+@pytest.mark.parametrize(
+    "command",
+    ["gen-data", "train", "viz", "viz-every-point", "viz-missing-model", "bench", "train-config"],
+)
 def test_negative_seed_is_data_error(tmp_path, corpus, trained, capsys, command):
     out = tmp_path / "out"
-    seed = {"gen-data": "-1", "train": "-3", "viz": "-2", "bench": "-1", "train-config": "-1"}[command]
+    seed = {"gen-data": "-1", "train": "-3", "bench": "-1", "train-config": "-1"}.get(command, "-2")
     tiny = TINY_TRAIN_FLAGS[:-2]  # without its --seed
     argv = {
         "gen-data": ["gen-data", "--classes", "2", "--dim", "6", "--per-subclass", "3",
@@ -155,6 +158,13 @@ def test_negative_seed_is_data_error(tmp_path, corpus, trained, capsys, command)
         "train": ["train", "--data", corpus["train"], "--seed", seed, "--out", str(out), *tiny],
         "viz": ["viz", "--model", trained["model"], "--data", corpus["test"], "--seed", seed,
                 "--max-points", "5", "--out", str(out)],
+        # no subsample draws from the seed here, and here the seed must fail
+        # before the missing model does
+        "viz-every-point": ["viz", "--model", trained["model"], "--data", corpus["test"],
+                            "--seed", seed, "--out", str(out)],
+        "viz-missing-model": ["viz", "--model", str(tmp_path / "missing.json"),
+                              "--data", str(tmp_path / "missing.jsonl"), "--seed", seed,
+                              "--max-points", "5", "--out", str(out)],
         "bench": ["bench", "--out-dir", str(out), "--classes", "2", "--dim", "6",
                   "--per-subclass", "3", "--seed", seed],
         "train-config": ["train", "--data", corpus["train"], "--config", str(tmp_path / "c.json"),
@@ -472,7 +482,16 @@ def test_embed_writes_the_bytes_of_the_serial_writer(tmp_path, corpus, trained):
     dataset = load_jsonl(corpus["test"])
     emb = embed_all(load_checkpoint(trained["model"])[0], dataset)
     ref_write_jsonl(str(want), ({"id": rid, "embedding": e.tolist()} for rid, e in zip(dataset.ids, emb)))
-    assert out.read_bytes() == want.read_bytes()
+    lines, want_lines = out.read_bytes().split(b"\n"), want.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == len(want_lines) == len(dataset) + 1
+    for line, want_line, rid, e in zip(lines, want_lines, dataset.ids, emb):
+        rec = json.loads(line)
+        assert rec["id"] == rid
+        assert np.array(rec["embedding"]).tobytes() == e.tobytes()
+        # orjson prints a float as repr does from 1e-4 up; a unit vector
+        # holds none from 1e16 up
+        if ((np.abs(e) >= 1e-4) | (e == 0)).all():
+            assert line == want_line
 
 
 def test_embed_eval_and_viz_manifests_echo_what_they_read(tmp_path, corpus, trained):
@@ -752,15 +771,29 @@ def test_dedup_round_trip(tmp_path, capsys):
 def test_dedup_writes_the_bytes_of_the_serial_writer(tmp_path):
     data, out, want = tmp_path / "texts.jsonl", tmp_path / "kept.jsonl", tmp_path / "want.jsonl"
     texts = [(f"t{i}", f"café {i % 7} naïve \"quoted\" \u65e5\u672c {i % 5}") for i in range(40)]
+    texts += [("ascii", "plain words only"), ("lone", "a lone \ud800 surrogate")]
     with open(data, "w", encoding="utf-8") as fh:
         for tid, text in texts:
-            fh.write(json.dumps({"id": tid, "text": text}, ensure_ascii=False) + "\n")
+            # the lone surrogate can only be written escaped
+            fh.write(json.dumps({"id": tid, "text": text}, ensure_ascii=tid == "lone") + "\n")
     assert run_command(["dedup", "--data", str(data), "--out", str(out)]) == 0
     kept_ids = set(tfidf_dedup(texts)[0])
     kept = [(tid, text) for tid, text in texts if tid in kept_ids]
-    assert 0 < len(kept) < len(texts)
+    assert 0 < len(kept) < len(texts) and {"ascii", "lone"} <= kept_ids
+    assert load_texts(str(out)) == kept
     ref_write_jsonl(str(want), ({"id": tid, "text": text} for tid, text in kept))
-    assert out.read_bytes() == want.read_bytes()
+    lines, want_lines = out.read_bytes().split(b"\n"), want.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == len(want_lines) == len(kept) + 1
+    for line, want_line, (tid, text) in zip(lines, want_lines, kept):
+        assert json.loads(line) == {"id": tid, "text": text}
+        if tid in ("ascii", "lone"):
+            # printable ASCII is written as json.dumps writes it, and the
+            # stdlib writes the text orjson refuses
+            assert line == want_line
+        else:
+            # other text is UTF-8, not \u escapes
+            assert line == json.dumps({"id": tid, "text": text}, ensure_ascii=False,
+                                      separators=(",", ":")).encode()
 
 
 def test_dedup_duplicate_id_is_data_error(tmp_path, capsys):
@@ -1195,6 +1228,28 @@ def test_mnli_label_map_flag_accepts_nli_labels(tmp_path, trained):
     )
     assert code == 0
     assert len(_read_lines(out)) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_model_whose_output_norm_overflows_is_a_numeric_error(tmp_path, corpus, trained, capsys):
+    params = load_checkpoint(trained["model"])[0]
+    for w in params.weights:
+        w[...] = 1e300
+    model = str(tmp_path / "huge.json")
+    save_checkpoint(model, params)
+    runs = {
+        "emb.jsonl": ["embed", "--model", model, "--data", corpus["test"], "--out"],
+        "mae.json": ["eval", "--model", model, "--train", corpus["train"], "--test", corpus["test"],
+                     "--report"],
+        "plot.svg": ["viz", "--model", model, "--data", corpus["test"], "--out"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run_command([*argv, str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numeric error: encoder output norm is NaN or Inf before normalization"
+        )
+        assert not out.exists()
 
 
 def test_degenerate_viz_is_numeric_error(tmp_path, trained, capsys):

@@ -1,6 +1,7 @@
 """Synthetic generator, JSONL ingestion, and tf-idf near-duplicate removal."""
 
 import contextlib
+import dataclasses
 import datetime
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import pickle
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -25,6 +27,7 @@ from hiersphere import (
     GeneratorConfig,
     HiersphereError,
     InvalidConfigError,
+    NonFiniteError,
     ParseError,
     Polarity,
     UnknownPolarityError,
@@ -1164,10 +1167,83 @@ def _float_records(n, dim=5, seed=0):
     return lambda i: {"id": ids[i], "embedding": rows[i].tolist()}
 
 
-def _serial_bytes(tmp_path, n, record):
-    want = tmp_path / "want.jsonl"
-    ref_write_jsonl(str(want), (record(i) for i in range(n)))
-    return want.read_bytes()
+def _listed(value):
+    """value with each numpy array in it as its list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_listed(v) for v in value]
+    return value
+
+
+def _finite(value):
+    """Whether value holds no NaN and no infinity."""
+    value = _listed(value)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _read_back(got, want):
+    """Whether got, a line as json.loads decodes it, is want, the record
+    written: equal, with each float of the same bits and arrays as lists."""
+    if isinstance(want, np.ndarray):
+        want = want.tolist()
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    if isinstance(want, dict):
+        return (type(got) is dict and got.keys() == want.keys()
+                and all(_read_back(got[k], v) for k, v in want.items()))
+    if isinstance(want, list):
+        return type(got) is list and len(got) == len(want) and all(map(_read_back, got, want))
+    return type(got) is type(want) and got == want
+
+
+def _printed_alike(value):
+    """Whether orjson writes value as json.dumps does: no float below 1e-4 in
+    magnitude but zero, none from 1e16 up, and text all printable ASCII."""
+    value = _listed(value)
+    if isinstance(value, float):
+        return value == 0 or 1e-4 <= abs(value) < 1e16
+    if isinstance(value, str):
+        return value.isascii() and value.isprintable()
+    if isinstance(value, dict):
+        return all(map(_printed_alike, value)) and all(map(_printed_alike, value.values()))
+    if isinstance(value, list):
+        return all(map(_printed_alike, value))
+    return True
+
+
+def _refused_by_orjson(value):
+    """Whether value holds text with a lone surrogate or an integer past 64
+    bits, which orjson refuses to write."""
+    if isinstance(value, str):
+        return any("\ud800" <= c <= "\udfff" for c in value)
+    if type(value) is int:
+        return not -(2**63) <= value < 2**64
+    if isinstance(value, dict):
+        return any(map(_refused_by_orjson, value)) or any(map(_refused_by_orjson, value.values()))
+    if isinstance(value, list):
+        return any(map(_refused_by_orjson, value))
+    return False
+
+
+def _check_lines(path, records):
+    """Each line of the file at path decodes by json.loads to its record,
+    floats bit for bit. A record that _printed_alike passes, or that orjson
+    refuses and the stdlib writes, has the bytes of ref_write_jsonl's line."""
+    ref_write_jsonl(f"{path}.want", map(_listed, records))
+    with open(path, "rb") as got, open(f"{path}.want", "rb") as want:
+        lines, want_lines = got.read().split(b"\n"), want.read().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == len(records) + 1
+    for line, want_line, rec in zip(lines, want_lines, records):
+        assert _read_back(json.loads(line), rec)
+        if _printed_alike(rec) or _refused_by_orjson(rec):
+            assert line == want_line
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -1177,7 +1253,7 @@ def test_write_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus, n):
     got = tmp_path / "got.jsonl"
     with deadline(60), using_cpus(cpus):
         write_jsonl(str(got), n, record)
-    assert got.read_bytes() == _serial_bytes(tmp_path, n, record)
+    _check_lines(got, [record(i) for i in range(n)])
     assert forks == []
 
 
@@ -1185,12 +1261,32 @@ def test_write_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus, n):
 def test_save_jsonl_bytes_equal_the_serial_writer(tmp_path, forks, cpus):
     data = generate_synthetic(small_cfg(per_subclass_count=50))
     data.soft_scores = [None if i % 3 else np.array([0.5, -1e-310, i]) for i in range(len(data))]
-    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    got = tmp_path / "got.jsonl"
     with deadline(60), using_cpus(cpus):
         save_jsonl(str(got), data)
-    ref_write_jsonl(str(want), ref_dataset_records(data))
-    assert got.read_bytes() == want.read_bytes()
+    _check_lines(got, list(ref_dataset_records(data)))
+    back = load_jsonl(str(got))
+    assert back.features.tobytes() == data.features.tobytes()
+    assert (back.ids, back.subclass.tolist(), back.class_names) == (
+        data.ids, data.subclass.tolist(), data.class_names
+    )
+    assert [s if s is None else s.tobytes() for s in back.soft_scores] == [
+        s if s is None else s.tobytes() for s in data.soft_scores
+    ]
     assert forks == []
+    # JSON has no NaN or infinity: save_jsonl refuses a feature or score
+    # holding one before it opens the file
+    for bad in (math.nan, math.inf, -math.inf):
+        features = data.features.copy()
+        features[7, 1] = bad
+        scores = list(data.soft_scores)
+        scores[3] = np.array([0.5, bad])
+        for broken in (dataclasses.replace(data, features=features),
+                       dataclasses.replace(data, soft_scores=scores)):
+            path = tmp_path / "bad.jsonl"
+            with pytest.raises(NonFiniteError, match=f"^cannot write NaN or Inf to {path}$"):
+                save_jsonl(str(path), broken)
+            assert not path.exists()
 
 
 def _around(*values):
@@ -1200,7 +1296,7 @@ def _around(*values):
 
 
 # floats at the edges of the range orjson prints as repr does, subnormals,
-# zeros, values near the largest float and the non-finite ones json writes
+# zeros, values near the largest float and the non-finite ones JSON lacks
 EDGE_FLOATS = _around(1e-4, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
 EDGE_FLOATS += [0.0, -0.0, math.nan, math.inf, -math.inf]
 # integers at the edges of the 64 bits orjson writes
@@ -1233,24 +1329,26 @@ json_records = st.dictionaries(
 )
 
 
-# a NaN after a number in range, which min and max pass over; 1e16 after
-# one; a numpy float, which json writes and orjson refuses
+# a NaN after a number in range; 1e16 after one; a numpy float; a lone
+# surrogate and integers past 64 bits, which orjson refuses; a null and the
+# text "null", which the stdlib checks for orjson's NaN
 @example([{"v": [1.0, math.nan]}, {"v": [0.5, math.nan, 2.0]}])
 @example([{"v": [1.0, 1e16]}, {"v": [np.float64(0.5)]}])
+@example([{"\ud800": "a\ud800", "v": [2**64, -(2**63) - 1, 1e-5]}, {"v": None, "t": "null"}])
 @settings(max_examples=400, deadline=None)
 @given(st.lists(json_records, max_size=6))
 def test_write_jsonl_writes_the_bytes_of_json_dumps(records):
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
-        write_jsonl(got, len(records), records.__getitem__)
-        ref_write_jsonl(want, records)
-        with open(got, "rb") as g, open(want, "rb") as w:
-            assert g.read() == w.read()
+        got = os.path.join(tmp, "got.jsonl")
+        if all(map(_finite, records)):
+            write_jsonl(got, len(records), records.__getitem__)
+            _check_lines(got, records)
+        else:
+            with pytest.raises(NonFiniteError, match="^cannot write a record: "):
+                write_jsonl(got, len(records), records.__getitem__)
 
 
-@pytest.mark.parametrize(
-    "value", [datetime.date(2026, 1, 1), [np.float32(0.5)]], ids=["date", "float32"]
-)
+@pytest.mark.parametrize("value", [datetime.date(2026, 1, 1), [1j]], ids=["date", "complex"])
 def test_write_jsonl_refuses_what_json_dumps_refuses(tmp_path, value):
     with pytest.raises(TypeError, match="not JSON serializable"):
         json.dumps(value)
@@ -1274,45 +1372,41 @@ WRITER_MATRICES = {
 }
 
 
-def _printed_as_repr(values):
-    return all(v == 0 or 1e-4 <= abs(v) < 1e16 for v in values)
-
-
 @pytest.mark.parametrize("scores", [False, True], ids=["vector", "vector-and-scores"])
 @pytest.mark.parametrize("name", WRITER_MATRICES)
 def test_write_jsonl_matrix_rows_write_the_bytes_of_json_dumps(tmp_path, monkeypatch, name, scores):
     matrix = WRITER_MATRICES[name]
-    n = len(matrix)
-    ids = [f"r{i}" + ("", "\u00e9", "\x7f")[i % 3] for i in range(n)]
+    ids = [f"r{i}" + ("", "\u00e9", "\x7f")[i % 3] for i in range(len(matrix))]
+    finite_floats = [v for v in EDGE_FLOATS if math.isfinite(v)]
 
-    soft = [[EDGE_FLOATS[i % len(EDGE_FLOATS)], 0.5] if scores else [] for i in range(n)]
-
-    def record(i, row):
-        rec = {"id": ids[i], "vector": row}
+    def record(i, rows):
+        rec = {"id": ids[i], "class": "c", "polarity": "neutral", "vector": rows[i]}
         if scores:
-            rec["scores"] = soft[i]
+            rec["scores"] = [finite_floats[i % len(finite_floats)], 0.5]
         return rec
 
-    listed, real_line = [], data_module._line
-
-    def line(rec, encode):
-        listed.append(rec["id"])
-        return real_line(rec, encode)
-
     monkeypatch.setattr(data_module, "_WRITE_ROWS", 7)
-    monkeypatch.setattr(data_module, "_line", line)
-    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-    write_jsonl(str(got), n, lambda i: record(i, matrix[i]), matrix)
-    ref_write_jsonl(str(want), (record(i, matrix[i].tolist()) for i in range(n)))
-    assert got.read_bytes() == want.read_bytes()
-    # orjson takes a C-contiguous row as it is when the whole record prints
-    # as json.dumps prints it; every other row goes through .tolist()
-    straight = [
-        rid for rid, row, row_soft in zip(ids, matrix.tolist(), soft)
-        if matrix.flags.c_contiguous and _printed_as_repr(row + row_soft)
-        and rid.isascii() and rid.isprintable()
-    ]
-    assert sorted(listed) == sorted(set(ids) - set(straight))
+    path = tmp_path / "rows.jsonl"
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        # a NaN or infinity anywhere in the matrix: refused before the file opens
+        with pytest.raises(NonFiniteError, match=f"^cannot write NaN or Inf to {path}$"):
+            write_jsonl(str(path), len(matrix), lambda i: record(i, matrix), matrix)
+        assert not path.exists()
+    rows = matrix[finite]
+    if not matrix.flags.c_contiguous:
+        rows = np.asfortranarray(rows)
+    records = [record(i, rows) for i in range(len(rows))]
+    write_jsonl(str(path), len(rows), records.__getitem__, rows)
+    _check_lines(path, records)
+    if not rows.flags.c_contiguous:
+        # orjson refuses a row that is not C-contiguous: json.dumps writes each
+        assert path.read_bytes() == (tmp_path / "rows.jsonl.want").read_bytes()
+    back = load_jsonl(str(path))
+    assert back.features.tobytes() == rows.tobytes()
+    assert back.ids == ids[: len(rows)]
+    if scores:
+        assert [s.tolist() for s in back.soft_scores] == [rec["scores"] for rec in records]
 
 
 # -------------------------------------------------------------------- dedup
