@@ -64,7 +64,6 @@ from .losses import (
     angular_margin_loss,
     pair_target_matrix,
     pairwise_cosine_loss,
-    softmax_ce_loss,
 )
 from .rng import make_rng
 from .trainer import (
@@ -139,7 +138,6 @@ __all__ = [
     "predict_all",
     "save_checkpoint",
     "save_jsonl",
-    "softmax_ce_loss",
     "subclass_means",
     "tfidf_dedup",
     "train_baseline",

@@ -126,6 +126,20 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Refuse (flag, resolved path) outputs, the first the run's primary
+    output, of which two name one file, or one names the manifest written
+    beside the first: each would overwrite the other. Unset paths are None."""
+    first, primary = outputs[0]
+    manifest = os.path.splitext(primary)[0] + ".manifest.json"
+    seen = {os.path.realpath(manifest): f"the manifest of {first}"}
+    for flag, path in outputs:
+        if path is not None:
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise InvalidConfigError(f"{flag} and {other} name one file: {path}")
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -214,16 +228,17 @@ def _cmd_gen_data(ns) -> _Run:
 
 
 def _cmd_dedup(ns) -> _Run:
+    out = _resolve_out(ns.out)
+    report_path = _resolve_out(ns.report) if ns.report else None
+    _distinct_outputs(("--out", out), ("--report", report_path))
     texts = load_texts(ns.data)
     kept_ids, removals = tfidf_dedup(texts, threshold=ns.threshold)
 
-    out = _resolve_out(ns.out)
     kept = set(kept_ids)
     rows = [{"id": tid, "text": text} for tid, text in texts if tid in kept]
     write_jsonl(out, len(rows), rows.__getitem__)
     outputs = [out]
-    if ns.report:
-        report_path = _resolve_out(ns.report)
+    if report_path:
         write_json(
             report_path,
             [
@@ -366,9 +381,15 @@ def _cmd_eval(ns) -> _Run:
 
 
 def _cmd_viz(ns) -> _Run:
-    if ns.max_points < 0:
-        raise InvalidConfigError(f"--max-points must be >= 0, got {ns.max_points}")
+    # MDS needs 3 points
+    if ns.max_points < 0 or 0 < ns.max_points < 3:
+        raise InvalidConfigError(
+            f"--max-points must be 0 (every point) or at least 3, got {ns.max_points}"
+        )
     rng = make_rng(ns.seed, STREAM_SAMPLING)  # checks the seed before anything is read
+    out = _resolve_out(ns.out)
+    csv_path = _resolve_out(ns.csv) if ns.csv else None
+    _distinct_outputs(("--out", out), ("--csv", csv_path))
     params = load_checkpoint(ns.model)[0]
     dataset = load_jsonl(ns.data, mnli_label_map=ns.mnli_label_map)
 
@@ -378,8 +399,6 @@ def _cmd_viz(ns) -> _Run:
 
     emb = embed_all(params, subset)
     mds = classical_mds(emb)
-    out = _resolve_out(ns.out)
-    csv_path = _resolve_out(ns.csv) if ns.csv else None
     emit_svg_scatter(
         mds,
         subset.subclass,

@@ -185,11 +185,12 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
 # 18.8 ms), and took 27.7 against 36.3 ms at 4 MiB, the smallest file cut,
 # winning 16 of 21 pairs there.
 MIN_RANGE_BYTES = 1 << 21
-# bytes read at a time, to count lines and to split them: 256 KiB counted a
-# 64 MB file in 24 against 30 ms at 1 MiB, with a quarter of the transient
-# memory
+# bytes read at a time, to split into lines: on a 2-core VM one range of a
+# 48 MB file of 128-float rows parsed in 240 ms at 256 KiB, against 248 ms
+# at 64 KiB and 300 ms at 1 MiB (medians of 9), with 3.1 against 5.3 MB of
+# traced peak memory at 1 MiB
 _READ_BLOCK = 1 << 18
-# a forked child gets copy-on-write pages of a matrix, as from malloc
+# a forked child gets copy-on-write pages of a mapping, as from malloc
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
@@ -203,24 +204,6 @@ def _byte_ranges(fh, size: int, count: int) -> list[tuple[int, int]]:
         if cuts[-1] < fh.tell() < size:
             cuts.append(fh.tell())
     return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _line_count(fh, start: int, end: int) -> int:
-    r"""Lines in bytes [start, end) of fh, split as text mode splits them (at
-    \n, \r\n and a lone \r), counting one more for each \r\n that straddles
-    two read blocks."""
-    fh.seek(start)
-    lines, last = 0, ord("\n")
-    while start < end:
-        block = fh.read(min(_READ_BLOCK, end - start))
-        if not block:
-            break
-        start += len(block)
-        lines += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
-        if b"\r" in block:
-            lines += block.count(b"\r") - block.count(b"\r\n")
-        last = block[-1]
-    return lines + (last not in b"\r\n")
 
 
 def _lines(fh, length: float = math.inf):
@@ -306,8 +289,8 @@ _EXACT_TEXT = frozenset((str, int, bool, type(None)))
 
 
 def _records(blocks, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
-    """(line number, id, record) per non-blank line of the (first line
-    number, lines) blocks of a JSON Lines file.
+    """(line number, line, id, record) per non-blank line of the (first
+    line number, lines) blocks of a JSON Lines file.
 
     Records must be JSON objects holding fields, which are read as text,
     and arrays, which are read as numbers; the first field is an id no
@@ -345,36 +328,7 @@ def _records(blocks, fields: tuple[str, ...], arrays: tuple[str, ...] = ()):
             if rid in id_lines:
                 raise ParseError(lineno, f"duplicate id {rid!r} (first on line {id_lines[rid]})")
             id_lines[rid] = lineno
-            yield lineno, rid, rec
-
-
-def _matrix(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised rows x cols float64 matrix in an anonymous mapping of
-    its own.
-
-    Its pages return to the OS when the last view of it goes, whatever else
-    lies on the heap. A matrix from malloc this large may land on the heap
-    once glibc's mmap threshold has risen, and could then be returned only if
-    nothing live lay above it, so the process's peak memory would hang on the
-    exact sizes of unrelated small allocations.
-    """
-    if rows * cols == 0:
-        return np.empty((rows, cols))
-    buf = mmap.mmap(-1, rows * cols * 8, **_PRIVATE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(rows, cols)
-
-
-@dataclass
-class _Block:
-    """The records of one byte range: rows [0, len(ids)) of features (None
-    when the range holds no record), and per record its id, sub-class id
-    over class_names and soft scores."""
-
-    features: np.ndarray | None
-    ids: list[str]
-    subclass: list[int]
-    class_names: list[str]
-    soft_scores: list[np.ndarray | None]
+            yield lineno, line, rid, rec
 
 
 _POLARITY_ORDINALS = {p.value: p.ordinal for p in Polarity}
@@ -402,28 +356,42 @@ def _vector(lineno: int, vector, dim: int | None) -> np.ndarray:
 
 
 class _Rows:
-    """The vectors of one range, each checked and written as its row is read
-    into one capacity x d matrix made when the first row is written.
+    """The vectors of one byte range of span bytes, each checked and written
+    as its row is read into an anonymous private mapping that grows in place.
 
-    The first row goes through _vector, which fixes d. struct packs each
-    later list straight into the matrix, to the float64s numpy converts it
-    to, and the row stands if its sum is finite, which it is unless one of
-    its numbers is not or they overflow together. A row that struct refuses
-    (another length, text, null, a nested list, an integer past the float
-    range) or whose sum is not finite goes through _vector, which decides
-    what a vector may hold and words the error. On a 2-core VM a row of 128
-    floats took 2.5 us this way, against 5.6 us through _vector."""
+    The first row goes through _vector, which fixes d, and the mapping is
+    made for span // (the length of that row's line) rows. When it is full
+    it doubles by mmap.resize, an mremap that moves page tables and copies
+    no row; where the platform has no mremap, the rows are copied into a new
+    mapping of twice the size. matrix() trims the mapping to the rows
+    written and is its one NumPy view.
 
-    def __init__(self, capacity: int, dim: int | None):
-        self.capacity, self.dim = capacity, dim
-        self.features = None
-        self.row = None  # the struct.Struct of one row, once d is known
-        self.written = 0
+    struct packs each later list straight into the mapping, to the float64s
+    numpy converts it to, and the row stands if its sum is finite, which it
+    is unless one of its numbers is not or they overflow together. A row
+    that struct refuses (another length, text, null, a nested list, an
+    integer past the float range) or whose sum is not finite goes through
+    _vector, which decides what a vector may hold and words the error. On a
+    2-core VM a row of 128 floats took 2.5 us this way, against 5.6 us
+    through _vector.
 
-    def add(self, lineno: int, vector) -> None:
+    A mapping of its own returns its pages to the OS when the last view of
+    it goes, where a matrix that malloc put on the heap is held there by any
+    live allocation above it. A forked child gets copy-on-write pages of it.
+    """
+
+    def __init__(self, span: int, dim: int | None):
+        self.span, self.dim = span, dim
+        self.store = None  # the mapping, once the first row fixes d
+        self.row = None  # the struct.Struct of one row, likewise
+        self.written = self.capacity = 0
+
+    def add(self, lineno: int, vector, line: bytes) -> None:
+        if self.written == self.capacity and self.store is not None:
+            self.resize(2 * self.capacity)
         if self.row is not None and type(vector) is list:
             try:
-                self.row.pack_into(self.features, self.row.size * self.written, *vector)
+                self.row.pack_into(self.store, self.row.size * self.written, *vector)
                 if math.isfinite(sum(vector)):
                     self.written += 1
                     return
@@ -432,23 +400,66 @@ class _Rows:
         feats = _vector(lineno, vector, self.dim)
         if self.row is None:
             self.dim = feats.shape[0]
-            self.features = _matrix(self.capacity, self.dim)
             self.row = struct.Struct(f"{self.dim}d")
-        self.features[self.written] = feats
+            self.resize(max(1, self.span // len(line)))
+        with self.view(self.written, 1) as view:
+            view[:] = feats.tobytes()
         self.written += 1
+
+    def resize(self, capacity: int) -> None:
+        """Make the mapping hold capacity rows, keeping those written; where
+        the platform cannot remap, a shrink keeps the larger mapping."""
+        size = max(capacity * self.row.size, 1)  # a mapping holds at least a byte
+        if self.store is None:
+            self.store = mmap.mmap(-1, size, **_PRIVATE)
+        elif size != len(self.store):
+            try:
+                self.store.resize(size)
+            except SystemError:  # no mremap
+                if size > len(self.store):
+                    grown = mmap.mmap(-1, size, **_PRIVATE)
+                    with self.view(0, self.written) as view:
+                        grown[: len(view)] = view
+                    self.store.close()
+                    self.store = grown
+        self.capacity = capacity
+
+    def view(self, first: int, count: int) -> memoryview:
+        """The bytes of rows [first, first + count) of the mapping, a view
+        to release before the mapping is resized."""
+        return memoryview(self.store)[first * self.row.size : (first + count) * self.row.size]
+
+    def matrix(self) -> np.ndarray | None:
+        """The written rows as a written x d matrix, or None if none was."""
+        if self.store is None:
+            return None
+        self.resize(self.written)
+        features = np.frombuffer(self.store, dtype=np.float64, count=self.written * self.dim)
+        return features.reshape(self.written, self.dim)
+
+
+@dataclass
+class _Block:
+    """The records of one byte range: their vectors, and per record its id,
+    sub-class id over class_names and soft scores."""
+
+    rows: _Rows
+    ids: list[str]
+    subclass: list[int]
+    class_names: list[str]
+    soft_scores: list[np.ndarray | None]
 
 
 def _parse_range(
     fh,
     start: int,
     end: int,
-    capacity: int,
     expected_dim: int | None,
     mnli_label_map: bool,
     class_names: list[str] | None,
 ) -> _Block:
-    """Records in bytes [start, end) of the binary file fh, rows written into
-    one capacity x d matrix; line numbers count from the range's first line.
+    """Records in bytes [start, end) of the binary file fh, each read once;
+    line numbers count from the range's first line.
 
     Every field of a record, its vector included, is checked as its line is
     read, so the error raised is the one a line-by-line reader meets first.
@@ -458,18 +469,18 @@ def _parse_range(
     ordinals = dict(_POLARITY_ORDINALS)
     if mnli_label_map:
         ordinals.update((k, _POLARITY_ORDINALS[v]) for k, v in MNLI_LABEL_MAP.items())
-    rows = _Rows(capacity, expected_dim)
+    rows = _Rows(end - start, expected_dim)
     subclass, ids, soft_scores = [], [], []
 
     fh.seek(start)
     records = _records(_lines(fh, end - start), ("id", "class", "polarity"), ("vector",))
-    for lineno, rid, rec in records:
+    for lineno, line, rid, rec in records:
         cls = str(rec["class"])
         pol_str = str(rec["polarity"])
         ordinal = ordinals.get(pol_str)
         if ordinal is None:
             raise UnknownPolarityError(lineno, f"unknown polarity {pol_str!r}")
-        rows.add(lineno, rec["vector"])
+        rows.add(lineno, rec["vector"], line)
 
         if cls not in class_ids:
             if vocabulary_fixed:
@@ -487,37 +498,28 @@ def _parse_range(
         subclass.append(3 * class_ids[cls] + ordinal)
         ids.append(rid)
         soft_scores.append(soft)
-    return _Block(rows.features, ids, subclass, list(class_ids), soft_scores)
+    return _Block(rows, ids, subclass, list(class_ids), soft_scores)
 
 
-def _send_range(path: str, parse, start: int, end: int, capacity: int, fd: int) -> None:
+def _send_range(path: str, parse, start: int, end: int, fd: int) -> None:
     """In a forked child: parse one range of path and write it to the pipe fd
     as its header, by write_pickle, then the raw rows."""
     with open(path, "rb") as fh:
-        block = parse(fh, start, end, capacity)
-    n = len(block.ids)
-    dim = None if block.features is None else block.features.shape[1]
-    header = (n, dim, block.ids, block.class_names, block.subclass, block.soft_scores)
+        block = parse(fh, start, end)
+    n, rows = len(block.ids), block.rows
+    header = (n, rows.dim, block.ids, block.class_names, block.subclass, block.soft_scores)
     with open(fd, "wb") as out:
         write_pickle(out, header)
         if n:
-            out.write(memoryview(block.features[:n]).cast("B"))
-
-
-def _count_and_send(path: str, parse, start: int, end: int, fd: int) -> None:
-    """In a forked child: write the line count of bytes [start, end) of path
-    to the pipe fd as 8 bytes, then send the range as _send_range does."""
-    with open(path, "rb") as fh:
-        capacity = _line_count(fh, start, end)
-    os.write(fd, capacity.to_bytes(8, "little"))
-    _send_range(path, parse, start, end, capacity, fd)
+            with rows.view(0, n) as view:
+                out.write(view)
 
 
 def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
     """Parse ranges[0] of the file fh opened at path here and every other
-    range in a forked child, with all rows landing in one matrix sized for
-    every line: this process counts the lines of its range, each child those
-    of its own.
+    range in a forked child. This process's rows grow in place as it parses
+    its range; then its mapping is resized to the rows every child's header
+    gives, and each child's rows are read into place.
 
     The first range starts at line 1, so its first error is the file's
     first, and is raised as it is. None when a fork fails, the first range
@@ -526,32 +528,26 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
     the caller then parses the whole file in one range, which raises the
     error a reader going line by line meets first.
     """
-    jobs = [functools.partial(_count_and_send, path, parse, *span) for span in ranges[1:]]
+    jobs = [functools.partial(_send_range, path, parse, *span) for span in ranges[1:]]
     with forked(jobs) as pipes:
         if None in pipes:
             return None
-        capacity = _line_count(fh, *ranges[0])
-        for pipe in pipes:
-            count = pipe.read(8)
-            if len(count) < 8:
-                return None
-            capacity += int.from_bytes(count, "little")
-        block = parse(fh, *ranges[0], capacity)
-        if block.features is None:
+        block = parse(fh, *ranges[0])
+        rows, ids, soft_scores = block.rows, block.ids, block.soft_scores
+        if rows.store is None:
             return None
-        features, ids, soft_scores = block.features, block.ids, block.soft_scores
+        headers = [read_pickle(pipe) for pipe in pipes]
+        # a range of blank lines has no rows, whatever its width
+        if None in headers or any(n and dim != rows.dim for n, dim, *_ in headers):
+            return None
+        rows.resize(rows.written + sum(header[0] for header in headers))
         class_ids = {name: i for i, name in enumerate(block.class_names)}
         subclass = [np.asarray(block.subclass, dtype=np.int64)]
-        for pipe in pipes:
-            header = read_pickle(pipe)
-            if header is None:
-                return None
-            n, dim, range_ids, range_names, range_subclass, range_soft = header
-            # a range of blank lines sends no rows: an empty view cannot be cast
-            if n:
-                rows = memoryview(features[len(ids) : len(ids) + n]).cast("B")
-                if dim != features.shape[1] or pipe.readinto(rows) != rows.nbytes:
+        for pipe, (n, _, range_ids, range_names, range_subclass, range_soft) in zip(pipes, headers):
+            with rows.view(rows.written, n) as view:
+                if pipe.readinto(view) != len(view):
                     return None
+            rows.written += n
             # range-local class ids to ids in first-appearance order over the file
             local = np.asarray(range_subclass, dtype=np.int64)
             to_global = np.array(
@@ -563,7 +559,7 @@ def _parse_ranges(path: str, fh, parse, ranges) -> _Block | None:
             soft_scores += range_soft
         if len(set(ids)) != len(ids):
             return None
-        return _Block(features, ids, np.concatenate(subclass), list(class_ids), soft_scores)
+        return _Block(rows, ids, np.concatenate(subclass), list(class_ids), soft_scores)
 
 
 def load_jsonl(
@@ -581,12 +577,12 @@ def load_jsonl(
     as 1e999 are rejected), lines must be UTF-8 and ids must be unique;
     errors carry the 1-based offending line number.
 
-    Each record, its vector included, is checked as its line is read. A
-    file of at least 2 * MIN_RANGE_BYTES is cut at line starts into up to
-    one range per usable CPU; this process parses the first while forked
-    children parse the rest. An error in the first range is raised as it
-    is; the result, and any other error, is that of parsing the file line
-    by line.
+    Each record, its vector included, is checked as its line is read, in
+    one pass over its range: no pass counts lines first. A file of at least
+    2 * MIN_RANGE_BYTES is cut at line starts into up to one range per
+    usable CPU; this process parses the first while forked children parse
+    the rest. An error in the first range is raised as it is; the result,
+    and any other error, is that of parsing the file line by line.
     """
     parse = functools.partial(
         _parse_range,
@@ -602,11 +598,11 @@ def load_jsonl(
         ranges = _byte_ranges(fh, size, count)
         block = _parse_ranges(path, fh, parse, ranges) if len(ranges) > 1 else None
         if block is None:
-            block = parse(fh, 0, size, _line_count(fh, 0, size))
+            block = parse(fh, 0, size)
 
-    n = len(block.ids)
+    features = block.rows.matrix()
     return Dataset(
-        features=np.empty((0, expected_dim or 0)) if block.features is None else block.features[:n],
+        features=np.empty((0, expected_dim or 0)) if features is None else features,
         subclass=np.asarray(block.subclass, dtype=np.int64),
         ids=block.ids,
         class_names=block.class_names,
@@ -617,7 +613,7 @@ def load_jsonl(
 def load_texts(path: str) -> list[tuple[str, str]]:
     """(id, text) per {"id", "text"} record, read and checked as load_jsonl reads."""
     with open(path, "rb") as fh:
-        return [(rid, str(rec["text"])) for _, rid, rec in _records(_lines(fh), ("id", "text"))]
+        return [(rid, str(rec["text"])) for _, _, rid, rec in _records(_lines(fh), ("id", "text"))]
 
 
 def load_json(path: str):

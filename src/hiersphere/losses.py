@@ -11,7 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -39,15 +38,6 @@ class LossOutput:
     grad_weights: np.ndarray | None = None
 
 
-def _as_batch(logits: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise DimensionMismatchError(f"logits must be 1-D or 2-D, got shape {arr.shape}")
-
-
 def _softmax_ce(
     logits: np.ndarray, targets: np.ndarray, rows: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -67,25 +57,6 @@ def _softmax_ce(
     grad[rows, targets] -= 1.0
     grad /= n
     return value, grad
-
-
-def softmax_ce_loss(logits: Sequence[float] | np.ndarray, targets) -> LossOutput:
-    """Softmax cross-entropy averaged over the batch.
-
-    Accepts a single logit row with a scalar target or an N x C batch with N
-    targets. grad_embeddings holds the gradient with respect to the logits.
-    """
-    arr, squeeze = _as_batch(logits)
-    tgt = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    n, c = arr.shape
-    if c < 2:
-        raise InvalidClassCountError(f"need at least 2 classes, got {c}")
-    if tgt.shape != (n,):
-        raise DimensionMismatchError(f"expected {n} targets, got shape {tgt.shape}")
-    if np.any(tgt < 0) or np.any(tgt >= c):
-        raise IndexOutOfRangeError(f"targets must lie in [0, {c})")
-    value, grad = _softmax_ce(arr, tgt, np.arange(n))
-    return LossOutput(value=value, grad_embeddings=grad[0] if squeeze else grad)
 
 
 def angular_margin_loss(

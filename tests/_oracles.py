@@ -25,11 +25,12 @@ textbook route that the package replaces with the d x d scatter matrix.
 ref_load_jsonl is the row-at-a-time loader the columnar one replaced.
 
 ref_parse_range is frozen too: the package's range parser as it was before
-it converted vectors a chunk of rows at a time. ref_records, which
-ref_parse_range and ref_load_texts read lines through, is the package's
-record reader as it was before orjson decoded lines: every line decoded to
-text and read by the stdlib decoder. The package must give the same dataset
-and error.
+it converted vectors a chunk of rows at a time, except that it keeps its
+rows in a list and stacks them once the range is read, sharing no code
+with the package's row store. ref_records, which ref_parse_range and
+ref_load_texts read lines through, is the package's record reader as it
+was before orjson decoded lines: every line decoded to text and read by
+the stdlib decoder. The package must give the same dataset and error.
 
 ref_write_jsonl is one json.dumps per record. The package's JSON Lines
 contract is the round trip, each line decoding to its record with floats
@@ -46,6 +47,11 @@ HierLabel, cosine_sim and grad_check (with its GradCheckReport) are test
 instruments rather than oracles: a per-sample (class, polarity) label, a
 clamped cosine, and the central-difference gradient check every analytic
 gradient of the package is held to. No command runs them.
+
+softmax_ce_loss (with _as_batch) is the package's former public softmax
+cross-entropy, which no command ran. It checks its arguments and calls the
+package's _softmax_ce, the step the cosine classifiers take, so the hand
+values and gradient checks it is held to still test that step.
 """
 
 import json
@@ -63,7 +69,9 @@ from hiersphere import (
     DimensionMismatchError,
     EncoderConfig,
     IndexOutOfRangeError,
+    InvalidClassCountError,
     InvalidConfigError,
+    LossOutput,
     NonFiniteError,
     NoValidTripletsError,
     ParseError,
@@ -82,8 +90,8 @@ from hiersphere import (
     pairwise_cosine_loss,
     triplet_batch_loss,
 )
-from hiersphere.data import _Block, _matrix
 from hiersphere.encoder import EncoderParams, adam_step_array, encoder_backward_step
+from hiersphere.losses import _softmax_ce
 from hiersphere.rng import STREAM_CLASSIFIER_INIT
 from hiersphere.vecmath import NORM_FLOOR, as_vector
 
@@ -164,6 +172,34 @@ def grad_check(
         fd = (f_plus - f_minus) / (2.0 * step)
         errors[i] = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
     return GradCheckReport(max_rel_error=float(errors.max()), per_coordinate_errors=errors, step=step)
+
+
+def _as_batch(logits: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
+    arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim == 1:
+        return arr[None, :], True
+    if arr.ndim == 2:
+        return arr, False
+    raise DimensionMismatchError(f"logits must be 1-D or 2-D, got shape {arr.shape}")
+
+
+def softmax_ce_loss(logits: Sequence[float] | np.ndarray, targets) -> LossOutput:
+    """Softmax cross-entropy averaged over the batch.
+
+    Accepts a single logit row with a scalar target or an N x C batch with N
+    targets. grad_embeddings holds the gradient with respect to the logits.
+    """
+    arr, squeeze = _as_batch(logits)
+    tgt = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    n, c = arr.shape
+    if c < 2:
+        raise InvalidClassCountError(f"need at least 2 classes, got {c}")
+    if tgt.shape != (n,):
+        raise DimensionMismatchError(f"expected {n} targets, got shape {tgt.shape}")
+    if np.any(tgt < 0) or np.any(tgt >= c):
+        raise IndexOutOfRangeError(f"targets must lie in [0, {c})")
+    value, grad = _softmax_ce(arr, tgt, np.arange(n))
+    return LossOutput(value=value, grad_embeddings=grad[0] if squeeze else grad)
 
 
 def ids_of(labels) -> np.ndarray:
@@ -783,17 +819,30 @@ def ref_load_texts(path):
         return [(rid, str(rec["text"])) for _, rid, rec in records]
 
 
-def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, class_names):
+@dataclass
+class RefBlock:
+    """What ref_parse_range read: features, n x d, or None when no line held
+    a record, and per record its id, sub-class id over class_names and soft
+    scores."""
+
+    features: np.ndarray | None
+    ids: list
+    subclass: list
+    class_names: list
+    soft_scores: list
+
+
+def ref_parse_range(fh, start, end, expected_dim, mnli_label_map, class_names):
     """The package's _parse_range as it was before it converted vectors a
     chunk of rows at a time, frozen: every check of a row runs as the row is
-    read, and lines are read through ref_records. Only the matrix
-    allocation is the package's own.
+    read, and lines are read through ref_records. The rows are stacked into
+    a matrix of their own once every line is read.
 
-    Returns the package's _Block; raises what it raised, at the same line.
+    Returns a RefBlock; raises what the package raised, at the same line.
     """
     vocabulary_fixed = class_names is not None
     class_ids = {name: i for i, name in enumerate(class_names or ())}
-    features, subclass, ids, soft_scores = None, [], [], []
+    rows, subclass, ids, soft_scores = [], [], [], []
     dim = expected_dim
 
     fh.seek(start)
@@ -834,13 +883,12 @@ def ref_parse_range(fh, start, end, capacity, expected_dim, mnli_label_map, clas
             raise ParseError(lineno, "scores must hold numbers") from None
         if soft is not None and not np.isfinite(soft).all():
             raise ParseError(lineno, "scores must hold finite numbers")
-        if features is None:
-            features = _matrix(capacity, dim)
-        features[len(ids)] = feats
+        rows.append(feats)
         subclass.append(3 * class_ids[cls] + polarity.ordinal)
         ids.append(rid)
         soft_scores.append(soft)
-    return _Block(features, ids, subclass, list(class_ids), soft_scores)
+    features = np.array(rows).reshape(len(rows), dim) if rows else None
+    return RefBlock(features, ids, subclass, list(class_ids), soft_scores)
 
 
 def ref_write_jsonl(path, records) -> None:

@@ -37,7 +37,6 @@ from hiersphere import (
     load_jsonl,
     pairwise_cosine_loss,
     save_jsonl,
-    softmax_ce_loss,
     tfidf_dedup,
     triplet_batch_loss,
 )
@@ -53,6 +52,7 @@ from _oracles import (
     random_labels,
     ref_pairwise_loss,
     ref_tfidf_vectors,
+    softmax_ce_loss,
 )
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE

@@ -62,7 +62,6 @@ PUBLIC_API = [
     "predict_all",
     "save_checkpoint",
     "save_jsonl",
-    "softmax_ce_loss",
     "subclass_means",
     "tfidf_dedup",
     "train_baseline",

@@ -682,15 +682,19 @@ def test_viz_max_points_subsamples(tmp_path, corpus, trained):
         assert fh.read().count('class="marker"') == 10
 
 
-def test_viz_negative_max_points_is_data_error(tmp_path, corpus, trained, capsys):
+# a missing model: the points to plot are checked before it is read
+@pytest.mark.parametrize("max_points", ["-5", "1", "2"])
+def test_viz_max_points_too_few_to_plot_fails_before_the_model_is_read(tmp_path, capsys, max_points):
+    out = tmp_path / "p.svg"
     code = run_command(
-        ["viz", "--model", trained["model"], "--data", corpus["test"],
-         "--out", str(tmp_path / "p.svg"), "--max-points", "-5"]
+        ["viz", "--model", str(tmp_path / "missing.json"), "--data", str(tmp_path / "missing.jsonl"),
+         "--out", str(out), "--max-points", max_points]
     )
     assert code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error:")
-    assert "--max-points" in lines[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: --max-points must be 0 (every point) or at least 3, got {max_points}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["zero-byte", "blank-lines"])
@@ -766,6 +770,36 @@ def test_dedup_round_trip(tmp_path, capsys):
     assert removals[0]["kept_id"] == "a"
     assert removals[0]["similarity"] >= 0.9
     assert "kept 2 of 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("dedup-out-report", "--report and --out name one file: {work}/k.jsonl"),
+     ("dedup-spelled-two-ways", "--report and --out name one file: {work}/./k.jsonl"),
+     ("dedup-report-manifest",
+      "--report and the manifest of --out name one file: {work}/k.manifest.json"),
+     ("viz-out-csv", "--csv and --out name one file: {work}/v.svg"),
+     ("viz-csv-manifest", "--csv and the manifest of --out name one file: {work}/v.manifest.json")],
+)
+def test_outputs_naming_one_file_are_a_data_error_before_anything_is_written(
+    tmp_path, corpus, trained, capsys, case, expected
+):
+    texts, work = tmp_path / "texts.jsonl", tmp_path / "work"
+    texts.write_text(json.dumps({"id": "a", "text": "red green blue"}) + "\n")
+    work.mkdir()
+    dedup = ["dedup", "--data", str(texts), "--out", f"{work}/k.jsonl", "--report"]
+    viz = ["viz", "--model", trained["model"], "--data", corpus["test"], "--out", f"{work}/v.svg",
+           "--csv"]
+    argv = {
+        "dedup-out-report": [*dedup, f"{work}/k.jsonl"],
+        "dedup-spelled-two-ways": [*dedup, f"{work}/./k.jsonl"],
+        "dedup-report-manifest": [*dedup, f"{work}/k.manifest.json"],
+        "viz-out-csv": [*viz, f"{work}/v.svg"],
+        "viz-csv-manifest": [*viz, f"{work}/v.manifest.json"],
+    }[case]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {expected.format(work=work)}"]
+    assert os.listdir(work) == []
 
 
 def test_dedup_writes_the_bytes_of_the_serial_writer(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import datetime
 import json
 import math
+import mmap
 import os
 import pickle
 import re
@@ -658,14 +659,14 @@ def _short_sender(keep):
     """A child's side of the range pipe that writes only the first keep(n) of
     the n bytes it owes, then exits."""
 
-    def send(path, parse, start, end, capacity, fd):
+    def send(path, parse, start, end, fd):
         try:
             with open(path, "rb") as fh:
-                block = parse(fh, start, end, capacity)
-            n = len(block.ids)
-            header = pickle.dumps((n, block.features.shape[1], block.ids, block.class_names,
+                block = parse(fh, start, end)
+            n, features = len(block.ids), block.rows.matrix()
+            header = pickle.dumps((n, features.shape[1], block.ids, block.class_names,
                                    block.subclass, block.soft_scores))
-            payload = len(header).to_bytes(8, "little") + header + block.features[:n].tobytes()
+            payload = len(header).to_bytes(8, "little") + header + features.tobytes()
             os.write(fd, payload[: keep(len(payload))])
         finally:
             os._exit(0)
@@ -735,7 +736,7 @@ def test_error_in_the_first_range_is_raised_without_a_second_parse(tmp_path, mon
     path.write_bytes(b"".join(lines))
     size = os.path.getsize(path)
     with open(path, "rb") as fh, pytest.raises(UnknownPolarityError) as want:
-        ref_parse_range(fh, 0, size, len(lines), None, False, None)
+        ref_parse_range(fh, 0, size, None, False, None)
     parent_parses, real_parse = [], data_module._parse_range
 
     def parse(*args, **kwargs):
@@ -751,22 +752,184 @@ def test_error_in_the_first_range_is_raised_without_a_second_parse(tmp_path, mon
     assert len(parent_parses) == 1 and parent_parses[0][0] == 0 and parent_parses[0][1] < size
 
 
-def test_parent_counts_the_lines_of_its_own_range_only(tmp_path, monkeypatch, forks):
-    path = str(tmp_path / "d.jsonl")
+class _ReadLog:
+    """A binary file that appends "pid offset length" to the file at log for
+    each read, by one O_APPEND write, so that reads in forked children show
+    too. logging is False while reads are left out."""
+
+    def __init__(self, path, log):
+        self._fh = open(path, "rb")
+        self._log = log
+        self.logging = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def seekable(self):
+        return True
+
+    def seek(self, *args):
+        return self._fh.seek(*args)
+
+    def tell(self):
+        return self._fh.tell()
+
+    def _logged(self, at, data):
+        if self.logging and data:
+            fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {at} {len(data)}\n".encode())
+            finally:
+                os.close(fd)
+        return data
+
+    def read(self, size=-1):
+        return self._logged(self._fh.tell(), self._fh.read(size))
+
+    def readline(self, size=-1):
+        return self._logged(self._fh.tell(), self._fh.readline(size))
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_each_process_reads_each_byte_of_its_range_once(tmp_path, monkeypatch, forks, ranges):
+    path, log = str(tmp_path / "d.jsonl"), str(tmp_path / "reads.log")
     _sample_file(path, 300, dim=8)
-    counted, real_count = [], data_module._line_count
+    real_open, real_byte_ranges = open, data_module._byte_ranges
+    cuts = []
 
-    def count(fh, start, end):
-        counted.append((start, end))
-        return real_count(fh, start, end)
+    def logged_open(file, mode="r", *args, **kwargs):
+        if file == path and mode == "rb":
+            return _ReadLog(file, log)
+        return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(data_module, "_line_count", count)
-    with deadline(60), cut_into(2):
+    def byte_ranges(fh, size, count):
+        # the cut search reads a line at each cut, before any range is parsed
+        fh.logging = False
+        cuts.extend(real_byte_ranges(fh, size, count))
+        fh.logging = True
+        return list(cuts)
+
+    monkeypatch.setattr(data_module, "open", logged_open, raising=False)
+    monkeypatch.setattr(data_module, "_byte_ranges", byte_ranges)
+    with deadline(60), cut_into(ranges):
         data = load_jsonl(path)
     np.testing.assert_array_equal(data.features, ref_load_jsonl(path)["features"])
-    # the child counted the second range: this process saw only the first
-    assert len(forks) == 1
-    assert len(counted) == 1 and counted[0][0] == 0 and counted[0][1] < os.path.getsize(path)
+    assert len(cuts) == ranges and len(forks) == ranges - 1
+
+    reads = {}
+    with real_open(log) as fh:
+        for line in fh:
+            pid, at, size = map(int, line.split())
+            reads.setdefault(pid, []).append((at, at + size))
+    spans = {}
+    for pid, pieces in reads.items():
+        # each read starts where the one before it ended: no byte twice
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:])), pid
+        spans[pid] = (pieces[0][0], pieces[-1][1])
+    assert spans[os.getpid()] == cuts[0]
+    assert sorted(spans.values()) == cuts
+
+
+def _mappings(remap):
+    """An mmap.mmap subclass that logs the size of each mapping made and each
+    resize made, and whose resize raises SystemError, as where the platform
+    has no mremap, unless remap; and its log."""
+    sizes = []
+
+    class Mapping(mmap.mmap):
+        def __init__(self, *args, **kwargs):
+            sizes.append(len(self))
+
+        def resize(self, size):
+            if not remap:
+                raise SystemError("mmap: resizing not available--no mremap()")
+            super().resize(size)
+            sizes.append(size)
+
+    return Mapping, sizes
+
+
+# bytes of the first record's line in each _estimate_part
+FIRST_LINE = 1200
+
+
+def _estimate_part(tag, rows, estimate):
+    """rows {id, class, polarity, vector} records of width 2, ids prefixed
+    with tag, the first line padded with spaces to FIRST_LINE bytes and a
+    closing line of spaces that brings the part to (estimate + 1/2) *
+    FIRST_LINE bytes, so that the package first makes room for estimate rows."""
+    rng = np.random.default_rng(len(tag) + rows)
+    lines = [json.dumps({"id": f"{tag}{i}", "class": "ab"[i % 3 == 1], "polarity": "neutral",
+                         "vector": rng.standard_normal(2).tolist()}) for i in range(rows)]
+    if lines:
+        lines[0] = "{" + " " * (FIRST_LINE - len(lines[0])) + lines[0][1:]
+    span = estimate * FIRST_LINE + FIRST_LINE // 2
+    lines.append(" " * (span - sum(len(line) + 1 for line in lines) - 1))
+    text = ("\n".join(lines) + "\n").encode()
+    assert len(text) == span
+    return text
+
+
+def _capacities(estimate, rows):
+    """The row counts the store is made with and doubled to for rows rows."""
+    capacities = [estimate]
+    while capacities[-1] < rows:
+        capacities.append(2 * capacities[-1])
+    return capacities
+
+
+# (estimate, rows) just either side of the first capacity and of each
+# doubling; at an estimate of 1 the first row, the one _vector reads, fills it
+ESTIMATE_CASES = [(1, rows) for rows in (1, 2, 3, 4, 5)] + [
+    (4, rows) for rows in (3, 4, 5, 7, 8, 9, 15, 16, 17)
+]
+
+
+@pytest.mark.parametrize("remap", [True, False], ids=["mremap", "copy"])
+@pytest.mark.parametrize("estimate, rows", ESTIMATE_CASES)
+@pytest.mark.parametrize("child_rows", [None, "same", 0], ids=["one-range", "two-ranges", "blank-child"])
+def test_rows_grow_in_place_past_the_estimate_and_each_doubling(
+    tmp_path, monkeypatch, forks, remap, estimate, rows, child_rows
+):
+    parts = [_estimate_part("p", rows, estimate)]
+    if child_rows is not None:
+        parts.append(_estimate_part("c", rows if child_rows == "same" else 0, estimate))
+    path = str(tmp_path / "d.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
+    want = ref_load_jsonl(path)
+    cut = len(parts[0])
+    mapping, sizes = _mappings(remap)
+    parses, real_parse = [], data_module._parse_range
+
+    def parse(*args, **kwargs):
+        parses.append(args[1:3])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    monkeypatch.setattr(data_module, "_parse_range", parse)
+    monkeypatch.setattr(data_module, "_byte_ranges",
+                        lambda fh, size, count: [(0, cut), (cut, size)][: len(parts)])
+    with deadline(60):
+        got = load_jsonl(path)
+    assert got.features.tobytes() == want["features"].tobytes()
+    assert got.subclass.tolist() == want["subclass"].tolist()
+    assert got.ids == want["ids"] and got.class_names == want["class_names"]
+    # the child delivered: this process parsed its own range and nothing more
+    assert parses == [(0, cut)]
+    assert len(forks) == len(parts) - 1
+
+    # this process's store, in rows: made for the estimate, doubled while
+    # full, then remapped to the rows it ends with, which a copy leaves
+    # larger rather than copy the rows again
+    capacities = _capacities(estimate, rows)
+    total = len(want["ids"])
+    if total > capacities[-1] or remap and total != capacities[-1]:
+        capacities.append(total)
+    assert sizes == [16 * capacity for capacity in capacities]
 
 
 # ------------------------------------------------------- chunked vector reads
@@ -891,8 +1054,7 @@ def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected
             fh.write(text)
         try:
             with open(path, "rb") as fh:
-                want = ref_parse_range(fh, 0, len(text), text.count(b"\n") + 1,
-                                       expected_dim, False, class_names)
+                want = ref_parse_range(fh, 0, len(text), expected_dim, False, class_names)
         except HiersphereError as exc:
             want = exc
         with cut_into(ranges), pytest.MonkeyPatch.context() as mp:
@@ -906,7 +1068,7 @@ def test_chunked_reads_match_the_row_at_a_time_parser(document, ranges, expected
 
 def _assert_reads_as(got, want):
     """got, load_jsonl's Dataset or error, equals want, ref_parse_range's
-    _Block or error: same rows, bit for bit, or same error type and text."""
+    RefBlock or error: same rows, bit for bit, or same error type and text."""
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
@@ -916,7 +1078,7 @@ def _assert_reads_as(got, want):
         assert got.features.shape[0] == 0
     else:
         assert got.features.shape == (n, want.features.shape[1])
-        assert got.features.tobytes() == want.features[:n].tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
     assert got.subclass.tolist() == want.subclass
     assert got.ids == want.ids and got.class_names == want.class_names
     assert len(got.soft_scores) == n
@@ -963,7 +1125,7 @@ def test_lines_across_read_blocks_read_as_the_reference(tmp_path, read_block, ki
         fh.write(text)
     try:
         with open(path, "rb") as fh:
-            want = ref_parse_range(fh, 0, len(text), len(text.splitlines()) + 1, None, False, None)
+            want = ref_parse_range(fh, 0, len(text), None, False, None)
     except HiersphereError as exc:
         want = exc
     with pytest.MonkeyPatch.context() as mp:
@@ -1040,7 +1202,7 @@ def test_decoder_divergences_read_as_the_stdlib_reads_them(tmp_path, case, range
 
     def reference():
         with open(path, "rb") as fh:
-            return ref_parse_range(fh, 0, size, 8, None, False, None)
+            return ref_parse_range(fh, 0, size, None, False, None)
 
     want = _outcome(reference)
     with cut_into(ranges):
@@ -1049,7 +1211,7 @@ def test_decoder_divergences_read_as_the_stdlib_reads_them(tmp_path, case, range
         assert got == want
     else:
         n = len(want.ids)
-        assert got.features.tobytes() == want.features[:n].tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
         assert got.subclass.tolist() == want.subclass
         assert got.ids == want.ids and got.class_names == want.class_names
     assert _outcome(lambda: load_texts(path)) == _outcome(lambda: ref_load_texts(path))

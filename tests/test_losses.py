@@ -23,7 +23,6 @@ from hiersphere import (
     angular_margin_loss,
     pair_target_matrix,
     pairwise_cosine_loss,
-    softmax_ce_loss,
     triplet_batch_loss,
 )
 from hiersphere import losses
@@ -42,6 +41,7 @@ from _oracles import (
     ref_pair_target,
     ref_pairwise_batch_loss,
     ref_pairwise_loss,
+    softmax_ce_loss,
 )
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
