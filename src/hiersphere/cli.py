@@ -126,18 +126,30 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
+def _manifest_path(primary: str, stem: str | None = None) -> str:
+    """stem + ".manifest.json", the stem by default the path of the run's
+    primary output without its extension."""
+    return (stem or os.path.splitext(primary)[0]) + ".manifest.json"
+
+
+def _distinct_outputs(*outputs: tuple[str, str | None], staged: tuple[str, ...] = ()) -> None:
     """Refuse (flag, resolved path) outputs, the first the run's primary
     output, of which two name one file, or one names the manifest written
-    beside the first: each would overwrite the other. Unset paths are None."""
-    first, primary = outputs[0]
-    manifest = os.path.splitext(primary)[0] + ".manifest.json"
-    seen = {os.path.realpath(manifest): f"the manifest of {first}"}
-    for flag, path in outputs:
-        if path is not None:
-            other = seen.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                raise InvalidConfigError(f"{flag} and {other} name one file: {path}")
+    beside the first: each would overwrite the other. The manifest and the
+    outputs whose flags are in staged are written through path + ".tmp"
+    (write_json), which no other output may name either. Unset paths are None."""
+    manifest = f"the manifest of {outputs[0][0]}"
+    seen = {}
+    for flag, path in ((manifest, _manifest_path(outputs[0][1])), *outputs):
+        if path is None:
+            continue
+        files = [(flag, path)]
+        if flag == manifest or flag in staged:
+            files.append((f"the temporary file of {flag}", path + ".tmp"))
+        for name, file in files:
+            other = seen.setdefault(os.path.realpath(file), name)
+            if other != name:
+                raise InvalidConfigError(f"{name} and {other} name one file: {file}")
 
 
 def _sha256(path: str) -> str:
@@ -150,9 +162,8 @@ def _sha256(path: str) -> str:
 
 @dataclass
 class _Run:
-    """What one command ran on and wrote, for its manifest. The manifest is
-    stem + ".manifest.json", the stem by default the first output's path
-    without its extension."""
+    """What one command ran on and wrote, for its manifest, which is written
+    to _manifest_path(outputs[0], stem)."""
 
     config: dict
     inputs: list[str]
@@ -164,7 +175,6 @@ class _Run:
 
 
 def _write_manifest(command: str, run: _Run, started: float) -> None:
-    stem = run.stem or os.path.splitext(run.outputs[0])[0]
     doc = {
         "command": command,
         "config": run.config,
@@ -175,7 +185,7 @@ def _write_manifest(command: str, run: _Run, started: float) -> None:
         "wall_time_seconds": time.time() - started,
         **run.timing,
     }
-    write_json(stem + ".manifest.json", doc, indent=2)
+    write_json(_manifest_path(run.outputs[0], run.stem), doc, indent=2)
 
 
 def _train_config_from_ns(cfg: dict) -> TrainConfig:
@@ -230,7 +240,7 @@ def _cmd_gen_data(ns) -> _Run:
 def _cmd_dedup(ns) -> _Run:
     out = _resolve_out(ns.out)
     report_path = _resolve_out(ns.report) if ns.report else None
-    _distinct_outputs(("--out", out), ("--report", report_path))
+    _distinct_outputs(("--out", out), ("--report", report_path), staged=("--report",))
     texts = load_texts(ns.data)
     kept_ids, removals = tfidf_dedup(texts, threshold=ns.threshold)
 

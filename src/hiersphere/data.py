@@ -361,10 +361,12 @@ class _Rows:
 
     The first row goes through _vector, which fixes d, and the mapping is
     made for span // (the length of that row's line) rows. When it is full
-    it doubles by mmap.resize, an mremap that moves page tables and copies
-    no row; where the platform has no mremap, the rows are copied into a new
-    mapping of twice the size. matrix() trims the mapping to the rows
-    written and is its one NumPy view.
+    it doubles by mmap.resize, on Linux an mremap that copies no row. Where
+    that raises SystemError (a POSIX platform without mremap: macOS, the
+    BSDs), the rows are copied into a new mapping of twice the size and a
+    shrink keeps the larger mapping. Windows resizes an anonymous map from
+    Python 3.11, the oldest this package runs on. matrix() trims the
+    mapping to the rows written and is its one NumPy view.
 
     struct packs each later list straight into the mapping, to the float64s
     numpy converts it to, and the row stands if its sum is finite, which it
@@ -415,7 +417,7 @@ class _Rows:
         elif size != len(self.store):
             try:
                 self.store.resize(size)
-            except SystemError:  # no mremap
+            except SystemError:  # a POSIX platform without mremap
                 if size > len(self.store):
                     grown = mmap.mmap(-1, size, **_PRIVATE)
                     with self.view(0, self.written) as view:

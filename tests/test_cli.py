@@ -779,7 +779,12 @@ def test_dedup_round_trip(tmp_path, capsys):
      ("dedup-report-manifest",
       "--report and the manifest of --out name one file: {work}/k.manifest.json"),
      ("viz-out-csv", "--csv and --out name one file: {work}/v.svg"),
-     ("viz-csv-manifest", "--csv and the manifest of --out name one file: {work}/v.manifest.json")],
+     ("viz-csv-manifest", "--csv and the manifest of --out name one file: {work}/v.manifest.json"),
+     # the report and the manifest are written through path + ".tmp"
+     ("dedup-out-report-tmp",
+      "the temporary file of --report and --out name one file: {work}/k.json.tmp"),
+     ("viz-csv-manifest-tmp", "--csv and the temporary file of the manifest of --out name one"
+      " file: {work}/v.manifest.json.tmp")],
 )
 def test_outputs_naming_one_file_are_a_data_error_before_anything_is_written(
     tmp_path, corpus, trained, capsys, case, expected
@@ -796,6 +801,9 @@ def test_outputs_naming_one_file_are_a_data_error_before_anything_is_written(
         "dedup-report-manifest": [*dedup, f"{work}/k.manifest.json"],
         "viz-out-csv": [*viz, f"{work}/v.svg"],
         "viz-csv-manifest": [*viz, f"{work}/v.manifest.json"],
+        "dedup-out-report-tmp": ["dedup", "--data", str(texts), "--out", f"{work}/k.json.tmp",
+                                 "--report", f"{work}/k.json"],
+        "viz-csv-manifest-tmp": [*viz, f"{work}/v.manifest.json.tmp"],
     }[case]
     assert run_command(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"data error: {expected.format(work=work)}"]

@@ -48,7 +48,7 @@ def _runner(repo, walls):
     side of each run, and checks that the parent runs in its own tree."""
     order, left = [], {side: list(values) for side, values in walls.items()}
 
-    def run(tree, workload, seed, seconds):
+    def run(tree, workload, seconds):
         side = "change" if tree == str(repo) else "parent"
         assert workload == "analyze-large" and seconds == 5.0
         assert (side == "change") == os.path.isdir(os.path.join(tree, ".git"))

@@ -59,11 +59,12 @@ def perfbench_files(tree: str) -> dict[str, bytes]:
     return files
 
 
-def run_benchmark(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in tree: {"metrics": {name: value},
-    "iterations": timed iterations, "correct": whether every check passed}."""
+def run_benchmark(tree: str, workload: str, seconds: float) -> dict:
+    """One untraced perfbench run in tree, at run.py's default seed:
+    {"metrics": {name: value}, "iterations": timed iterations,
+    "correct": whether every check passed}."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"pairs.py: run.py in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -134,7 +135,6 @@ def main(argv, run=run_benchmark) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--parent", default="HEAD", help="the revision to measure against")
     parser.add_argument("--change", default=ROOT, help="the tree to measure")
     parser.add_argument("--json", help="write every run's metrics to this file")
@@ -153,13 +153,13 @@ def main(argv, run=run_benchmark) -> int:
         runs = {"parent": [], "change": []}
         for i in range(ns.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run(trees[side], ns.workload, ns.seed, ns.seconds))
+                runs[side].append(run(trees[side], ns.workload, ns.seconds))
             print(f"pair {i + 1} of {ns.pairs}: wall_s parent {runs['parent'][-1]['metrics'].get('wall_s')}"
                   f" change {runs['change'][-1]['metrics'].get('wall_s')}", flush=True)
             if ns.json:
                 with open(ns.json, "w", encoding="utf-8") as fh:
                     json.dump({"workload": ns.workload, "parent": ns.parent, "seconds": ns.seconds,
-                               "seed": ns.seed, "runs": runs}, fh, indent=1)
+                               "runs": runs}, fh, indent=1)
     print(f"== {ns.workload}: {ns.pairs} pairs at --seconds {ns.seconds:g}, parent {ns.parent}")
     print("\n".join(report(specs, runs)))
     return 0
