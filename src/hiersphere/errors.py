@@ -50,12 +50,13 @@ class InvalidConfigError(DataError):
 
 @contextlib.contextmanager
 def allocating(what: str):
-    """Turn a failure to allocate an array in the block, a MemoryError or the
-    ValueError numpy raises for a shape past its size limit, into an
+    """Turn a failure to allocate an array in the block, a MemoryError, the
+    ValueError numpy raises for a shape past its size limit or the
+    OverflowError it raises for a size past a C long, into an
     InvalidConfigError naming what the arrays were for."""
     try:
         yield
-    except (MemoryError, ValueError):
+    except (MemoryError, ValueError, OverflowError):
         raise InvalidConfigError(f"not enough memory for {what}") from None
 
 

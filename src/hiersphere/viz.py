@@ -6,17 +6,19 @@ the centered points Xc is Xc Xc^T, so the coordinates are the projections
 onto the top two eigenvectors of the d x d scatter Xc^T Xc, and no N x N
 matrix is built. Deterministic by construction; each coordinate column's
 sign is fixed so its largest-magnitude entry is positive. The scatter
-encodes class as marker shape and polarity as color.
+encodes class as marker shape and polarity as color; its SVG is written as
+text, one format string per marker.
 """
 
 import csv
 import math
+import re
 from dataclasses import dataclass
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .errors import DatasetTooSmallError, DegenerateDistancesError, DimensionMismatchError
+from .errors import DataError, DatasetTooSmallError, DegenerateDistancesError
+from .errors import DimensionMismatchError
 from .labels import Polarity
 
 POLARITY_COLORS = {
@@ -24,11 +26,31 @@ POLARITY_COLORS = {
     Polarity.NEUTRAL: "#808080",
     Polarity.NEGATIVE: "#FF0000",
 }
-MARKER_SHAPES = ("circle", "square", "triangle", "diamond", "cross")
-
 PLOT_SIZE = 600.0
 LEGEND_WIDTH = 170.0
 MARKER_SIZE = 4.0
+
+# each shape's element, its attributes in the order of the ElementTree writer whose
+# bytes the SVG keeps (tests/_oracles.py): x, y the centre; l, t, r, b the edges
+# MARKER_SIZE away; s that size and w twice it; c the color; k the CSS class
+_FILLED = ' fill="{c}" class="{k}" />'
+_POLYGON = '<polygon points="%s"' + _FILLED
+_MARKERS = {
+    "circle": '<circle cx="{x:.2f}" cy="{y:.2f}" r="{s:.2f}"' + _FILLED,
+    "square": '<rect x="{l:.2f}" y="{t:.2f}" width="{w:.2f}" height="{w:.2f}"' + _FILLED,
+    "triangle": _POLYGON % "{x:.2f},{t:.2f} {l:.2f},{b:.2f} {r:.2f},{b:.2f}",
+    "diamond": _POLYGON % "{x:.2f},{t:.2f} {r:.2f},{y:.2f} {x:.2f},{b:.2f} {l:.2f},{y:.2f}",
+    "cross": (  # two stroked diagonals in one path
+        '<path d="M {l:.2f} {t:.2f} L {r:.2f} {b:.2f} M {l:.2f} {b:.2f} L {r:.2f} {t:.2f}" '
+        'stroke-width="1.5" stroke="{c}" fill="none" class="{k}" />'
+    ),
+}
+MARKER_SHAPES = tuple(_MARKERS)
+
+# what XML 1.0 cannot carry: C0 controls but tab, LF and CR; surrogates,
+# which a str holds only unpaired and UTF-8 cannot encode; U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass
@@ -122,44 +144,15 @@ def classical_mds(points) -> Mds2D:
     return Mds2D(coords=coords, eigenvalues=top, stress=_stress(coords, xc))
 
 
-def _marker_element(shape: str, cx: float, cy: float, color: str, css_class: str) -> ET.Element:
-    s = MARKER_SIZE
-    if shape == "circle":
-        el = ET.Element("circle", cx=f"{cx:.2f}", cy=f"{cy:.2f}", r=f"{s:.2f}")
-    elif shape == "square":
-        el = ET.Element(
-            "rect",
-            x=f"{cx - s:.2f}",
-            y=f"{cy - s:.2f}",
-            width=f"{2 * s:.2f}",
-            height=f"{2 * s:.2f}",
-        )
-    elif shape == "triangle":
-        pts = [(cx, cy - s), (cx - s, cy + s), (cx + s, cy + s)]
-        el = ET.Element("polygon", points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts))
-    elif shape == "diamond":
-        pts = [(cx, cy - s), (cx + s, cy), (cx, cy + s), (cx - s, cy)]
-        el = ET.Element("polygon", points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts))
-    else:  # cross: two stroked diagonals in one path
-        el = ET.Element(
-            "path",
-            d=(
-                f"M {cx - s:.2f} {cy - s:.2f} L {cx + s:.2f} {cy + s:.2f} "
-                f"M {cx - s:.2f} {cy + s:.2f} L {cx + s:.2f} {cy - s:.2f}"
-            ),
-        )
-        el.set("stroke-width", "1.5")
-    if shape == "cross":
-        el.set("stroke", color)
-        el.set("fill", "none")
-    else:
-        el.set("fill", color)
-    el.set("class", css_class)
-    return el
-
-
 def marker_shape_for_class(class_id: int) -> str:
     return MARKER_SHAPES[class_id % len(MARKER_SHAPES)]
+
+
+def _marker(shape: str, x: float, y: float, color: str, css_class: str) -> str:
+    s = MARKER_SIZE
+    return _MARKERS[shape].format(
+        x=x, y=y, l=x - s, t=y - s, r=x + s, b=y + s, s=s, w=2 * s, c=color, k=css_class
+    )
 
 
 def emit_svg_scatter(
@@ -174,7 +167,9 @@ def emit_svg_scatter(
 
     labels holds each point's int sub-class id. One marker element per point
     (class = shape, polarity = color), plus a legend column. Optionally also
-    writes a CSV of (id, x, y, class, polarity).
+    writes a CSV of (id, x, y, class, polarity). Before either file is
+    opened, a class name XML cannot hold, or an id for the CSV that UTF-8
+    cannot encode, is a DataError.
     """
     coords = np.asarray(mds.coords, dtype=np.float64)
     class_ids, ordinals = np.divmod(np.asarray(labels, dtype=np.int64), 3)
@@ -183,76 +178,52 @@ def emit_svg_scatter(
         raise DimensionMismatchError("one label per projected point required")
     if ids is not None and len(ids) != len(points):
         raise DimensionMismatchError("one id per projected point required")
+    unwritable = [("class", name, "XML") for name in filter(_NOT_XML.search, class_names)]
+    if csv_path is not None and ids is not None:
+        unwritable += [("id", rid, "UTF-8") for rid in filter(_SURROGATE.search, ids)]
+    if unwritable:
+        raise DataError("{} {!r} holds a character {} cannot encode".format(*unwritable[0]))
 
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-    lo = lo - 0.05 * span
-    hi = hi + 0.05 * span
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    pad = 0.05 * np.where(hi - lo > 0.0, hi - lo, 1.0)
+    lo, hi = lo - pad, hi + pad
     span = hi - lo
+    xs = ((coords[:, 0] - lo[0]) / span[0] * PLOT_SIZE).tolist()
+    ys = ((hi[1] - coords[:, 1]) / span[1] * PLOT_SIZE).tolist()
 
-    def to_px(pt: np.ndarray) -> tuple[float, float]:
-        x = (pt[0] - lo[0]) / span[0] * PLOT_SIZE
-        y = (hi[1] - pt[1]) / span[1] * PLOT_SIZE
-        return float(x), float(y)
-
-    width = PLOT_SIZE + LEGEND_WIDTH
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        version="1.1",
-        width=f"{width:.0f}",
-        height=f"{PLOT_SIZE:.0f}",
-        viewBox=f"0 0 {width:.0f} {PLOT_SIZE:.0f}",
-    )
-    ET.SubElement(
-        root, "rect", x="0", y="0", width=f"{width:.0f}", height=f"{PLOT_SIZE:.0f}", fill="#FFFFFF"
-    )
-
-    points_group = ET.SubElement(root, "g", id="points")
-    for i, (class_id, polarity) in enumerate(points):
-        cx, cy = to_px(coords[i])
-        shape = marker_shape_for_class(class_id)
+    w, h = f"{PLOT_SIZE + LEGEND_WIDTH:.0f}", f"{PLOT_SIZE:.0f}"
+    doc = [
+        "<?xml version='1.0' encoding='UTF-8'?>\n<svg xmlns=\"http://www.w3.org/2000/svg\" "
+        f'version="1.1" width="{w}" height="{h}" viewBox="0 0 {w} {h}"><rect x="0" y="0" '
+        f'width="{w}" height="{h}" fill="#FFFFFF" /><g id="points">'
+    ]
+    for x, y, (class_id, polarity) in zip(xs, ys, points):
         color = POLARITY_COLORS[polarity]
-        points_group.append(_marker_element(shape, cx, cy, color, "marker"))
-
-    legend = ET.SubElement(root, "g", id="legend")
+        doc.append(_marker(marker_shape_for_class(class_id), x, y, color, "marker"))
+    doc.append('</g><g id="legend">')
+    keys = [(marker_shape_for_class(i), "#000000", name) for i, name in enumerate(class_names)]
+    keys += [("square", color, polarity.value) for polarity, color in POLARITY_COLORS.items()]
     lx = PLOT_SIZE + 16.0
-    ly = 24.0
-    for class_id, name in enumerate(class_names):
-        shape = marker_shape_for_class(class_id)
-        legend.append(_marker_element(shape, lx, ly, "#000000", "legend-marker"))
-        text = ET.SubElement(
-            legend, "text", x=f"{lx + 12.0:.2f}", y=f"{ly + 4.0:.2f}"
-        )
-        text.set("font-size", "12")
-        text.text = name
-        ly += 18.0
-    ly += 8.0
-    for polarity in (Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE):
-        legend.append(
-            _marker_element("square", lx, ly, POLARITY_COLORS[polarity], "legend-marker")
-        )
-        text = ET.SubElement(
-            legend, "text", x=f"{lx + 12.0:.2f}", y=f"{ly + 4.0:.2f}"
-        )
-        text.set("font-size", "12")
-        text.text = polarity.value
-        ly += 18.0
-
-    ET.ElementTree(root).write(out_path, encoding="UTF-8", xml_declaration=True)
+    for i, (shape, color, name) in enumerate(keys):
+        ly = 24.0 + 18.0 * i + (8.0 if i >= len(class_names) else 0.0)  # a gap, then polarities
+        doc.append(_marker(shape, lx, ly, color, "legend-marker"))
+        doc.append(f'<text x="{lx + 12.0:.2f}" y="{ly + 4.0:.2f}" font-size="12"')
+        # ElementTree's text escaping; an empty text closes the element
+        text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        doc.append(f">{text}</text>" if text else " />")
+    doc.append("</g></svg>")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write("".join(doc))
 
     if csv_path is not None:
+        rows = zip(
+            ids if ids is not None else map(str, range(len(points))),
+            map(repr, coords[:, 0].tolist()),
+            map(repr, coords[:, 1].tolist()),
+            (class_names[class_id] for class_id, _ in points),
+            (polarity.value for _, polarity in points),
+        )
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "x", "y", "class", "polarity"])
-            for i, (class_id, polarity) in enumerate(points):
-                writer.writerow(
-                    [
-                        ids[i] if ids is not None else str(i),
-                        repr(float(coords[i, 0])),
-                        repr(float(coords[i, 1])),
-                        class_names[class_id],
-                        polarity.value,
-                    ]
-                )
+            writer.writerows(rows)

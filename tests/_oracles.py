@@ -24,6 +24,11 @@ double-centres the full N x N squared-distance matrix of the points, the
 textbook route that the package replaces with the d x d scatter matrix.
 ref_load_jsonl is the row-at-a-time loader the columnar one replaced.
 
+ref_emit_svg_scatter is the package's SVG and CSV writer as it was when it
+built an ElementTree document, one element per marker, frozen with the
+layout constants it read. The package writes the document as text, so the
+two must write the same bytes.
+
 ref_parse_range is frozen too: the package's range parser as it was before
 it converted vectors a chunk of rows at a time, except that it keeps its
 rows in a list and stacks them once the range is read, sharing no code
@@ -54,8 +59,10 @@ package's _softmax_ce, the step the cosine classifiers take, so the hand
 values and gradient checks it is held to still test that step.
 """
 
+import csv
 import json
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Sequence
@@ -916,3 +923,125 @@ def ref_dataset_records(dataset):
         if soft is not None:
             rec["scores"] = soft.tolist()
         yield rec
+
+
+_REF_PLOT_SIZE, _REF_LEGEND_WIDTH, _REF_MARKER_SIZE = 600.0, 170.0, 4.0
+_REF_MARKER_SHAPES = ("circle", "square", "triangle", "diamond", "cross")
+_REF_POLARITY_COLORS = {
+    Polarity.POSITIVE: "#000000",
+    Polarity.NEUTRAL: "#808080",
+    Polarity.NEGATIVE: "#FF0000",
+}
+
+
+def _ref_marker_element(shape: str, cx: float, cy: float, color: str, css_class: str):
+    s = _REF_MARKER_SIZE
+    if shape == "circle":
+        el = ET.Element("circle", cx=f"{cx:.2f}", cy=f"{cy:.2f}", r=f"{s:.2f}")
+    elif shape == "square":
+        el = ET.Element(
+            "rect",
+            x=f"{cx - s:.2f}",
+            y=f"{cy - s:.2f}",
+            width=f"{2 * s:.2f}",
+            height=f"{2 * s:.2f}",
+        )
+    elif shape == "triangle":
+        pts = [(cx, cy - s), (cx - s, cy + s), (cx + s, cy + s)]
+        el = ET.Element("polygon", points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts))
+    elif shape == "diamond":
+        pts = [(cx, cy - s), (cx + s, cy), (cx, cy + s), (cx - s, cy)]
+        el = ET.Element("polygon", points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pts))
+    else:  # cross: two stroked diagonals in one path
+        el = ET.Element(
+            "path",
+            d=(
+                f"M {cx - s:.2f} {cy - s:.2f} L {cx + s:.2f} {cy + s:.2f} "
+                f"M {cx - s:.2f} {cy + s:.2f} L {cx + s:.2f} {cy - s:.2f}"
+            ),
+        )
+        el.set("stroke-width", "1.5")
+    if shape == "cross":
+        el.set("stroke", color)
+        el.set("fill", "none")
+    else:
+        el.set("fill", color)
+    el.set("class", css_class)
+    return el
+
+
+def ref_emit_svg_scatter(mds, labels, class_names, out_path, ids=None, csv_path=None) -> None:
+    """The package's emit_svg_scatter as it was with an ElementTree document,
+    frozen. Its arguments are taken as valid."""
+    coords = np.asarray(mds.coords, dtype=np.float64)
+    class_ids, ordinals = np.divmod(np.asarray(labels, dtype=np.int64), 3)
+    points = list(zip(class_ids.tolist(), map(Polarity.from_ordinal, ordinals.tolist())))
+
+    lo = coords.min(axis=0)
+    hi = coords.max(axis=0)
+    span = np.where(hi - lo > 0.0, hi - lo, 1.0)
+    lo = lo - 0.05 * span
+    hi = hi + 0.05 * span
+    span = hi - lo
+
+    def to_px(pt: np.ndarray) -> tuple[float, float]:
+        x = (pt[0] - lo[0]) / span[0] * _REF_PLOT_SIZE
+        y = (hi[1] - pt[1]) / span[1] * _REF_PLOT_SIZE
+        return float(x), float(y)
+
+    def shape_of(class_id: int) -> str:
+        return _REF_MARKER_SHAPES[class_id % len(_REF_MARKER_SHAPES)]
+
+    width = _REF_PLOT_SIZE + _REF_LEGEND_WIDTH
+    height = f"{_REF_PLOT_SIZE:.0f}"
+    root = ET.Element(
+        "svg",
+        xmlns="http://www.w3.org/2000/svg",
+        version="1.1",
+        width=f"{width:.0f}",
+        height=height,
+        viewBox=f"0 0 {width:.0f} {height}",
+    )
+    ET.SubElement(root, "rect", x="0", y="0", width=f"{width:.0f}", height=height, fill="#FFFFFF")
+
+    points_group = ET.SubElement(root, "g", id="points")
+    for i, (class_id, polarity) in enumerate(points):
+        cx, cy = to_px(coords[i])
+        color = _REF_POLARITY_COLORS[polarity]
+        points_group.append(_ref_marker_element(shape_of(class_id), cx, cy, color, "marker"))
+
+    legend = ET.SubElement(root, "g", id="legend")
+    lx = _REF_PLOT_SIZE + 16.0
+    ly = 24.0
+    for class_id, name in enumerate(class_names):
+        marker = _ref_marker_element(shape_of(class_id), lx, ly, "#000000", "legend-marker")
+        legend.append(marker)
+        text = ET.SubElement(legend, "text", x=f"{lx + 12.0:.2f}", y=f"{ly + 4.0:.2f}")
+        text.set("font-size", "12")
+        text.text = name
+        ly += 18.0
+    ly += 8.0
+    for polarity in (Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE):
+        color = _REF_POLARITY_COLORS[polarity]
+        legend.append(_ref_marker_element("square", lx, ly, color, "legend-marker"))
+        text = ET.SubElement(legend, "text", x=f"{lx + 12.0:.2f}", y=f"{ly + 4.0:.2f}")
+        text.set("font-size", "12")
+        text.text = polarity.value
+        ly += 18.0
+
+    ET.ElementTree(root).write(out_path, encoding="UTF-8", xml_declaration=True)
+
+    if csv_path is not None:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "x", "y", "class", "polarity"])
+            for i, (class_id, polarity) in enumerate(points):
+                writer.writerow(
+                    [
+                        ids[i] if ids is not None else str(i),
+                        repr(float(coords[i, 0])),
+                        repr(float(coords[i, 1])),
+                        class_names[class_id],
+                        polarity.value,
+                    ]
+                )

@@ -5,11 +5,14 @@ codes it produces. A small trained model is built once per module and shared
 by the embed/eval/viz tests.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +33,15 @@ from hiersphere import (
 )
 from hiersphere import data as data_module
 from hiersphere import losses as losses_module
-from hiersphere.cli import BENCH_DEFAULTS, OUT_DIR_ENV, TRAIN_DEFAULTS, build_parser, run_command
+from hiersphere.cli import (
+    BENCH_DEFAULTS,
+    LANE_MODES,
+    MIN_LANE_WORK,
+    OUT_DIR_ENV,
+    TRAIN_DEFAULTS,
+    build_parser,
+    run_command,
+)
 from hiersphere.data import GeneratorConfig, generate_synthetic, load_texts, save_jsonl
 
 from _oracles import class_score, ref_write_jsonl
@@ -183,11 +194,22 @@ def test_negative_seed_is_data_error(tmp_path, corpus, trained, capsys, command)
     [["gen-data", "--classes", "2", "--dim", str(2**62), "--per-subclass", "3"],
      ["gen-data", "--classes", "2", "--dim", "6", "--per-subclass", str(2**62)],
      ["gen-data", "--classes", str(2**62), "--dim", "6", "--per-subclass", "3"],
-     ["bench", "--per-subclass", str(2**62)]],
-    ids=["gen-data-dim", "gen-data-per-subclass", "gen-data-classes", "bench-per-subclass"],
+     ["bench", "--per-subclass", str(2**62)],
+     ["gen-data", "--classes", "2", "--dim", "4", "--per-subclass", str(2**63)],
+     ["gen-data", "--classes", "2", "--dim", "4", "--per-subclass", str(10**20)],
+     ["bench", "--per-subclass", str(2**63)],
+     ["bench", "--per-subclass", str(10**20)],
+     ["bench", "--config", {"per_subclass": 2**63}]],
+    ids=["gen-data-dim", "gen-data-per-subclass", "gen-data-classes", "bench-per-subclass",
+         "gen-data-per-subclass-2**63", "gen-data-per-subclass-10**20", "bench-per-subclass-2**63",
+         "bench-per-subclass-10**20", "bench-config-per-subclass-2**63"],
 )
 def test_generator_size_numpy_cannot_allocate_is_data_error(tmp_path, capsys, argv):
     # numpy refuses shapes this large before it touches any memory
+    if isinstance(argv[-1], dict):  # the settings of a config file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(config)]
     out = tmp_path / "out"
     where = ["--out-dir" if argv[0] == "bench" else "--out", str(out)]
     assert run_command([*argv, *where]) == 2
@@ -697,6 +719,29 @@ def test_viz_max_points_too_few_to_plot_fails_before_the_model_is_read(tmp_path,
     assert not out.exists()
 
 
+# the JSON escapes of a C0 control and of lone surrogates, which the reader
+# decodes into the class name or the id
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("class", "ctl\u0001x", "class 'ctl\\x01x' holds a character XML cannot encode"),
+     ("class", "a\ud800b", "class 'a\\ud800b' holds a character XML cannot encode"),
+     ("id", "r0\udc80", "id 'r0\\udc80' holds a character UTF-8 cannot encode")],
+    ids=["class-control", "class-surrogate", "id-surrogate"],
+)
+def test_viz_name_the_svg_or_csv_cannot_hold_is_a_data_error_writing_nothing(
+    tmp_path, corpus, trained, capsys, field, value, message
+):
+    lines = _read_lines(corpus["test"])
+    lines[0] = json.dumps({**json.loads(lines[0]), field: value})
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    code = run_command(["viz", "--model", trained["model"], "--data", str(data),
+                        "--out", str(tmp_path / "p.svg"), "--csv", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert os.listdir(tmp_path) == ["d.jsonl"]  # no SVG, CSV or manifest
+
+
 @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["zero-byte", "blank-lines"])
 @pytest.mark.parametrize(
     "command, expected",
@@ -1031,6 +1076,67 @@ def test_every_setting_lands_in_the_manifest_by_flag_and_by_file(
 
 
 # --------------------------------------------------------------- exit codes
+
+
+# A size drawn here is 3 or less, or 2**62 or more, which numpy refuses to
+# allocate at once; epoch counts are never drawn, so every run stays tiny.
+INT_VALUES = [-1, 0, 1, 3, 2**62, 2**63, 2**64, 10**20]
+FLOAT_VALUES = [*INT_VALUES, "nan", "inf", "-inf", "1e308", "-0.0"]
+
+
+def _numeric_flags():
+    """(command, flag, type) of every integer or float flag but the epoch counts."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return [
+        (command, action.option_strings[0], action.type)
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.type in (int, float) and "epochs" not in action.dest
+    ]
+
+
+@pytest.fixture(scope="module")
+def flag_bases(tmp_path_factory):
+    """Each command with numeric flags, as argv on tiny valid inputs: a
+    2-class, 4-dim gen-data file, a 1-epoch model and three short texts.
+    Outputs go under {out}."""
+    root = tmp_path_factory.mktemp("flag_bases")
+    data, model, texts = (str(root / name) for name in ("d.jsonl", "m.json", "t.jsonl"))
+    size = ["--classes", "2", "--dim", "4", "--per-subclass", "3"]
+    epochs = ["--epochs", "1", "--stage2-epochs", "1"]
+    assert run_command(["gen-data", *size, "--out", data]) == 0
+    assert run_command(["train", "--data", data, *epochs, "--out", model]) == 0
+    with open(texts, "w", encoding="utf-8") as fh:
+        for i, text in enumerate(["a b c", "a b c", "d e"]):
+            fh.write(json.dumps({"id": f"t{i}", "text": text}) + "\n")
+    # bench's largest set, 3 classes of 3 sub-classes of 3, never forks its lane
+    assert 27 * len(LANE_MODES) < MIN_LANE_WORK
+    return {
+        "gen-data": ["gen-data", *size, "--out", "{out}/g.jsonl"],
+        "bench": ["bench", *size, *epochs, "--out-dir", "{out}/b"],
+        "train": ["train", "--data", data, *epochs, "--out", "{out}/m.json"],
+        "viz": ["viz", "--model", model, "--data", data, "--out", "{out}/p.svg",
+                "--csv", "{out}/p.csv"],
+        "dedup": ["dedup", "--data", texts, "--out", "{out}/k.jsonl", "--report", "{out}/r.json"],
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(_numeric_flags()), data=st.data())
+def test_every_numeric_flag_value_ends_in_an_exit_code(flag_bases, flag, data):
+    command, name, kind = flag
+    value = data.draw(st.sampled_from(INT_VALUES if kind is int else FLOAT_VALUES))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        argv = [arg.format(out=out) for arg in flag_bases[command]]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            # --flag=value, so that argparse reads -inf as a value, not a flag
+            code = run_command([*argv, f"{name}={value}"])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("data error: " if code == 2 else "numeric error: ")
 
 
 def test_unknown_flag_is_usage_error(capsys):

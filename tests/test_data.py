@@ -210,8 +210,8 @@ def test_custom_class_names():
 # try to allocate could fill memory, so none is tested
 @pytest.mark.parametrize(
     "classes, dim, per_subclass",
-    [(2, 2**62, 3), (2, 4, 2**62), (2**62, 4, 3)],
-    ids=["dim", "per-subclass", "classes"],
+    [(2, 2**62, 3), (2, 4, 2**62), (2**62, 4, 3), (2, 4, 2**63), (2, 4, 10**20)],
+    ids=["dim", "per-subclass", "classes", "per-subclass-2**63", "per-subclass-10**20"],
 )
 def test_generator_size_numpy_cannot_allocate_is_config_error(classes, dim, per_subclass):
     cfg = GeneratorConfig(num_classes=classes, input_dim=dim, per_subclass_count=per_subclass)

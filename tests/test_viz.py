@@ -1,6 +1,9 @@
 """Planar projection (classical MDS) and SVG output."""
 
 import csv
+import os
+import re
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiersphere import (
+    DataError,
     DatasetTooSmallError,
     DegenerateDistancesError,
     DimensionMismatchError,
@@ -21,11 +25,12 @@ from hiersphere.rng import make_rng
 from hiersphere.viz import (
     MARKER_SHAPES,
     POLARITY_COLORS,
+    Mds2D,
     _distance_rows,
     marker_shape_for_class,
 )
 
-from _oracles import HierLabel, ids_of, ref_classical_mds
+from _oracles import HierLabel, ids_of, ref_classical_mds, ref_emit_svg_scatter
 
 POS, NEU, NEG = Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE
 
@@ -342,3 +347,85 @@ def test_svg_deterministic_bytes(tmp_path):
     emit_svg_scatter(mds, ids_of(labels), names, str(p1))
     emit_svg_scatter(mds, ids_of(labels), names, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# text XML escapes or quotes, that is not ASCII, or that is empty
+NAME_PARTS = [
+    "alpha", "", "&", "<b>", '"q"', "'s'", "]]>", "&amp;", "\u00e9", "\u65e5\u672c", " \t"
+]
+# what CSV quotes: commas, quotes, line ends
+ID_PARTS = ["r", ",", '"', "\n", "\r\n", "'", " ", "\u00e9", ""]
+
+
+def _scatter(rng, n, k, flat=None):
+    coords = rng.normal(size=(n, 2))
+    if flat is not None:
+        coords[:, flat] = coords[0, flat]  # one axis spans nothing
+    return Mds2D(coords, np.zeros(2), 0.0), rng.integers(0, 3 * k, size=n)
+
+
+@st.composite
+def scatters(draw):
+    """(mds, sub-class ids, class names, ids or None): 3-300 points of 1-12
+    classes, so that every shape is drawn and the shapes wrap round."""
+    n, k = draw(st.integers(3, 300)), draw(st.integers(1, 12))
+    flat = draw(st.sampled_from([None, 0, 1]))
+    mds, labels = _scatter(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k, flat)
+    joined = st.lists(st.sampled_from(NAME_PARTS), max_size=3).map("".join)
+    names = draw(st.lists(joined, min_size=k, max_size=k))
+    one_id = st.lists(st.sampled_from(ID_PARTS), max_size=4).map("".join)
+    ids = draw(st.none() | st.lists(one_id, min_size=n, max_size=n))
+    return mds, labels, names, ids
+
+
+def _large_scatter():
+    mds, labels = _scatter(make_rng(10, 309), 2000, 20)
+    ids = [f'r{i},"{i}"\n' if i % 7 == 0 else f"r{i}" for i in range(2000)]
+    return mds, labels, [f"class <{c}> & co" for c in range(20)], ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(scatters())
+@example(_large_scatter())
+def test_svg_and_csv_bytes_equal_the_element_tree_writer(scatter):
+    mds, labels, names, ids = scatter
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = (
+            [os.path.join(tmp, f"{side}.{ext}") for ext in ("svg", "csv")]
+            for side in ("got", "want")
+        )
+        emit_svg_scatter(mds, labels, names, got[0], ids=ids, csv_path=got[1])
+        ref_emit_svg_scatter(mds, labels, names, want[0], ids=ids, csv_path=want[1])
+        for got_path, want_path in zip(got, want):
+            with open(got_path, "rb") as a, open(want_path, "rb") as b:
+                assert a.read() == b.read()
+
+
+@pytest.mark.parametrize(
+    "names, ids, message",
+    [
+        (["ctl\u0001x"], None, "class 'ctl\\x01x' holds a character XML cannot encode"),
+        (["a\ud800b"], None, "class 'a\\ud800b' holds a character XML cannot encode"),
+        (["\ufffe"], None, "class '\\ufffe' holds a character XML cannot encode"),
+        (["ok"], "r0\udc80", "id 'r0\\udc80' holds a character UTF-8 cannot encode"),
+    ],
+    ids=["control", "surrogate", "non-character", "id-surrogate"],
+)
+def test_name_the_files_cannot_hold_is_a_data_error_before_either_is_opened(
+    tmp_path, names, ids, message
+):
+    mds = scatter_fixture()[0]
+    n = len(mds.coords)
+    svg, csv_path = tmp_path / "p.svg", tmp_path / "p.csv"
+    ids = None if ids is None else [ids] * n
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        emit_svg_scatter(mds, np.zeros(n, dtype=np.int64), names, str(svg), ids, str(csv_path))
+    assert not svg.exists() and not csv_path.exists()
+
+
+def test_tab_and_line_ends_in_a_class_and_ids_with_no_csv_are_written(tmp_path):
+    mds = scatter_fixture()[0]
+    n, svg = len(mds.coords), tmp_path / "p.svg"
+    emit_svg_scatter(mds, np.full(n, 3), ["ok", "a\tb\nc\rd"], str(svg), ["\ud800"] * n)
+    texts = [el.text for el in ET.parse(str(svg)).getroot().iter() if el.tag.endswith("text")]
+    assert texts[1] == "a\tb\nc\nd"  # a parser reads a CR as a LF
