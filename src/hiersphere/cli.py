@@ -426,9 +426,9 @@ def _cmd_viz(ns) -> _Run:
 def _cmd_bench(ns) -> _Run:
     cfg = _merged_config(ns, BENCH_DEFAULTS)
     # every setting is checked and both sets are made before anything is written
+    modes = ("two-stage", "adacos", *LANE_MODES)
     configs = {
-        mode: _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode})
-        for mode in ("two-stage", "adacos", *LANE_MODES)
+        mode: _train_config_from_ns({**TRAIN_DEFAULTS, **cfg, "mode": mode}) for mode in modes
     }
     gen = _generator_config(cfg)
     train_set = generate_synthetic(gen, split_tag="train")
@@ -442,84 +442,75 @@ def _cmd_bench(ns) -> _Run:
         save_jsonl(train_path, train_set)
         save_jsonl(test_path, test_set)
 
-    seconds = {}
+    models, reports, seconds = {}, {}, {}
 
-    def train(mode: str, stage1: Model | None = None) -> Model:
+    def run(mode: str) -> None:
+        # the adacos baseline is two-stage's stage 1 (stage 1 reads no
+        # stage-2 setting), so stage 2 continues from its model
         started = time.perf_counter()
         if mode == "two-stage":
-            model = train_two_stage(train_set, configs[mode], stage1=stage1)
+            model = train_two_stage(train_set, configs[mode], stage1=models["adacos"])
         else:
             model = train_baseline(train_set, configs[mode])
         seconds[mode] = time.perf_counter() - started
-        return model
-
-    def evaluate(mode: str, model: Model):
         centroids = compute_centroids(model.params, train_set)
-        return mae_report(model.params, centroids, test_set, model_tag=mode)
+        reports[mode] = mae_report(model.params, centroids, test_set, model_tag=mode)
+        models[mode] = model
 
     def lane(fd: int) -> None:
-        # in the forked child, which writes the sets, then trains and
-        # evaluates the lane's models and sends them back, saving none; its
-        # warnings are shown by the parent, in order
-        models, reports = {}, {}
+        # in the forked child, which writes the sets, then trains and scores
+        # the lane's models and sends them back, saving none; its warnings
+        # are shown by the parent, in order
         with warnings.catch_warnings(record=True) as caught:
             write_sets()
             for mode in LANE_MODES:
-                models[mode] = train(mode)
-                reports[mode] = evaluate(mode, models[mode])
+                run(mode)
         shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         with open(fd, "wb") as out:
             write_pickle(out, (models, reports, seconds, shown))
 
-    # the adacos baseline is two-stage's stage 1 (stage 1 reads no stage-2
-    # setting), so it is trained once and stage 2 continues from its result;
-    # the other baselines share only the training set with them
     lane_work = len(train_set) * cfg["epochs"] * len(LANE_MODES)
     lanes = 2 if worker_count(lane_work, MIN_LANE_WORK) > 1 else 1
-    if lanes == 1:
-        write_sets()
-    trained, delivered = {}, None
+    delivered = None
     try:
         with forked([lane] if lanes == 2 else []) as pipes:
-            trained["adacos"] = train("adacos")
-            trained["two-stage"] = train("two-stage", stage1=trained["adacos"])
+            run("adacos")
+            run("two-stage")
             delivered = read_pickle(pipes[0]) if pipes and pipes[0] else None
     finally:
-        # the child is reaped by now, so a set it did not deliver, perhaps
-        # left half-written, is written whole whether or not training failed
-        if lanes == 2 and delivered is None:
+        # any child is reaped by now, so sets no child delivered, perhaps
+        # left half-written, are written whole whether or not training failed
+        if delivered is None:
             write_sets()
-    lane_reports = {}
     if delivered is None:
-        lanes = 1  # a baseline the child did not deliver is trained below
+        lanes = 1
+        for mode in LANE_MODES:
+            run(mode)
     else:
         lane_models, lane_reports, lane_seconds, shown = delivered
-        trained.update(lane_models)
+        models.update(lane_models)
+        reports.update(lane_reports)
         seconds.update(lane_seconds)
-        # the registry warnings.warn keeps for train's frame, so that a warning
+        # the registry warnings.warn keeps for run's frame, so that a warning
         # shows as often as on the serial path
         registry = globals().setdefault("__warningregistry__", {})
         for message, category, filename, lineno in shown:
             warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
 
-    # this process writes every model, once its own training has succeeded
+    # no model is written until all four are scored
     outputs = [train_path, test_path]
-    reports = []
-    for mode in ("two-stage", "adacos", *LANE_MODES):
-        model = trained[mode] if mode in trained else train(mode)
+    for mode in modes:
         path = os.path.join(out_dir, f"model_{mode}.json")
-        _save_model(path, model)
-        rep = lane_reports[mode] if mode in lane_reports else evaluate(mode, model)
-        reports.append(rep)
+        _save_model(path, models[mode])
         outputs.append(path)
-        print(f"{mode}: average MAE {rep.average_mae:.4f}")
+        print(f"{mode}: average MAE {reports[mode].average_mae:.4f}")
 
-    table = format_mae_table(reports)
+    table = format_mae_table([reports[mode] for mode in modes])
     print(table)
     report_path = os.path.join(out_dir, "bench_report.json")
     write_json(
         report_path,
-        {"models": [r.to_dict() for r in reports], "table": table, "config": cfg},
+        {"models": [reports[mode].to_dict() for mode in modes], "table": table, "config": cfg},
         indent=2,
     )
     outputs.append(report_path)

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     UnknownPolarityError,
     allocating,
+    check_int_fields,
 )
 from .forks import forked, read_pickle, worker_count, write_pickle
 from .labels import Polarity
@@ -112,6 +113,7 @@ class GeneratorConfig:
     class_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.num_classes < 1 or self.input_dim < 2 or self.per_subclass_count < 1:
             raise InvalidConfigError("need num_classes >= 1, input_dim >= 2, counts >= 1")
         for name in ("polarity_offset", "noise_sigma"):
@@ -149,7 +151,8 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
     """Draw 3 * K * per_subclass_count noisy samples around the sub-class means.
 
     The split tag selects an independent noise stream, so "train" and "test"
-    for one seed share geometry but not samples.
+    for one seed share geometry but not samples. A polarity offset and noise
+    level whose features overflow are an InvalidConfigError.
     """
     if split_tag not in ("train", "test"):
         raise InvalidConfigError(f"split_tag must be train or test, got {split_tag!r}")
@@ -163,6 +166,11 @@ def generate_synthetic(cfg: GeneratorConfig, split_tag: str = "train") -> Datase
         subclass = np.repeat(np.arange(num_sub), n)
         noise = [rng.normal(0.0, cfg.noise_sigma, size=(n, cfg.input_dim)) for _ in range(num_sub)]
         features = means[subclass] + np.concatenate(noise)
+    if not np.isfinite(features).all():
+        raise InvalidConfigError(
+            f"polarity_offset {cfg.polarity_offset} and noise_sigma {cfg.noise_sigma} "
+            "give features past the float range"
+        )
     ids = [
         f"{split_tag}_c{sub // 3}_{Polarity.from_ordinal(sub % 3).value}_{k:04d}"
         for sub in range(num_sub)
@@ -653,10 +661,16 @@ def write_json(path: str, doc, **dump_options) -> None:
     """Write doc to path as JSON with sorted keys and a final newline,
     atomically: it goes to path + ".tmp", which then replaces path.
     dump_options (indent, separators) go to json.dumps, which without indent
-    encodes in one C call (json.dump would stream through Python code)."""
+    encodes in one C call (json.dump would stream through Python code). NaN
+    or an infinity, which JSON lacks, raises NonFiniteError before the
+    temporary file is opened."""
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False, **dump_options)
+    except ValueError as exc:
+        raise NonFiniteError(f"cannot write NaN or Inf to {path}: {exc}") from None
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, **dump_options))
+        fh.write(text)
         fh.write("\n")
     os.replace(tmp, path)
 

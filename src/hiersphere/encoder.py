@@ -19,7 +19,6 @@ no command resumes training from a file.
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
     ZeroNormError,
+    is_integer,
 )
 from .errors import allocating as _allocating
 from .rng import STREAM_ENCODER_INIT, make_rng
@@ -48,7 +48,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(not isinstance(d, Integral) or isinstance(d, bool) or d < 1 for d in dims):
+        if any(not is_integer(d) or d < 1 for d in dims):
             raise InvalidConfigError(f"all dimensions must be integers >= 1, got {dims}")
         if self.activation not in ACTIVATIONS:
             raise InvalidConfigError(f"activation must be tanh or relu, got {self.activation!r}")

@@ -6,6 +6,8 @@ maps them to distinct exit codes.
 """
 
 import contextlib
+import dataclasses
+import numbers
 
 
 class HiersphereError(Exception):
@@ -58,6 +60,21 @@ def allocating(what: str):
         yield
     except (MemoryError, ValueError, OverflowError):
         raise InvalidConfigError(f"not enough memory for {what}") from None
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: a numbers.Integral, numpy's included,
+    other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int_fields(config) -> None:
+    """Raise InvalidConfigError naming the first field of the dataclass config
+    declared int whose value is no integer, such as 2.0, 1.5 or True."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type is int and not is_integer(value):
+            raise InvalidConfigError(f"{f.name} must be an integer, got {value!r}")
 
 
 class BatchTooSmallError(DataError):

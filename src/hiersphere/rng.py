@@ -7,7 +7,7 @@ seeds give identical runs everywhere.
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, is_integer
 
 # Fixed stream ids; adding new streams must not renumber existing ones.
 STREAM_DATA_GEOMETRY = 0
@@ -21,8 +21,8 @@ STREAM_SAMPLING = 6
 
 def _check_seed(seed: int) -> None:
     """Raise unless seed is a non-negative integer, as every stream needs."""
-    if int(seed) < 0:
-        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+    if not is_integer(seed) or seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -32,7 +32,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidClassCountError,
     InvalidConfigError,
+    NonFiniteError,
     NoValidTripletsError,
+    check_int_fields,
 )
 from .losses import (
     Anchors,
@@ -81,6 +83,7 @@ class TrainConfig:
     neutral_pairs_positive: bool = False
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.epochs < 0 or self.stage2_epochs < 0:
             raise InvalidConfigError("epoch counts must be >= 0")
         if self.batch_size < 2:
@@ -260,7 +263,8 @@ def _fit(
     """The one epoch/batch loop; steps params in place and fills report.
 
     objective(embeddings, subclass) gives the batch's LossOutput. A
-    batch whose objective raises NoValidTripletsError is skipped and counted.
+    batch whose objective raises NoValidTripletsError is skipped and counted;
+    a loss that is not finite raises NonFiniteError before its step.
     Stage 2 takes its own epoch count, learning rate, shuffle streams and loss
     curve, and merges a trailing singleton batch into the one before it.
     anchors take an Adam step from the loss's grad_weights, numbered as the
@@ -301,6 +305,8 @@ def _fit(
                 warnings.warn("batch without any valid triplet skipped", stacklevel=4)
                 report.skipped_batches += 1
                 continue
+            if not math.isfinite(out.value):
+                raise NonFiniteError(f"training loss is {out.value} in epoch {epoch + 1}")
             encoder_backward_step(params, bx, out.grad_embeddings, lr, tape=tape)
             if anchors is not None:
                 adam_step_array(w, out.grad_weights, m, v, params.step_count, lr)

@@ -168,25 +168,6 @@ def test_a_child_that_dies_while_writing_leaves_the_serial_bytes(
     assert trained_here == ["adacos", "triplet", "softmax"]
 
 
-def test_a_numeric_error_in_the_lane_is_the_serial_one(tmp_path, capfd, monkeypatch, forks):
-    real = cli.train_baseline
-
-    def train_baseline(dataset, config):
-        if config.mode == "softmax":
-            raise NumericError("softmax diverged")
-        return real(dataset, config)
-
-    monkeypatch.setattr(cli, "train_baseline", train_baseline)
-    serial = _bench(tmp_path / "serial", capfd, monkeypatch, lane=False)
-    lane = _bench(tmp_path / "lane", capfd, monkeypatch, lane=True)
-    assert len(forks) == 1
-    assert serial[0] == lane[0] == 3
-    assert serial[2] == lane[2] == "numeric error: softmax diverged\n"
-    # what was printed and written before the error is the same too
-    assert serial[1] == lane[1] and "triplet: average MAE" in lane[1]
-    assert serial[3] == lane[3] and "bench.manifest.json" not in lane[3]
-
-
 def test_the_lane_shows_the_serial_warnings(tmp_path, capfd, monkeypatch, forks):
     # at batch size 2 most triplet batches hold no valid triplet
     flags = SMALL_BENCH + ["--batch-size", "2"]
@@ -202,10 +183,14 @@ def test_the_lane_shows_the_serial_warnings(tmp_path, capfd, monkeypatch, forks)
     assert any("without any valid triplet" in text for text, *_ in shown[True])
 
 
-def test_a_failed_stage_leaves_no_model_of_the_lane(tmp_path, capfd, monkeypatch, forks):
-    # stage 2 fails only once the child has trained and delivered both
-    # baselines; the out-dir still holds only the two sets, as in one process
+@pytest.mark.parametrize("failing", ["adacos", "two-stage", "triplet", "softmax"])
+def test_a_failed_model_leaves_only_the_sets(tmp_path, capfd, monkeypatch, forks, failing):
+    # no model is written until all four are scored, so whichever fails, on
+    # either path, the out-dir holds only the two sets and nothing is printed;
+    # a model of this process fails only once the child has delivered both
+    # baselines, and a baseline fails in the child and again here
     parent = os.getpid()
+    here = failing not in cli.LANE_MODES
     delivered = tmp_path / "child-delivered"
     real_write = cli.write_pickle
 
@@ -215,19 +200,26 @@ def test_a_failed_stage_leaves_no_model_of_the_lane(tmp_path, capfd, monkeypatch
             out.flush()
             delivered.touch()
 
-    def train_two_stage(dataset, config, stage1=None):
-        deadline = time.monotonic() + 60.0
-        while forks and not delivered.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        raise NumericError("stage 2 diverged")
+    def fails(real):
+        def train(dataset, config, **kwargs):
+            if config.mode != failing:
+                return real(dataset, config, **kwargs)
+            deadline = time.monotonic() + 60.0
+            while here and forks and not delivered.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise NumericError(f"{failing} diverged")
+
+        return train
 
     monkeypatch.setattr(cli, "write_pickle", write_pickle)
-    monkeypatch.setattr(cli, "train_two_stage", train_two_stage)
+    monkeypatch.setattr(cli, "train_baseline", fails(cli.train_baseline))
+    monkeypatch.setattr(cli, "train_two_stage", fails(cli.train_two_stage))
     serial = _bench(tmp_path / "serial", capfd, monkeypatch, lane=False)
     lane = _bench(tmp_path / "lane", capfd, monkeypatch, lane=True)
-    assert len(forks) == 1 and delivered.exists()
+    assert len(forks) == 1
+    assert delivered.exists() == here
     assert serial[0] == lane[0] == 3
     assert serial[1] == lane[1] == ""
-    assert serial[2] == lane[2] == "numeric error: stage 2 diverged\n"
+    assert serial[2] == lane[2] == f"numeric error: {failing} diverged\n"
     assert serial[3] == lane[3]
     assert sorted(lane[3]) == ["test.jsonl", "train.jsonl"]

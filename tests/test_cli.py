@@ -1078,6 +1078,35 @@ def test_every_setting_lands_in_the_manifest_by_flag_and_by_file(
 # --------------------------------------------------------------- exit codes
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_loss_past_the_float_range_writes_no_model(tmp_path, corpus, capsys):
+    # the triplet hinges of a 1e308 margin sum to inf
+    flags = ["--triplet-margin=1e308", "--epochs", "1", "--stage2-epochs", "1"]
+    model = str(tmp_path / "m.json")
+    train = ["train", "--data", corpus["train"], "--mode", "triplet", *flags, "--out", model]
+    size = ["--classes", "2", "--dim", "4", "--per-subclass", "3"]
+    for argv in (train, ["bench", *size, *flags, "--out-dir", str(tmp_path / "b")]):
+        assert run_command(argv) == 3
+        assert capsys.readouterr().err == "numeric error: training loss is inf in epoch 1\n"
+    assert os.listdir(tmp_path) == ["b"]
+    assert sorted(os.listdir(tmp_path / "b")) == ["test.jsonl", "train.jsonl"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_generator_overflow_is_a_data_error_writing_nothing(tmp_path, capsys):
+    size = ["--classes", "2", "--dim", "4", "--per-subclass", "3", "--sigma=1e308"]
+    for argv in (
+        ["gen-data", *size, "--out", str(tmp_path / "g.jsonl")],
+        ["bench", *size, "--out-dir", str(tmp_path / "b")],
+    ):
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: polarity_offset 1.0 and noise_sigma 1e+308 give features past the float "
+            "range\n"
+        )
+    assert os.listdir(tmp_path) == []
+
+
 # A size drawn here is 3 or less, or 2**62 or more, which numpy refuses to
 # allocate at once; epoch counts are never drawn, so every run stays tiny.
 INT_VALUES = [-1, 0, 1, 3, 2**62, 2**63, 2**64, 10**20]
@@ -1121,6 +1150,26 @@ def flag_bases(tmp_path_factory):
     }
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} in strict JSON")
+
+
+def _read_back(out, command):
+    """Read every file a run wrote under out: JSON strictly, with no NaN or
+    Infinity, JSON Lines with the toolkit's reader and models with
+    load_checkpoint."""
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            if name.endswith(".json"):
+                with open(path, encoding="utf-8") as fh:
+                    json.loads(fh.read(), parse_constant=_no_constant)
+                if name == "m.json" or name.startswith("model_"):
+                    load_checkpoint(path)
+            elif name.endswith(".jsonl"):
+                (load_texts if command == "dedup" else load_jsonl)(path)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 @settings(max_examples=150, deadline=None)
 @given(flag=st.sampled_from(_numeric_flags()), data=st.data())
@@ -1133,6 +1182,8 @@ def test_every_numeric_flag_value_ends_in_an_exit_code(flag_bases, flag, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             # --flag=value, so that argparse reads -inf as a value, not a flag
             code = run_command([*argv, f"{name}={value}"])
+        if code == 0:
+            _read_back(out, command)
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         last = err.getvalue().splitlines()[-1]

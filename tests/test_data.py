@@ -220,6 +220,18 @@ def test_generator_size_numpy_cannot_allocate_is_config_error(classes, dim, per_
         generate_synthetic(cfg)
 
 
+@pytest.mark.parametrize("offset, sigma", [(1.0, 1e308), (1e308, 1e308)])
+def test_generator_features_past_the_float_range_are_a_config_error(offset, sigma):
+    cfg = small_cfg(polarity_offset=offset, noise_sigma=sigma)
+    expected = f"polarity_offset {offset} and noise_sigma {sigma} give features past the float range"
+    with np.errstate(over="ignore"), pytest.raises(
+        InvalidConfigError, match=f"^{re.escape(expected)}$"
+    ):
+        generate_synthetic(cfg)
+    # a huge offset alone keeps every feature finite
+    assert np.isfinite(generate_synthetic(small_cfg(polarity_offset=offset)).features).all()
+
+
 # -------------------------------------------------------------------- jsonl
 
 
@@ -1313,6 +1325,15 @@ def test_write_json_bytes_replace_the_file_whole(tmp_path, options, text):
     write_json(str(path), {"b": None, "a": [1, "\u00e9"]}, **options)
     assert path.read_bytes() == text.encode("ascii")
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_nan_and_infinities_before_opening_a_file(tmp_path, bad):
+    path = tmp_path / "doc.json"
+    expected = f"^cannot write NaN or Inf to {re.escape(str(path))}: "
+    with pytest.raises(NonFiniteError, match=expected):
+        write_json(str(path), {"losses": [1.0, bad]}, indent=2)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------- JSON Lines writer

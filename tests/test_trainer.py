@@ -15,6 +15,7 @@ from hiersphere import (
     GeneratorConfig,
     InvalidConfigError,
     Model,
+    NonFiniteError,
     NoValidTripletsError,
     Polarity,
     TrainConfig,
@@ -160,6 +161,45 @@ def test_train_config_validation():
     with pytest.raises(InvalidConfigError, match="^seed must be a non-negative integer, got -1$"):
         TrainConfig(seed=-1)
     assert set(MODES) == {"two-stage", "adacos", "softmax", "cosface", "arcface", "triplet"}
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (TrainConfig, "epochs", 2.5),
+        (TrainConfig, "stage2_epochs", 1.0),
+        (TrainConfig, "batch_size", 4.0),
+        (TrainConfig, "embed_dim", True),
+        (TrainConfig, "seed", 1.5),
+        (GeneratorConfig, "num_classes", 2.0),
+        (GeneratorConfig, "input_dim", "4"),
+        (GeneratorConfig, "per_subclass_count", True),
+        (GeneratorConfig, "seed", 1.5),
+    ],
+)
+def test_a_non_integer_setting_is_a_config_error_naming_it(make, field, value):
+    base = {} if make is TrainConfig else dict(num_classes=2, input_dim=4, per_subclass_count=3)
+    with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        make(**{**base, field: value})
+    # numpy's integers are integers
+    make(**{**base, field: np.int64(3)})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", None])
+def test_make_rng_takes_only_an_integer_seed(seed):
+    with pytest.raises(InvalidConfigError, match="^seed must be a non-negative integer, got "):
+        make_rng(seed, 0)
+
+
+def test_a_loss_past_the_float_range_is_a_numeric_error_before_its_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "encoder_backward_step", lambda *args, **kwargs: steps.append(1))
+    config = TrainConfig(mode="triplet", epochs=1, triplet_margin=1e308)
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteError, match="^training loss is inf in epoch 1$"
+    ):
+        train_baseline(tiny_dataset(), config)
+    assert steps == []
 
 
 def test_stage2_rate_default_is_tenth_rate():
